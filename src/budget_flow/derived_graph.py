@@ -4,6 +4,15 @@ Forward arcs are each source's preferred edge (best effective profit among
 unsaturated edges); reverse arcs are back edges, i.e. positive-flow edges
 assigned below the sink's current price level that may also be pulled back.
 Paths and cycles for the production solver are walked here.
+
+Sink j's back set is memoized.  The memo is dropped at exactly four events:
+`note_flow_changed` on an in-edge of j (flow, saturation, valuation), a
+promotion in `fix_two_cycle` at j, `note_beta_changed(j)`, and a source with
+a saturated edge into j going from clean to dirty (that edge's slack reads
+the source's alpha).  A hit thus equals a fresh scan, side effects included.
+Heap entries carry their sink's price level, which `note_beta_changed` bumps;
+beta only rises, so an entry is stale iff its edge is saturated or its level
+is old.
 """
 
 from __future__ import annotations
@@ -82,6 +91,8 @@ class DerivedGraph:
         self._heaps: list[list] = [[] for _ in range(instance.n)]
         self._saturated = [primal.edge_saturated(e) for e in range(len(instance.edges))]
         self._dirty: set[int] = set(range(instance.n))
+        self._level = [0] * instance.m
+        self._back: dict[int, tuple[int, ...]] = {}
         self._b_cache: dict[int, set[int]] = {}
         for e, spec in enumerate(instance.edges):
             if not self._saturated[e]:
@@ -98,15 +109,24 @@ class DerivedGraph:
     def _push_entry(self, e: int) -> None:
         spec = self.instance.edges[e]
         key = self.dual.effective_profit(e)
-        heapq.heappush(self._heaps[spec.src], (-key, spec.dst, e, key))
+        heapq.heappush(self._heaps[spec.src], (-key, spec.dst, e, key, self._level[spec.dst]))
         self._count("heap_updates")
+
+    def _mark_dirty(self, i: int) -> None:
+        if i not in self._dirty:
+            self._dirty.add(i)
+            for e in self.instance.edges_of_source(i):
+                if self._saturated[e]:
+                    self._back.pop(self.instance.edges[e].dst, None)
 
     def note_beta_changed(self, j: int) -> None:
         """Refresh heap keys of j's unsaturated in-edges after a price change."""
+        self._level[j] += 1
+        self._back.pop(j, None)
         for e in self.instance.edges_of_sink(j):
             if not self._saturated[e]:
                 self._push_entry(e)
-            self._dirty.add(self.instance.edges[e].src)
+            self._mark_dirty(self.instance.edges[e].src)
         if self.debug:
             self.event_log.append(f"beta-rise j={j + 1} value={self.dual.beta[j]}")
             self._log_b_transitions(j)
@@ -115,11 +135,12 @@ class DerivedGraph:
         """Track saturation flips; saturated edges leave the heap, others rejoin."""
         now = self.primal.edge_saturated(e)
         spec = self.instance.edges[e]
+        self._back.pop(spec.dst, None)
         if now != self._saturated[e]:
             self._saturated[e] = now
             if not now:
                 self._push_entry(e)
-            self._dirty.add(spec.src)
+            self._mark_dirty(spec.src)
         if self.debug:
             self._log_b_transitions(spec.dst)
 
@@ -132,15 +153,15 @@ class DerivedGraph:
     def rebuild_preferred(self, i: int) -> int | None:
         """Re-pick source i's preferred edge from the heap top and refresh alpha.
 
-        Stale entries (saturated edge, or key no longer current) are discarded
-        lazily.  Ties already break toward the lowest sink index through the
-        heap ordering.  Returns None when i has no unsaturated edge left.
+        Stale entries (saturated edge, or a sink price level that has moved on)
+        are discarded lazily.  Ties already break toward the lowest sink index
+        through the heap ordering.  Returns None when i has no unsaturated edge.
         """
         heap = self._heaps[i]
         zero = self.num.value(0)
         while heap:
-            neg_key, dst, e, key = heap[0]
-            if self._saturated[e] or not self.num.eq(self.dual.effective_profit(e), key):
+            neg_key, dst, e, key, level = heap[0]
+            if self._saturated[e] or level != self._level[dst]:
                 heapq.heappop(heap)
                 self._count("heap_updates")
                 continue
@@ -158,14 +179,20 @@ class DerivedGraph:
 
         A saturated edge qualifies only once its price slack c - p*beta - alpha
         has dropped to zero or below; until then its implicit edge dual covers it.
+        A valuation exists exactly while its edge carries flow, so edges without
+        one are skipped.  Returns a copy of the memoized set.
         """
+        back = self._back.get(j)
+        if back is None:
+            back = self._back[j] = self._scan_back_edges(j)
+        return list(back)
+
+    def _scan_back_edges(self, j: int) -> tuple[int, ...]:
         result = []
         beta_j = self.dual.beta[j]
         for e in self.instance.edges_of_sink(j):
-            if not self.num.is_pos(self.primal.flow[e]):
-                continue
             y = self.dual.valuation.get(e)
-            if y is None or not self.num.is_pos(beta_j - y):
+            if y is None or not self.num.lt(y, beta_j):
                 continue
             if self._saturated[e]:
                 spec = self.instance.edges[e]
@@ -175,7 +202,7 @@ class DerivedGraph:
                     continue
             result.append(e)
         result.sort(key=lambda e: (self.instance.edges[e].src, e))
-        return result
+        return tuple(result)
 
     def fix_two_cycle(self, i: int) -> bool:
         """Promote the preferred edge out of the back set when siblings remain.
@@ -193,6 +220,7 @@ class DerivedGraph:
         back = self.back_edges(j)
         if e in back and len(back) > 1:
             self.dual.valuation[e] = self.dual.beta[j]
+            self._back.pop(j, None)
             if self.debug:
                 self._log_b_transitions(j)
             return True
@@ -265,15 +293,3 @@ class DerivedGraph:
             self.event_log.append(f"{word} e={e} j={j + 1} beta={self.dual.beta[j]}")
         self._b_cache[j] = current
 
-
-def rebuild_preferred(graph: DerivedGraph, i: int) -> int | None:
-    return graph.rebuild_preferred(i)
-
-
-def remove_two_cycles(graph: DerivedGraph) -> DerivedGraph:
-    graph.remove_two_cycles_all()
-    return graph
-
-
-def find_path(graph: DerivedGraph, start: int) -> Path:
-    return graph.find_path(start)

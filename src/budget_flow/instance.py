@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 
 class Kind(Enum):
@@ -69,11 +70,20 @@ class ProblemInstance:
     def m(self) -> int:
         return len(self.budget)
 
-    def edges_of_source(self, i: int) -> list[int]:
-        return [e for e, spec in enumerate(self.edges) if spec.src == i]
+    @cached_property
+    def _adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """Edge indices per source and per sink, in edge order; built once."""
+        out_edges, in_edges = [[] for _ in range(self.n)], [[] for _ in range(self.m)]
+        for e, spec in enumerate(self.edges):
+            out_edges[spec.src].append(e)
+            in_edges[spec.dst].append(e)
+        return tuple(map(tuple, out_edges)), tuple(map(tuple, in_edges))
 
-    def edges_of_sink(self, j: int) -> list[int]:
-        return [e for e, spec in enumerate(self.edges) if spec.dst == j]
+    def edges_of_source(self, i: int) -> tuple[int, ...]:
+        return self._adjacency[0][i]
+
+    def edges_of_sink(self, j: int) -> tuple[int, ...]:
+        return self._adjacency[1][j]
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,6 @@ class SolverConfig:
     """
 
     epsilon: Fraction = Fraction(1, 4)
-    tie_break: str = "lowest-index"
     max_phases: int | None = None
     numeric_mode: str = "exact"
     float_tol: float = 1e-9
@@ -97,8 +106,6 @@ class SolverConfig:
         object.__setattr__(self, "epsilon", eps)
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must be in (0, 1)")
-        if self.tie_break != "lowest-index":
-            raise ValueError("the only supported tie-break rule is 'lowest-index'")
         if self.numeric_mode not in ("exact", "float"):
             raise ValueError("numeric_mode must be 'exact' or 'float'")
         if self.numeric_mode == "float" and not self.float_tol > 0:
@@ -232,12 +239,8 @@ def parse(text: str) -> ProblemInstance:
     if header is None:
         raise InstanceFormatError(1, "empty input: missing 'p' header")
     _, kind, n, m, num_edges = header
-    for idx in range(1, n + 1):
-        if idx not in supply:
-            raise InstanceFormatError(header[0], f"missing supply line for source {idx}")
-    for idx in range(1, m + 1):
-        if idx not in budget:
-            raise InstanceFormatError(header[0], f"missing budget line for sink {idx}")
+    supplies = indexed_records(supply, n, "supply line for source", header[0])
+    budgets = indexed_records(budget, m, "budget line for sink", header[0])
     if len(edges) != num_edges:
         raise InstanceFormatError(
             header[0], f"header declares {num_edges} edges, found {len(edges)}"
@@ -245,14 +248,22 @@ def parse(text: str) -> ProblemInstance:
 
     instance = ProblemInstance(
         kind=kind,
-        supply=tuple(supply[i] for i in range(1, n + 1)),
-        budget=tuple(budget[j] for j in range(1, m + 1)),
+        supply=supplies,
+        budget=budgets,
         edges=tuple(edges),
     )
     report = validate(instance)
     if not report.ok:
         raise InstanceValidationError(list(report.violations))
     return instance
+
+
+def indexed_records(values: dict, count: int, what: str, line_no: int) -> tuple:
+    """values[1..count] in order; a gap is reported against the header line."""
+    for k in range(1, count + 1):
+        if k not in values:
+            raise InstanceFormatError(line_no, f"missing {what} {k}")
+    return tuple(values[k] for k in range(1, count + 1))
 
 
 def _parse_int_fields(line_no: int, tokens: list[str], count: int) -> tuple[int, ...]:

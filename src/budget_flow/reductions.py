@@ -11,7 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import EdgeSpec, InstanceFormatError, Kind, ProblemInstance, check_valid
+from .instance import (
+    EdgeSpec, InstanceFormatError, Kind, ProblemInstance, check_valid, indexed_records,
+)
 from .oracle import solve_equality_lp
 
 
@@ -469,6 +471,20 @@ def _ratio(token: str, line_no: int) -> Fraction:
         raise InstanceFormatError(line_no, f"bad rational {token!r}") from None
 
 
+def _int(token: str, line_no: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InstanceFormatError(line_no, f"bad integer {token!r}") from None
+
+
+def _fields(tokens: list[str], count: int, line_no: int) -> list[str]:
+    """The record's fields after its tag; there must be exactly `count`."""
+    if len(tokens) != count + 1:
+        raise InstanceFormatError(line_no, f"{tokens[0]!r} record needs {count} fields")
+    return tokens[1:]
+
+
 def _ratio_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
@@ -488,40 +504,39 @@ def parse_piecewise(text: str) -> PiecewiseInstance:
         if header is None:
             if tokens[:2] != ["p", "pw"] or len(tokens) != 5:
                 raise InstanceFormatError(line_no, "header needs: p pw <n> <m> <E>")
-            header = tuple(int(t) for t in tokens[2:])
+            header = (line_no, *(_int(t, line_no) for t in tokens[2:]))
             continue
-        if tokens[0] == "s":
-            supply[int(tokens[1])] = int(tokens[2])
-        elif tokens[0] == "t":
-            budget[int(tokens[1])] = int(tokens[2])
+        if tokens[0] in ("s", "t"):
+            idx, value = (_int(t, line_no) for t in _fields(tokens, 2, line_no))
+            (supply if tokens[0] == "s" else budget)[idx] = value
         elif tokens[0] == "e":
             if len(tokens) < 7 or tokens[4] != "pw":
                 raise InstanceFormatError(
                     line_no, "piecewise edge needs: e <i> <j> <p> pw <l> <c1> ..."
                 )
-            length = int(tokens[5])
+            length = _int(tokens[5], line_no)
             if seg_len is None:
                 seg_len = length
             elif seg_len != length:
                 raise InstanceFormatError(line_no, "segment length must be uniform")
             edges.append(
                 PiecewiseEdge(
-                    src=int(tokens[1]) - 1,
-                    dst=int(tokens[2]) - 1,
-                    price=int(tokens[3]),
-                    slopes=tuple(int(t) for t in tokens[6:]),
+                    src=_int(tokens[1], line_no) - 1,
+                    dst=_int(tokens[2], line_no) - 1,
+                    price=_int(tokens[3], line_no),
+                    slopes=tuple(_int(t, line_no) for t in tokens[6:]),
                 )
             )
         else:
             raise InstanceFormatError(line_no, f"unknown record {tokens[0]!r}")
     if header is None:
         raise InstanceFormatError(1, "empty input: missing 'p pw' header")
-    n, m, ne = header
+    header_line, n, m, ne = header
     if len(edges) != ne:
         raise InstanceFormatError(1, f"header declares {ne} edges, found {len(edges)}")
     pw = PiecewiseInstance(
-        supply=tuple(supply[i] for i in range(1, n + 1)),
-        budget=tuple(budget[j] for j in range(1, m + 1)),
+        supply=indexed_records(supply, n, "supply line for source", header_line),
+        budget=indexed_records(budget, m, "budget line for sink", header_line),
         segment_length=seg_len if seg_len is not None else 1,
         edges=tuple(edges),
     )
@@ -557,24 +572,27 @@ def parse_gflow(text: str) -> GenFlowInstance:
         if header is None:
             if tokens[0] != "g" or len(tokens) != 3:
                 raise InstanceFormatError(line_no, "header needs: g <|V|> <|A|>")
-            header = (int(tokens[1]), int(tokens[2]))
+            header = (_int(tokens[1], line_no), _int(tokens[2], line_no))
             continue
         if tokens[0] == "a":
             if len(tokens) != 6:
                 raise InstanceFormatError(line_no, "arc needs: a <i> <j> <c> <u> <mu>")
             arcs.append(
                 Arc(
-                    tail=int(tokens[1]) - 1,
-                    head=int(tokens[2]) - 1,
+                    tail=_int(tokens[1], line_no) - 1,
+                    head=_int(tokens[2], line_no) - 1,
                     cost=_ratio(tokens[3], line_no),
                     capacity=_ratio(tokens[4], line_no),
                     multiplier=_ratio(tokens[5], line_no),
                 )
             )
-        elif tokens[0] == "src":
-            source, supply = int(tokens[1]) - 1, _ratio(tokens[2], line_no)
-        elif tokens[0] == "snk":
-            sink, demand = int(tokens[1]) - 1, _ratio(tokens[2], line_no)
+        elif tokens[0] in ("src", "snk"):
+            node, amount = _fields(tokens, 2, line_no)
+            end = (_int(node, line_no) - 1, _ratio(amount, line_no))
+            if tokens[0] == "src":
+                source, supply = end
+            else:
+                sink, demand = end
         else:
             raise InstanceFormatError(line_no, f"unknown record {tokens[0]!r}")
     if header is None or source is None or sink is None:
@@ -633,31 +651,31 @@ def parse_mincost(text: str) -> MincostBtpInstance:
         if header is None:
             if tokens[:2] != ["p", "mincost"] or len(tokens) != 6:
                 raise InstanceFormatError(line_no, "header needs: p mincost <n> <m> <E> <sense>")
-            header = (int(tokens[2]), int(tokens[3]), int(tokens[4]), tokens[5])
+            header = (line_no, *(_int(t, line_no) for t in tokens[2:5]), tokens[5])
             continue
-        if tokens[0] == "s":
-            supply[int(tokens[1])] = _ratio(tokens[2], line_no)
-        elif tokens[0] == "t":
-            budget[int(tokens[1])] = _ratio(tokens[2], line_no)
+        if tokens[0] in ("s", "t"):
+            idx, value = _fields(tokens, 2, line_no)
+            (supply if tokens[0] == "s" else budget)[_int(idx, line_no)] = _ratio(value, line_no)
         elif tokens[0] == "e":
+            src, dst, cost, price = _fields(tokens, 4, line_no)
             edges.append(
                 MincostEdge(
-                    src=int(tokens[1]) - 1,
-                    dst=int(tokens[2]) - 1,
-                    cost=_ratio(tokens[3], line_no),
-                    price=_ratio(tokens[4], line_no),
+                    src=_int(src, line_no) - 1,
+                    dst=_int(dst, line_no) - 1,
+                    cost=_ratio(cost, line_no),
+                    price=_ratio(price, line_no),
                 )
             )
         else:
             raise InstanceFormatError(line_no, f"unknown record {tokens[0]!r}")
     if header is None:
         raise InstanceFormatError(1, "missing 'p mincost' header")
-    n, m, ne, sense = header
+    header_line, n, m, ne, sense = header
     if len(edges) != ne:
         raise InstanceFormatError(1, f"header declares {ne} edges, found {len(edges)}")
     return MincostBtpInstance(
-        supply=tuple(supply[i] for i in range(1, n + 1)),
-        budget=tuple(budget[j] for j in range(1, m + 1)),
+        supply=indexed_records(supply, n, "supply line for source", header_line),
+        budget=indexed_records(budget, m, "budget line for sink", header_line),
         edges=tuple(edges),
         sense=sense,
     )

@@ -79,9 +79,10 @@ def geometric_limit(first, rho_cycle, cap, num: Numerics) -> int | None:
 
     Closed forms only: g(r) = first*(r+1) when the cycle ratio is 1, otherwise
     first*(1-q^(r+1))/(1-q).  r = -1 means not even one revolution fits.
-    Integer comparisons on exact rationals; no logarithms.
+    Integer comparisons on exact rationals; no logarithms.  Any positive
+    `first` is valid, also one below the float comparison tolerance.
     """
-    if not num.is_pos(first):
+    if not first > 0:
         raise ValueError("per-revolution amount must be positive")
     if num.is_pos(first - cap):
         return -1
@@ -513,48 +514,37 @@ def solve(
         cursor = (picked + 1) % instance.n
 
         path = graph.find_path(picked)
-        touched: set[int] = set()
+        loop_edge = None
         if path.kind is PathKind.TYPE_III:
             prefix, pairs = path.split_cycle()
+            touched = push_flow_path(primal, dual, graph, prefix, stats).touched_sinks
+            entry = instance.edges[pairs[0][0]].src
             if len(pairs) == 1 and pairs[0][0] == pairs[0][1]:
-                # degenerate loop through a single edge: same as a two-cycle end
-                report = push_flow_path(primal, dual, graph, prefix, stats)
-                touched |= report.touched_sinks
-                e = pairs[0][0]
-                j = instance.edges[e].dst
-                if e in dual.valuation:
-                    dual.valuation[e] = dual.beta[j]
-                touched.add(j)
-                stats.bump("two_cycle_eliminations")
-                graph.note_flow_changed(e)
-            else:
-                report = push_flow_path(primal, dual, graph, prefix, stats)
-                touched |= report.touched_sinks
-                entry = instance.edges[pairs[0][0]].src
-                if num.is_pos(primal.surplus[entry]):
-                    report = push_flow_cycle(primal, dual, graph, pairs, stats)
-                    touched |= report.touched_sinks
-        elif path.kind is PathKind.TYPE_II:
-            report = push_flow_path(primal, dual, graph, path.steps[:-1], stats)
-            touched |= report.touched_sinks
-            e = path.two_cycle_edge
-            j = instance.edges[e].dst
-            if e in dual.valuation:
-                dual.valuation[e] = dual.beta[j]
-            touched.add(j)
-            stats.bump("two_cycle_eliminations")
-            graph.note_flow_changed(e)
-        elif path.kind is PathKind.STALLED:
-            report = push_flow_path(primal, dual, graph, path.steps[:-1], stats)
-            touched |= report.touched_sinks
-            touched.add(path.stalled_sink)
-            stats.bump("stalls")
-        else:
-            report = push_flow_path(primal, dual, graph, path.steps, stats)
-            touched |= report.touched_sinks
+                # degenerate loop through a single edge: a two-cycle end
+                loop_edge = pairs[0][0]
+            elif num.is_pos(primal.surplus[entry]):
+                touched |= push_flow_cycle(primal, dual, graph, pairs, stats).touched_sinks
+        elif path.kind is PathKind.TYPE_I:
+            touched = push_flow_path(primal, dual, graph, path.steps, stats).touched_sinks
             if path.endpoint[0] == "src":
                 stats.bump("path_pushes_to_source")
             stats.bump("path_pushes")
+        else:
+            # two-cycle end or stall: flow moves only up to the final sink
+            touched = push_flow_path(primal, dual, graph, path.steps[:-1], stats).touched_sinks
+            if path.kind is PathKind.TYPE_II:
+                loop_edge = path.two_cycle_edge
+            else:
+                touched.add(path.stalled_sink)
+                stats.bump("stalls")
+        if loop_edge is not None:
+            # two-cycle end: re-assign the loop edge's flow at the current price
+            j = instance.edges[loop_edge].dst
+            if loop_edge in dual.valuation:
+                dual.valuation[loop_edge] = dual.beta[j]
+            touched.add(j)
+            stats.bump("two_cycle_eliminations")
+            graph.note_flow_changed(loop_edge)
 
         beta_update_pass(primal, dual, graph, stats, candidates=touched)
         if on_iteration is not None:

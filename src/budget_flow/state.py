@@ -24,6 +24,9 @@ class Numerics:
     def le(self, a, b) -> bool:
         return a <= b if self.exact else a - b <= self.tol
 
+    def lt(self, a, b) -> bool:
+        return a < b if self.exact else b - a > self.tol
+
     def is_zero(self, a) -> bool:
         return a == 0 if self.exact else abs(a) <= self.tol
 
@@ -108,8 +111,8 @@ class DualState:
         self.num = num
         self.epsilon = num.value(config.epsilon)
         self.alpha = [
-            num.value(max((s.profit for s in instance.edges if s.src == i), default=0))
-            for i in range(instance.n)
+            num.value(max((instance.edges[e].profit for e in out), default=0))
+            for out in map(instance.edges_of_source, range(instance.n))
         ]
         self.beta = [num.value(0) for _ in range(instance.m)]
         self.beta_companion = [num.value(0) for _ in range(instance.m)]
@@ -121,7 +124,7 @@ class DualState:
 
     def effective_profit(self, e: int):
         spec = self.instance.edges[e]
-        return self.num.value(spec.profit) - spec.price * self.beta[spec.dst]
+        return spec.profit - spec.price * self.beta[spec.dst]
 
     def dual_value(self, gammas: dict[int, Fraction | float] | None = None):
         total = sum(

@@ -1,6 +1,8 @@
 import subprocess
 import sys
 
+import pytest
+
 from budget_flow.cli import main
 
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
@@ -113,6 +115,37 @@ def test_reduce_piecewise_map_back(tmp_path):
         ["reduce", "--piecewise", str(src), str(mapped), "--map-back", str(sol)]
     ) == 0
     assert "primal" in mapped.read_text()
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("p pw 2 1 1\ns 1 6\nt 1 50\ne 1 1 3 pw 2 5 3\n", 1),  # no `s 2` line
+        ("p pw 1 1 1\ns 1\nt 1 50\ne 1 1 3 pw 2 5 3\n", 2),  # `s 1` lacks its value
+        ("p pw 1 1 1\ns 1 6\nt 1 x\ne 1 1 3 pw 2 5 3\n", 3),
+    ],
+)
+def test_reduce_piecewise_malformed_exits_2(tmp_path, capsys, text, line):
+    src = tmp_path / "in.pw"
+    src.write_text(text)
+    assert run_cli(["reduce", "--piecewise", str(src), str(tmp_path / "out.bts")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("g 2 1\na 1 2 4 10 1/2\nsrc 1\nsnk 2 1\n", 3),
+        ("g 2 1\na 1 x 4 10 1/2\nsrc 1 2\nsnk 2 1\n", 2),
+    ],
+)
+def test_reduce_gflow_malformed_exits_2(tmp_path, capsys, text, line):
+    src = tmp_path / "in.gfl"
+    src.write_text(text)
+    assert run_cli(["reduce", "--gflow", str(src), str(tmp_path / "out.mc")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
 
 
 def test_reduce_gflow_counts(tmp_path):

@@ -1,7 +1,10 @@
 from fractions import Fraction
 
-from budget_flow.derived_graph import DerivedGraph, PathKind, find_path, remove_two_cycles
+import pytest
+
+from budget_flow.derived_graph import DerivedGraph, PathKind
 from budget_flow.instance import SolverConfig, generate
+import budget_flow.solver as solver_mod
 from budget_flow.solver import RunStats
 from budget_flow.state import make_states
 from conftest import btp, bts
@@ -55,7 +58,7 @@ def test_remove_two_cycles_promotes_with_sibling():
     graph.ensure_fresh(0)
     assert graph.preferred[0] == 0
     assert set(graph.back_edges(0)) == {0, 3}
-    remove_two_cycles(graph)
+    graph.remove_two_cycles_all()
     # the preferred edge left the back set; the sibling remains
     assert graph.back_edges(0) == [3]
     assert dual.valuation[0] == Fraction(2)
@@ -68,7 +71,7 @@ def test_remove_two_cycles_keeps_sole_back_edge():
     dual.beta[0] = Fraction(2)
     dual.valuation[0] = Fraction(1)
     graph.note_beta_changed(0)
-    remove_two_cycles(graph)
+    graph.remove_two_cycles_all()
     assert graph.back_edges(0) == [0]
     assert dual.valuation[0] == Fraction(1)
 
@@ -77,13 +80,13 @@ def test_remove_two_cycles_idempotent_without_cycles():
     inst = btp([5, 5], [20, 20], [(0, 0, 3, 1), (1, 1, 4, 1)])
     primal, dual, graph = fresh_graph(inst)
     before = dict(dual.valuation)
-    remove_two_cycles(graph)
+    graph.remove_two_cycles_all()
     assert dict(dual.valuation) == before
 
 
 def test_find_path_immediate_unsaturated_sink(one_by_one):
     primal, dual, graph = fresh_graph(one_by_one)
-    path = find_path(graph, 0)
+    path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_I
     assert path.endpoint == ("snk", 0)
     assert path.steps == [("fwd", 0)]
@@ -99,7 +102,7 @@ def test_find_path_stops_at_retired_source():
     dual.valuation[1] = Fraction(2)
     graph.note_beta_changed(0)
     graph.note_beta_changed(1)
-    path = find_path(graph, 0)
+    path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_I
     assert path.endpoint == ("src", 1)
     assert [kind for kind, _ in path.steps] == ["fwd", "back"]
@@ -121,7 +124,7 @@ def test_find_path_detects_cycle():
     dual.valuation[3] = Fraction(1, 2)
     graph.note_beta_changed(0)
     graph.note_beta_changed(1)
-    path = find_path(graph, 0)
+    path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_III
     prefix, pairs = path.split_cycle()
     assert prefix == []
@@ -135,7 +138,7 @@ def test_find_path_two_cycle_end():
     dual.beta[0] = Fraction(1)
     dual.valuation[0] = Fraction(1, 2)
     graph.note_beta_changed(0)
-    path = find_path(graph, 0)
+    path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_II
     assert path.two_cycle_edge == 0
 
@@ -148,7 +151,7 @@ def test_find_path_stalled_sink():
     dual.beta[0] = Fraction(1)
     dual.valuation[1] = Fraction(1)
     graph.note_beta_changed(0)
-    path = find_path(graph, 0)
+    path = graph.find_path(0)
     assert path.kind is PathKind.STALLED
     assert path.stalled_sink == 0
 
@@ -264,3 +267,35 @@ def test_event_log_orders_zero_before_reenter():
                     assert any(
                         last_zero[e] < r < idx for r in rises_at.get(j, [])
                     ), f"edge {e} re-entered without a price rise (seed {seed})"
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_back_set_memo_matches_fresh_scan_after_every_phase(monkeypatch, mode):
+    graphs = []
+
+    class RecordingGraph(DerivedGraph):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            graphs.append(self)
+
+    monkeypatch.setattr(solver_mod, "DerivedGraph", RecordingGraph)
+
+    def check_memos(snap):
+        graph = graphs[-1]
+        dirty = set(graph._dirty)
+        for j, memo in list(graph._back.items()):
+            assert graph._scan_back_edges(j) == memo, (snap.iteration, j)
+        # a valid memo only stands for scans whose ensure_fresh calls are no-ops
+        assert graph._dirty == dirty
+        checked.append(len(graph._back))
+
+    checked: list[int] = []
+    for seed in range(8):
+        try:
+            inst = generate(seed=seed, n=3 + seed % 4, m=3 + seed % 3, density=0.8,
+                            u_range=(1, 6) if seed % 2 else None)
+        except ValueError:
+            continue
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+        assert solver_mod.solve(inst, config, on_iteration=check_memos).terminated
+    assert sum(checked) > 0  # the memo was populated and checked

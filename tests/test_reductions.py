@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from budget_flow.instance import Kind
+from budget_flow.instance import InstanceFormatError, Kind
 from budget_flow.reductions import (
     Arc,
     GenFlowInstance,
@@ -22,10 +22,12 @@ from budget_flow.reductions import (
     mincost_to_maxprofit,
     normalize_split_solution,
     parse_gflow,
+    parse_mincost,
     parse_piecewise,
     piecewise_profit,
     reassemble,
     serialize_gflow,
+    serialize_mincost,
     serialize_piecewise,
     split_piecewise,
     transport_cost,
@@ -339,6 +341,20 @@ def two_edge_mincost():
             MincostEdge(0, 1, Fraction(8), Fraction(1)),
         ),
     )
+
+
+def test_mincost_file_round_trip_and_malformed_lines():
+    text = serialize_mincost(two_edge_mincost())
+    assert parse_mincost(text) == two_edge_mincost()
+    for broken, line_no in (
+        (text.replace("s 1 2", "s 1"), 2),  # short supply line
+        (text.replace("t 2 1\n", ""), 1),  # missing budget line, reported at the header
+        (text.replace("e 1 2 8 1", "e 1 x 8 1"), 6),
+        (text.replace("e 1 2 8 1", "e 1 2 8"), 6),
+    ):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_mincost(broken)
+        assert info.value.line_no == line_no
 
 
 def test_shift_costs():

@@ -1,12 +1,13 @@
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from budget_flow import basic_auction
 from budget_flow.certify import certify, reconstruct_gamma
 from budget_flow.derived_graph import DerivedGraph
-from budget_flow.instance import SolverConfig, generate
+from budget_flow.instance import SolverConfig, generate, parse
 from budget_flow.oracle import exact_opt
 from budget_flow.solver import (
     RunStats,
@@ -172,6 +173,25 @@ def test_geometric_limit_matches_naive_scan():
             assert r is not None and r >= 63
             continue
         assert r == naive
+
+
+def test_geometric_limit_accepts_amounts_below_float_tolerance():
+    # positive but under float_tol: a converging series, not an error
+    num = Numerics(exact=False, tol=1e-9)
+    assert geometric_limit(1.7e-10, 0.5, 10.0, num) is None
+    with pytest.raises(ValueError):
+        geometric_limit(0.0, 0.5, 10.0, num)
+    with pytest.raises(ValueError):
+        geometric_limit(Fraction(0), Fraction(1, 2), Fraction(10), EXACT)
+
+
+def test_float_solve_survives_cycle_entered_with_dust():
+    # a cycle entered with surplus 1.9e-8 whose per-revolution amount at a
+    # later edge falls below float_tol (1.7e-10); the float solve used to raise
+    text = (Path(__file__).parent / "data" / "float_dust_cycle.btp").read_text()
+    sol = solve(parse(text), SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float"))
+    assert sol.terminated
+    assert sol.certificate.passed
 
 
 def test_cycle_geometry_ratios_and_limits():
@@ -370,6 +390,24 @@ def test_monitored_invariants_every_iteration():
 
         sol = solve(inst, SolverConfig(epsilon=eps, max_phases=20000), on_iteration=monitor)
         assert sol.terminated and sol.certificate.passed
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_valuation_exists_exactly_on_positive_flow(mode):
+    # the back-edge scan skips edges without a valuation instead of testing flow
+    for seed in range(6):
+        try:
+            inst = generate(seed=seed, n=5, m=5, density=0.8,
+                            u_range=(1, 5) if seed % 2 else None)
+        except ValueError:
+            continue
+
+        def monitor(snap):
+            valued = {e for e, _ in snap.valuation}
+            assert valued == {e for e, f in enumerate(snap.flow) if f > 0}, snap.iteration
+
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+        assert solve(inst, config, on_iteration=monitor).terminated
 
 
 def test_rise_counter_stays_within_bound():
