@@ -11,21 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import Kind, ProblemInstance, SolverConfig, check_valid
-from .state import DualState, PrimalState, Snapshot, make_states
-
-
-@dataclass
-class RunStats:
-    pushes: int = 0
-    replacements: int = 0
-    self_promotes: int = 0
-    retirements: int = 0
-    beta_rises: int = 0
-    beta_inits: int = 0
-    steps: int = 0
-
-    def to_dict(self) -> dict[str, int]:
-        return dict(vars(self))
+from .state import DualState, PrimalState, RunStats, Snapshot, make_states
 
 
 @dataclass(frozen=True)
@@ -79,8 +65,8 @@ def update_beta(j: int, primal: PrimalState, dual: DualState, stats: RunStats | 
         if not rates:
             return "none"
         dual.raise_beta(j, dual.epsilon * num.value(min(rates)))
-        if stats:
-            stats.beta_inits += 1
+        if stats is not None:
+            stats.bump("beta_inits")
         return "init"
     flows_at_top = [
         num.eq(dual.valuation[e], dual.beta[j])
@@ -89,8 +75,8 @@ def update_beta(j: int, primal: PrimalState, dual: DualState, stats: RunStats | 
     ]
     if flows_at_top and all(flows_at_top):
         dual.raise_beta(j, dual.beta[j] * (1 + dual.epsilon))
-        if stats:
-            stats.beta_rises += 1
+        if stats is not None:
+            stats.bump("beta_rises")
         return "rise"
     return "none"
 
@@ -116,7 +102,7 @@ def _retire(i: int, primal: PrimalState, dual: DualState, stats: RunStats) -> St
     for e in primal.instance.edges_of_source(i):
         if e in dual.valuation:
             dual.valuation[e] = dual.beta_companion[primal.instance.edges[e].dst]
-    stats.retirements += 1
+    stats.bump("retirements")
     return StepOutcome(kind="retire")
 
 
@@ -130,7 +116,7 @@ def auction_step(
     recomputed and the source retires (valuations demoted) if it reaches 0.
     """
     stats = stats if stats is not None else RunStats()
-    stats.steps += 1
+    stats.bump("steps")
     num = dual.num
     instance = primal.instance
     best_e, best_key = _best_sink(i, primal, dual)
@@ -161,18 +147,18 @@ def auction_step(
                 primal.flow[displaced_e] = num.value(0)
                 dual.valuation.pop(displaced_e, None)
             outcome = StepOutcome(kind="replace", sink=j, displaced=i_prime, amount=x)
-            stats.replacements += 1
+            stats.bump("replacements")
         else:
             dual.valuation[best_e] = dual.beta[j]
             outcome = StepOutcome(kind="promote", sink=j)
-            stats.self_promotes += 1
+            stats.bump("self_promotes")
         update_beta(j, primal, dual, stats)
     else:
         x = min(primal.surplus[i], primal.residual[j] / spec.price)
         primal.add_flow(best_e, x)
         dual.valuation[best_e] = dual.beta[j]
         outcome = StepOutcome(kind="push", sink=j, amount=x)
-        stats.pushes += 1
+        stats.bump("pushes")
         if primal.sink_saturated(j):
             primal.residual[j] = num.value(0)
             update_beta(j, primal, dual, stats)
@@ -197,7 +183,9 @@ def run(
     (partial state intact) if config.max_phases is exceeded.
     """
     primal, dual = initialize(instance, config)
-    stats = RunStats()
+    counters = ("pushes", "replacements", "self_promotes", "retirements", "beta_rises",
+                "beta_inits", "steps")
+    stats = RunStats(dict.fromkeys(counters, 0))  # zero counters are reported too
     num = dual.num
     terminated = True
     cursor = 0
@@ -210,11 +198,11 @@ def run(
                 break
         if picked is None:
             break
-        if config.max_phases is not None and stats.steps >= config.max_phases:
+        if config.max_phases is not None and stats.get("steps") >= config.max_phases:
             terminated = False
             break
         cursor = (picked + 1) % instance.n
         auction_step(picked, primal, dual, stats)
         if on_step is not None:
-            on_step(Snapshot.of(primal, dual, stats.steps))
+            on_step(Snapshot.of(primal, dual, stats.get("steps")))
     return RunResult(primal=primal, dual=dual, stats=stats, terminated=terminated)

@@ -25,7 +25,7 @@ from .instance import (
     parse,
     serialize,
 )
-from .solver import Solution, solve
+from .solver import Solution, certified_solution, solve
 
 
 def _read(path: str) -> str:
@@ -135,22 +135,8 @@ def cmd_solve(args) -> int:
             print("error: --baseline handles btp instances only", file=sys.stderr)
             return 2
         result = basic_auction.run(instance, config)
-        cert = certify(
-            instance,
-            list(result.primal.flow),
-            list(result.dual.alpha),
-            list(result.dual.beta),
-            config.epsilon,
-        )
-        solution = Solution(
-            instance=instance,
-            config=config,
-            flow=list(result.primal.flow),
-            alpha=list(result.dual.alpha),
-            beta=list(result.dual.beta),
-            certificate=cert,
-            stats=_wrap_stats(result.stats.to_dict()),
-            terminated=result.terminated,
+        solution = certified_solution(
+            config, result.primal, result.dual, result.stats, result.terminated
         )
     else:
         solution = solve(instance, config)
@@ -163,14 +149,6 @@ def cmd_solve(args) -> int:
     return 0 if solution.certificate.passed else 1
 
 
-def _wrap_stats(counts: dict[str, int]):
-    from .solver import RunStats
-
-    stats = RunStats()
-    stats.counts.update(counts)
-    return stats
-
-
 def cmd_verify(args) -> int:
     instance = parse(_read(args.instance))
     flow, alpha, beta, epsilon, mode = parse_solution(_read(args.solution), instance)
@@ -179,7 +157,7 @@ def cmd_verify(args) -> int:
     if epsilon is None:
         print("error: epsilon not in solution file; pass --epsilon", file=sys.stderr)
         return 2
-    tol = 1e-9 if mode == "float" else 0
+    tol = SolverConfig().float_tol if mode == "float" else 0
     cert = certify(instance, flow, alpha, beta, epsilon, rigorous=(mode == "exact"), tol=tol)
     print(f"primal_feasible {cert.primal_feasible}")
     print(f"dual_feasible {cert.dual_feasible}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .instance import ProblemInstance
-from .state import DualState, PrimalState
+from .state import DualState, PrimalState, RunStats
 
 
 class PathKind(Enum):
@@ -77,23 +77,19 @@ class DerivedGraph:
         instance: ProblemInstance,
         primal: PrimalState,
         dual: DualState,
-        counters: dict[str, int] | None = None,
-        debug: bool = False,
+        stats: RunStats | None = None,
     ):
         self.instance = instance
         self.primal = primal
         self.dual = dual
         self.num = dual.num
-        self.counters = counters if counters is not None else {}
-        self.debug = debug
-        self.event_log: list[str] = []
+        self.stats = stats if stats is not None else RunStats()
         self.preferred: list[int | None] = [None] * instance.n
         self._heaps: list[list] = [[] for _ in range(instance.n)]
         self._saturated = [primal.edge_saturated(e) for e in range(len(instance.edges))]
         self._dirty: set[int] = set(range(instance.n))
         self._level = [0] * instance.m
         self._back: dict[int, tuple[int, ...]] = {}
-        self._b_cache: dict[int, set[int]] = {}
         for e, spec in enumerate(instance.edges):
             if not self._saturated[e]:
                 self._push_entry(e)
@@ -103,14 +99,11 @@ class DerivedGraph:
 
     # -- heap bookkeeping ---------------------------------------------------
 
-    def _count(self, key: str, amount: int = 1) -> None:
-        self.counters[key] = self.counters.get(key, 0) + amount
-
     def _push_entry(self, e: int) -> None:
         spec = self.instance.edges[e]
         key = self.dual.effective_profit(e)
         heapq.heappush(self._heaps[spec.src], (-key, spec.dst, e, key, self._level[spec.dst]))
-        self._count("heap_updates")
+        self.stats.bump("heap_updates")
 
     def _mark_dirty(self, i: int) -> None:
         if i not in self._dirty:
@@ -127,9 +120,6 @@ class DerivedGraph:
             if not self._saturated[e]:
                 self._push_entry(e)
             self._mark_dirty(self.instance.edges[e].src)
-        if self.debug:
-            self.event_log.append(f"beta-rise j={j + 1} value={self.dual.beta[j]}")
-            self._log_b_transitions(j)
 
     def note_flow_changed(self, e: int) -> None:
         """Track saturation flips; saturated edges leave the heap, others rejoin."""
@@ -141,8 +131,6 @@ class DerivedGraph:
             if not now:
                 self._push_entry(e)
             self._mark_dirty(spec.src)
-        if self.debug:
-            self._log_b_transitions(spec.dst)
 
     def ensure_fresh(self, i: int) -> None:
         if i in self._dirty:
@@ -163,7 +151,7 @@ class DerivedGraph:
             neg_key, dst, e, key, level = heap[0]
             if self._saturated[e] or level != self._level[dst]:
                 heapq.heappop(heap)
-                self._count("heap_updates")
+                self.stats.bump("heap_updates")
                 continue
             self.preferred[i] = e
             self.dual.alpha[i] = key if self.num.is_pos(key) else zero
@@ -221,8 +209,6 @@ class DerivedGraph:
         if e in back and len(back) > 1:
             self.dual.valuation[e] = self.dual.beta[j]
             self._back.pop(j, None)
-            if self.debug:
-                self._log_b_transitions(j)
             return True
         return False
 
@@ -248,7 +234,7 @@ class DerivedGraph:
         while True:
             if len(verts) > limit:
                 raise RuntimeError("derived-graph walk exceeded its length bound")
-            self._count("walk_steps")
+            self.stats.bump("walk_steps")
             self.ensure_fresh(i)
             if verts and self.num.is_zero(self.dual.alpha[i]):
                 verts.append(("src", i))
@@ -279,17 +265,3 @@ class DerivedGraph:
             if nxt in src_pos:
                 return Path(PathKind.TYPE_III, verts, steps, cycle_start=src_pos[nxt])
             i = nxt
-
-    # -- debug event log -------------------------------------------------------
-
-    def _log_b_transitions(self, j: int) -> None:
-        current = set(self.back_edges(j))
-        previous = self._b_cache.get(j, set())
-        for e in sorted(current - previous):
-            self.event_log.append(f"back-enter e={e} j={j + 1} beta={self.dual.beta[j]}")
-        for e in sorted(previous - current):
-            zeroed = not self.num.is_pos(self.primal.flow[e])
-            word = "back-zero" if zeroed else "back-leave"
-            self.event_log.append(f"{word} e={e} j={j + 1} beta={self.dual.beta[j]}")
-        self._b_cache[j] = current
-

@@ -1,10 +1,10 @@
 """Exact optimum for small instances; the ground truth behind approximation tests.
 
 All arithmetic is over Fractions.  The workhorse is a dense rational simplex
-with Bland's rule (the inequality LP has an all-slack feasible start, so no
-second phase is needed).  A brute-force vertex enumeration over active sets is
-kept alongside it and cross-checked in the tests at very small sizes, and an
-equality-form support enumeration serves the reduction checks.
+with Bland's rule.  The inequality LP has an all-slack feasible start, so it
+needs one phase; equality-form LPs, which serve the reduction checks, run the
+same pivot loop in two phases.  A brute-force vertex enumeration over active
+sets is kept alongside it and cross-checked in the tests at very small sizes.
 """
 
 from __future__ import annotations
@@ -47,52 +47,72 @@ def _lp_rows(instance: ProblemInstance) -> tuple[list[list[Fraction]], list[Frac
     return rows, rhs
 
 
+def _identity_tableau(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[list[Fraction]]:
+    """Rows [A | I | b]: each row gets its own unit column, its starting basis."""
+    return [
+        list(row) + [Fraction(int(k == r)) for k in range(len(rows))] + [Fraction(b)]
+        for r, (row, b) in enumerate(zip(rows, rhs))
+    ]
+
+
+def _pivot(tableau: list[list[Fraction]], leave: int, enter: int) -> None:
+    """Make column `enter` basic in row `leave`, eliminating it from every other row."""
+    pivot = tableau[leave][enter]
+    tableau[leave] = [v / pivot for v in tableau[leave]]
+    for r, row in enumerate(tableau):
+        if r != leave and row[enter] != 0:
+            f = row[enter]
+            tableau[r] = [a - f * b for a, b in zip(row, tableau[leave])]
+
+
+def _bland(tableau: list[list[Fraction]], basis: list[int]) -> list[Fraction]:
+    """Maximize from a feasible basis by Bland's rule; returns every column's value.
+
+    Each row ends with its right-hand side; the last row holds the negated
+    costs and basis[r] is row r's basic column.  The cost row is first priced
+    out against the basis.  The lowest column with a negative reduced cost
+    enters; the minimum ratio leaves, ties going to the lowest basic column.
+    Raises on an unbounded problem.
+    """
+    for r, var in enumerate(basis):
+        f = tableau[-1][var]
+        if f != 0:
+            tableau[-1] = [a - f * b for a, b in zip(tableau[-1], tableau[r])]
+    while True:
+        costs = tableau[-1]
+        enter = next((j for j in range(len(costs) - 1) if costs[j] < 0), None)
+        if enter is None:
+            break
+        leave, best = None, None
+        for r in range(len(basis)):
+            coef = tableau[r][enter]
+            if coef > 0:
+                ratio = tableau[r][-1] / coef
+                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
+                    leave, best = r, ratio
+        if leave is None:
+            raise ArithmeticError("LP is unbounded")
+        _pivot(tableau, leave, enter)
+        basis[leave] = enter
+    x = [Fraction(0)] * (len(tableau[-1]) - 1)
+    for r, var in enumerate(basis):
+        x[var] = tableau[r][-1]
+    return x
+
+
 def simplex_max(
     rows: list[list[Fraction]], rhs: list[Fraction], costs: list[Fraction]
 ) -> tuple[Fraction, list[Fraction]]:
     """Maximize costs.x over rows.x <= rhs, x >= 0 (rhs >= 0), exactly.
 
-    Dense tableau, Bland's anticycling rule.  Raises on unbounded problems,
-    which well-formed transportation instances never produce.
+    Dense tableau, Bland's anticycling rule, started from the all-slack basis.
+    Raises on unbounded problems, which well-formed transportation instances
+    never produce.
     """
     nrows, ncols = len(rows), len(costs)
-    width = ncols + nrows + 1
-    tableau = []
-    for r in range(nrows):
-        row = list(rows[r]) + [Fraction(0)] * nrows + [rhs[r]]
-        row[ncols + r] = Fraction(1)
-        tableau.append(row)
-    cost_row = [-c for c in costs] + [Fraction(0)] * (nrows + 1)
-    basis = [ncols + r for r in range(nrows)]
-
-    while True:
-        enter = next((j for j in range(width - 1) if cost_row[j] < 0), None)
-        if enter is None:
-            break
-        leave, best = None, None
-        for r in range(nrows):
-            coef = tableau[r][enter]
-            if coef > 0:
-                ratio = tableau[r][width - 1] / coef
-                if best is None or ratio < best or (ratio == best and basis[r] < basis[leave]):
-                    leave, best = r, ratio
-        if leave is None:
-            raise ArithmeticError("LP is unbounded")
-        pivot = tableau[leave][enter]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
-        for r in range(nrows):
-            if r != leave and tableau[r][enter] != 0:
-                f = tableau[r][enter]
-                tableau[r] = [a - f * b for a, b in zip(tableau[r], tableau[leave])]
-        if cost_row[enter] != 0:
-            f = cost_row[enter]
-            cost_row = [a - f * b for a, b in zip(cost_row, tableau[leave])]
-        basis[leave] = enter
-
-    x = [Fraction(0)] * ncols
-    for r, var in enumerate(basis):
-        if var < ncols:
-            x[var] = tableau[r][width - 1]
+    tableau = _identity_tableau(rows, rhs)
+    tableau.append([-c for c in costs] + [Fraction(0)] * (nrows + 1))
+    x = _bland(tableau, list(range(ncols, ncols + nrows)))[:ncols]
     value = sum((c * v for c, v in zip(costs, x)), start=Fraction(0))
     return value, x
 
@@ -179,61 +199,37 @@ def solve_equality_lp(
     costs: list[Fraction],
     maximize: bool = True,
 ) -> tuple[Fraction, list[Fraction]]:
-    """Optimize costs.x over {x >= 0 : Ax = b} by support enumeration.
+    """Optimize costs.x over {x >= 0 : Ax = b} by the two-phase simplex.
 
-    Considers every column support up to full size, solves the induced system
-    exactly and keeps the best nonnegative solution.  Exponential in the
-    column count; used only on the tiny equality-constrained instances the
-    reductions produce.
+    Phase 1 gives each row (sign-flipped to a nonnegative right-hand side) an
+    artificial column and minimizes their sum; a nonzero optimum means the
+    system has no nonnegative solution.  Artificials still basic at zero are
+    pivoted out, or their rows dropped as redundant, and phase 2 optimizes
+    the real costs from that basis.  Raises ArithmeticError when infeasible
+    or unbounded.
     """
-    ncols = len(costs)
-    if ncols > 14:
-        raise OracleSizeError("too many columns for support enumeration")
-    best_val: Fraction | None = None
-    best_x: list[Fraction] | None = None
-    for k in range(ncols + 1):
-        for support in combinations(range(ncols), k):
-            x = _solve_consistent(rows, rhs, support, ncols)
-            if x is None or any(v < 0 for v in x):
-                continue
-            value = sum((c * v for c, v in zip(costs, x)), start=Fraction(0))
-            if (
-                best_val is None
-                or (maximize and value > best_val)
-                or (not maximize and value < best_val)
-            ):
-                best_val, best_x = value, x
-    if best_val is None:
+    nrows, ncols = len(rows), len(costs)
+    tableau = _identity_tableau(
+        [[-a for a in row] if b < 0 else row for row, b in zip(rows, rhs)], [abs(b) for b in rhs]
+    )
+    tableau.append([Fraction(0)] * ncols + [Fraction(1)] * nrows + [Fraction(0)])
+    basis = list(range(ncols, ncols + nrows))
+    _bland(tableau, basis)
+    if tableau[-1][-1] != 0:
         raise ArithmeticError("equality system has no nonnegative solution")
-    return best_val, best_x
-
-
-def _solve_consistent(
-    rows: list[list[Fraction]], rhs: list[Fraction], support: tuple[int, ...], ncols: int
-) -> list[Fraction] | None:
-    """Solve Ax=b with x zero outside `support`; None if inconsistent/ambiguous."""
-    k = len(support)
-    aug = [[row[c] for c in support] + [v] for row, v in zip(rows, rhs)]
-    rank = 0
-    for col in range(k):
-        pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None  # free column: not a basic solution for this support
-        aug[rank], aug[pivot] = aug[pivot], aug[rank]
-        head = aug[rank][col]
-        aug[rank] = [v / head for v in aug[rank]]
-        for r in range(len(aug)):
-            if r != rank and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
-        rank += 1
-    for r in range(rank, len(aug)):
-        if aug[r][k] != 0:
-            return None  # inconsistent
-    x = [Fraction(0)] * ncols
-    for idx, col in enumerate(support):
-        x[col] = aug[idx][k]
-    return x
+    for r in reversed(range(nrows)):
+        if basis[r] >= ncols:
+            enter = next((j for j in range(ncols) if tableau[r][j] != 0), None)
+            if enter is None:
+                del tableau[r], basis[r]  # redundant row
+            else:
+                _pivot(tableau, r, enter)
+                basis[r] = enter
+    sign = 1 if maximize else -1
+    tableau = [row[:ncols] + row[-1:] for row in tableau[:-1]]
+    tableau.append([-sign * Fraction(c) for c in costs] + [Fraction(0)])
+    x = _bland(tableau, basis)
+    return sum((c * v for c, v in zip(costs, x)), start=Fraction(0)), x
 
 
 def approx_factor(instance: ProblemInstance, primal_value) -> Fraction | None:

@@ -432,7 +432,7 @@ def mincost_to_maxprofit(instance: MincostBtpInstance, big_m) -> MincostBtpInsta
 def mincost_exact_opt(
     instance: MincostBtpInstance, maximize: bool | None = None
 ) -> tuple[Fraction, list[Fraction]]:
-    """Exact optimum of the equality-constrained LP by support enumeration."""
+    """Exact optimum of the equality-constrained LP by the two-phase simplex."""
     rows: list[list[Fraction]] = []
     rhs: list[Fraction] = []
     ne = len(instance.edges)

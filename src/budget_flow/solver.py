@@ -13,31 +13,7 @@ from fractions import Fraction
 from .certify import Certificate, certify
 from .derived_graph import DerivedGraph, PathKind
 from .instance import ProblemInstance, SolverConfig, check_valid
-from .state import DualState, Numerics, PrimalState, Snapshot, make_states
-
-
-@dataclass
-class RunStats:
-    """Counters witnessing the charging argument; plain ints, exported as a dict."""
-
-    counts: dict[str, int] = field(default_factory=dict)
-    beta_rises_per_sink: dict[int, int] = field(default_factory=dict)
-
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.counts[key] = self.counts.get(key, 0) + amount
-
-    def get(self, key: str, default: int = 0) -> int:
-        return self.counts.get(key, default)
-
-    def operations(self) -> int:
-        return (
-            self.get("walk_steps") + self.get("flow_updates") + self.get("heap_updates")
-        )
-
-    def to_dict(self) -> dict[str, int]:
-        out = dict(sorted(self.counts.items()))
-        out["operations"] = self.operations()
-        return out
+from .state import DualState, Numerics, PrimalState, RunStats, Snapshot, make_states
 
 
 @dataclass
@@ -463,11 +439,40 @@ class Solution:
         return self.certificate.dual_value
 
 
+def certified_solution(
+    config: SolverConfig,
+    primal: PrimalState,
+    dual: DualState,
+    stats: RunStats,
+    terminated: bool,
+) -> Solution:
+    """Certify a final auction state from scratch and package it.
+
+    Exact runs get a rigorous certificate with no tolerance; float runs are
+    checked within `config.float_tol` and stamped non-rigorous.
+    """
+    instance, exact = primal.instance, primal.num.exact
+    flow, alpha, beta = list(primal.flow), list(dual.alpha), list(dual.beta)
+    certificate = certify(
+        instance, flow, alpha, beta, config.epsilon,
+        rigorous=exact, tol=0 if exact else config.float_tol,
+    )
+    return Solution(
+        instance=instance,
+        config=config,
+        flow=flow,
+        alpha=alpha,
+        beta=beta,
+        certificate=certificate,
+        stats=stats,
+        terminated=terminated,
+    )
+
+
 def solve(
     instance: ProblemInstance,
     config: SolverConfig | None = None,
     on_iteration=None,
-    debug: bool = False,
 ) -> Solution:
     """Run the path/cycle auction until no source has both surplus and alpha > 0.
 
@@ -479,8 +484,6 @@ def solve(
         epsilon, numeric mode, optional phase cap.
     on_iteration : callable, optional
         Receives a read-only Snapshot after every main-loop iteration.
-    debug : bool
-        Keep the derived graph's edge-set event log.
 
     Returns
     -------
@@ -492,7 +495,7 @@ def solve(
     check_valid(instance)
     primal, dual, num = make_states(instance, config)
     stats = RunStats()
-    graph = DerivedGraph(instance, primal, dual, counters=stats.counts, debug=debug)
+    graph = DerivedGraph(instance, primal, dual, stats)
     terminated = True
     cursor = 0
     while True:
@@ -549,23 +552,4 @@ def solve(
         beta_update_pass(primal, dual, graph, stats, candidates=touched)
         if on_iteration is not None:
             on_iteration(Snapshot.of(primal, dual, stats.get("phases")))
-
-    certificate = certify(
-        instance,
-        list(primal.flow),
-        list(dual.alpha),
-        list(dual.beta),
-        config.epsilon,
-        rigorous=num.exact,
-        tol=0 if num.exact else config.float_tol,
-    )
-    return Solution(
-        instance=instance,
-        config=config,
-        flow=list(primal.flow),
-        alpha=list(dual.alpha),
-        beta=list(dual.beta),
-        certificate=certificate,
-        stats=stats,
-        terminated=terminated,
-    )
+    return certified_solution(config, primal, dual, stats, terminated)

@@ -2,10 +2,34 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .instance import ProblemInstance, SolverConfig
+
+
+@dataclass
+class RunStats:
+    """Counters witnessing the charging argument; plain ints, exported as a dict."""
+
+    counts: dict[str, int] = field(default_factory=dict)
+    beta_rises_per_sink: dict[int, int] = field(default_factory=dict)
+
+    def bump(self, key: str, amount: int = 1) -> None:
+        self.counts[key] = self.counts.get(key, 0) + amount
+
+    def get(self, key: str, default: int = 0) -> int:
+        return self.counts.get(key, default)
+
+    def operations(self) -> int:
+        return (
+            self.get("walk_steps") + self.get("flow_updates") + self.get("heap_updates")
+        )
+
+    def to_dict(self) -> dict[str, int]:
+        out = dict(sorted(self.counts.items()))
+        out["operations"] = self.operations()
+        return out
 
 
 class Numerics:

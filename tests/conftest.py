@@ -75,7 +75,7 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
         dual.beta[z] = Fraction(1)
         dual.valuation[pairs[z][1]] = Fraction(1, 2)
     stats = RunStats()
-    graph = DerivedGraph(instance, primal, dual, counters=stats.counts)
+    graph = DerivedGraph(instance, primal, dual, stats)
     return instance, primal, dual, graph, stats, pairs
 
 

@@ -4,6 +4,7 @@ import sys
 import pytest
 
 from budget_flow.cli import main
+from budget_flow.instance import generate, serialize
 
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
 BTS_BINDING = "p bts 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2 3\n"
@@ -156,6 +157,19 @@ def test_reduce_gflow_counts(tmp_path):
     header = out.read_text().splitlines()[0]
     # |V| sources and |A|+1 sinks
     assert header == "p mincost 2 2 3 min"
+
+
+@pytest.mark.parametrize("mode, rigorous", [("exact", "true"), ("float", "false")])
+def test_baseline_certificate_follows_mode(tmp_path, capsys, mode, rigorous):
+    # float flows are checked within the float tolerance and never stamped rigorous
+    inst = tmp_path / "inst.btp"
+    inst.write_text(serialize(generate(seed=0, n=4, m=4, density=0.8)))
+    out = tmp_path / "out.sol"
+    args = ["solve", str(inst), "--baseline", "--mode", mode, "--epsilon", "1/8", "-o", str(out)]
+    assert run_cli(args) == 0
+    text = out.read_text()
+    assert f"cert rigorous {rigorous}\n" in text
+    assert "cert passed true\n" in text
 
 
 def test_bench_deterministic_counters(tmp_path, capsys):

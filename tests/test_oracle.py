@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -116,3 +117,112 @@ def test_equality_lp_support_enumeration():
     value, x = solve_equality_lp(rows, rhs, [Fraction(5), Fraction(1)], maximize=True)
     assert x == [Fraction(2), Fraction(1)]
     assert value == 11
+
+
+def support_enumeration(rows, rhs, costs, maximize):
+    """Reference equality-LP optimum: the best nonnegative basic solution.
+
+    Tries every column support, solves the induced system exactly and keeps
+    the best nonnegative solution.  Exponential; None when there is none.
+    """
+    ncols = len(costs)
+    best = None
+    for k in range(ncols + 1):
+        for support in combinations(range(ncols), k):
+            x = solve_on_support(rows, rhs, support, ncols)
+            if x is None or any(v < 0 for v in x):
+                continue
+            value = sum((c * v for c, v in zip(costs, x)), start=Fraction(0))
+            if best is None or (value > best if maximize else value < best):
+                best = value
+    return best
+
+
+def solve_on_support(rows, rhs, support, ncols):
+    """Solve Ax=b with x zero outside `support`; None if inconsistent/ambiguous."""
+    k = len(support)
+    aug = [[row[c] for c in support] + [v] for row, v in zip(rows, rhs)]
+    rank = 0
+    for col in range(k):
+        pivot = next((r for r in range(rank, len(aug)) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None  # free column: not a basic solution for this support
+        aug[rank], aug[pivot] = aug[pivot], aug[rank]
+        head = aug[rank][col]
+        aug[rank] = [v / head for v in aug[rank]]
+        for r in range(len(aug)):
+            if r != rank and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[rank])]
+        rank += 1
+    if any(aug[r][k] != 0 for r in range(rank, len(aug))):
+        return None  # inconsistent
+    x = [Fraction(0)] * ncols
+    for idx, col in enumerate(support):
+        x[col] = aug[idx][k]
+    return x
+
+
+def random_equality_lp(rng):
+    """Bounded random LP with at most 8 columns; feasible about half the time.
+
+    A last row sum(x) + s = 10 with a slack column s bounds it.  Some get a
+    redundant row (the sum of the first two); the flag says which.
+    """
+    nrows, ncols = rng.randint(1, 4), rng.randint(1, 7)
+    rows = [[Fraction(rng.randint(-3, 4)) for _ in range(ncols)] for _ in range(nrows)]
+    if rng.random() < 0.5:
+        x0 = [Fraction(rng.randint(0, 3)) if rng.random() < 0.6 else Fraction(0)
+              for _ in range(ncols)]
+        rhs = [sum(a * v for a, v in zip(row, x0)) for row in rows]
+    else:
+        rhs = [Fraction(rng.randint(-5, 5)) for _ in range(nrows)]
+    redundant = nrows > 1 and rng.random() < 0.3
+    if redundant:
+        rows.append([a + b for a, b in zip(rows[0], rows[1])])
+        rhs.append(rhs[0] + rhs[1])
+    rows = [row + [Fraction(0)] for row in rows] + [[Fraction(1)] * (ncols + 1)]
+    rhs.append(Fraction(10))
+    costs = [Fraction(rng.randint(-5, 5)) for _ in range(ncols)] + [Fraction(0)]
+    return rows, rhs, costs, redundant
+
+
+def test_equality_lp_matches_support_enumeration():
+    rng = random.Random(5)
+    outcomes = {"feasible": 0, "infeasible": 0, "redundant": 0}
+    for trial in range(300):
+        rows, rhs, costs, redundant = random_equality_lp(rng)
+        maximize = trial % 2 == 0
+        expected = support_enumeration(rows, rhs, costs, maximize)
+        if expected is None:
+            with pytest.raises(ArithmeticError):
+                solve_equality_lp(rows, rhs, costs, maximize=maximize)
+            outcomes["infeasible"] += 1
+            continue
+        value, x = solve_equality_lp(rows, rhs, costs, maximize=maximize)
+        assert value == expected, trial
+        assert all(v >= 0 for v in x)
+        for row, b in zip(rows, rhs):
+            assert sum(a * v for a, v in zip(row, x)) == b
+        assert sum(c * v for c, v in zip(costs, x)) == value
+        outcomes["feasible"] += 1
+        outcomes["redundant"] += redundant
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_equality_lp_has_no_column_cap():
+    # 4x4 assignment LP: 16 columns, and one row is implied by the others;
+    # the shifted diagonal pays 10 per unit, so it is the unique optimum
+    n = 4
+    rows, rhs = [], []
+    for i in range(n):
+        rows.append([Fraction(int(e // n == i)) for e in range(n * n)])
+        rows.append([Fraction(int(e % n == i)) for e in range(n * n)])
+        rhs += [Fraction(1), Fraction(1)]
+    weight = [Fraction(10 if j == (i + 1) % n else (i * j) % 3)
+              for i in range(n) for j in range(n)]
+    value, x = solve_equality_lp(rows, rhs, weight, maximize=True)
+    assert value == 40
+    assert x == [Fraction(int(j == (i + 1) % n)) for i in range(n) for j in range(n)]
+    value, _ = solve_equality_lp(rows, rhs, [-w for w in weight], maximize=False)
+    assert value == -40

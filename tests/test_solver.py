@@ -28,7 +28,7 @@ EXACT = Numerics(exact=True)
 def path_state(instance, config=EPS4):
     primal, dual, num = make_states(instance, config)
     stats = RunStats()
-    graph = DerivedGraph(instance, primal, dual, counters=stats.counts)
+    graph = DerivedGraph(instance, primal, dual, stats)
     return primal, dual, graph, stats
 
 
