@@ -13,16 +13,21 @@ import time
 from fractions import Fraction
 
 from . import basic_auction, oracle, reductions
-from .certify import CertificationError, certify, fmt, reconstruct_gamma
+from .certify import certify, fmt, reconstruct_gamma
 from .instance import (
     InstanceFormatError,
-    InstanceValidationError,
     Kind,
     ProblemInstance,
     SolverConfig,
     diagnostics,
+    fields,
     generate,
+    indexed,
+    integer,
     parse,
+    pop_segment,
+    rational,
+    records,
     serialize,
 )
 from .solver import Solution, certified_solution, solve
@@ -41,11 +46,22 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _parse_fraction(text: str) -> Fraction:
-    if "/" in text:
-        num, den = text.split("/", 1)
-        return Fraction(int(num), int(den))
-    return Fraction(text)
+def _rational_arg(option: str, text: str) -> Fraction:
+    """A rational option value, in the syntax of a file's rational field."""
+    try:
+        return rational(0, text)
+    except InstanceFormatError as exc:
+        raise ValueError(f"{option}: {exc.reason}") from None
+
+
+def flow_lines(instance: ProblemInstance, flow) -> list[str]:
+    """`flow i j value [seg=k]` for every edge with positive flow, in edge order."""
+    lines = []
+    for e, spec in enumerate(instance.edges):
+        if flow[e] > 0:
+            seg = f" seg={spec.segment}" if spec.segment is not None else ""
+            lines.append(f"flow {spec.src + 1} {spec.dst + 1} {fmt(flow[e])}{seg}")
+    return lines
 
 
 def solution_to_text(solution: Solution) -> str:
@@ -57,11 +73,8 @@ def solution_to_text(solution: Solution) -> str:
         f"epsilon {fmt(solution.config.epsilon)}",
         f"mode {solution.config.numeric_mode}",
         f"status {'terminated' if solution.terminated else 'aborted'}",
+        *flow_lines(instance, solution.flow),
     ]
-    for e, spec in enumerate(instance.edges):
-        if solution.flow[e] > 0:
-            seg = f" seg={spec.segment}" if spec.segment is not None else ""
-            lines.append(f"flow {spec.src + 1} {spec.dst + 1} {fmt(solution.flow[e])}{seg}")
     for i, a in enumerate(solution.alpha):
         lines.append(f"alpha {i + 1} {fmt(a)}")
     for j, b in enumerate(solution.beta):
@@ -81,50 +94,51 @@ def solution_to_text(solution: Solution) -> str:
 
 
 def parse_solution(text: str, instance: ProblemInstance):
-    """Read flows, duals and epsilon back from a solution file."""
-    index: dict[tuple[int, int, int | None], int] = {}
-    for e, spec in enumerate(instance.edges):
-        index[(spec.src, spec.dst, spec.segment)] = e
-    flow = [Fraction(0)] * len(instance.edges)
-    alpha = [Fraction(0)] * instance.n
-    beta = [Fraction(0)] * instance.m
+    """Read flows, duals, epsilon and mode back from a solution file.
+
+    Only `flow`, `alpha`, `beta`, `epsilon` and `mode` records are read; the
+    rest of what `solution_to_text` writes is ignored.  Absent values are zero.
+    """
+    edge_of = {(spec.src, spec.dst, spec.segment): e for e, spec in enumerate(instance.edges)}
+    zero = Fraction(0)  # a parsed value is never this object, so `is zero` means unset
+    flow = [zero] * len(instance.edges)
+    alpha: list[Fraction | None] = [None] * instance.n
+    beta: list[Fraction | None] = [None] * instance.m
     epsilon = None
     mode = "exact"
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
+    for line_no, tokens in records(text):
         tag = tokens[0]
-        try:
-            if tag == "flow":
-                seg = None
-                fields = tokens[1:]
-                if fields and fields[-1].startswith("seg="):
-                    seg = int(fields[-1][4:])
-                    fields = fields[:-1]
-                key = (int(fields[0]) - 1, int(fields[1]) - 1, seg)
-                if key not in index:
-                    raise InstanceFormatError(
-                        line_no, f"flow on edge ({fields[0]},{fields[1]}) not in instance"
-                    )
-                flow[index[key]] = _parse_fraction(fields[2])
-            elif tag == "alpha":
-                alpha[int(tokens[1]) - 1] = _parse_fraction(tokens[2])
-            elif tag == "beta":
-                beta[int(tokens[1]) - 1] = _parse_fraction(tokens[2])
-            elif tag == "epsilon":
-                epsilon = _parse_fraction(tokens[1])
-            elif tag == "mode":
-                mode = tokens[1]
-        except (ValueError, IndexError):
-            raise InstanceFormatError(line_no, f"malformed {tag!r} record") from None
+        if tag == "flow":
+            seg = pop_segment(line_no, tokens)
+            if len(tokens) != 4:
+                raise InstanceFormatError(line_no, "expected: flow <i> <j> <value> [seg=<k>]")
+            _, i, j, value = tokens
+            e = edge_of.get((integer(line_no, i) - 1, integer(line_no, j) - 1, seg))
+            if e is None:
+                raise InstanceFormatError(line_no, f"flow on edge ({i},{j}) not in instance")
+            if flow[e] is not zero:
+                raise InstanceFormatError(line_no, f"duplicate flow line for edge ({i},{j})")
+            flow[e] = rational(line_no, value)
+        elif tag == "alpha":
+            indexed(line_no, tokens, alpha, "source", rational)
+        elif tag == "beta":
+            indexed(line_no, tokens, beta, "sink", rational)
+        elif tag == "epsilon":
+            (value,) = fields(line_no, tokens, 1, "epsilon <value>")
+            epsilon = rational(line_no, value)
+        elif tag == "mode":
+            (mode,) = fields(line_no, tokens, 1, "mode <exact|float>")
+            if mode not in ("exact", "float"):
+                raise InstanceFormatError(line_no, f"expected <exact|float>, got {mode!r}")
+    alpha = [zero if v is None else v for v in alpha]
+    beta = [zero if v is None else v for v in beta]
     return flow, alpha, beta, epsilon, mode
 
 
 def cmd_solve(args) -> int:
     instance = parse(_read(args.instance))
     config = SolverConfig(
-        epsilon=_parse_fraction(args.epsilon),
+        epsilon=_rational_arg("--epsilon", args.epsilon),
         numeric_mode=args.mode,
         max_phases=args.max_phases,
     )
@@ -153,7 +167,7 @@ def cmd_verify(args) -> int:
     instance = parse(_read(args.instance))
     flow, alpha, beta, epsilon, mode = parse_solution(_read(args.solution), instance)
     if args.epsilon is not None:
-        epsilon = _parse_fraction(args.epsilon)
+        epsilon = _rational_arg("--epsilon", args.epsilon)
     if epsilon is None:
         print("error: epsilon not in solution file; pass --epsilon", file=sys.stderr)
         return 2
@@ -176,22 +190,16 @@ def cmd_oracle(args) -> int:
     instance = parse(_read(args.instance))
     value, flow = oracle.exact_opt(instance)
     lines = [
-        f"solution {instance.kind.value} {instance.n} {instance.m} {len(instance.edges)}"
+        f"solution {instance.kind.value} {instance.n} {instance.m} {len(instance.edges)}",
+        *flow_lines(instance, flow),
+        f"primal {fmt(value)}",
     ]
-    for e, spec in enumerate(instance.edges):
-        if flow[e] > 0:
-            seg = f" seg={spec.segment}" if spec.segment is not None else ""
-            lines.append(f"flow {spec.src + 1} {spec.dst + 1} {fmt(flow[e])}{seg}")
-    lines.append(f"primal {fmt(value)}")
     _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
 def cmd_generate(args) -> int:
-    u_range = None
-    if args.kind == "bts":
-        lo, hi = (int(x) for x in args.u_range.split(":"))
-        u_range = (lo, hi)
+    u_range = _split_range(args.u_range) if args.kind == "bts" else None
     instance = generate(
         seed=args.seed,
         n=args.n,
@@ -244,15 +252,13 @@ def cmd_reduce(args) -> int:
 
 
 def _read_mincost_flows(path: str, count: int) -> list[Fraction]:
-    flows = [Fraction(0)] * count
-    for line_no, raw in enumerate(_read(path).splitlines(), start=1):
-        tokens = raw.split("#", 1)[0].split()
-        if not tokens:
-            continue
-        if tokens[0] != "mflow" or len(tokens) != 3:
+    """`mflow <edge> <value>` records, one per edge of the reduced instance at most."""
+    flows: list[Fraction | None] = [None] * count
+    for line_no, tokens in records(_read(path)):
+        if tokens[0] != "mflow":
             raise InstanceFormatError(line_no, "expected: mflow <edge> <value>")
-        flows[int(tokens[1]) - 1] = _parse_fraction(tokens[2])
-    return flows
+        indexed(line_no, tokens, flows, "edge", rational)
+    return [Fraction(0) if v is None else v for v in flows]
 
 
 def cmd_bench(args) -> int:
@@ -288,7 +294,7 @@ def cmd_bench(args) -> int:
         print("error: nothing to bench; pass --gen or instance paths", file=sys.stderr)
         return 2
 
-    epsilons = [_parse_fraction(tok) for tok in args.epsilons.split(",")]
+    epsilons = [_rational_arg("--epsilons", tok) for tok in args.epsilons.split(",")]
     header = (
         "name n m edges eps time_ms phases beta_rises rise_bound ops "
         "ops_per_rise_ok gap mode pass"
@@ -393,14 +399,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (
-        InstanceFormatError,
-        InstanceValidationError,
-        CertificationError,
-        oracle.OracleSizeError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    except (ValueError, OSError) as exc:  # malformed input, bad option or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

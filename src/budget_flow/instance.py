@@ -179,128 +179,164 @@ def check_valid(instance: ProblemInstance) -> ProblemInstance:
 # File format
 #
 #   p <btp|bts> <n> <m> <E>
-#   s <i> <a_i>                  one line per source, 1-based
-#   t <j> <b_j>                  one line per sink, 1-based
+#   s <i> <a_i>                  one line per source
+#   t <j> <b_j>                  one line per sink
 #   e <i> <j> <c> <p> [<u>] [seg=<k>]
 #
-# '#' starts a comment; tokens are whitespace-separated.  Capacities are only
-# accepted on bts instances; seg= appears only on split piecewise instances.
+# Capacities are only accepted on bts instances; seg= appears only on split
+# piecewise instances.
+#
+# Every file this package reads (instances, the reductions' piecewise, gflow
+# and mincost inputs, solutions) is a sequence of line records read by the
+# functions below: '#' starts a comment, tokens are whitespace-separated, the
+# first token is the record's tag and indices are 1-based.  An integer field
+# is an int literal; a rational field is an integer, a ratio `p/q` of integers
+# with q != 0, or a decimal such as `0.25` or `1e-9` whose exponent has at most
+# four digits.  Every fault is an InstanceFormatError naming its line.
 # ---------------------------------------------------------------------------
+
+
+def records(text: str) -> list[tuple[int, list[str]]]:
+    """(line_no, tokens) for every line that holds more than a comment."""
+    return [
+        (line_no, tokens)
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if (tokens := (raw[: raw.index("#")] if "#" in raw else raw).split())
+    ]
+
+
+def read_header(text: str, usage: str) -> tuple[int, list, list[tuple[int, list[str]]]]:
+    """Split off the first record and match it against `usage`, e.g.
+    "p <btp|bts> <n> <m> <E>": plain words must appear as written, <a|b> takes
+    one of the listed words and any other <x> an integer.
+
+    Returns the header's line number, the placeholders' values in order and
+    the records after the header.
+    """
+    lines = records(text)
+    if not lines:
+        raise InstanceFormatError(1, f"empty input: missing header {usage!r}")
+    line_no, tokens = lines[0]
+    spec = usage.split()
+    if len(tokens) != len(spec):
+        raise InstanceFormatError(line_no, f"header needs: {usage}")
+    values = []
+    for want, token in zip(spec, tokens):
+        if "|" in want:
+            if token not in want[1:-1].split("|"):
+                raise InstanceFormatError(line_no, f"expected {want}, got {token!r}")
+            values.append(token)
+        elif want.startswith("<"):
+            values.append(integer(line_no, token))
+        elif token != want:
+            raise InstanceFormatError(line_no, f"header needs: {usage}")
+    return line_no, values, lines[1:]
+
+
+def integer(line_no: int, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise InstanceFormatError(line_no, f"bad integer {token!r}") from None
+
+
+def rational(line_no: int, token: str) -> Fraction:
+    try:
+        if "/" in token:
+            num, den = token.split("/", 1)
+            return Fraction(int(num), int(den))
+        if "e" in token or "E" in token:  # Fraction computes 10**exponent exactly
+            if len(token.lower().partition("e")[2].lstrip("+-")) > 4:
+                raise ValueError
+        return Fraction(token)
+    except (ValueError, ZeroDivisionError):
+        raise InstanceFormatError(line_no, f"bad rational {token!r}") from None
+
+
+def fields(line_no: int, tokens: list[str], count: int, usage: str) -> list[str]:
+    """The record's fields after its tag; there must be exactly `count`."""
+    if len(tokens) != count + 1:
+        raise InstanceFormatError(line_no, f"expected: {usage}")
+    return tokens[1:]
+
+
+def pop_segment(line_no: int, tokens: list[str]) -> int | None:
+    """Remove a trailing `seg=<k>` from the record's tokens and return k (None if absent)."""
+    return integer(line_no, tokens.pop()[4:]) if tokens[-1].startswith("seg=") else None
+
+
+def indexed(line_no: int, tokens: list[str], values: list, what: str, read) -> None:
+    """Store a `<tag> <k> <value>` record in values[k-1], which must still be None.
+    `read` is `integer` or `rational`."""
+    if len(tokens) != 3:
+        raise InstanceFormatError(line_no, f"expected: {tokens[0]} <{what}> <value>")
+    k = integer(line_no, tokens[1]) - 1
+    if not 0 <= k < len(values):
+        raise InstanceFormatError(line_no, f"{what} index {k + 1} out of range 1..{len(values)}")
+    if values[k] is not None:
+        raise InstanceFormatError(line_no, f"duplicate {tokens[0]} line for {what} {k + 1}")
+    values[k] = read(line_no, tokens[2])
+
+
+def declared(line_no: int, what: str, count: int, found: int) -> None:
+    """A header's record count must match the records found."""
+    if found != count:
+        raise InstanceFormatError(line_no, f"header declares {count} {what}, found {found}")
+
+
+def transport_records(lines, header_line: int, n: int, m: int, num_edges: int, read, edge):
+    """The s/t/e body of a transportation file: one `s` line per source and one
+    `t` line per sink, read by `read`, and the edges, each read by
+    `edge(line_no, tokens)`."""
+    if max(n, m) > len(lines):  # some line must be missing; allocate nothing that large
+        raise InstanceFormatError(
+            header_line, f"header declares {n} sources and {m} sinks in {len(lines)} records"
+        )
+    supply = [None] * max(n, 0)
+    budget = [None] * max(m, 0)
+    edges = []
+    for line_no, tokens in lines:
+        tag = tokens[0]
+        if tag == "e":
+            edges.append(edge(line_no, tokens))
+        elif tag == "s":
+            indexed(line_no, tokens, supply, "source", read)
+        elif tag == "t":
+            indexed(line_no, tokens, budget, "sink", read)
+        else:
+            raise InstanceFormatError(line_no, f"unknown record {tag!r}")
+    for values, what in ((supply, "source"), (budget, "sink")):
+        if None in values:
+            k = values.index(None) + 1
+            raise InstanceFormatError(header_line, f"missing line for {what} {k}")
+    declared(header_line, "edges", num_edges, len(edges))
+    return tuple(supply), tuple(budget), tuple(edges)
 
 
 def parse(text: str) -> ProblemInstance:
     """Parse the line-oriented instance format; raises InstanceFormatError."""
-    header: tuple[int, Kind, int, int, int] | None = None
-    supply: dict[int, int] = {}
-    budget: dict[int, int] = {}
-    edges: list[EdgeSpec] = []
+    header_line, (kind, n, m, num_edges), lines = read_header(text, "p <btp|bts> <n> <m> <E>")
+    kind = Kind(kind)
 
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        tag = tokens[0]
-        if header is None:
-            if tag != "p":
-                raise InstanceFormatError(line_no, f"expected header 'p', got {tag!r}")
-            if len(tokens) != 5:
-                raise InstanceFormatError(line_no, "header needs: p <btp|bts> <n> <m> <E>")
-            try:
-                kind = Kind(tokens[1])
-            except ValueError:
-                raise InstanceFormatError(line_no, f"unknown kind {tokens[1]!r}") from None
-            try:
-                n, m, num_edges = (int(t) for t in tokens[2:5])
-            except ValueError:
-                raise InstanceFormatError(line_no, "header counts must be integers") from None
-            header = (line_no, kind, n, m, num_edges)
-            continue
-        _, kind, n, m, num_edges = header
-        if tag == "s":
-            idx, value = _parse_int_fields(line_no, tokens, 2)
-            if not (1 <= idx <= n):
-                raise InstanceFormatError(line_no, f"source index {idx} out of range 1..{n}")
-            if idx in supply:
-                raise InstanceFormatError(line_no, f"duplicate supply line for source {idx}")
-            supply[idx] = value
-        elif tag == "t":
-            idx, value = _parse_int_fields(line_no, tokens, 2)
-            if not (1 <= idx <= m):
-                raise InstanceFormatError(line_no, f"sink index {idx} out of range 1..{m}")
-            if idx in budget:
-                raise InstanceFormatError(line_no, f"duplicate budget line for sink {idx}")
-            budget[idx] = value
-        elif tag == "e":
-            edges.append(_parse_edge_line(line_no, tokens, kind))
-        else:
-            raise InstanceFormatError(line_no, f"unknown record {tag!r}")
-
-    if header is None:
-        raise InstanceFormatError(1, "empty input: missing 'p' header")
-    _, kind, n, m, num_edges = header
-    supplies = indexed_records(supply, n, "supply line for source", header[0])
-    budgets = indexed_records(budget, m, "budget line for sink", header[0])
-    if len(edges) != num_edges:
-        raise InstanceFormatError(
-            header[0], f"header declares {num_edges} edges, found {len(edges)}"
+    def edge(line_no: int, tokens: list[str]) -> EdgeSpec:
+        segment = pop_segment(line_no, tokens)
+        if len(tokens) not in (5, 6):
+            raise InstanceFormatError(line_no, "edge needs: e <i> <j> <c> <p> [<u>]")
+        if len(tokens) == 6 and kind is Kind.BTP:
+            raise InstanceFormatError(line_no, "capacity field not allowed on btp instances")
+        return EdgeSpec(
+            integer(line_no, tokens[1]) - 1,
+            integer(line_no, tokens[2]) - 1,
+            integer(line_no, tokens[3]),
+            integer(line_no, tokens[4]),
+            integer(line_no, tokens[5]) if len(tokens) == 6 else None,
+            segment,
         )
 
-    instance = ProblemInstance(
-        kind=kind,
-        supply=supplies,
-        budget=budgets,
-        edges=tuple(edges),
+    supply, budget, edges = transport_records(
+        lines, header_line, n, m, num_edges, integer, edge
     )
-    report = validate(instance)
-    if not report.ok:
-        raise InstanceValidationError(list(report.violations))
-    return instance
-
-
-def indexed_records(values: dict, count: int, what: str, line_no: int) -> tuple:
-    """values[1..count] in order; a gap is reported against the header line."""
-    for k in range(1, count + 1):
-        if k not in values:
-            raise InstanceFormatError(line_no, f"missing {what} {k}")
-    return tuple(values[k] for k in range(1, count + 1))
-
-
-def _parse_int_fields(line_no: int, tokens: list[str], count: int) -> tuple[int, ...]:
-    if len(tokens) != count + 1:
-        raise InstanceFormatError(line_no, f"expected {count} fields after {tokens[0]!r}")
-    try:
-        return tuple(int(t) for t in tokens[1:])
-    except ValueError:
-        raise InstanceFormatError(line_no, "fields must be integers") from None
-
-
-def _parse_edge_line(line_no: int, tokens: list[str], kind: Kind) -> EdgeSpec:
-    fields = tokens[1:]
-    segment = None
-    if fields and fields[-1].startswith("seg="):
-        try:
-            segment = int(fields[-1][4:])
-        except ValueError:
-            raise InstanceFormatError(line_no, "seg= takes an integer") from None
-        fields = fields[:-1]
-    if len(fields) not in (4, 5):
-        raise InstanceFormatError(line_no, "edge needs: e <i> <j> <c> <p> [<u>]")
-    if len(fields) == 5 and kind is Kind.BTP:
-        raise InstanceFormatError(line_no, "capacity field not allowed on btp instances")
-    try:
-        values = [int(t) for t in fields]
-    except ValueError:
-        raise InstanceFormatError(line_no, "edge fields must be integers") from None
-    capacity = values[4] if len(values) == 5 else None
-    return EdgeSpec(
-        src=values[0] - 1,
-        dst=values[1] - 1,
-        profit=values[2],
-        price=values[3],
-        capacity=capacity,
-        segment=segment,
-    )
+    return check_valid(ProblemInstance(kind, supply, budget, edges))
 
 
 def serialize(instance: ProblemInstance) -> str:

@@ -12,7 +12,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import (
-    EdgeSpec, InstanceFormatError, Kind, ProblemInstance, check_valid, indexed_records,
+    EdgeSpec,
+    InstanceFormatError,
+    InstanceValidationError,
+    Kind,
+    ProblemInstance,
+    check_valid,
+    declared,
+    fields,
+    integer,
+    rational,
+    read_header,
+    transport_records,
 )
 from .oracle import solve_equality_lp
 
@@ -74,6 +85,8 @@ def validate_piecewise(pw: PiecewiseInstance) -> list[str]:
             issues.append(f"edge {o}: negative slope unsupported")
         if edge.price < 1:
             issues.append(f"edge {o}: zero price")
+        if not (0 <= edge.src < pw.n and 0 <= edge.dst < pw.m):
+            issues.append(f"edge {o}: dangling source or sink index")
     return issues
 
 
@@ -85,7 +98,7 @@ def split_piecewise(pw: PiecewiseInstance) -> tuple[ProblemInstance, EdgeMap]:
     """
     issues = validate_piecewise(pw)
     if issues:
-        raise ValueError("; ".join(issues))
+        raise InstanceValidationError(issues)
     edges = []
     groups = []
     for edge in pw.edges:
@@ -303,7 +316,7 @@ def gflow_to_btp(g: GenFlowInstance) -> tuple[MincostBtpInstance, GFlowMapper]:
     """
     issues = validate_gflow(g)
     if issues:
-        raise ValueError("; ".join(issues))
+        raise InstanceValidationError(issues)
     supply = []
     for node in range(g.num_nodes):
         if node == g.sink:
@@ -461,88 +474,37 @@ def mincost_exact_opt(
 # ---------------------------------------------------------------------------
 
 
-def _ratio(token: str, line_no: int) -> Fraction:
-    try:
-        if "/" in token:
-            num, den = token.split("/", 1)
-            return Fraction(int(num), int(den))
-        return Fraction(int(token))
-    except (ValueError, ZeroDivisionError):
-        raise InstanceFormatError(line_no, f"bad rational {token!r}") from None
-
-
-def _int(token: str, line_no: int) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        raise InstanceFormatError(line_no, f"bad integer {token!r}") from None
-
-
-def _fields(tokens: list[str], count: int, line_no: int) -> list[str]:
-    """The record's fields after its tag; there must be exactly `count`."""
-    if len(tokens) != count + 1:
-        raise InstanceFormatError(line_no, f"{tokens[0]!r} record needs {count} fields")
-    return tokens[1:]
-
-
 def _ratio_str(x: Fraction) -> str:
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_piecewise(text: str) -> PiecewiseInstance:
     """Format: `p pw n m E` header, s/t lines, `e i j p pw l c1 c2 ...` edges."""
-    header = None
-    supply: dict[int, int] = {}
-    budget: dict[int, int] = {}
-    edges: list[PiecewiseEdge] = []
+    header_line, (n, m, num_edges), lines = read_header(text, "p pw <n> <m> <E>")
     seg_len: int | None = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if header is None:
-            if tokens[:2] != ["p", "pw"] or len(tokens) != 5:
-                raise InstanceFormatError(line_no, "header needs: p pw <n> <m> <E>")
-            header = (line_no, *(_int(t, line_no) for t in tokens[2:]))
-            continue
-        if tokens[0] in ("s", "t"):
-            idx, value = (_int(t, line_no) for t in _fields(tokens, 2, line_no))
-            (supply if tokens[0] == "s" else budget)[idx] = value
-        elif tokens[0] == "e":
-            if len(tokens) < 7 or tokens[4] != "pw":
-                raise InstanceFormatError(
-                    line_no, "piecewise edge needs: e <i> <j> <p> pw <l> <c1> ..."
-                )
-            length = _int(tokens[5], line_no)
-            if seg_len is None:
-                seg_len = length
-            elif seg_len != length:
-                raise InstanceFormatError(line_no, "segment length must be uniform")
-            edges.append(
-                PiecewiseEdge(
-                    src=_int(tokens[1], line_no) - 1,
-                    dst=_int(tokens[2], line_no) - 1,
-                    price=_int(tokens[3], line_no),
-                    slopes=tuple(_int(t, line_no) for t in tokens[6:]),
-                )
+
+    def edge(line_no: int, tokens: list[str]) -> PiecewiseEdge:
+        nonlocal seg_len
+        if len(tokens) < 7 or tokens[4] != "pw":
+            raise InstanceFormatError(
+                line_no, "piecewise edge needs: e <i> <j> <p> pw <l> <c1> ..."
             )
-        else:
-            raise InstanceFormatError(line_no, f"unknown record {tokens[0]!r}")
-    if header is None:
-        raise InstanceFormatError(1, "empty input: missing 'p pw' header")
-    header_line, n, m, ne = header
-    if len(edges) != ne:
-        raise InstanceFormatError(1, f"header declares {ne} edges, found {len(edges)}")
-    pw = PiecewiseInstance(
-        supply=indexed_records(supply, n, "supply line for source", header_line),
-        budget=indexed_records(budget, m, "budget line for sink", header_line),
-        segment_length=seg_len if seg_len is not None else 1,
-        edges=tuple(edges),
+        src, dst, price, length, *slopes = (
+            integer(line_no, token) for token in tokens[1:4] + tokens[5:]
+        )
+        if seg_len is None:
+            seg_len = length
+        elif seg_len != length:
+            raise InstanceFormatError(line_no, "segment length must be uniform")
+        return PiecewiseEdge(src - 1, dst - 1, price, tuple(slopes))
+
+    supply, budget, edges = transport_records(
+        lines, header_line, n, m, num_edges, integer, edge
     )
+    pw = PiecewiseInstance(supply, budget, seg_len if seg_len is not None else 1, edges)
     issues = validate_piecewise(pw)
     if issues:
-        raise ValueError("; ".join(issues))
+        raise InstanceValidationError(issues)
     return pw
 
 
@@ -560,56 +522,36 @@ def serialize_piecewise(pw: PiecewiseInstance) -> str:
 
 def parse_gflow(text: str) -> GenFlowInstance:
     """Format: `g |V| |A|`, `a i j c u mu` per arc, `src s d_s`, `snk t d_t`."""
-    header = None
+    header_line, (num_nodes, num_arcs), lines = read_header(text, "g <V> <A>")
     arcs: list[Arc] = []
-    source = sink = None
-    supply = demand = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if header is None:
-            if tokens[0] != "g" or len(tokens) != 3:
-                raise InstanceFormatError(line_no, "header needs: g <|V|> <|A|>")
-            header = (_int(tokens[1], line_no), _int(tokens[2], line_no))
-            continue
-        if tokens[0] == "a":
-            if len(tokens) != 6:
-                raise InstanceFormatError(line_no, "arc needs: a <i> <j> <c> <u> <mu>")
+    ends: dict[str, tuple[int, Fraction]] = {}
+    for line_no, tokens in lines:
+        tag = tokens[0]
+        if tag == "a":
+            tail, head, *values = fields(line_no, tokens, 5, "a <i> <j> <c> <u> <mu>")
             arcs.append(
                 Arc(
-                    tail=_int(tokens[1], line_no) - 1,
-                    head=_int(tokens[2], line_no) - 1,
-                    cost=_ratio(tokens[3], line_no),
-                    capacity=_ratio(tokens[4], line_no),
-                    multiplier=_ratio(tokens[5], line_no),
+                    integer(line_no, tail) - 1,
+                    integer(line_no, head) - 1,
+                    *(rational(line_no, token) for token in values),
                 )
             )
-        elif tokens[0] in ("src", "snk"):
-            node, amount = _fields(tokens, 2, line_no)
-            end = (_int(node, line_no) - 1, _ratio(amount, line_no))
-            if tokens[0] == "src":
-                source, supply = end
-            else:
-                sink, demand = end
+        elif tag in ("src", "snk"):
+            if tag in ends:
+                raise InstanceFormatError(line_no, f"duplicate {tag} record")
+            node, amount = fields(line_no, tokens, 2, f"{tag} <node> <amount>")
+            ends[tag] = (integer(line_no, node) - 1, rational(line_no, amount))
         else:
-            raise InstanceFormatError(line_no, f"unknown record {tokens[0]!r}")
-    if header is None or source is None or sink is None:
-        raise InstanceFormatError(1, "missing header, src or snk record")
-    if len(arcs) != header[1]:
-        raise InstanceFormatError(1, f"header declares {header[1]} arcs, found {len(arcs)}")
-    g = GenFlowInstance(
-        num_nodes=header[0],
-        arcs=tuple(arcs),
-        source=source,
-        supply=supply,
-        sink=sink,
-        demand=demand,
-    )
+            raise InstanceFormatError(line_no, f"unknown record {tag!r}")
+    for tag in ("src", "snk"):
+        if tag not in ends:
+            raise InstanceFormatError(header_line, f"missing {tag} record")
+    declared(header_line, "arcs", num_arcs, len(arcs))
+    (source, supply), (sink, demand) = ends["src"], ends["snk"]
+    g = GenFlowInstance(num_nodes, tuple(arcs), source, supply, sink, demand)
     issues = validate_gflow(g)
     if issues:
-        raise ValueError("; ".join(issues))
+        raise InstanceValidationError(issues)
     return g
 
 
@@ -639,43 +581,24 @@ def serialize_mincost(instance: MincostBtpInstance) -> str:
 
 
 def parse_mincost(text: str) -> MincostBtpInstance:
-    header = None
-    supply: dict[int, Fraction] = {}
-    budget: dict[int, Fraction] = {}
-    edges: list[MincostEdge] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        if header is None:
-            if tokens[:2] != ["p", "mincost"] or len(tokens) != 6:
-                raise InstanceFormatError(line_no, "header needs: p mincost <n> <m> <E> <sense>")
-            header = (line_no, *(_int(t, line_no) for t in tokens[2:5]), tokens[5])
-            continue
-        if tokens[0] in ("s", "t"):
-            idx, value = _fields(tokens, 2, line_no)
-            (supply if tokens[0] == "s" else budget)[_int(idx, line_no)] = _ratio(value, line_no)
-        elif tokens[0] == "e":
-            src, dst, cost, price = _fields(tokens, 4, line_no)
-            edges.append(
-                MincostEdge(
-                    src=_int(src, line_no) - 1,
-                    dst=_int(dst, line_no) - 1,
-                    cost=_ratio(cost, line_no),
-                    price=_ratio(price, line_no),
-                )
-            )
-        else:
-            raise InstanceFormatError(line_no, f"unknown record {tokens[0]!r}")
-    if header is None:
-        raise InstanceFormatError(1, "missing 'p mincost' header")
-    header_line, n, m, ne, sense = header
-    if len(edges) != ne:
-        raise InstanceFormatError(1, f"header declares {ne} edges, found {len(edges)}")
-    return MincostBtpInstance(
-        supply=indexed_records(supply, n, "supply line for source", header_line),
-        budget=indexed_records(budget, m, "budget line for sink", header_line),
-        edges=tuple(edges),
-        sense=sense,
+    """Format: `p mincost n m E <min|max>` header, s/t lines, `e i j c p` edges."""
+    header_line, (n, m, num_edges, sense), lines = read_header(
+        text, "p mincost <n> <m> <E> <min|max>"
     )
+
+    def edge(line_no: int, tokens: list[str]) -> MincostEdge:
+        src, dst, cost, price = fields(line_no, tokens, 4, "e <i> <j> <c> <p>")
+        spec = MincostEdge(
+            integer(line_no, src) - 1,
+            integer(line_no, dst) - 1,
+            rational(line_no, cost),
+            rational(line_no, price),
+        )
+        if not (0 <= spec.src < n and 0 <= spec.dst < m):
+            raise InstanceFormatError(line_no, f"edge ({src},{dst}) has a dangling index")
+        return spec
+
+    supply, budget, edges = transport_records(
+        lines, header_line, n, m, num_edges, rational, edge
+    )
+    return MincostBtpInstance(supply, budget, edges, sense)

@@ -355,19 +355,6 @@ def push_flow_cycle(
     return report
 
 
-def gamma_view(
-    instance: ProblemInstance, primal: PrimalState, dual: DualState
-) -> dict[int, Fraction | float]:
-    """Implicit edge duals: max(0, c - p*beta - alpha) on saturated edges only."""
-    num = primal.num
-    out = {}
-    for e in range(len(instance.edges)):
-        if primal.edge_saturated(e):
-            slack = dual.effective_profit(e) - dual.alpha[instance.edges[e].src]
-            out[e] = slack if num.is_pos(slack) else num.value(0)
-    return out
-
-
 def beta_update_pass(
     primal: PrimalState,
     dual: DualState,

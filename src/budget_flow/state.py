@@ -150,19 +150,6 @@ class DualState:
         spec = self.instance.edges[e]
         return spec.profit - spec.price * self.beta[spec.dst]
 
-    def dual_value(self, gammas: dict[int, Fraction | float] | None = None):
-        total = sum(
-            (a * al for a, al in zip(self.instance.supply, self.alpha)),
-            start=self.num.value(0),
-        )
-        total += sum(b * be for b, be in zip(self.instance.budget, self.beta))
-        if gammas:
-            for e, g in gammas.items():
-                cap = self.instance.edges[e].capacity
-                if cap is not None:
-                    total += cap * g
-        return total
-
 
 def make_states(
     instance: ProblemInstance, config: SolverConfig

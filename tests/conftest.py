@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import random
+import shutil
+import tempfile
 from fractions import Fraction
 
 import pytest
@@ -11,6 +13,19 @@ from budget_flow.derived_graph import DerivedGraph
 from budget_flow.instance import EdgeSpec, Kind, ProblemInstance, SolverConfig
 from budget_flow.solver import RunStats
 from budget_flow.state import make_states
+
+
+def pytest_configure(config):
+    """Hypothesis caches constants read from the package's source under its home
+    directory, `.hypothesis/` in the working directory unless set, while tests
+    are collected; give it a temporary home so the suite writes nothing there."""
+    try:
+        from hypothesis.configuration import set_hypothesis_home_dir
+    except ImportError:  # without hypothesis only tests/test_formats.py fails
+        return
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def btp(supply, budget, edges) -> ProblemInstance:

@@ -1,10 +1,21 @@
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from budget_flow.certify import fmt
 from budget_flow.cli import main
 from budget_flow.instance import generate, serialize
+from budget_flow.reductions import (
+    gflow_cost,
+    gflow_to_btp,
+    map_flow_forward,
+    parse_gflow,
+    serialize_gflow,
+)
+from test_reductions import random_feasible_gflow
 
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
 BTS_BINDING = "p bts 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2 3\n"
@@ -147,6 +158,100 @@ def test_reduce_gflow_malformed_exits_2(tmp_path, capsys, text, line):
     assert run_cli(["reduce", "--gflow", str(src), str(tmp_path / "out.mc")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+
+def test_reduce_gflow_map_back_round_trip(tmp_path, capsys):
+    # one arc 1->2 with capacity 10, cost 4 and multiplier 1/2: 2 units leave node 1 and
+    # 1 arrives at node 2.  In the reduced instance that is 8 units of slack on edge 1,
+    # 1 unit carried from node 2 at price 2 on edge 2 and the supply of 2 on edge 3.
+    src = tmp_path / "in.gfl"
+    src.write_text(GFLOW)
+    mflow = tmp_path / "reduced.flow"
+    mflow.write_text("# reduced edge flows, in any order\nmflow 3 2/1\nmflow 1 8\nmflow 2 1\n")
+    _, mapper = gflow_to_btp(parse_gflow(GFLOW))
+    assert map_flow_forward([Fraction(2)], mapper) == [8, 1, 2]
+    out = tmp_path / "mapped.txt"
+    assert run_cli(["reduce", "--gflow", str(src), str(out), "--map-back", str(mflow)]) == 0
+    assert out.read_text() == "aflow 1 2/1\ncost 8/1\n"
+
+
+@pytest.mark.parametrize("seed", [5, 20, 25])  # several arcs carry flow, some edges none
+def test_reduce_gflow_map_back_random(tmp_path, capsys, seed):
+    g, arc_flow = random_feasible_gflow(random.Random(seed))
+    src = tmp_path / "in.gfl"
+    src.write_text(serialize_gflow(g))
+    _, mapper = gflow_to_btp(g)
+    mflow = tmp_path / "reduced.flow"
+    mflow.write_text(
+        "".join(  # zero flows are left out
+            f"mflow {k + 1} {fmt(v)}\n"
+            for k, v in enumerate(map_flow_forward(arc_flow, mapper))
+            if v
+        )
+    )
+    out = tmp_path / "mapped.txt"
+    assert run_cli(["reduce", "--gflow", str(src), str(out), "--map-back", str(mflow)]) == 0
+    assert out.read_text().splitlines() == [
+        *(f"aflow {a + 1} {fmt(v)}" for a, v in enumerate(arc_flow)),
+        f"cost {fmt(gflow_cost(g, arc_flow))}",
+    ]
+
+
+@pytest.mark.parametrize(
+    "records, line, reason",
+    [
+        ("mflow 999 5\n", 1, "edge index 999 out of range 1..3"),
+        ("mflow 1 2\nmflow 0 5\n", 2, "edge index 0 out of range 1..3"),
+        ("mflow 1 1/0\n", 1, "bad rational '1/0'"),
+        ("mflow 1 2\nmflow 1 2\n", 2, "duplicate mflow line for edge 1"),
+    ],
+)
+def test_reduce_gflow_map_back_malformed_exits_2(tmp_path, capsys, records, line, reason):
+    src = tmp_path / "in.gfl"
+    src.write_text(GFLOW)
+    mflow = tmp_path / "reduced.flow"
+    mflow.write_text(records)
+    args = ["reduce", "--gflow", str(src), str(tmp_path / "out"), "--map-back", str(mflow)]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"error: line {line}: {reason}\n"
+
+
+def solved(tmp_path):
+    """ONE_BY_ONE and its certified solution file."""
+    inst = tmp_path / "inst.btp"
+    inst.write_text(ONE_BY_ONE)
+    sol = tmp_path / "out.sol"
+    assert run_cli(["solve", str(inst), "-o", str(sol)]) == 0
+    return inst, sol
+
+
+@pytest.mark.parametrize("command", ["solve", "verify"])
+def test_bad_epsilon_option_exits_2(tmp_path, capsys, command):
+    inst, sol = solved(tmp_path)
+    files = [str(inst), str(sol)] if command == "verify" else [str(inst)]
+    assert run_cli([command, *files, "--epsilon", "1/0"]) == 2
+    assert capsys.readouterr().err == "error: --epsilon: bad rational '1/0'\n"
+
+
+@pytest.mark.parametrize(
+    "prefix, record, reason",
+    [
+        ("flow 1 1 ", "flow 1 1 1/0", "bad rational '1/0'"),
+        ("alpha 1 ", "alpha 0 5", "source index 0 out of range 1..1"),
+        ("alpha 1 ", "alpha 2 5", "source index 2 out of range 1..1"),
+        ("beta 1 ", "beta 0 5", "sink index 0 out of range 1..1"),
+        ("beta 1 ", "beta 2 5", "sink index 2 out of range 1..1"),
+        ("mode ", "mode fast", "expected <exact|float>, got 'fast'"),
+    ],
+)
+def test_verify_malformed_solution_record_exits_2(tmp_path, capsys, prefix, record, reason):
+    inst, sol = solved(tmp_path)
+    lines = sol.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith(prefix))
+    lines[k] = record
+    sol.write_text("\n".join(lines) + "\n")
+    assert run_cli(["verify", str(inst), str(sol)]) == 2
+    assert capsys.readouterr().err == f"error: line {k + 1}: {reason}\n"
 
 
 def test_reduce_gflow_counts(tmp_path):

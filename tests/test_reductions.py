@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from budget_flow.instance import InstanceFormatError, Kind
+from budget_flow.instance import InstanceFormatError, InstanceValidationError, Kind
 from budget_flow.reductions import (
     Arc,
     GenFlowInstance,
@@ -355,6 +355,90 @@ def test_mincost_file_round_trip_and_malformed_lines():
         with pytest.raises(InstanceFormatError) as info:
             parse_mincost(broken)
         assert info.value.line_no == line_no
+
+
+PW_TEXT = "p pw 1 2 2\ns 1 6\nt 1 50\nt 2 40\ne 1 1 3 pw 2 5 3\ne 1 2 2 pw 2 4 1\n"
+MC_TEXT = "p mincost 1 2 2 min\ns 1 6\nt 1 1\nt 2 1\ne 1 1 4 1\ne 1 2 8 1\n"
+
+
+@pytest.mark.parametrize(
+    "parse, text", [(parse_piecewise, PW_TEXT), (parse_mincost, MC_TEXT)], ids=["pw", "mincost"]
+)
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("\ns 1 6\n", "\ns 1 6\ns 1 6\n", 3),  # duplicate supply line
+        ("\nt 2 ", "\nt 1 ", 4),  # duplicate budget line
+        ("\ns 1 6\n", "\ns 2 6\n", 2),  # source index out of range
+        ("\nt 2 ", "\nt 3 ", 4),  # sink index out of range
+        ("\nt 1 ", "\nt 0 ", 3),
+    ],
+    ids=["dup-s", "dup-t", "s-range", "t-range", "t-zero"],
+)
+def test_indexed_lines_follow_the_instance_rule(parse, text, old, new, line):
+    with pytest.raises(InstanceFormatError) as info:
+        parse(text.replace(old, new))
+    assert info.value.line_no == line
+
+
+@pytest.mark.parametrize(
+    "parse, text",
+    [
+        (parse_piecewise, PW_TEXT.rsplit("e ", 1)[0]),  # one edge short
+        (parse_mincost, MC_TEXT.rsplit("e ", 1)[0]),
+        (parse_gflow, "g 2 2\na 1 2 4 10 1/2\nsrc 1 2\nsnk 2 1\n"),  # one arc short
+    ],
+    ids=["pw", "mincost", "gflow"],
+)
+def test_count_mismatch_cites_the_header_line(parse, text):
+    with pytest.raises(InstanceFormatError) as info:
+        parse("# a comment first\n" + text)
+    assert info.value.line_no == 2
+
+
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        ("e 1 2 8 1", "e 2 2 8 1", 6),  # dangling source
+        ("e 1 2 8 1", "e 1 3 8 1", 6),  # dangling sink
+        ("e 1 1 4 1", "e 1 0 4 1", 5),
+        (" 2 min\n", " 2 avg\n", 1),  # unknown sense
+    ],
+    ids=["src", "dst", "dst-zero", "sense"],
+)
+def test_mincost_rejects_dangling_edges_and_unknown_sense(old, new, line):
+    with pytest.raises(InstanceFormatError) as info:
+        parse_mincost(MC_TEXT.replace(old, new))
+    assert info.value.line_no == line
+
+
+def test_rationals_take_fraction_syntax():
+    text = MC_TEXT.replace("e 1 1 4 1", "e 1 1 0.25 3/-4").replace("s 1 6", "s 1 1e1")
+    text = text.replace("t 2 1", "t 2 1E-9999")
+    inst = parse_mincost(text)
+    assert inst.supply == (10,) and inst.budget[1] == Fraction(1, 10**9999)
+    assert (inst.edges[0].cost, inst.edges[0].price) == (Fraction(1, 4), Fraction(-3, 4))
+    for bad in ("1/0", "x", "1/2/3", "inf", "nan", "0x10", "1e99999999", ""):
+        with pytest.raises(InstanceFormatError):
+            parse_mincost(MC_TEXT.replace("e 1 1 4 1", f"e 1 1 4 {bad}"))
+
+
+def test_validation_failures_are_typed():
+    nonconcave = PW_TEXT.replace("pw 2 5 3", "pw 2 3 5")
+    with pytest.raises(InstanceValidationError):
+        parse_piecewise(nonconcave)
+    with pytest.raises(InstanceValidationError):
+        split_piecewise(pw_instance([(3, 5)]))
+    with pytest.raises(InstanceValidationError):
+        split_piecewise(
+            PiecewiseInstance(supply=(5,), budget=(5,), segment_length=1,
+                              edges=(PiecewiseEdge(0, 1, 1, (2,)),))  # dangling sink
+        )
+    with pytest.raises(InstanceValidationError):
+        parse_gflow("g 2 1\na 1 2 4 0 1/2\nsrc 1 2\nsnk 2 1\n")  # zero capacity
+    g = single_arc_gflow()
+    with pytest.raises(InstanceValidationError):
+        gflow_to_btp(GenFlowInstance(g.num_nodes, g.arcs, 0, g.supply, 0, g.demand))
 
 
 def test_shift_costs():

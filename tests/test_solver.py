@@ -443,20 +443,6 @@ def test_solution_output_fields():
     assert stats["phases"] >= 1
 
 
-def test_gamma_view_matches_certifier_reconstruction():
-    from budget_flow.solver import beta_update_pass, gamma_view
-
-    inst = bts([5, 5], [30], [(0, 0, 9, 1, 2), (1, 0, 4, 1, None)])
-    primal, dual, graph, stats = path_state(inst)
-    primal.add_flow(0, Fraction(2))
-    graph.note_flow_changed(0)
-    graph.rebuild_preferred(0)
-    view = gamma_view(inst, primal, dual)
-    rebuilt = reconstruct_gamma(inst, list(primal.flow), list(dual.alpha), list(dual.beta))
-    assert view == rebuilt
-    assert all(primal.edge_saturated(e) for e in view)
-
-
 def test_beta_update_pass_full_scan_initializes_saturated_sink():
     from budget_flow.solver import beta_update_pass
 
