@@ -49,36 +49,28 @@ def initialize(
 def update_beta(j: int, primal: PrimalState, dual: DualState, stats: RunStats | None = None) -> str:
     """Raise sink j's price if no flow remains at the lower level.
 
-    Call sites guarantee j is saturated.  A zero price initializes to
-    epsilon * min(c/p) over profitable in-edges; otherwise the price rises by
-    (1+epsilon) exactly when every positive-flow in-edge sits at the top level.
-    Returns "init", "rise", or "none".
+    Call sites guarantee j is saturated.  A zero price takes its first value
+    from `DualState.next_beta`; a positive one rises exactly when every
+    positive-flow in-edge sits at the top level.  Returns "init", "rise", or
+    "none".
     """
     num = dual.num
-    instance = primal.instance
-    if num.is_zero(dual.beta[j]):
-        rates = [
-            Fraction(instance.edges[e].profit, instance.edges[e].price)
-            for e in instance.edges_of_sink(j)
-            if instance.edges[e].profit > 0
+    rising = not num.is_zero(dual.beta[j])
+    if rising:
+        flows_at_top = [
+            num.eq(dual.valuation[e], dual.beta[j])
+            for e in primal.instance.edges_of_sink(j)
+            if num.is_pos(primal.flow[e])
         ]
-        if not rates:
+        if not (flows_at_top and all(flows_at_top)):
             return "none"
-        dual.raise_beta(j, dual.epsilon * num.value(min(rates)))
-        if stats is not None:
-            stats.bump("beta_inits")
-        return "init"
-    flows_at_top = [
-        num.eq(dual.valuation[e], dual.beta[j])
-        for e in instance.edges_of_sink(j)
-        if num.is_pos(primal.flow[e])
-    ]
-    if flows_at_top and all(flows_at_top):
-        dual.raise_beta(j, dual.beta[j] * (1 + dual.epsilon))
-        if stats is not None:
-            stats.bump("beta_rises")
-        return "rise"
-    return "none"
+    value = dual.next_beta(j)
+    if value is None:
+        return "none"
+    dual.raise_beta(j, value)
+    if stats is not None:
+        stats.bump("beta_rises" if rising else "beta_inits")
+    return "rise" if rising else "init"
 
 
 def _best_sink(i: int, primal: PrimalState, dual: DualState) -> tuple[int | None, Fraction | float]:
@@ -96,12 +88,16 @@ def _refresh_alpha(i: int, primal: PrimalState, dual: DualState) -> None:
     dual.alpha[i] = best_key if best_key > zero else zero
 
 
-def _retire(i: int, primal: PrimalState, dual: DualState, stats: RunStats) -> StepOutcome:
-    dual.alpha[i] = dual.num.value(0)
+def _demote(i: int, primal: PrimalState, dual: DualState) -> None:
     # Holding flow at the top level would let beta rise past this source's reach.
     for e in primal.instance.edges_of_source(i):
         if e in dual.valuation:
             dual.valuation[e] = dual.beta_companion[primal.instance.edges[e].dst]
+
+
+def _retire(i: int, primal: PrimalState, dual: DualState, stats: RunStats) -> StepOutcome:
+    dual.alpha[i] = dual.num.value(0)
+    _demote(i, primal, dual)
     stats.bump("retirements")
     return StepOutcome(kind="retire")
 
@@ -165,9 +161,7 @@ def auction_step(
 
     _refresh_alpha(i, primal, dual)
     if num.is_zero(dual.alpha[i]):
-        for e in instance.edges_of_source(i):
-            if e in dual.valuation:
-                dual.valuation[e] = dual.beta_companion[instance.edges[e].dst]
+        _demote(i, primal, dual)
     return outcome
 
 

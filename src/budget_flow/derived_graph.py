@@ -5,14 +5,17 @@ unsaturated edges); reverse arcs are back edges, i.e. positive-flow edges
 assigned below the sink's current price level that may also be pulled back.
 Paths and cycles for the production solver are walked here.
 
-Sink j's back set is memoized.  The memo is dropped at exactly four events:
-`note_flow_changed` on an in-edge of j (flow, saturation, valuation), a
-promotion in `fix_two_cycle` at j, `note_beta_changed(j)`, and a source with
-a saturated edge into j going from clean to dirty (that edge's slack reads
+During a run the graph is the only writer of flows, valuations and sink
+prices: `move_flow`, `promote` and `raise_beta`.  Sink j's back set is
+memoized, and those writers drop the memo themselves, at exactly four
+events: a flow move on an in-edge of j (flow, saturation, valuation), a
+promotion of an in-edge of j, a price change at j, and a source with a
+saturated edge into j going from clean to dirty (that edge's slack reads
 the source's alpha).  A hit thus equals a fresh scan, side effects included.
-Heap entries carry their sink's price level, which `note_beta_changed` bumps;
+Heap entries carry their sink's price level, which a price change bumps;
 beta only rises, so an entry is stale iff its edge is saturated or its level
-is old.
+is old.  `note_flow_changed` and `note_beta_changed` are the hooks the
+writers share; code that edits the state directly, as tests do, calls them.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .state import DualState, PrimalState, RunStats
 
 class PathKind(Enum):
     TYPE_I = "path"          # ends at an alpha=0 source or an unsaturated sink
-    TYPE_II = "two-cycle"    # ends where the preferred edge is the sole back edge
+    TYPE_II = "two-cycle"    # ends on a preferred edge that is also a back edge
     TYPE_III = "cycle"       # a source or sink repeated
     STALLED = "stalled"      # saturated sink with no back edge: price must rise
 
@@ -136,6 +139,48 @@ class DerivedGraph:
         if i in self._dirty:
             self.rebuild_preferred(i)
 
+    # -- writers ----------------------------------------------------------------
+
+    def move_flow(self, e: int, delta, revalue: bool) -> int:
+        """Add `delta` to edge e's flow; returns the edge's sink.
+
+        Flow that lands on zero, or on float dust below it, is cleared along
+        with its valuation; otherwise `revalue` assigns the flow at the sink's
+        current price.
+        """
+        primal, num = self.primal, self.num
+        primal.add_flow(e, delta)
+        self.stats.bump("flow_updates")
+        j = self.instance.edges[e].dst
+        if not num.is_pos(primal.flow[e]):
+            primal.flow[e] = num.value(0)
+            self.dual.valuation.pop(e, None)
+            self.stats.bump("back_edge_zeroings")
+        elif revalue:
+            self.dual.valuation[e] = self.dual.beta[j]
+        if delta > 0 and primal.edge_saturated(e):
+            self.stats.bump("forward_saturations")
+        self.note_flow_changed(e)
+        return j
+
+    def promote(self, e: int) -> None:
+        """Re-assign edge e's flow, if it has any, at its sink's current price."""
+        j = self.instance.edges[e].dst
+        if e in self.dual.valuation:
+            self.dual.valuation[e] = self.dual.beta[j]
+        self._back.pop(j, None)
+
+    def raise_beta(self, j: int, value) -> None:
+        """Set sink j's price to `value`: its first price, or a rise."""
+        if self.num.is_zero(self.dual.beta[j]):
+            self.stats.bump("beta_inits")
+        else:
+            self.stats.bump("beta_rises")
+            per_sink = self.stats.beta_rises_per_sink
+            per_sink[j] = per_sink.get(j, 0) + 1
+        self.dual.raise_beta(j, value)
+        self.note_beta_changed(j)
+
     # -- graph operations -------------------------------------------------------
 
     def rebuild_preferred(self, i: int) -> int | None:
@@ -200,6 +245,7 @@ class DerivedGraph:
         removes it while leaving the sink's price unchanged.  The lone back
         edge case is kept, since removing it would enable a price rise.
         """
+        self.ensure_fresh(i)
         e = self.preferred[i]
         if e is None or not self.num.is_pos(self.dual.alpha[i]):
             # only live bidders re-assign at the current price level
@@ -207,23 +253,22 @@ class DerivedGraph:
         j = self.instance.edges[e].dst
         back = self.back_edges(j)
         if e in back and len(back) > 1:
-            self.dual.valuation[e] = self.dual.beta[j]
-            self._back.pop(j, None)
+            self.promote(e)
             return True
         return False
 
     def remove_two_cycles_all(self) -> None:
         for i in range(self.instance.n):
-            self.ensure_fresh(i)
             self.fix_two_cycle(i)
 
     def find_path(self, start: int) -> Path:
         """Walk preferred and back edges from `start` until a stop condition.
 
         Stops at: a source with alpha 0, a sink with beta 0, a repeated vertex
-        (cycle), the sole-back-edge loop, or a saturated sink with no back edge
-        at all (price rise pending).  The walk revisits within n+m steps, so
-        its length never exceeds 2(n+m)+1.
+        (cycle), a two-cycle (the preferred edge is the sink's sole back edge,
+        or the back edge the walk just arrived by), or a saturated sink with no
+        back edge at all (price rise pending).  The walk revisits within n+m
+        steps, so its length never exceeds 2(n+m)+1.
         """
         verts: list[tuple[str, int]] = []
         steps: list[tuple[str, int]] = []
@@ -247,6 +292,10 @@ class DerivedGraph:
             steps.append(("fwd", e))
             j = self.instance.edges[e].dst
             if j in snk_pos:
+                if steps[-2] == ("back", e):
+                    # back over e, then forward over e again: a two-cycle
+                    verts.append(("snk", j))
+                    return Path(PathKind.TYPE_II, verts, steps, two_cycle_edge=e)
                 return Path(PathKind.TYPE_III, verts, steps, cycle_start=snk_pos[j])
             if self.num.is_zero(self.dual.beta[j]):
                 verts.append(("snk", j))

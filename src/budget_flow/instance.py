@@ -146,24 +146,27 @@ def validate(instance: ProblemInstance) -> ValidationReport:
             issues.append(f"non-positive budget at sink {j + 1}")
     seen: set[tuple[int, int, int | None]] = set()
     for e, spec in enumerate(instance.edges):
-        tag = f"edge {e + 1} ({spec.src + 1},{spec.dst + 1})"
+        faults = []
         if not (0 <= spec.src < instance.n):
-            issues.append(f"{tag}: dangling source index")
+            faults.append("dangling source index")
         if not (0 <= spec.dst < instance.m):
-            issues.append(f"{tag}: dangling sink index")
+            faults.append("dangling sink index")
         if spec.price < 1:
-            issues.append(f"{tag}: zero price")
+            faults.append("zero price")
         if spec.profit < 0:
-            issues.append(f"{tag}: negative profit")
+            faults.append("negative profit")
         if spec.capacity is not None:
             if spec.capacity < 1:
-                issues.append(f"{tag}: non-positive capacity")
+                faults.append("non-positive capacity")
             if instance.kind is Kind.BTP:
-                issues.append(f"{tag}: capacity on a btp instance")
+                faults.append("capacity on a btp instance")
         key = (spec.src, spec.dst, spec.segment)
         if key in seen:
-            issues.append(f"{tag}: duplicate edge")
+            faults.append("duplicate edge")
         seen.add(key)
+        if faults:  # the prefix is built only for an edge with a fault
+            tag = f"edge {e + 1} ({spec.src + 1},{spec.dst + 1})"
+            issues.extend(f"{tag}: {fault}" for fault in faults)
     return ValidationReport(ok=not issues, violations=tuple(issues))
 
 

@@ -3,18 +3,17 @@
 All arithmetic is over Fractions.  The workhorse is a dense rational simplex
 with Bland's rule.  The inequality LP has an all-slack feasible start, so it
 needs one phase; equality-form LPs, which serve the reduction checks, run the
-same pivot loop in two phases.  A brute-force vertex enumeration over active
-sets is kept alongside it and cross-checked in the tests at very small sizes.
+same pivot loop in two phases.  The tests cross-check the simplex against a
+brute-force vertex enumeration at very small sizes.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 
 from .instance import ProblemInstance, check_valid
 
-ORACLE_EDGE_LIMIT = 12
+ORACLE_EDGE_LIMIT = 100
 
 
 class OracleSizeError(ValueError):
@@ -120,7 +119,8 @@ def simplex_max(
 def exact_opt(instance: ProblemInstance) -> tuple[Fraction, list[Fraction]]:
     """Exact optimum value and an optimal flow for a small instance.
 
-    Guarded at 12 edges; beyond that this oracle is not meant to run.
+    Guarded at ORACLE_EDGE_LIMIT edges, where one solve takes up to a few
+    seconds; beyond that this oracle is not meant to run.
     """
     check_valid(instance)
     if len(instance.edges) > ORACLE_EDGE_LIMIT:
@@ -132,65 +132,6 @@ def exact_opt(instance: ProblemInstance) -> tuple[Fraction, list[Fraction]]:
     for row, cap in zip(rows, rhs):
         assert sum((a * v for a, v in zip(row, x)), start=Fraction(0)) <= cap
     return value, x
-
-
-def exact_opt_enumerated(instance: ProblemInstance) -> Fraction:
-    """Optimum by enumerating active constraint sets; tiny instances only.
-
-    Every vertex of {x >= 0 : Ax <= b} makes |E| chosen constraints (rows or
-    nonnegativity bounds) tight with a unique solution; the best feasible one
-    is the optimum.  Cost grows as C(#rows+|E|, |E|), so this is the
-    cross-check for the simplex, not a production path.
-    """
-    check_valid(instance)
-    ne = len(instance.edges)
-    rows, rhs = _lp_rows(instance)
-    for e in range(ne):  # nonnegativity as explicit rows -x_e <= 0
-        row = [Fraction(0)] * ne
-        row[e] = Fraction(-1)
-        rows.append(row)
-        rhs.append(Fraction(0))
-    total = len(rows)
-    if total > 24 or ne > 6:
-        raise OracleSizeError("instance too large for active-set enumeration")
-    costs = [Fraction(spec.profit) for spec in instance.edges]
-    best: Fraction | None = None
-    for active in combinations(range(total), ne):
-        system = [rows[r] for r in active]
-        target = [rhs[r] for r in active]
-        x = _solve_square(system, target)
-        if x is None:
-            continue
-        if any(v < 0 for v in x):
-            continue
-        if any(
-            sum((a * v for a, v in zip(row, x)), start=Fraction(0)) > cap
-            for row, cap in zip(rows, rhs)
-        ):
-            continue
-        value = sum((c * v for c, v in zip(costs, x)), start=Fraction(0))
-        if best is None or value > best:
-            best = value
-    assert best is not None, "origin is always feasible"
-    return best
-
-
-def _solve_square(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Solve a square rational system; None if singular."""
-    size = len(rows)
-    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
-        if pivot is None:
-            return None
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        head = aug[col][col]
-        aug[col] = [v / head for v in aug[col]]
-        for r in range(size):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[r][size] for r in range(size)]
 
 
 def solve_equality_lp(

@@ -3,6 +3,9 @@
 Handles capacitated (bts) instances and treats btp as the unbounded special
 case.  Flow moves in bulk along alternating paths; cycles are resolved with a
 closed-form geometric update instead of revolution-by-revolution simulation.
+The push layer works on the `DerivedGraph` alone: it decides the amounts,
+and the graph's writers move the flow and set the prices, keeping its memos
+and heaps in step.
 """
 
 from __future__ import annotations
@@ -18,13 +21,13 @@ from .state import DualState, Numerics, PrimalState, RunStats, Snapshot, make_st
 
 @dataclass
 class PushReport:
-    """Effects of one bulk push: amounts moved and every edge-set event."""
+    """The sinks whose in-flow one bulk push changed."""
 
-    moved: bool = False
-    start_surplus_cleared: bool = False
-    saturated_edges: list[int] = field(default_factory=list)
-    zeroed_edges: list[int] = field(default_factory=list)
     touched_sinks: set[int] = field(default_factory=set)
+
+    @property
+    def moved(self) -> bool:
+        return bool(self.touched_sinks)
 
 
 @dataclass(frozen=True)
@@ -100,43 +103,7 @@ def _geometric_sum(q, r: int | None, num: Numerics):
     return (one - q ** (r + 1)) / (one - q)
 
 
-def _apply_flow(
-    primal: PrimalState,
-    dual: DualState,
-    graph: DerivedGraph,
-    stats: RunStats,
-    report: PushReport,
-    e: int,
-    delta,
-    set_valuation: bool,
-) -> None:
-    num = primal.num
-    primal.add_flow(e, delta)
-    stats.bump("flow_updates")
-    spec = primal.instance.edges[e]
-    report.touched_sinks.add(spec.dst)
-    report.moved = True
-    if not num.is_pos(primal.flow[e]):
-        # exact pushes land on zero; float mode may leave dust
-        primal.flow[e] = num.value(0)
-        dual.valuation.pop(e, None)
-        report.zeroed_edges.append(e)
-        stats.bump("back_edge_zeroings")
-    elif set_valuation:
-        dual.valuation[e] = dual.beta[spec.dst]
-    if primal.edge_saturated(e) and delta > 0:
-        report.saturated_edges.append(e)
-        stats.bump("forward_saturations")
-    graph.note_flow_changed(e)
-
-
-def push_flow_path(
-    primal: PrimalState,
-    dual: DualState,
-    graph: DerivedGraph,
-    steps: list[tuple[str, int]],
-    stats: RunStats,
-) -> PushReport:
+def push_flow_path(graph: DerivedGraph, steps: list[tuple[str, int]]) -> PushReport:
     """Transfer the first source's surplus along alternating forward/back steps.
 
     The amount is clamped at every forward edge by its remaining capacity and
@@ -149,8 +116,8 @@ def push_flow_path(
     report = PushReport()
     if not steps:
         return report
-    num = primal.num
-    instance = primal.instance
+    primal, num, instance = graph.primal, graph.num, graph.instance
+    touched = report.touched_sinks
     start = instance.edges[steps[0][1]].src
     phi = primal.surplus[start]
     if not num.is_pos(phi):
@@ -171,9 +138,9 @@ def push_flow_path(
         if not num.is_pos(phi):
             phi = num.value(0)
             break
-        _apply_flow(primal, dual, graph, stats, report, fwd, phi, set_valuation=True)
+        touched.add(graph.move_flow(fwd, phi, revalue=True))
         phi = phi * fwd_spec.price / back_spec.price
-        _apply_flow(primal, dual, graph, stats, report, back, -phi, set_valuation=False)
+        touched.add(graph.move_flow(back, -phi, revalue=False))
         k += 2
 
     if k < len(steps) and num.is_pos(phi):
@@ -187,22 +154,18 @@ def push_flow_path(
         if budget_room < phi:
             phi = budget_room
         if num.is_pos(phi):
-            _apply_flow(primal, dual, graph, stats, report, e, phi, set_valuation=True)
+            touched.add(graph.move_flow(e, phi, revalue=True))
             if primal.sink_saturated(spec.dst):
                 primal.residual[spec.dst] = num.value(0)
 
     if not num.is_pos(primal.surplus[start]):
         primal.surplus[start] = num.value(0)
-        report.start_surplus_cleared = True
-        stats.bump("surplus_clears")
+        graph.stats.bump("surplus_clears")
     return report
 
 
 def cycle_geometry(
-    primal: PrimalState,
-    dual: DualState,
-    pairs: list[tuple[int, int]],
-    entry_surplus,
+    primal: PrimalState, pairs: list[tuple[int, int]], entry_surplus
 ) -> CycleGeometry:
     """One O(|C|) traversal computing every ratio and revolution limit."""
     num = primal.num
@@ -263,38 +226,20 @@ def cycle_geometry(
     )
 
 
-def apply_cycle_bulk(
-    primal: PrimalState,
-    dual: DualState,
-    graph: DerivedGraph,
-    geom: CycleGeometry,
-    stats: RunStats,
-    report: PushReport,
-) -> None:
+def apply_cycle_bulk(graph: DerivedGraph, geom: CycleGeometry, report: PushReport) -> None:
     """All admissible whole revolutions as one geometric-sum update per edge."""
-    num = primal.num
+    num = graph.num
     factor = _geometric_sum(geom.rho_cycle, geom.r_min, num)
     if not num.is_pos(factor):
         return
     s = geom.entry_surplus
+    touched = report.touched_sinks
     for z, (fwd, back) in enumerate(geom.pairs):
-        _apply_flow(
-            primal, dual, graph, stats, report, fwd,
-            s * geom.cum_before[z] * factor, set_valuation=True,
-        )
-        _apply_flow(
-            primal, dual, graph, stats, report, back,
-            -(s * geom.cum_through[z] * factor), set_valuation=False,
-        )
+        touched.add(graph.move_flow(fwd, s * geom.cum_before[z] * factor, revalue=True))
+        touched.add(graph.move_flow(back, -(s * geom.cum_through[z] * factor), revalue=False))
 
 
-def push_flow_cycle(
-    primal: PrimalState,
-    dual: DualState,
-    graph: DerivedGraph,
-    pairs: list[tuple[int, int]],
-    stats: RunStats,
-) -> PushReport:
+def push_flow_cycle(graph: DerivedGraph, pairs: list[tuple[int, int]]) -> PushReport:
     """Send the entry source's surplus around the cycle in closed form.
 
     All full revolutions up to the limit are applied as one bulk update per
@@ -305,14 +250,13 @@ def push_flow_cycle(
     forward edge saturated.
     """
     report = PushReport()
-    num = primal.num
-    instance = primal.instance
-    entry = instance.edges[pairs[0][0]].src
+    primal, num, stats = graph.primal, graph.num, graph.stats
+    entry = graph.instance.edges[pairs[0][0]].src
     s = primal.surplus[entry]
     if not num.is_pos(s):
         return report
-    geom = cycle_geometry(primal, dual, pairs, s)
-    apply_cycle_bulk(primal, dual, graph, geom, stats, report)
+    geom = cycle_geometry(primal, pairs, s)
+    apply_cycle_bulk(graph, geom, report)
     stats.bump("cycle_pushes")
 
     if geom.r_min is None:
@@ -320,7 +264,6 @@ def push_flow_cycle(
         if not num.is_pos(primal.surplus[entry]):
             primal.surplus[entry] = num.value(0)
         assert num.is_zero(primal.surplus[entry]), "converged cycle left surplus"
-        report.start_surplus_cleared = True
         stats.bump("surplus_clears")
         return report
 
@@ -329,11 +272,7 @@ def push_flow_cycle(
     for fwd, back in pairs:
         flat.append(("fwd", fwd))
         flat.append(("back", back))
-    extra = push_flow_path(primal, dual, graph, flat, stats)
-    report.touched_sinks |= extra.touched_sinks
-    report.saturated_edges += extra.saturated_edges
-    report.zeroed_edges += extra.zeroed_edges
-    report.moved = report.moved or extra.moved
+    report.touched_sinks |= push_flow_path(graph, flat).touched_sinks
 
     bind = None
     for z, (fwd, back) in enumerate(pairs):
@@ -343,66 +282,35 @@ def push_flow_cycle(
     assert bind is not None, "finite revolution limit but no edge reached capacity"
     relay = flat[: 2 * bind]
     if relay and num.is_pos(primal.surplus[entry]):
-        tail = push_flow_path(primal, dual, graph, relay, stats)
-        report.touched_sinks |= tail.touched_sinks
-        report.saturated_edges += tail.saturated_edges
-        report.zeroed_edges += tail.zeroed_edges
-        report.moved = report.moved or tail.moved
+        report.touched_sinks |= push_flow_path(graph, relay).touched_sinks
     if not num.is_pos(primal.surplus[entry]):
         primal.surplus[entry] = num.value(0)
-        report.start_surplus_cleared = True
         stats.bump("surplus_clears")
     return report
 
 
-def beta_update_pass(
-    primal: PrimalState,
-    dual: DualState,
-    graph: DerivedGraph,
-    stats: RunStats,
-    candidates=None,
-) -> list[int]:
+def beta_update_pass(graph: DerivedGraph, candidates=None) -> list[int]:
     """Raise the price of each saturated candidate sink with no back edge left.
 
-    A zero price initializes to epsilon * min(c/p) over the sink's profitable
-    in-edges; a positive one multiplies by (1+epsilon).  Saturated in-edges
-    whose signed slack turns negative become back edges implicitly (their
-    implicit edge dual has hit zero), which is what lets them unsaturate
-    later.  Ends by refreshing preferred edges and clearing two-cycles for
-    every affected source.  Returns the sinks whose price rose.
+    The new price is `DualState.next_beta`.  Saturated in-edges whose signed
+    slack turns negative become back edges implicitly (their implicit edge
+    dual has hit zero), which is what lets them unsaturate later.  Ends by
+    clearing two-cycles at every source with an edge into a risen sink.
+    Returns the sinks whose price rose.
     """
-    num = primal.num
-    instance = primal.instance
+    instance = graph.instance
     sinks = sorted(candidates) if candidates is not None else range(instance.m)
     risen = []
     for j in sinks:
-        if not primal.sink_saturated(j):
+        if not graph.primal.sink_saturated(j) or graph.back_edges(j):
             continue
-        if graph.back_edges(j):
-            continue
-        if num.is_zero(dual.beta[j]):
-            rates = [
-                Fraction(instance.edges[e].profit, instance.edges[e].price)
-                for e in instance.edges_of_sink(j)
-                if instance.edges[e].profit > 0
-            ]
-            if not rates:
-                continue
-            dual.raise_beta(j, dual.epsilon * num.value(min(rates)))
-            stats.bump("beta_inits")
-        else:
-            dual.raise_beta(j, dual.beta[j] * (1 + dual.epsilon))
-            stats.bump("beta_rises")
-            stats.beta_rises_per_sink[j] = stats.beta_rises_per_sink.get(j, 0) + 1
-        graph.note_beta_changed(j)
-        risen.append(j)
-    if risen:
-        affected = {
-            instance.edges[e].src for j in risen for e in instance.edges_of_sink(j)
-        }
-        for i in sorted(affected):
-            graph.ensure_fresh(i)
-            graph.fix_two_cycle(i)
+        value = graph.dual.next_beta(j)
+        if value is not None:
+            graph.raise_beta(j, value)
+            risen.append(j)
+    affected = {instance.edges[e].src for j in risen for e in instance.edges_of_sink(j)}
+    for i in sorted(affected):
+        graph.fix_two_cycle(i)
     return risen
 
 
@@ -504,39 +412,29 @@ def solve(
         cursor = (picked + 1) % instance.n
 
         path = graph.find_path(picked)
-        loop_edge = None
         if path.kind is PathKind.TYPE_III:
             prefix, pairs = path.split_cycle()
-            touched = push_flow_path(primal, dual, graph, prefix, stats).touched_sinks
-            entry = instance.edges[pairs[0][0]].src
-            if len(pairs) == 1 and pairs[0][0] == pairs[0][1]:
-                # degenerate loop through a single edge: a two-cycle end
-                loop_edge = pairs[0][0]
-            elif num.is_pos(primal.surplus[entry]):
-                touched |= push_flow_cycle(primal, dual, graph, pairs, stats).touched_sinks
+            touched = push_flow_path(graph, prefix).touched_sinks
+            if num.is_pos(primal.surplus[instance.edges[pairs[0][0]].src]):
+                touched |= push_flow_cycle(graph, pairs).touched_sinks
         elif path.kind is PathKind.TYPE_I:
-            touched = push_flow_path(primal, dual, graph, path.steps, stats).touched_sinks
+            touched = push_flow_path(graph, path.steps).touched_sinks
             if path.endpoint[0] == "src":
                 stats.bump("path_pushes_to_source")
             stats.bump("path_pushes")
         else:
             # two-cycle end or stall: flow moves only up to the final sink
-            touched = push_flow_path(primal, dual, graph, path.steps[:-1], stats).touched_sinks
+            touched = push_flow_path(graph, path.steps[:-1]).touched_sinks
             if path.kind is PathKind.TYPE_II:
-                loop_edge = path.two_cycle_edge
+                # re-assign the loop edge's flow at the current price
+                graph.promote(path.two_cycle_edge)
+                touched.add(instance.edges[path.two_cycle_edge].dst)
+                stats.bump("two_cycle_eliminations")
             else:
                 touched.add(path.stalled_sink)
                 stats.bump("stalls")
-        if loop_edge is not None:
-            # two-cycle end: re-assign the loop edge's flow at the current price
-            j = instance.edges[loop_edge].dst
-            if loop_edge in dual.valuation:
-                dual.valuation[loop_edge] = dual.beta[j]
-            touched.add(j)
-            stats.bump("two_cycle_eliminations")
-            graph.note_flow_changed(loop_edge)
 
-        beta_update_pass(primal, dual, graph, stats, candidates=touched)
+        beta_update_pass(graph, candidates=touched)
         if on_iteration is not None:
             on_iteration(Snapshot.of(primal, dual, stats.get("phases")))
     return certified_solution(config, primal, dual, stats, terminated)

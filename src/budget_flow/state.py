@@ -142,6 +142,22 @@ class DualState:
         self.beta_companion = [num.value(0) for _ in range(instance.m)]
         self.valuation: dict[int, Fraction | float] = {}
 
+    def next_beta(self, j: int):
+        """Sink j's next price, or None while no in-edge is profitable.
+
+        A zero price starts at epsilon * min(c/p) over the profitable
+        in-edges; a positive one rises by the factor (1 + epsilon).
+        """
+        if not self.num.is_zero(self.beta[j]):
+            return self.beta[j] * (1 + self.epsilon)
+        edges = self.instance.edges
+        rates = [
+            Fraction(edges[e].profit, edges[e].price)
+            for e in self.instance.edges_of_sink(j)
+            if edges[e].profit > 0
+        ]
+        return self.epsilon * self.num.value(min(rates)) if rates else None
+
     def raise_beta(self, j: int, new_value) -> None:
         self.beta_companion[j] = self.beta[j]
         self.beta[j] = new_value

@@ -31,7 +31,6 @@ from budget_flow.reductions import (
 )
 from budget_flow.solver import (
     PushReport,
-    RunStats,
     apply_cycle_bulk,
     cycle_geometry,
     solve,
@@ -87,6 +86,26 @@ def test_criterion_1_approximation_guarantee():
             )
             checked += 1
     verdict(1, "approximation guarantee", True, f"({checked} instances)")
+
+
+def test_criterion_1_at_ten_by_ten():
+    """The same guarantee on 10x10 instances at density 0.6, about 60 edges
+    each, far past the 12-edge stream above."""
+    eps = Fraction(1, 8)
+    checked = 0
+    for seed in range(8):
+        capacitated = seed >= 4
+        inst = generate(seed=seed, n=10, m=10, density=0.6,
+                        u_range=(1, 6) if capacitated else None)
+        sol = solve(inst, SolverConfig(epsilon=eps))
+        assert sol.terminated
+        opt, _ = exact_opt(inst)
+        assert sol.primal_value >= (1 - eps) * opt, (
+            f"kind={'bts' if capacitated else 'btp'} seed={seed}: "
+            f"{sol.primal_value} < (1-eps)*{opt}"
+        )
+        checked += 1
+    verdict(1, "approximation guarantee at 10x10", True, f"({checked} instances)")
 
 
 def test_criterion_2_self_certification():
@@ -261,7 +280,7 @@ def test_criterion_5_cycle_push_equivalence():
         inst, primal, dual, graph, stats, pairs = build_cycle_state(
             prices_fwd, prices_back, back_flows, surplus
         )
-        geom = cycle_geometry(primal, dual, pairs, surplus)
+        geom = cycle_geometry(primal, pairs, surplus)
         # pin one back edge so the revolution limit is at most the target
         target = rng.randint(0, 16)
         z = rng.randrange(k)
@@ -272,7 +291,7 @@ def test_criterion_5_cycle_push_equivalence():
         )
         slop = per_rev * geom.rho_cycle ** (target + 1) * Fraction(rng.randint(0, 3), 4)
         primal.flow[pairs[z][1]] = partial + slop
-        geom = cycle_geometry(primal, dual, pairs, surplus)
+        geom = cycle_geometry(primal, pairs, surplus)
         assert geom.r_min is not None and geom.r_min <= target
         if geom.r_min < 0:
             trials += 1
@@ -280,7 +299,7 @@ def test_criterion_5_cycle_push_equivalence():
         expected, _ = simulate_revolutions(
             inst, primal.flow, pairs, surplus, geom.r_min + 1
         )
-        apply_cycle_bulk(primal, dual, graph, geom, RunStats(), PushReport())
+        apply_cycle_bulk(graph, geom, PushReport())
         assert primal.flow == expected
         trials += 1
     verdict(5, "cycle-push oracle equivalence", True, f"({trials} trials)")

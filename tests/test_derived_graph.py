@@ -230,6 +230,10 @@ def test_back_edge_reenters_only_after_price_rise(monkeypatch):
                 self.record(self.instance.edges[self.preferred[i]].dst)
             return promoted
 
+        def promote(self, e):
+            super().promote(e)
+            self.record(self.instance.edges[e].dst)
+
     monkeypatch.setattr(solver_mod, "DerivedGraph", TransitionGraph)
     zeroings = 0
     for seed in (3, 8, 15, 33, 41):
@@ -286,3 +290,33 @@ def test_back_set_memo_matches_fresh_scan_after_every_phase(monkeypatch, mode):
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
         assert solver_mod.solve(inst, config, on_iteration=check_memos).terminated
     assert sum(checked) > 0  # the memo was populated and checked
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_two_cycle_ends_are_type_ii(monkeypatch, mode):
+    # a walk that goes back over an edge and then forward over it again ends
+    # as a two-cycle; it never reaches solve() as a one-pair cycle (e, e)
+    ends: list[bool] = []
+
+    class WalkGraph(DerivedGraph):
+        def find_path(self, start):
+            path = super().find_path(start)
+            if path.kind is PathKind.TYPE_III:
+                _, pairs = path.split_cycle()
+                assert all(fwd != back for fwd, back in pairs), path.steps
+            elif path.kind is PathKind.TYPE_II:
+                e = path.two_cycle_edge
+                ends.append(path.steps[-2:] == [("back", e), ("fwd", e)])
+            return path
+
+    monkeypatch.setattr(solver_mod, "DerivedGraph", WalkGraph)
+    for seed in range(8):
+        try:
+            inst = generate(seed=seed, n=3 + seed % 4, m=3 + seed % 3, density=0.8,
+                            u_range=(1, 6) if seed % 2 else None)
+        except ValueError:
+            continue
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+        assert solver_mod.solve(inst, config).terminated
+    assert ends, "no two-cycle end was seen"
+    assert any(ends), "no walk went back and forth over one edge"

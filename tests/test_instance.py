@@ -49,6 +49,30 @@ def test_validate_dangling_and_nonpositive():
     assert any("non-positive supply" in v for v in report.violations)
 
 
+def test_validate_lists_every_fault_in_order():
+    inst = ProblemInstance(
+        kind=Kind.BTP,
+        supply=(5, 0),
+        budget=(10,),
+        edges=(
+            EdgeSpec(0, 0, 3, 2),
+            EdgeSpec(2, 0, -1, 0),
+            EdgeSpec(1, 1, 4, 1, capacity=0),
+            EdgeSpec(0, 0, 1, 1),
+        ),
+    )
+    assert validate(inst).violations == (
+        "non-positive supply at source 2",
+        "edge 2 (3,1): dangling source index",
+        "edge 2 (3,1): zero price",
+        "edge 2 (3,1): negative profit",
+        "edge 3 (2,2): dangling sink index",
+        "edge 3 (2,2): non-positive capacity",
+        "edge 3 (2,2): capacity on a btp instance",
+        "edge 4 (1,1): duplicate edge",
+    )
+
+
 def test_parse_minimal():
     text = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
     inst = parse(text)

@@ -4,12 +4,13 @@ from itertools import combinations
 
 import pytest
 
-from budget_flow.instance import SolverConfig, generate
+from budget_flow.instance import SolverConfig, check_valid, generate
 from budget_flow.oracle import (
+    ORACLE_EDGE_LIMIT,
     OracleSizeError,
+    _lp_rows,
     approx_factor,
     exact_opt,
-    exact_opt_enumerated,
     simplex_max,
     solve_equality_lp,
 )
@@ -41,10 +42,69 @@ def test_capacity_changes_optimum():
 
 
 def test_size_guard():
-    inst = generate(seed=1, n=4, m=4, density=1.0)
-    assert len(inst.edges) == 16
+    inst = generate(seed=1, n=11, m=11, density=1.0)
+    assert len(inst.edges) == 121 > ORACLE_EDGE_LIMIT
     with pytest.raises(OracleSizeError):
         exact_opt(inst)
+
+
+def exact_opt_enumerated(instance):
+    """Optimum by enumerating active constraint sets; tiny instances only.
+
+    Every vertex of {x >= 0 : Ax <= b} makes |E| chosen constraints (rows or
+    nonnegativity bounds) tight with a unique solution; the best feasible one
+    is the optimum.  Cost grows as C(#rows+|E|, |E|), so this is the
+    test reference for the simplex, not a production path.
+    """
+    check_valid(instance)
+    ne = len(instance.edges)
+    rows, rhs = _lp_rows(instance)
+    for e in range(ne):  # nonnegativity as explicit rows -x_e <= 0
+        row = [Fraction(0)] * ne
+        row[e] = Fraction(-1)
+        rows.append(row)
+        rhs.append(Fraction(0))
+    total = len(rows)
+    if total > 24 or ne > 6:
+        raise OracleSizeError("instance too large for active-set enumeration")
+    costs = [Fraction(spec.profit) for spec in instance.edges]
+    best = None
+    for active in combinations(range(total), ne):
+        system = [rows[r] for r in active]
+        target = [rhs[r] for r in active]
+        x = solve_square(system, target)
+        if x is None:
+            continue
+        if any(v < 0 for v in x):
+            continue
+        if any(
+            sum((a * v for a, v in zip(row, x)), start=Fraction(0)) > cap
+            for row, cap in zip(rows, rhs)
+        ):
+            continue
+        value = sum((c * v for c, v in zip(costs, x)), start=Fraction(0))
+        if best is None or value > best:
+            best = value
+    assert best is not None, "origin is always feasible"
+    return best
+
+
+def solve_square(rows, rhs):
+    """Solve a square rational system; None if singular."""
+    size = len(rows)
+    aug = [list(r) + [v] for r, v in zip(rows, rhs)]
+    for col in range(size):
+        pivot = next((r for r in range(col, size) if aug[r][col] != 0), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        head = aug[col][col]
+        aug[col] = [v / head for v in aug[col]]
+        for r in range(size):
+            if r != col and aug[r][col] != 0:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [aug[r][size] for r in range(size)]
 
 
 def test_simplex_agrees_with_enumeration():

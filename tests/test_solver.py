@@ -38,10 +38,10 @@ def path_state(instance, config=EPS4):
 def test_push_single_forward_edge():
     inst = btp([4], [6], [(0, 0, 5, 1)])
     primal, dual, graph, stats = path_state(inst)
-    report = push_flow_path(primal, dual, graph, [("fwd", 0)], stats)
+    report = push_flow_path(graph, [("fwd", 0)])
     assert primal.flow[0] == 4
     assert primal.surplus[0] == 0
-    assert report.start_surplus_cleared
+    assert report.moved and report.touched_sinks == {0}
 
 
 def test_push_path_rescales_across_back_edge():
@@ -55,7 +55,7 @@ def test_push_path_rescales_across_back_edge():
     primal.add_flow(1, Fraction(3))
     dual.valuation[1] = Fraction(0)
     steps = [("fwd", 0), ("back", 1), ("fwd", 2)]
-    push_flow_path(primal, dual, graph, steps, stats)
+    push_flow_path(graph, steps)
     assert primal.flow[0] == 4
     assert primal.flow[1] == 1
     assert primal.flow[2] == 2
@@ -72,19 +72,18 @@ def test_push_path_forward_cap_strands_surplus():
     primal.add_flow(1, Fraction(3))
     dual.valuation[1] = Fraction(0)
     steps = [("fwd", 0), ("back", 1), ("fwd", 2)]
-    report = push_flow_path(primal, dual, graph, steps, stats)
+    push_flow_path(graph, steps)
     assert primal.flow[0] == 1  # clamped at capacity
     assert primal.surplus[0] == 3
     assert primal.flow[1] == Fraction(5, 2)
     assert primal.flow[2] == Fraction(1, 2)
-    assert 0 in report.saturated_edges
-    assert not report.start_surplus_cleared
+    assert primal.edge_saturated(0)
 
 
 def test_push_path_budget_clamp_on_final_sink():
     inst = btp([4], [6], [(0, 0, 5, 2)])
     primal, dual, graph, stats = path_state(inst)
-    push_flow_path(primal, dual, graph, [("fwd", 0)], stats)
+    push_flow_path(graph, [("fwd", 0)])
     assert primal.flow[0] == 3  # 6/2, not the full surplus
     assert primal.surplus[0] == 1
     assert primal.sink_saturated(0)
@@ -120,7 +119,7 @@ def test_push_path_keeps_intermediate_sinks_tight():
             )
             for j in range(k)
         ]
-        push_flow_path(primal, dual, graph, flat, stats)
+        push_flow_path(graph, flat)
         for j in range(k - 1):  # every pass-through sink is price-neutral
             now = sum(
                 inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j)
@@ -198,7 +197,7 @@ def test_cycle_geometry_ratios_and_limits():
     inst, primal, dual, graph, stats, pairs = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
     )
-    geom = cycle_geometry(primal, dual, pairs, primal.surplus[0])
+    geom = cycle_geometry(primal, pairs, primal.surplus[0])
     assert list(geom.ratio) == [Fraction(1, 2), Fraction(1)]
     assert geom.rho_cycle == Fraction(1, 2)
     assert geom.cum_before == (Fraction(1), Fraction(1, 2))
@@ -211,7 +210,7 @@ def test_cycle_geometry_rejects_nonsimple():
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
     )
     with pytest.raises(ValueError):
-        cycle_geometry(primal, dual, pairs + pairs, primal.surplus[0])
+        cycle_geometry(primal, pairs + pairs, primal.surplus[0])
 
 
 # -- push_flow_cycle ---------------------------------------------------------
@@ -225,8 +224,7 @@ def test_cycle_push_drains_surplus_when_nothing_binds():
         sum(inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j))
         for j in range(2)
     ]
-    report = push_flow_cycle(primal, dual, graph, pairs, stats)
-    assert report.start_surplus_cleared
+    push_flow_cycle(graph, pairs)
     assert primal.surplus[0] == 0
     assert primal.flow[pairs[0][0]] == 8  # 4 / (1 - 1/2)
     for j in range(2):  # budgets unchanged at every sink on the cycle
@@ -238,11 +236,11 @@ def test_cycle_push_zeroes_limiting_back_edge():
     inst, primal, dual, graph, stats, pairs = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[Fraction(5, 2), 100], surplus=4
     )
-    geom = cycle_geometry(primal, dual, pairs, primal.surplus[0])
+    geom = cycle_geometry(primal, pairs, primal.surplus[0])
     assert geom.r_min == 0
-    report = push_flow_cycle(primal, dual, graph, pairs, stats)
+    push_flow_cycle(graph, pairs)
     assert primal.flow[pairs[0][1]] == 0
-    assert pairs[0][1] in report.zeroed_edges
+    assert pairs[0][1] not in dual.valuation
     # the final clamped revolution returns 1/2 past the zeroed edge, so the
     # 4*(1/2) bulk remainder net of one clamped unit lands back at the entry
     assert primal.surplus[0] == Fraction(3, 2)
@@ -252,12 +250,12 @@ def test_cycle_push_unit_ratio_linear_limit():
     inst, primal, dual, graph, stats, pairs = build_cycle_state(
         prices_fwd=[2, 3], prices_back=[3, 2], back_flows=[100, Fraction(5, 2)], surplus=1
     )
-    geom = cycle_geometry(primal, dual, pairs, primal.surplus[0])
+    geom = cycle_geometry(primal, pairs, primal.surplus[0])
     assert geom.rho_cycle == 1
     # through back edge 1 each revolution carries 2/3*3/2 = 1; cap 5/2 -> r=1
     assert geom.limit_back[1] == 1
     assert geom.r_min == 1
-    push_flow_cycle(primal, dual, graph, pairs, stats)
+    push_flow_cycle(graph, pairs)
     assert primal.flow[pairs[1][1]] == 0
 
 
@@ -267,16 +265,15 @@ def test_cycle_bulk_matches_revolution_simulation():
     for _ in range(1200):
         inst, primal, dual, graph, stats, pairs = random_simple_cycle(rng)
         s = primal.surplus[0]
-        geom = cycle_geometry(primal, dual, pairs, s)
+        geom = cycle_geometry(primal, pairs, s)
         if geom.r_min is None or geom.r_min > 16 or geom.r_min < 0:
             continue
         expected, _ = simulate_revolutions(
             inst, primal.flow, pairs, s, geom.r_min + 1
         )
-        report_sink = RunStats()
         from budget_flow.solver import PushReport
 
-        apply_cycle_bulk(primal, dual, graph, geom, report_sink, PushReport())
+        apply_cycle_bulk(graph, geom, PushReport())
         assert primal.flow == expected
         compared += 1
     assert compared >= 100
@@ -286,7 +283,7 @@ def test_cycle_push_postcondition():
     rng = random.Random(7)
     for _ in range(200):
         inst, primal, dual, graph, stats, pairs = random_simple_cycle(rng)
-        report = push_flow_cycle(primal, dual, graph, pairs, stats)
+        push_flow_cycle(graph, pairs)
         cleared = primal.surplus[0] == 0
         zeroed = any(primal.flow[b] == 0 for _, b in pairs)
         saturated = any(primal.edge_saturated(f) for f, _ in pairs)
@@ -451,8 +448,8 @@ def test_beta_update_pass_full_scan_initializes_saturated_sink():
     primal.add_flow(0, Fraction(4))
     dual.valuation[0] = Fraction(0)
     graph.note_flow_changed(0)
-    risen = beta_update_pass(primal, dual, graph, stats)  # no candidate filter
+    risen = beta_update_pass(graph)  # no candidate filter
     assert risen == [0]
     assert dual.beta[0] == Fraction(3, 4)  # eps * min(c/p) with eps = 1/4
     # second pass stalls: the in-flow is now one level down, a back edge
-    assert beta_update_pass(primal, dual, graph, stats) == []
+    assert beta_update_pass(graph) == []
