@@ -7,7 +7,6 @@ Exit codes: 0 success / certificate passed, 1 verification failure,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from fractions import Fraction
@@ -309,17 +308,18 @@ def cmd_bench(args) -> int:
                 solution = solve(inst, config)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 rises = solution.stats.get("beta_rises")
+                ops = solution.stats.operations()
                 try:
-                    bound = diagnostics(inst, eps).beta_rise_bound
-                except ValueError:
-                    bound = 0
+                    diag = diagnostics(inst, eps)
+                except ValueError:  # no profitable edge: no price rises, nothing to charge
+                    bound, per_rise_ok = 0, True
+                else:
+                    bound = diag.beta_rise_bound
+                    per_rise_ok = ops <= diag.ops_per_rise_allowance * max(1, rises)
                 if rises > bound:
                     raise AssertionError(
                         f"{name}: beta rises {rises} exceed bound {bound}"
                     )
-                ops = solution.stats.operations()
-                allowance = 4 * (inst.n**2 + inst.n * math.log2(max(2, inst.m)))
-                per_rise_ok = ops <= allowance * max(1, rises)
                 gap = solution.certificate.gap_ratio
                 ok = solution.certificate.passed
                 failures += 0 if ok else 1

@@ -14,8 +14,12 @@ saturated edge into j going from clean to dirty (that edge's slack reads
 the source's alpha).  A hit thus equals a fresh scan, side effects included.
 Heap entries carry their sink's price level, which a price change bumps;
 beta only rises, so an entry is stale iff its edge is saturated or its level
-is old.  `note_flow_changed` and `note_beta_changed` are the hooks the
-writers share; code that edits the state directly, as tests do, calls them.
+is old.  An entry is `(-float(key), -key, dst, e, key, level)`: float() of a
+Fraction is correctly rounded and so monotone, hence the float decides every
+comparison it can and the exact `-key` only breaks float ties.  The order is
+exactly the exact `(-key, dst, e)` order, at float cost in the common case.
+`note_flow_changed` and `note_beta_changed` are the hooks the writers share;
+code that edits the state directly, as tests do, calls them.
 """
 
 from __future__ import annotations
@@ -105,7 +109,8 @@ class DerivedGraph:
     def _push_entry(self, e: int) -> None:
         spec = self.instance.edges[e]
         key = self.dual.effective_profit(e)
-        heapq.heappush(self._heaps[spec.src], (-key, spec.dst, e, key, self._level[spec.dst]))
+        entry = (-float(key), -key, spec.dst, e, key, self._level[spec.dst])
+        heapq.heappush(self._heaps[spec.src], entry)
         self.stats.bump("heap_updates")
 
     def _mark_dirty(self, i: int) -> None:
@@ -193,7 +198,7 @@ class DerivedGraph:
         heap = self._heaps[i]
         zero = self.num.value(0)
         while heap:
-            neg_key, dst, e, key, level = heap[0]
+            _, _, dst, e, key, level = heap[0]
             if self._saturated[e] or level != self._level[dst]:
                 heapq.heappop(heap)
                 self.stats.bump("heap_updates")
@@ -249,6 +254,9 @@ class DerivedGraph:
         e = self.preferred[i]
         if e is None or not self.num.is_pos(self.dual.alpha[i]):
             # only live bidders re-assign at the current price level
+            return False
+        if e not in self.dual.valuation:
+            # a back edge carries flow, so an edge without a valuation is none
             return False
         j = self.instance.edges[e].dst
         back = self.back_edges(j)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -124,11 +125,13 @@ class InstanceDiagnostics:
 
     U = max(c/p) / (epsilon * min over profitable edges of (c/p)); the solver's
     per-sink price can rise multiplicatively at most ceil(log_{1+eps} U) times,
-    so beta_rise_bound = m * ceil(log_{1+eps} U).
+    so beta_rise_bound = m * ceil(log_{1+eps} U).  Each rise may pay for
+    ops_per_rise_allowance = 4(n^2 + n log2 max(2, m)) solver operations.
     """
 
     U: Fraction
     beta_rise_bound: int
+    ops_per_rise_allowance: float
 
 
 def validate(instance: ProblemInstance) -> ValidationReport:
@@ -423,7 +426,7 @@ def generate(
 
 
 def diagnostics(instance: ProblemInstance, epsilon: Fraction) -> InstanceDiagnostics:
-    """Compute the spread U and beta_rise_bound; needs one profitable edge."""
+    """Compute the spread U and the rise and per-rise bounds; needs one profitable edge."""
     epsilon = Fraction(epsilon)
     rates = [
         Fraction(spec.profit, spec.price) for spec in instance.edges if spec.profit > 0
@@ -431,9 +434,11 @@ def diagnostics(instance: ProblemInstance, epsilon: Fraction) -> InstanceDiagnos
     if not rates:
         raise ValueError("U undefined: every edge has zero profit")
     u_value = max(rates) / (epsilon * min(rates))
+    n = instance.n
     return InstanceDiagnostics(
         U=u_value,
         beta_rise_bound=instance.m * ceil_log(u_value, 1 + epsilon),
+        ops_per_rise_allowance=4 * (n**2 + n * math.log2(max(2, instance.m))),
     )
 
 

@@ -317,17 +317,10 @@ def gflow_to_btp(g: GenFlowInstance) -> tuple[MincostBtpInstance, GFlowMapper]:
     issues = validate_gflow(g)
     if issues:
         raise InstanceValidationError(issues)
-    supply = []
-    for node in range(g.num_nodes):
-        if node == g.sink:
-            supply.append(Fraction(g.demand))
-        else:
-            supply.append(
-                sum(
-                    (arc.capacity for arc in g.arcs if arc.tail == node),
-                    start=Fraction(0),
-                )
-            )
+    supply = [Fraction(0)] * g.num_nodes
+    for arc in g.arcs:
+        supply[arc.tail] += arc.capacity
+    supply[g.sink] = Fraction(g.demand)
     budget = [Fraction(arc.capacity) for arc in g.arcs]
     edges: list[MincostEdge] = []
     tail_edge, head_edge = [], []

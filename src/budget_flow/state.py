@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -33,29 +34,39 @@ class RunStats:
 
 
 class Numerics:
-    """Comparison policy: exact Fractions (tol 0) or float64 with tolerance."""
+    """Comparison policy: exact Fractions (tol 0) or float64 with tolerance.
+
+    The methods below are the float rules.  Exact mode binds its rules once,
+    at construction: plain operators, and sign tests that read the numerator,
+    which carries the sign because a Fraction's denominator is always positive
+    and an int is its own numerator.
+    """
 
     def __init__(self, exact: bool = True, tol: float = 0.0):
         self.exact = exact
         self.tol = Fraction(0) if exact else tol
+        if exact:
+            self.value = Fraction
+            self.eq, self.le, self.lt = operator.eq, operator.le, operator.lt
+            self.is_zero, self.is_pos = _numerator_is_zero, _numerator_is_pos
 
     def value(self, x) -> Fraction | float:
-        return Fraction(x) if self.exact else float(x)
+        return float(x)
 
     def eq(self, a, b) -> bool:
-        return a == b if self.exact else abs(a - b) <= self.tol
+        return abs(a - b) <= self.tol
 
     def le(self, a, b) -> bool:
-        return a <= b if self.exact else a - b <= self.tol
+        return a - b <= self.tol
 
     def lt(self, a, b) -> bool:
-        return a < b if self.exact else b - a > self.tol
+        return b - a > self.tol
 
     def is_zero(self, a) -> bool:
-        return a == 0 if self.exact else abs(a) <= self.tol
+        return abs(a) <= self.tol
 
     def is_pos(self, a) -> bool:
-        return a > 0 if self.exact else a > self.tol
+        return a > self.tol
 
     @staticmethod
     def for_config(config: SolverConfig) -> "Numerics":
@@ -90,7 +101,7 @@ class PrimalState:
 
     def edge_saturated(self, e: int) -> bool:
         cap = self.instance.edges[e].capacity
-        return cap is not None and self.num.eq(self.flow[e], self.num.value(cap))
+        return cap is not None and self.num.eq(self.flow[e], cap)
 
     def forward_residual(self, e: int):
         """Remaining edge capacity; None means unbounded."""
@@ -165,6 +176,14 @@ class DualState:
     def effective_profit(self, e: int):
         spec = self.instance.edges[e]
         return spec.profit - spec.price * self.beta[spec.dst]
+
+
+def _numerator_is_zero(a) -> bool:
+    return a.numerator == 0
+
+
+def _numerator_is_pos(a) -> bool:
+    return a.numerator > 0
 
 
 def make_states(

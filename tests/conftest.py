@@ -21,7 +21,7 @@ def pytest_configure(config):
     are collected; give it a temporary home so the suite writes nothing there."""
     try:
         from hypothesis.configuration import set_hypothesis_home_dir
-    except ImportError:  # without hypothesis only tests/test_formats.py fails
+    except ImportError:  # without hypothesis only the property-test modules fail
         return
     home = tempfile.mkdtemp(prefix="hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))

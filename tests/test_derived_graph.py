@@ -35,6 +35,19 @@ def test_rebuild_preferred_tie_breaks_to_lowest_sink():
     assert inst.edges[e].dst == 1
 
 
+def test_rebuild_preferred_exact_key_breaks_float_ties():
+    # keys 1 (sink 0) and 2 - (10**20 - 1)/10**20 = 1 + 10**-20 (sink 1): one float
+    inst = btp([5], [100, 100], [(0, 0, 1, 1), (0, 1, 2, 10**20 - 1)])
+    primal, dual, graph = fresh_graph(inst)
+    graph.raise_beta(1, Fraction(1, 10**20))
+    keys = [dual.effective_profit(e) for e in range(2)]
+    assert keys[1] > keys[0] and float(keys[1]) == float(keys[0])
+    graph.ensure_fresh(0)
+    # the float tie must not fall through to the sink index, which favours sink 0
+    assert graph.preferred[0] == 1
+    assert dual.alpha[0] == keys[1]
+
+
 def test_rebuild_preferred_none_when_all_saturated():
     inst = bts([5], [100], [(0, 0, 4, 1, 2)])
     primal, dual, graph = fresh_graph(inst)

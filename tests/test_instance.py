@@ -139,6 +139,8 @@ def test_diagnostics_single_edge():
     inst = btp([5], [10], [(0, 0, 3, 2)])
     diag = diagnostics(inst, Fraction(1, 2))
     assert diag.U == 2
+    # m = 1 counts as 2 in the log: 4 * (1 + 1 * log2 2)
+    assert diag.ops_per_rise_allowance == 8
 
 
 def test_diagnostics_spread():
@@ -147,6 +149,7 @@ def test_diagnostics_spread():
     assert diag.U == 4
     assert diag.beta_rise_bound == 2 * ceil_log(Fraction(4), Fraction(2))
     assert diag.beta_rise_bound == 4
+    assert diag.ops_per_rise_allowance == 4 * (2**2 + 2 * 1)
 
 
 def test_diagnostics_all_zero_profit_errors():

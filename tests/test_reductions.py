@@ -316,6 +316,28 @@ def test_random_flows_round_trip_and_preserve_cost():
         done += 1
 
 
+def test_gflow_supplies_follow_the_per_node_definition():
+    """One pass over the arcs gives every node the capacity leaving it; the
+    sink gets the demand and an arc-less node zero, as summing per node does."""
+    rng = random.Random(29)
+    arcless = 0
+    for _ in range(80):
+        g, _ = random_feasible_gflow(rng)
+        reduced, _ = gflow_to_btp(g)
+        expected = [
+            g.demand if node == g.sink
+            else sum((arc.capacity for arc in g.arcs if arc.tail == node), start=Fraction(0))
+            for node in range(g.num_nodes)
+        ]
+        assert list(reduced.supply) == expected
+        assert all(type(a) is Fraction for a in reduced.supply)
+        arcless += sum(
+            all(node not in (arc.tail, arc.head) for arc in g.arcs)
+            for node in range(g.num_nodes)
+        )
+    assert arcless > 0
+
+
 def test_map_forward_rejects_infeasible():
     g = single_arc_gflow()
     _, mapper = gflow_to_btp(g)
