@@ -49,18 +49,17 @@ def initialize(
 def update_beta(j: int, primal: PrimalState, dual: DualState, stats: RunStats | None = None) -> str:
     """Raise sink j's price if no flow remains at the lower level.
 
-    Call sites guarantee j is saturated.  A zero price takes its first value
-    from `DualState.next_beta`; a positive one rises exactly when every
+    Call sites guarantee j is saturated.  A sink at level 0 takes its first
+    price from `DualState.next_beta`; a priced one rises exactly when every
     positive-flow in-edge sits at the top level.  Returns "init", "rise", or
     "none".
     """
-    num = dual.num
-    rising = not num.is_zero(dual.beta[j])
+    rising = dual.level[j] > 0
     if rising:
         flows_at_top = [
-            num.eq(dual.valuation[e], dual.beta[j])
+            dual.valuation[e] == dual.level[j]
             for e in primal.instance.edges_of_sink(j)
-            if num.is_pos(primal.flow[e])
+            if dual.num.is_pos(primal.flow[e])
         ]
         if not (flows_at_top and all(flows_at_top)):
             return "none"
@@ -92,7 +91,7 @@ def _demote(i: int, primal: PrimalState, dual: DualState) -> None:
     # Holding flow at the top level would let beta rise past this source's reach.
     for e in primal.instance.edges_of_source(i):
         if e in dual.valuation:
-            dual.valuation[e] = dual.beta_companion[primal.instance.edges[e].dst]
+            dual.valuation[e] = dual.level[primal.instance.edges[e].dst] - 1
 
 
 def _retire(i: int, primal: PrimalState, dual: DualState, stats: RunStats) -> StepOutcome:
@@ -125,7 +124,7 @@ def auction_step(
         lower = [
             e
             for e in instance.edges_of_sink(j)
-            if num.is_pos(primal.flow[e]) and not num.eq(dual.valuation[e], dual.beta[j])
+            if num.is_pos(primal.flow[e]) and dual.valuation[e] != dual.level[j]
         ]
         assert lower, "saturated sink with no displaceable flow"
         displaced_e = min(lower, key=lambda e: instance.edges[e].src)
@@ -137,7 +136,7 @@ def auction_step(
                 primal.flow[displaced_e] * d_spec.price / spec.price,
             )
             primal.add_flow(best_e, x)
-            dual.valuation[best_e] = dual.beta[j]
+            dual.valuation[best_e] = dual.level[j]
             primal.add_flow(displaced_e, -(x * spec.price / d_spec.price))
             if not num.is_pos(primal.flow[displaced_e]):
                 primal.flow[displaced_e] = num.value(0)
@@ -145,14 +144,14 @@ def auction_step(
             outcome = StepOutcome(kind="replace", sink=j, displaced=i_prime, amount=x)
             stats.bump("replacements")
         else:
-            dual.valuation[best_e] = dual.beta[j]
+            dual.valuation[best_e] = dual.level[j]
             outcome = StepOutcome(kind="promote", sink=j)
             stats.bump("self_promotes")
         update_beta(j, primal, dual, stats)
     else:
         x = min(primal.surplus[i], primal.residual[j] / spec.price)
         primal.add_flow(best_e, x)
-        dual.valuation[best_e] = dual.beta[j]
+        dual.valuation[best_e] = dual.level[j]
         outcome = StepOutcome(kind="push", sink=j, amount=x)
         stats.bump("pushes")
         if primal.sink_saturated(j):

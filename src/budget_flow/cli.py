@@ -14,6 +14,7 @@ from fractions import Fraction
 from . import basic_auction, oracle, reductions
 from .certify import certify, fmt, reconstruct_gamma
 from .instance import (
+    EmptySample,
     InstanceFormatError,
     Kind,
     ProblemInstance,
@@ -281,7 +282,7 @@ def cmd_bench(args) -> int:
                     seed=seed, n=n, m=m, density=density,
                     u_range=(1, 8) if kind == "bts" else None,
                 )
-            except ValueError:
+            except EmptySample:
                 seed += 1
                 continue
             instances.append((f"gen:{seed}", inst))

@@ -12,14 +12,15 @@ events: a flow move on an in-edge of j (flow, saturation, valuation), a
 promotion of an in-edge of j, a price change at j, and a source with a
 saturated edge into j going from clean to dirty (that edge's slack reads
 the source's alpha).  A hit thus equals a fresh scan, side effects included.
-Heap entries carry their sink's price level, which a price change bumps;
-beta only rises, so an entry is stale iff its edge is saturated or its level
-is old.  An entry is `(-float(key), -key, dst, e, key, level)`: float() of a
-Fraction is correctly rounded and so monotone, hence the float decides every
+Heap entries are stamped with their sink's `dual.level`, which `raise_beta`,
+the only price writer, bumps along with beta; beta only rises with the
+level, so an entry is stale iff its edge is saturated or its stamp is old.
+An entry is `(-float(key), -key, dst, e, key, level)`: float() of a Fraction
+is correctly rounded and so monotone, hence the float decides every
 comparison it can and the exact `-key` only breaks float ties.  The order is
 exactly the exact `(-key, dst, e)` order, at float cost in the common case.
-`note_flow_changed` and `note_beta_changed` are the hooks the writers share;
-code that edits the state directly, as tests do, calls them.
+`note_flow_changed` is the one remaining hook: the flow writers share it,
+and code that edits flows directly, as tests do, calls it.
 """
 
 from __future__ import annotations
@@ -95,7 +96,6 @@ class DerivedGraph:
         self._heaps: list[list] = [[] for _ in range(instance.n)]
         self._saturated = [primal.edge_saturated(e) for e in range(len(instance.edges))]
         self._dirty: set[int] = set(range(instance.n))
-        self._level = [0] * instance.m
         self._back: dict[int, tuple[int, ...]] = {}
         for e, spec in enumerate(instance.edges):
             if not self._saturated[e]:
@@ -109,7 +109,7 @@ class DerivedGraph:
     def _push_entry(self, e: int) -> None:
         spec = self.instance.edges[e]
         key = self.dual.effective_profit(e)
-        entry = (-float(key), -key, spec.dst, e, key, self._level[spec.dst])
+        entry = (-float(key), -key, spec.dst, e, key, self.dual.level[spec.dst])
         heapq.heappush(self._heaps[spec.src], entry)
         self.stats.bump("heap_updates")
 
@@ -119,15 +119,6 @@ class DerivedGraph:
             for e in self.instance.edges_of_source(i):
                 if self._saturated[e]:
                     self._back.pop(self.instance.edges[e].dst, None)
-
-    def note_beta_changed(self, j: int) -> None:
-        """Refresh heap keys of j's unsaturated in-edges after a price change."""
-        self._level[j] += 1
-        self._back.pop(j, None)
-        for e in self.instance.edges_of_sink(j):
-            if not self._saturated[e]:
-                self._push_entry(e)
-            self._mark_dirty(self.instance.edges[e].src)
 
     def note_flow_changed(self, e: int) -> None:
         """Track saturation flips; saturated edges leave the heap, others rejoin."""
@@ -162,29 +153,28 @@ class DerivedGraph:
             self.dual.valuation.pop(e, None)
             self.stats.bump("back_edge_zeroings")
         elif revalue:
-            self.dual.valuation[e] = self.dual.beta[j]
+            self.dual.valuation[e] = self.dual.level[j]
         if delta > 0 and primal.edge_saturated(e):
             self.stats.bump("forward_saturations")
         self.note_flow_changed(e)
         return j
 
     def promote(self, e: int) -> None:
-        """Re-assign edge e's flow, if it has any, at its sink's current price."""
+        """Re-assign edge e's flow, if it has any, at its sink's current level."""
         j = self.instance.edges[e].dst
         if e in self.dual.valuation:
-            self.dual.valuation[e] = self.dual.beta[j]
+            self.dual.valuation[e] = self.dual.level[j]
         self._back.pop(j, None)
 
     def raise_beta(self, j: int, value) -> None:
-        """Set sink j's price to `value`: its first price, or a rise."""
-        if self.num.is_zero(self.dual.beta[j]):
-            self.stats.bump("beta_inits")
-        else:
-            self.stats.bump("beta_rises")
-            per_sink = self.stats.beta_rises_per_sink
-            per_sink[j] = per_sink.get(j, 0) + 1
+        """Set sink j's price to `value` (its first, or a rise) one level up."""
+        self.stats.bump("beta_rises" if self.dual.level[j] else "beta_inits")
         self.dual.raise_beta(j, value)
-        self.note_beta_changed(j)
+        self._back.pop(j, None)
+        for e in self.instance.edges_of_sink(j):
+            if not self._saturated[e]:
+                self._push_entry(e)
+            self._mark_dirty(self.instance.edges[e].src)
 
     # -- graph operations -------------------------------------------------------
 
@@ -199,7 +189,7 @@ class DerivedGraph:
         zero = self.num.value(0)
         while heap:
             _, _, dst, e, key, level = heap[0]
-            if self._saturated[e] or level != self._level[dst]:
+            if self._saturated[e] or level != self.dual.level[dst]:
                 heapq.heappop(heap)
                 self.stats.bump("heap_updates")
                 continue
@@ -213,7 +203,7 @@ class DerivedGraph:
         return None
 
     def back_edges(self, j: int) -> list[int]:
-        """Positive-flow in-edges of j assigned below beta_j that may give flow back.
+        """Positive-flow in-edges of j assigned below its level that may give flow back.
 
         A saturated edge qualifies only once its price slack c - p*beta - alpha
         has dropped to zero or below; until then its implicit edge dual covers it.
@@ -227,10 +217,10 @@ class DerivedGraph:
 
     def _scan_back_edges(self, j: int) -> tuple[int, ...]:
         result = []
-        beta_j = self.dual.beta[j]
+        level_j = self.dual.level[j]
         for e in self.instance.edges_of_sink(j):
             y = self.dual.valuation.get(e)
-            if y is None or not self.num.lt(y, beta_j):
+            if y is None or y >= level_j:
                 continue
             if self._saturated[e]:
                 spec = self.instance.edges[e]
@@ -246,9 +236,9 @@ class DerivedGraph:
         """Promote the preferred edge out of the back set when siblings remain.
 
         With several back edges at the sink, a preferred edge that is also a
-        back edge would form a two-step loop; raising its valuation to beta
-        removes it while leaving the sink's price unchanged.  The lone back
-        edge case is kept, since removing it would enable a price rise.
+        back edge would form a two-step loop; raising its valuation to the
+        sink's level removes it while leaving the sink's price unchanged.  The
+        lone back edge case is kept, since removing it would enable a price rise.
         """
         self.ensure_fresh(i)
         e = self.preferred[i]
@@ -272,7 +262,7 @@ class DerivedGraph:
     def find_path(self, start: int) -> Path:
         """Walk preferred and back edges from `start` until a stop condition.
 
-        Stops at: a source with alpha 0, a sink with beta 0, a repeated vertex
+        Stops at: a source with alpha 0, a sink at level 0, a repeated vertex
         (cycle), a two-cycle (the preferred edge is the sink's sole back edge,
         or the back edge the walk just arrived by), or a saturated sink with no
         back edge at all (price rise pending).  The walk revisits within n+m
@@ -305,7 +295,7 @@ class DerivedGraph:
                     verts.append(("snk", j))
                     return Path(PathKind.TYPE_II, verts, steps, two_cycle_edge=e)
                 return Path(PathKind.TYPE_III, verts, steps, cycle_start=snk_pos[j])
-            if self.num.is_zero(self.dual.beta[j]):
+            if not self.dual.level[j]:
                 verts.append(("snk", j))
                 return Path(PathKind.TYPE_I, verts, steps, endpoint=("snk", j))
             snk_pos[j] = len(verts)

@@ -26,6 +26,10 @@ class InstanceFormatError(ValueError):
         super().__init__(f"line {line_no}: {reason}")
 
 
+class EmptySample(ValueError):
+    """`generate` drew no edge; another seed may draw some."""
+
+
 class InstanceValidationError(ValueError):
     """Instance data violates a structural invariant."""
 
@@ -387,9 +391,12 @@ def generate(
 
     Each (i, j) pair becomes an edge with probability `density`.  When
     `u_range` is given the result is a BTS instance and each edge gets a
-    finite capacity with probability `u_prob`.  Raises ValueError if the
-    sampled edge set comes out empty.
+    finite capacity with probability `u_prob`.  Raises EmptySample if the
+    sampled edge set comes out empty, and ValueError for impossible
+    parameters, which no seed can satisfy.
     """
+    if n < 1 or m < 1:
+        raise ValueError("n and m must be positive")
     if not (0 < density <= 1):
         raise ValueError("density must be in (0, 1]")
     for lo, hi in (a_range, b_range, c_range, p_range) + ((u_range,) if u_range else ()):
@@ -415,7 +422,7 @@ def generate(
                 )
             )
     if not edges:
-        raise ValueError("empty edge set after sampling; raise density or retry seed")
+        raise EmptySample("empty edge set after sampling; raise density or retry seed")
     instance = ProblemInstance(
         kind=kind,
         supply=tuple(rng.randint(*a_range) for _ in range(n)),

@@ -14,7 +14,6 @@ class RunStats:
     """Counters witnessing the charging argument; plain ints, exported as a dict."""
 
     counts: dict[str, int] = field(default_factory=dict)
-    beta_rises_per_sink: dict[int, int] = field(default_factory=dict)
 
     def bump(self, key: str, amount: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + amount
@@ -133,12 +132,14 @@ class PrimalState:
 
 
 class DualState:
-    """Source prices alpha, sink prices beta with companion level, edge valuations.
+    """Source prices alpha, sink prices beta with their levels, edge valuations.
 
-    beta_companion[j] holds the previous beta_j, which equals
-    beta_j / (1 + epsilon) whenever it is positive.  valuation[e] records the
-    sink price level at which the flow on edge e was last assigned; it exists
-    only while the edge carries flow.
+    level[j] counts sink j's prices: 0 while it has none, then beta_j =
+    beta0_j * (1 + epsilon)^(level[j] - 1).  It alone records price levels and
+    whether a sink has a price.  `raise_beta`, the only price writer, sets
+    beta_j and bumps level[j] together; a solve calls it through
+    `DerivedGraph.raise_beta`.  valuation[e] is the sink's level when edge
+    e's flow was last assigned; it exists only while the edge carries flow.
     """
 
     def __init__(self, instance: ProblemInstance, config: SolverConfig, num: Numerics):
@@ -150,16 +151,16 @@ class DualState:
             for out in map(instance.edges_of_source, range(instance.n))
         ]
         self.beta = [num.value(0) for _ in range(instance.m)]
-        self.beta_companion = [num.value(0) for _ in range(instance.m)]
-        self.valuation: dict[int, Fraction | float] = {}
+        self.level = [0] * instance.m
+        self.valuation: dict[int, int] = {}
 
     def next_beta(self, j: int):
         """Sink j's next price, or None while no in-edge is profitable.
 
-        A zero price starts at epsilon * min(c/p) over the profitable
-        in-edges; a positive one rises by the factor (1 + epsilon).
+        A sink at level 0 starts at epsilon * min(c/p) over the profitable
+        in-edges; a priced one rises by the factor (1 + epsilon).
         """
-        if not self.num.is_zero(self.beta[j]):
+        if self.level[j]:
             return self.beta[j] * (1 + self.epsilon)
         edges = self.instance.edges
         rates = [
@@ -170,8 +171,8 @@ class DualState:
         return self.epsilon * self.num.value(min(rates)) if rates else None
 
     def raise_beta(self, j: int, new_value) -> None:
-        self.beta_companion[j] = self.beta[j]
         self.beta[j] = new_value
+        self.level[j] += 1
 
     def effective_profit(self, e: int):
         spec = self.instance.edges[e]
@@ -201,7 +202,7 @@ class Snapshot:
     flow: tuple
     alpha: tuple
     beta: tuple
-    beta_companion: tuple
+    level: tuple
     valuation: tuple
     iteration: int
 
@@ -211,7 +212,7 @@ class Snapshot:
             flow=tuple(primal.flow),
             alpha=tuple(dual.alpha),
             beta=tuple(dual.beta),
-            beta_companion=tuple(dual.beta_companion),
+            level=tuple(dual.level),
             valuation=tuple(sorted(dual.valuation.items())),
             iteration=iteration,
         )

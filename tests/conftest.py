@@ -87,8 +87,8 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
     entry = 0
     primal.surplus[entry] = Fraction(surplus)
     for z in range(k):
-        dual.beta[z] = Fraction(1)
-        dual.valuation[pairs[z][1]] = Fraction(1, 2)
+        dual.valuation[pairs[z][1]] = 0  # assigned before sink z had a price
+        dual.raise_beta(z, Fraction(1))
     stats = RunStats()
     graph = DerivedGraph(instance, primal, dual, stats)
     return instance, primal, dual, graph, stats, pairs

@@ -50,10 +50,10 @@ def test_update_beta_rises_when_all_at_top():
     inst = btp([4], [12], [(0, 0, 10, 2)])
     primal, dual = initialize(inst, SolverConfig(epsilon=Fraction(1, 10)))
     primal.add_flow(0, Fraction(6))
-    dual.beta[0] = Fraction(1, 5)
-    dual.valuation[0] = Fraction(1, 5)
+    dual.raise_beta(0, Fraction(1, 5))
+    dual.valuation[0] = 1
     assert update_beta(0, primal, dual) == "rise"
-    assert dual.beta_companion[0] == Fraction(1, 5)
+    assert dual.level[0] == 2
     assert dual.beta[0] == Fraction(11, 50)
 
 
@@ -62,10 +62,10 @@ def test_update_beta_no_change_with_lower_level_flow():
     primal, dual = initialize(inst, SolverConfig(epsilon=Fraction(1, 10)))
     primal.add_flow(0, Fraction(6))
     primal.add_flow(1, Fraction(4))
-    dual.beta[0] = Fraction(11, 50)
-    dual.beta_companion[0] = Fraction(1, 5)
-    dual.valuation[0] = Fraction(11, 50)
-    dual.valuation[1] = Fraction(1, 5)  # still at the companion level
+    dual.raise_beta(0, Fraction(1, 5))
+    dual.raise_beta(0, Fraction(11, 50))
+    dual.valuation[0] = 2
+    dual.valuation[1] = 1  # still one level down
     assert update_beta(0, primal, dual) == "none"
     assert dual.beta[0] == Fraction(11, 50)
 
@@ -80,15 +80,15 @@ def test_auction_step_unsaturated_push(one_by_one):
 
 
 def test_auction_step_replacement_trace():
-    # saturated sink held by source 1 at the companion level: f=4 at price 1;
+    # saturated sink held by source 1 one level down: f=4 at price 1;
     # bidder 0 with price 2 and surplus 1 takes min(1, 4*1/2) = 1 and the
     # displaced flow drops by 1*2/1 = 2.
     inst = btp([1, 9], [4], [(0, 0, 9, 2), (1, 0, 3, 1)])
     primal, dual = initialize(inst, EPS4)
     primal.add_flow(1, Fraction(4))  # price 4 = budget: saturated
-    dual.beta[0] = Fraction(1, 2)
-    dual.beta_companion[0] = Fraction(2, 5)
-    dual.valuation[1] = Fraction(2, 5)
+    dual.raise_beta(0, Fraction(2, 5))
+    dual.raise_beta(0, Fraction(1, 2))
+    dual.valuation[1] = 1
     outcome = auction_step(0, primal, dual)
     assert outcome.kind == "replace"
     assert outcome.displaced == 1
@@ -103,14 +103,15 @@ def test_auction_step_self_promote():
     inst = btp([9], [4], [(0, 0, 3, 1)])
     primal, dual = initialize(inst, EPS4)
     primal.add_flow(0, Fraction(4))
-    dual.beta[0] = Fraction(1, 2)
-    dual.beta_companion[0] = Fraction(2, 5)
-    dual.valuation[0] = Fraction(2, 5)
+    dual.raise_beta(0, Fraction(2, 5))
+    dual.raise_beta(0, Fraction(1, 2))
+    dual.valuation[0] = 1
     outcome = auction_step(0, primal, dual)
     assert outcome.kind == "promote"
-    # promoting the sole flow lets beta rise; the valuation ages to companion
+    # promoting the sole flow lets beta rise; the valuation ages one level down
     assert dual.beta[0] == Fraction(5, 8)
-    assert dual.valuation[0] == dual.beta_companion[0] == Fraction(1, 2)
+    assert dual.level[0] == 3
+    assert dual.valuation[0] == 2
     assert primal.flow[0] == 4
 
 
@@ -169,6 +170,12 @@ def test_per_step_invariants_hold():
             continue
         checked += 1
         last_beta = [Fraction(0)] * inst.m
+        first_beta = [
+            eps * min((Fraction(inst.edges[e].profit, inst.edges[e].price)
+                       for e in inst.edges_of_sink(j) if inst.edges[e].profit > 0),
+                      default=0)
+            for j in range(inst.m)
+        ]
         for snap in snapshots:
             # primal feasibility
             for i in range(inst.n):
@@ -184,10 +191,12 @@ def test_per_step_invariants_hold():
                     assert snap.beta[j] == 0
                 assert snap.beta[j] >= last_beta[j]
             last_beta = list(snap.beta)
-            # companion tracks the previous level exactly
+            # beta sits exactly on its level: beta0 * (1 + eps)^(level - 1)
             for j in range(inst.m):
-                if snap.beta_companion[j] > 0:
-                    assert snap.beta[j] == snap.beta_companion[j] * (1 + eps)
+                if snap.level[j] == 0:
+                    assert snap.beta[j] == 0
+                else:
+                    assert snap.beta[j] == first_beta[j] * (1 + eps) ** (snap.level[j] - 1)
             # dual feasibility and the approximate flow condition
             for e, spec in enumerate(inst.edges):
                 key = spec.profit - spec.price * snap.beta[spec.dst]
@@ -198,7 +207,7 @@ def test_per_step_invariants_hold():
             valuation = dict(snap.valuation)
             for e, spec in enumerate(inst.edges):
                 if snap.flow[e] > 0:
-                    assert valuation[e] <= snap.beta[spec.dst]
+                    assert valuation[e] in (snap.level[spec.dst], snap.level[spec.dst] - 1)
     assert checked >= 3
 
 

@@ -2,6 +2,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +303,30 @@ def test_bench_deterministic_counters(tmp_path, capsys):
     for line in first.splitlines()[1:]:
         cols = line.split()
         assert int(cols[7]) <= int(cols[8])
+
+
+@pytest.mark.parametrize(
+    "gen, reason",
+    [
+        ("n=0", "n and m must be positive"),
+        ("density=0", "density must be in (0, 1]"),
+        ("density=2", "density must be in (0, 1]"),
+    ],
+)
+def test_bench_impossible_gen_parameters_exit_2(capsys, gen, reason):
+    # no seed can satisfy these, so retrying on them would never end
+    assert run_cli(["bench", "--gen", gen]) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_solve_float_first_price_below_tolerance_terminates(tmp_path, capsys):
+    # the first sink price, about 3e-10, is below float_tol and still a price
+    inst = Path(__file__).parent / "data" / "float_tiny_price.btp"
+    out = tmp_path / "out.sol"
+    args = ["solve", str(inst), "--mode", "float", "--epsilon", "1/8",
+            "--max-phases", "1000", "-o", str(out)]
+    assert run_cli(args) == 0
+    assert "status terminated\n" in out.read_text()
 
 
 def test_cli_entry_point_installed():

@@ -20,10 +20,8 @@ def test_rebuild_preferred_picks_best_key():
     # keys: 10-2*1=8 and 9-1*2=7
     inst = btp([5], [100, 100], [(0, 0, 10, 2), (0, 1, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
-    dual.beta[0] = Fraction(1)
-    dual.beta[1] = Fraction(2)
-    graph.note_beta_changed(0)
-    graph.note_beta_changed(1)
+    graph.raise_beta(0, Fraction(1))
+    graph.raise_beta(1, Fraction(2))
     assert graph.rebuild_preferred(0) == 0
     assert dual.alpha[0] == 8
 
@@ -63,29 +61,26 @@ def test_remove_two_cycles_promotes_with_sibling():
     primal, dual, graph = fresh_graph(inst)
     primal.add_flow(0, Fraction(2))
     primal.add_flow(3, Fraction(2))
-    dual.beta[0] = Fraction(2)
-    dual.valuation[0] = Fraction(1)
-    dual.valuation[3] = Fraction(1)
-    graph.note_beta_changed(0)
+    dual.valuation[0] = dual.valuation[3] = 0  # assigned before sink 0 had a price
+    graph.raise_beta(0, Fraction(2))
     graph.ensure_fresh(0)
     assert graph.preferred[0] == 0
     assert set(graph.back_edges(0)) == {0, 3}
     graph.remove_two_cycles_all()
     # the preferred edge left the back set; the sibling remains
     assert graph.back_edges(0) == [3]
-    assert dual.valuation[0] == Fraction(2)
+    assert dual.valuation[0] == dual.level[0] == 1
 
 
 def test_remove_two_cycles_keeps_sole_back_edge():
     inst = btp([5], [20], [(0, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
     primal.add_flow(0, Fraction(2))
-    dual.beta[0] = Fraction(2)
-    dual.valuation[0] = Fraction(1)
-    graph.note_beta_changed(0)
+    dual.valuation[0] = 0
+    graph.raise_beta(0, Fraction(2))
     graph.remove_two_cycles_all()
     assert graph.back_edges(0) == [0]
-    assert dual.valuation[0] == Fraction(1)
+    assert dual.valuation[0] == 0
 
 
 def test_remove_two_cycles_idempotent_without_cycles():
@@ -109,11 +104,9 @@ def test_find_path_stops_at_retired_source():
     inst = btp([5, 5], [10, 50], [(0, 0, 8, 1), (1, 0, 2, 1), (1, 1, 2, 1)])
     primal, dual, graph = fresh_graph(inst)
     primal.add_flow(1, Fraction(10))
-    dual.beta[0] = Fraction(3)
-    dual.beta[1] = Fraction(3)
-    dual.valuation[1] = Fraction(2)
-    graph.note_beta_changed(0)
-    graph.note_beta_changed(1)
+    dual.valuation[1] = 0
+    graph.raise_beta(0, Fraction(3))
+    graph.raise_beta(1, Fraction(3))
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_I
     assert path.endpoint == ("src", 1)
@@ -130,12 +123,9 @@ def test_find_path_detects_cycle():
     primal, dual, graph = fresh_graph(inst)
     primal.add_flow(1, Fraction(10))
     primal.add_flow(3, Fraction(10))
-    dual.beta[0] = Fraction(1)
-    dual.beta[1] = Fraction(1)
-    dual.valuation[1] = Fraction(1, 2)
-    dual.valuation[3] = Fraction(1, 2)
-    graph.note_beta_changed(0)
-    graph.note_beta_changed(1)
+    dual.valuation[1] = dual.valuation[3] = 0
+    graph.raise_beta(0, Fraction(1))
+    graph.raise_beta(1, Fraction(1))
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_III
     prefix, pairs = path.split_cycle()
@@ -147,9 +137,8 @@ def test_find_path_two_cycle_end():
     inst = btp([5], [10], [(0, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
     primal.add_flow(0, Fraction(10))
-    dual.beta[0] = Fraction(1)
-    dual.valuation[0] = Fraction(1, 2)
-    graph.note_beta_changed(0)
+    dual.valuation[0] = 0
+    graph.raise_beta(0, Fraction(1))
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_II
     assert path.two_cycle_edge == 0
@@ -160,9 +149,8 @@ def test_find_path_stalled_sink():
     inst = btp([5, 5], [10], [(0, 0, 9, 1), (1, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
     primal.add_flow(1, Fraction(10))
-    dual.beta[0] = Fraction(1)
-    dual.valuation[1] = Fraction(1)
-    graph.note_beta_changed(0)
+    graph.raise_beta(0, Fraction(1))
+    dual.valuation[1] = dual.level[0]
     path = graph.find_path(0)
     assert path.kind is PathKind.STALLED
     assert path.stalled_sink == 0
@@ -187,10 +175,8 @@ def test_heap_keys_match_recomputation():
         inst = generate(seed=seed, n=3, m=4, density=0.9, u_range=(2, 6))
         config = SolverConfig(epsilon=Fraction(1, 3))
         primal, dual, graph = fresh_graph(inst, config)
-        dual.beta[0] = Fraction(1, 2)
-        dual.beta[2] = Fraction(2)
-        graph.note_beta_changed(0)
-        graph.note_beta_changed(2)
+        graph.raise_beta(0, Fraction(1, 2))
+        graph.raise_beta(2, Fraction(2))
         for i in range(inst.n):
             top = graph.rebuild_preferred(i)
             keys = [
@@ -228,8 +214,8 @@ def test_back_edge_reenters_only_after_price_rise(monkeypatch):
                 self.events.append(("zero" if zeroed else "leave", e, j))
             self.seen[j] = current
 
-        def note_beta_changed(self, j):
-            super().note_beta_changed(j)
+        def raise_beta(self, j, value):
+            super().raise_beta(j, value)
             self.events.append(("rise", None, j))
             self.record(j)
 

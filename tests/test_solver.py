@@ -53,7 +53,7 @@ def test_push_path_rescales_across_back_edge():
     )
     primal, dual, graph, stats = path_state(inst)
     primal.add_flow(1, Fraction(3))
-    dual.valuation[1] = Fraction(0)
+    dual.valuation[1] = 0
     steps = [("fwd", 0), ("back", 1), ("fwd", 2)]
     push_flow_path(graph, steps)
     assert primal.flow[0] == 4
@@ -70,7 +70,7 @@ def test_push_path_forward_cap_strands_surplus():
     )
     primal, dual, graph, stats = path_state(inst)
     primal.add_flow(1, Fraction(3))
-    dual.valuation[1] = Fraction(0)
+    dual.valuation[1] = 0
     steps = [("fwd", 0), ("back", 1), ("fwd", 2)]
     push_flow_path(graph, steps)
     assert primal.flow[0] == 1  # clamped at capacity
@@ -109,7 +109,7 @@ def test_push_path_keeps_intermediate_sinks_tight():
         flat = []
         for f, b in steps:
             primal.add_flow(b, Fraction(rng.randint(1, 8)))
-            dual.valuation[b] = Fraction(0)
+            dual.valuation[b] = 0
             flat += [("fwd", f), ("back", b)]
         flat.append(("fwd", last_f))
         prices_in = [
@@ -191,6 +191,23 @@ def test_float_solve_survives_cycle_entered_with_dust():
     sol = solve(parse(text), SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float"))
     assert sol.terminated
     assert sol.certificate.passed
+
+
+def test_float_first_price_below_tolerance_still_counts_as_a_price():
+    # prices near 1e9 make the first sink price eps * min(c/p) about 3e-10,
+    # below float_tol; a price tested against the tolerance read as no price
+    # and was re-initialised on every phase, so the float run never ended
+    text = (Path(__file__).parent / "data" / "float_tiny_price.btp").read_text()
+    inst = parse(text)
+    runs = {
+        mode: solve(inst, SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode,
+                                       max_phases=1000))
+        for mode in ("exact", "float")
+    }
+    assert runs["float"].terminated and runs["exact"].terminated
+    assert runs["float"].certificate.passed
+    for key in ("phases", "beta_rises"):
+        assert runs["float"].stats.get(key) == runs["exact"].stats.get(key)
 
 
 def test_cycle_geometry_ratios_and_limits():
@@ -407,8 +424,40 @@ def test_valuation_exists_exactly_on_positive_flow(mode):
         assert solve(inst, config, on_iteration=monitor).terminated
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_beta_strictly_rises_with_level(mode):
+    # the back-edge test compares integer levels in place of prices, which is
+    # sound only while each level has one price and a higher level a higher one
+    levels_seen = 0
+    for seed in range(6):
+        try:
+            inst = generate(seed=seed, n=5, m=5, density=0.8,
+                            u_range=(1, 5) if seed % 2 else None)
+        except ValueError:
+            continue
+        last = [(0, 0)] * inst.m
+
+        def monitor(snap):
+            nonlocal levels_seen
+            for j, (level, beta) in enumerate(zip(snap.level, snap.beta)):
+                last_level, last_beta = last[j]
+                assert level >= last_level, (snap.iteration, j)
+                if level == last_level:
+                    assert beta == last_beta, (snap.iteration, j)
+                else:
+                    assert beta > last_beta, (snap.iteration, j)
+                    levels_seen += 1
+                last[j] = (level, beta)
+            for e, level in snap.valuation:
+                assert level <= snap.level[inst.edges[e].dst], (snap.iteration, e)
+
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+        assert solve(inst, config, on_iteration=monitor).terminated
+    assert levels_seen > 0
+
+
 def test_rise_counter_stays_within_bound():
-    from budget_flow.instance import diagnostics
+    from budget_flow.instance import ceil_log, diagnostics
 
     for seed in (2, 9, 17, 31):
         try:
@@ -419,11 +468,25 @@ def test_rise_counter_stays_within_bound():
             sol = solve(inst, SolverConfig(epsilon=eps, max_phases=50000))
             assert sol.terminated
             try:
-                bound = diagnostics(inst, eps).beta_rise_bound
+                diag = diagnostics(inst, eps)
             except ValueError:
                 continue
-            assert sol.stats.get("beta_rises") <= bound
-            assert sum(sol.stats.beta_rises_per_sink.values()) == sol.stats.get("beta_rises")
+            assert sol.stats.get("beta_rises") <= diag.beta_rise_bound
+            # each sink's rises from its returned price: beta_j = beta0_j (1+eps)^r_j
+            per_sink_bound = ceil_log(diag.U, 1 + eps)
+            rises = []
+            for j in range(inst.m):
+                rates = [Fraction(inst.edges[e].profit, inst.edges[e].price)
+                         for e in inst.edges_of_sink(j) if inst.edges[e].profit > 0]
+                r, price = 0, eps * min(rates, default=0)
+                if sol.beta[j] > 0:
+                    while price < sol.beta[j]:
+                        price *= 1 + eps
+                        r += 1
+                    assert price == sol.beta[j], (seed, eps, j)
+                assert r <= per_sink_bound, (seed, eps, j)
+                rises.append(r)
+            assert sum(rises) == sol.stats.get("beta_rises")
 
 
 def test_solve_abort_flag_when_capped():
@@ -446,7 +509,7 @@ def test_beta_update_pass_full_scan_initializes_saturated_sink():
     inst = btp([9], [4], [(0, 0, 3, 1)])
     primal, dual, graph, stats = path_state(inst)
     primal.add_flow(0, Fraction(4))
-    dual.valuation[0] = Fraction(0)
+    dual.valuation[0] = 0
     graph.note_flow_changed(0)
     risen = beta_update_pass(graph)  # no candidate filter
     assert risen == [0]
