@@ -59,12 +59,31 @@ GOLDEN = {
 }
 
 
-def solution_digest(name: str) -> str:
+STAT_FREE = {
+    "btp-exact-11": "4e558de619e7c65da357b5520a5e6e671e0e02eab42a4bef64562c49b1fdb97b",
+    "bts-exact-12": "91efeac8d24f584d25d4d2bed46201e39806c6f817dfa7d5941f12f51c589969",
+    "btp-float-11": "5ed4a21dcb90e82dff5281807eefc5686946d33ba42af67ce85124c5f1ae25c2",
+    "bts-float-12": "a9e122d62b333cb7a2c235a168ed482e51d1b9dce241bfa63dd4518b7e3ce7fb",
+    "pw-exact-21": "5933a364c2d57986f60d0077092e626d6f5e4a306ae830b1969b26292b0b80ea",
+    "pw-exact-22": "790b222c7ea490865fcc3361dc5c1aaf8938c17c303a6925bb445d888a38e96a",
+}
+
+
+def solution_text(name: str) -> str:
     inst, mode = _case(name)
-    sol = solve(inst, SolverConfig(epsilon=EPS, numeric_mode=mode))
-    return hashlib.sha256(solution_to_text(sol).encode()).hexdigest()
+    return solution_to_text(solve(inst, SolverConfig(epsilon=EPS, numeric_mode=mode)))
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_full_solution_text_is_unchanged(name):
-    assert solution_digest(name) == GOLDEN[name]
+    assert sha256(solution_text(name)) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(STAT_FREE))
+def test_solution_text_without_stats_is_unchanged(name):
+    lines = solution_text(name).splitlines(keepends=True)
+    assert sha256("".join(line for line in lines if not line.startswith("stat "))) == STAT_FREE[name]
