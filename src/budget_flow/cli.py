@@ -32,6 +32,8 @@ from .instance import (
 )
 from .solver import Solution, certified_solution, solve
 
+MAX_EMPTY_DRAWS = 1000  # `bench --gen` gives up after this many empty samples in a row
+
 
 def _read(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
@@ -268,25 +270,27 @@ def cmd_bench(args) -> int:
         count = int(params.pop("count", "3"))
         seed0 = int(params.pop("seed", "0"))
         kind = params.pop("kind", "btp")
+        if kind not in ("btp", "bts"):
+            raise ValueError(f"--gen kind must be btp or bts, not {kind!r}")
         n = int(params.pop("n", "4"))
         m = int(params.pop("m", "4"))
         density = float(params.pop("density", "0.9"))
         if params:
-            print(f"error: unknown --gen keys {sorted(params)}", file=sys.stderr)
-            return 2
-        made = 0
-        seed = seed0
-        while made < count:
+            raise ValueError(f"unknown --gen keys {sorted(params)}")
+        seed, empty = seed0, 0
+        while len(instances) < count:
             try:
                 inst = generate(
                     seed=seed, n=n, m=m, density=density,
                     u_range=(1, 8) if kind == "bts" else None,
                 )
             except EmptySample:
-                seed += 1
-                continue
-            instances.append((f"gen:{seed}", inst))
-            made += 1
+                empty += 1
+                if empty == MAX_EMPTY_DRAWS:
+                    raise ValueError(f"--gen drew {empty} empty samples in a row; raise density")
+            else:
+                instances.append((f"gen:{seed}", inst))
+                empty = 0
             seed += 1
     for path in args.paths:
         instances.append((path, parse(_read(path))))

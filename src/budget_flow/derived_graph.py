@@ -13,12 +13,13 @@ promotion of an in-edge of j, a price change at j, and a source with a
 saturated edge into j going from clean to dirty (that edge's slack reads
 the source's alpha).  A hit thus equals a fresh scan, side effects included.
 Heap entries are stamped with their sink's `dual.level`, which `raise_beta`,
-the only price writer, bumps along with beta; beta only rises with the
-level, so an entry is stale iff its edge is saturated or its stamp is old.
-An entry is `(-float(key), -key, dst, e, key, level)`: float() of a Fraction
-is correctly rounded and so monotone, hence the float decides every
-comparison it can and the exact `-key` only breaks float ties.  The order is
-exactly the exact `(-key, dst, e)` order, at float cost in the common case.
+the only price writer, bumps along with beta.  Keys only fall as beta rises,
+so an old stamp is an upper bound, re-keyed when it reaches the top; a rise
+pushes nothing and dirties only sources whose preferred edge enters the sink.
+Each edge has one entry at most (`_queued`).  An entry is
+`(-float(key), -key, dst, e, key, level)`.  float() of a Fraction is
+correctly rounded and so monotone: the order is exactly `(-key, dst, e)`,
+and the exact `-key` only breaks float ties.
 `note_flow_changed` is the one remaining hook: the flow writers share it,
 and code that edits flows directly, as tests do, calls it.
 """
@@ -95,23 +96,24 @@ class DerivedGraph:
         self.preferred: list[int | None] = [None] * instance.n
         self._heaps: list[list] = [[] for _ in range(instance.n)]
         self._saturated = [primal.edge_saturated(e) for e in range(len(instance.edges))]
+        self._queued = [False] * len(instance.edges)
         self._dirty: set[int] = set(range(instance.n))
         self._back: dict[int, tuple[int, ...]] = {}
         for e, spec in enumerate(instance.edges):
             if not self._saturated[e]:
-                self._push_entry(e)
+                heapq.heappush(self._heaps[spec.src], self._entry(e))
         for i in range(instance.n):
             self.ensure_fresh(i)
         self.remove_two_cycles_all()
 
     # -- heap bookkeeping ---------------------------------------------------
 
-    def _push_entry(self, e: int) -> None:
-        spec = self.instance.edges[e]
+    def _entry(self, e: int) -> tuple:
+        dst = self.instance.edges[e].dst
         key = self.dual.effective_profit(e)
-        entry = (-float(key), -key, spec.dst, e, key, self.dual.level[spec.dst])
-        heapq.heappush(self._heaps[spec.src], entry)
         self.stats.bump("heap_updates")
+        self._queued[e] = True
+        return (-float(key), -key, dst, e, key, self.dual.level[dst])
 
     def _mark_dirty(self, i: int) -> None:
         if i not in self._dirty:
@@ -127,8 +129,8 @@ class DerivedGraph:
         self._back.pop(spec.dst, None)
         if now != self._saturated[e]:
             self._saturated[e] = now
-            if not now:
-                self._push_entry(e)
+            if not now and not self._queued[e]:
+                heapq.heappush(self._heaps[spec.src], self._entry(e))
             self._mark_dirty(spec.src)
 
     def ensure_fresh(self, i: int) -> None:
@@ -172,35 +174,37 @@ class DerivedGraph:
         self.dual.raise_beta(j, value)
         self._back.pop(j, None)
         for e in self.instance.edges_of_sink(j):
-            if not self._saturated[e]:
-                self._push_entry(e)
-            self._mark_dirty(self.instance.edges[e].src)
+            i = self.instance.edges[e].src
+            if self.preferred[i] == e:
+                self._mark_dirty(i)
 
     # -- graph operations -------------------------------------------------------
 
     def rebuild_preferred(self, i: int) -> int | None:
         """Re-pick source i's preferred edge from the heap top and refresh alpha.
 
-        Stale entries (saturated edge, or a sink price level that has moved on)
-        are discarded lazily.  Ties already break toward the lowest sink index
-        through the heap ordering.  Returns None when i has no unsaturated edge.
+        A saturated top is dropped and one stamped at an old level re-keyed in
+        place.  Ties already break toward the lowest sink index through the
+        heap ordering.  Returns None when i has no unsaturated edge.
         """
         heap = self._heaps[i]
-        zero = self.num.value(0)
+        best, alpha = None, self.num.value(0)
         while heap:
             _, _, dst, e, key, level = heap[0]
-            if self._saturated[e] or level != self.dual.level[dst]:
+            if self._saturated[e]:
                 heapq.heappop(heap)
+                self._queued[e] = False
                 self.stats.bump("heap_updates")
-                continue
-            self.preferred[i] = e
-            self.dual.alpha[i] = key if self.num.is_pos(key) else zero
-            self._dirty.discard(i)
-            return e
-        self.preferred[i] = None
-        self.dual.alpha[i] = zero
+            elif level != self.dual.level[dst]:
+                heapq.heapreplace(heap, self._entry(e))
+            else:
+                best = e
+                alpha = key if self.num.is_pos(key) else alpha
+                break
+        self.preferred[i] = best
+        self.dual.alpha[i] = alpha
         self._dirty.discard(i)
-        return None
+        return best
 
     def back_edges(self, j: int) -> list[int]:
         """Positive-flow in-edges of j assigned below its level that may give flow back.

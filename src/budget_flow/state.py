@@ -153,6 +153,8 @@ class DualState:
         self.beta = [num.value(0) for _ in range(instance.m)]
         self.level = [0] * instance.m
         self.valuation: dict[int, int] = {}
+        if num.exact:
+            self.effective_profit = self._exact_effective_profit
 
     def next_beta(self, j: int):
         """Sink j's next price, or None while no in-edge is profitable.
@@ -177,6 +179,11 @@ class DualState:
     def effective_profit(self, e: int):
         spec = self.instance.edges[e]
         return spec.profit - spec.price * self.beta[spec.dst]
+
+    def _exact_effective_profit(self, e: int) -> Fraction:
+        spec = self.instance.edges[e]
+        b = self.beta[spec.dst]
+        return Fraction(spec.profit * b.denominator - spec.price * b.numerator, b.denominator)
 
 
 def _numerator_is_zero(a) -> bool:

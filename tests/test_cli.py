@@ -1,13 +1,14 @@
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from budget_flow.certify import fmt
-from budget_flow.cli import main
+from budget_flow.cli import MAX_EMPTY_DRAWS, main
 from budget_flow.instance import generate, serialize
 from budget_flow.reductions import (
     gflow_cost,
@@ -317,6 +318,23 @@ def test_bench_impossible_gen_parameters_exit_2(capsys, gen, reason):
     # no seed can satisfy these, so retrying on them would never end
     assert run_cli(["bench", "--gen", gen]) == 2
     assert capsys.readouterr().err == f"error: {reason}\n"
+
+
+def test_bench_unknown_gen_kind_exit_2(capsys):
+    # a typo must not silently run the btp family
+    assert run_cli(["bench", "--gen", "count=1,kind=xyz"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --gen kind must be btp or bts, not 'xyz'\n"
+    assert captured.out == ""
+
+
+def test_bench_gives_up_on_empty_samples(capsys):
+    # a legal but tiny density draws empty edge sets seed after seed
+    started = time.perf_counter()
+    assert run_cli(["bench", "--gen", "n=1,m=1,density=1e-12"]) == 2
+    assert time.perf_counter() - started < 10
+    err = capsys.readouterr().err
+    assert err == f"error: --gen drew {MAX_EMPTY_DRAWS} empty samples in a row; raise density\n"
 
 
 def test_solve_float_first_price_below_tolerance_terminates(tmp_path, capsys):

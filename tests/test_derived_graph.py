@@ -1,9 +1,14 @@
+import copy
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from budget_flow.derived_graph import DerivedGraph, PathKind
 from budget_flow.instance import SolverConfig, generate
+from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 import budget_flow.solver as solver_mod
 from budget_flow.state import make_states
 from conftest import btp, bts
@@ -319,3 +324,85 @@ def test_two_cycle_ends_are_type_ii(monkeypatch, mode):
         assert solver_mod.solve(inst, config).terminated
     assert ends, "no two-cycle end was seen"
     assert any(ends), "no walk went back and forth over one edge"
+
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+
+def small_instance(kind: str, seed: int, n: int, m: int):
+    if kind != "pw":
+        u_range = (1, 4) if kind == "bts" else None
+        return generate(seed=seed, n=n, m=m, density=1.0, u_range=u_range, u_prob=0.7)
+    rng = random.Random(seed)
+    edges = [
+        PiecewiseEdge(src=i, dst=j, price=rng.randint(1, 4),
+                      slopes=tuple(sorted((rng.randint(0, 9) for _ in range(rng.randint(1, 3))),
+                                          reverse=True)))
+        for i in range(n) for j in range(m)
+    ]
+    pw = PiecewiseInstance(supply=(5,) * n, budget=(9,) * m, segment_length=1, edges=tuple(edges))
+    return split_piecewise(pw)[0]
+
+
+def check_lazy_heaps(graph) -> None:
+    """Every source's preferred edge and alpha equal a brute-force recomputation."""
+    inst, primal, dual, num = graph.instance, graph.primal, graph.dual, graph.num
+    for i in range(inst.n):
+        assert len(graph._heaps[i]) <= len(inst.edges_of_source(i))
+    graph = copy.deepcopy(graph)  # leave the original's dirty sources and stale entries be
+    for i in range(inst.n):
+        graph.ensure_fresh(i)
+        keyed = [
+            (-(spec.profit - spec.price * dual.beta[spec.dst]), spec.dst, e)
+            for e in inst.edges_of_source(i)
+            if not primal.edge_saturated(e)
+            for spec in [inst.edges[e]]
+        ]
+        if not keyed:
+            assert graph.preferred[i] is None and graph.dual.alpha[i] == 0
+            continue
+        neg_key, _, best = min(keyed)
+        assert graph.preferred[i] == best
+        assert graph.dual.alpha[i] == (-neg_key if num.is_pos(-neg_key) else num.value(0))
+
+
+steps = st.lists(
+    st.tuples(st.sampled_from(["fill", "half", "drain", "rise", "promote", "fresh"]),
+              st.integers(0, 7), st.booleans()),
+    min_size=4,
+    max_size=40,
+)
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["btp", "bts", "pw"]), mode=st.sampled_from(["exact", "float"]),
+       seed=st.integers(0, 10**6), n=st.integers(1, 4), m=st.integers(1, 4), ops=steps)
+def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
+    # keys only fall as prices rise, so a stale entry is an upper bound and
+    # re-keying it at the top must pick exactly the eager choice
+    inst = small_instance(kind, seed, n, m)
+    config = SolverConfig(epsilon=Fraction(1, 4), numeric_mode=mode)
+    primal, dual, num = make_states(inst, config)
+    graph = DerivedGraph(inst, primal, dual)
+    check_lazy_heaps(graph)
+    for op, index, flag in ops:
+        e = index % len(inst.edges)
+        cap = inst.edges[e].capacity
+        if op == "rise":
+            j = index % inst.m
+            value = dual.next_beta(j)
+            if value is None:
+                continue
+            graph.raise_beta(j, value)
+        elif op == "promote":
+            graph.promote(e)
+        elif op == "fresh":
+            # as walks and sweeps do between writes: one source, or all of them
+            for i in range(inst.n) if flag else [index % inst.n]:
+                graph.ensure_fresh(i)
+        else:
+            full = num.value(cap if cap is not None else 3)
+            target = {"fill": full, "half": full / 2, "drain": num.value(0)}[op]
+            if target != primal.flow[e]:
+                graph.move_flow(e, target - primal.flow[e], revalue=flag)
+        check_lazy_heaps(graph)
