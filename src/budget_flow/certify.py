@@ -71,12 +71,15 @@ class Certificate:
 
 
 def reconstruct_gamma(instance, flow, alpha, beta, tol=0) -> dict[int, Fraction | float]:
-    """Edge duals from scratch: max(0, c - p*beta - alpha) where flow fills capacity."""
+    """Edge duals from scratch: max(0, c - p*beta - alpha) where flow fills capacity.
+
+    A zero flow is passed over without arithmetic: every capacity is at least 1
+    and `tol` is below 1, so it never fills one.
+    """
     gammas = {}
     for e, spec in enumerate(instance.edges):
-        if spec.capacity is None:
-            continue
-        if abs(flow[e] - spec.capacity) <= tol:
+        f = flow[e]
+        if f and spec.capacity is not None and abs(f - spec.capacity) <= tol:
             slack = spec.profit - spec.price * beta[spec.dst] - alpha[spec.src]
             if slack > tol:
                 gammas[e] = slack
@@ -97,15 +100,21 @@ def certify(
     Parameters
     ----------
     instance : ProblemInstance
-    flow, alpha, beta : sequences sized |E|, n, m (exact Fractions or floats)
+    flow, alpha, beta : sequences sized |E|, n, m (ints and Fractions, or
+        floats when not rigorous)
     epsilon : approximation parameter the gap is measured against
     rigorous : stamp for exact-arithmetic runs; float-mode callers pass False
-    tol : comparison slack, 0 in exact mode
+    tol : comparison slack, 0 in exact mode and below 1 otherwise
 
     Passes iff both solutions are feasible, the source/sink/edge complementary
     products are zero, every positive-flow edge's dual slack stays within
     epsilon*c, the gap identity checks out, and dual/primal - 1 <= epsilon
     (vacuously when both values are zero).
+
+    Only nonzero flows enter the sums and the per-edge primal and slackness
+    tests; a zero flow adds nothing to a sum and passes every such test.  In
+    exact mode (rigorous, tol 0) the one test every edge needs, the dual
+    constraint, runs on integer numerators and denominators.
     """
     n, m, ne = instance.n, instance.m, len(instance.edges)
     if len(flow) != ne or len(alpha) != n or len(beta) != m:
@@ -115,20 +124,35 @@ def certify(
         )
     epsilon = Fraction(epsilon) if rigorous else float(epsilon)
     zero = Fraction(0) if rigorous else 0.0
+    edges = instance.edges
+    support = [e for e, f in enumerate(flow) if f]
 
     gammas = reconstruct_gamma(instance, flow, alpha, beta, tol)
 
     primal_violations = []
-    for e, spec in enumerate(instance.edges):
-        if flow[e] < -tol:
-            primal_violations.append(f"negative flow on edge {e}")
-        if spec.capacity is not None and flow[e] - spec.capacity > tol:
-            primal_violations.append(f"capacity exceeded on edge {e}")
     out_of = [zero] * n
     into = [zero] * m
-    for e, spec in enumerate(instance.edges):
-        out_of[spec.src] += flow[e]
-        into[spec.dst] += spec.price * flow[e]
+    cs_flow_excess = zero
+    flow_slack_sum = zero
+    for e in support:
+        spec, f = edges[e], flow[e]
+        if f < -tol:
+            primal_violations.append(f"negative flow on edge {e}")
+        if spec.capacity is not None and f - spec.capacity > tol:
+            primal_violations.append(f"capacity exceeded on edge {e}")
+        out_of[spec.src] += f
+        into[spec.dst] += spec.price * f
+        if f > tol:
+            slack = (
+                spec.profit
+                - alpha[spec.src]
+                - spec.price * beta[spec.dst]
+                - gammas.get(e, zero)
+            )
+            flow_slack_sum += f * slack
+            excess = abs(slack) - epsilon * spec.profit
+            if excess > cs_flow_excess:
+                cs_flow_excess = excess
     for i in range(n):
         if out_of[i] - instance.supply[i] > tol:
             primal_violations.append(f"supply exceeded at source {i + 1}")
@@ -143,63 +167,44 @@ def certify(
     for j in range(m):
         if beta[j] < -tol:
             dual_violations.append(f"negative beta at sink {j + 1}")
-    for e, spec in enumerate(instance.edges):
-        bound = spec.profit - spec.price * beta[spec.dst] - gammas.get(e, zero)
-        if bound - alpha[spec.src] > tol:
-            dual_violations.append(f"dual constraint violated on edge {e}")
+    if rigorous and not tol:
+        # c - p*beta - alpha > 0 times both denominators; a gamma makes it 0
+        ratio_a = [a.as_integer_ratio() for a in alpha]
+        ratio_b = [b.as_integer_ratio() for b in beta]
+        for e, spec in enumerate(edges):
+            na, da = ratio_a[spec.src]
+            nb, db = ratio_b[spec.dst]
+            if (spec.profit * db - spec.price * nb) * da > na * db and e not in gammas:
+                dual_violations.append(f"dual constraint violated on edge {e}")
+    else:
+        for e, spec in enumerate(edges):
+            bound = spec.profit - spec.price * beta[spec.dst] - gammas.get(e, zero)
+            if bound - alpha[spec.src] > tol:
+                dual_violations.append(f"dual constraint violated on edge {e}")
 
-    cs_source = max(
-        (abs(alpha[i] * (instance.supply[i] - out_of[i])) for i in range(n)),
-        default=zero,
-    )
-    cs_sink = max(
-        (abs(beta[j] * (instance.budget[j] - into[j])) for j in range(m)),
-        default=zero,
-    )
-    cs_edge = max(
-        (
-            abs(g * (instance.edges[e].capacity - flow[e]))
-            for e, g in gammas.items()
-        ),
-        default=zero,
-    )
-    cs_flow_excess = zero
-    flow_slack_sum = zero
-    for e, spec in enumerate(instance.edges):
-        if flow[e] > tol:
-            slack = (
-                spec.profit
-                - alpha[spec.src]
-                - spec.price * beta[spec.dst]
-                - gammas.get(e, zero)
-            )
-            flow_slack_sum += flow[e] * slack
-            excess = abs(slack) - epsilon * spec.profit
-            if excess > cs_flow_excess:
-                cs_flow_excess = excess
+    # each complementary product once: its worst for slackness, its sum for the identity
+    source_terms = [alpha[i] * (instance.supply[i] - out_of[i]) for i in range(n)]
+    sink_terms = [beta[j] * (instance.budget[j] - into[j]) for j in range(m)]
+    cap_terms = [g * (edges[e].capacity - flow[e]) for e, g in gammas.items()]
+    cs_source = max(map(abs, source_terms), default=zero)
+    cs_sink = max(map(abs, sink_terms), default=zero)
+    cs_edge = max(map(abs, cap_terms), default=zero)
 
-    primal_value = sum(
-        (spec.profit * flow[e] for e, spec in enumerate(instance.edges)), start=zero
-    )
+    primal_value = sum((edges[e].profit * flow[e] for e in support), start=zero)
     dual_value = sum(
         (instance.supply[i] * alpha[i] for i in range(n)), start=zero
     ) + sum(instance.budget[j] * beta[j] for j in range(m))
     for e, g in gammas.items():
-        dual_value += instance.edges[e].capacity * g
+        dual_value += edges[e].capacity * g
 
     # gap identity, recomputed both ways
-    delta_source = sum(
-        (alpha[i] * (instance.supply[i] - out_of[i]) for i in range(n)), start=zero
-    )
-    delta_sink = sum(
-        (beta[j] * (instance.budget[j] - into[j]) for j in range(m)), start=zero
-    )
-    delta_cap = sum(
-        (g * (instance.edges[e].capacity - flow[e]) for e, g in gammas.items()),
-        start=zero,
-    )
     lhs = dual_value - primal_value
-    rhs = delta_source + delta_sink + delta_cap - flow_slack_sum
+    rhs = (
+        sum(source_terms, start=zero)
+        + sum(sink_terms, start=zero)
+        + sum(cap_terms, start=zero)
+        - flow_slack_sum
+    )
     identity_ok = lhs == rhs if rigorous else abs(lhs - rhs) <= tol * (1 + abs(lhs))
 
     if primal_value > tol:

@@ -55,6 +55,14 @@ def _rational_arg(option: str, text: str) -> Fraction:
         raise ValueError(f"{option}: {exc.reason}") from None
 
 
+def _epsilon_arg(option: str, text: str) -> Fraction:
+    """A rational option value strictly between 0 and 1."""
+    epsilon = _rational_arg(option, text)
+    if not 0 < epsilon < 1:
+        raise ValueError(f"{option}: {text} is not in (0, 1)")
+    return epsilon
+
+
 def flow_lines(instance: ProblemInstance, flow) -> list[str]:
     """`flow i j value [seg=k]` for every edge with positive flow, in edge order."""
     lines = []
@@ -139,7 +147,7 @@ def parse_solution(text: str, instance: ProblemInstance):
 def cmd_solve(args) -> int:
     instance = parse(_read(args.instance))
     config = SolverConfig(
-        epsilon=_rational_arg("--epsilon", args.epsilon),
+        epsilon=_epsilon_arg("--epsilon", args.epsilon),
         numeric_mode=args.mode,
         max_phases=args.max_phases,
     )
@@ -191,25 +199,28 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    u_range = _split_range(args.u_range) if args.kind == "bts" else None
+    u_range = _split_range("--u-range", args.u_range) if args.kind == "bts" else None
     instance = generate(
         seed=args.seed,
         n=args.n,
         m=args.m,
         density=args.density,
-        a_range=_split_range(args.a_range),
-        b_range=_split_range(args.b_range),
-        c_range=_split_range(args.c_range),
-        p_range=_split_range(args.p_range),
+        a_range=_split_range("--a-range", args.a_range),
+        b_range=_split_range("--b-range", args.b_range),
+        c_range=_split_range("--c-range", args.c_range),
+        p_range=_split_range("--p-range", args.p_range),
         u_range=u_range,
     )
     _write(args.output, serialize(instance))
     return 0
 
 
-def _split_range(text: str) -> tuple[int, int]:
-    lo, hi = text.split(":")
-    return int(lo), int(hi)
+def _split_range(option: str, text: str) -> tuple[int, int]:
+    lo, _, hi = text.partition(":")
+    try:
+        return int(lo), int(hi)
+    except ValueError:
+        raise ValueError(f"{option} must be <lo>:<hi> integers, not {text!r}") from None
 
 
 def cmd_reduce(args) -> int:
@@ -262,14 +273,23 @@ def cmd_bench(args) -> int:
             if not eq:
                 raise ValueError(f"--gen part {part!r} is not key=value")
             params[key] = value
-        count = int(params.pop("count", "3"))
-        seed0 = int(params.pop("seed", "0"))
+
+        def number(key, cast, default):
+            value = params.pop(key, default)
+            try:
+                return cast(value)
+            except ValueError:
+                what = "an integer" if cast is int else "a number"
+                raise ValueError(f"--gen {key} must be {what}, not {value!r}") from None
+
+        count = number("count", int, "3")
+        seed0 = number("seed", int, "0")
         kind = params.pop("kind", "btp")
         if kind not in ("btp", "bts"):
             raise ValueError(f"--gen kind must be btp or bts, not {kind!r}")
-        n = int(params.pop("n", "4"))
-        m = int(params.pop("m", "4"))
-        density = float(params.pop("density", "0.9"))
+        n = number("n", int, "4")
+        m = number("m", int, "4")
+        density = number("density", float, "0.9")
         if params:
             raise ValueError(f"unknown --gen keys {sorted(params)}")
         seed, empty = seed0, 0
@@ -294,7 +314,7 @@ def cmd_bench(args) -> int:
         return 2
 
     configs = [
-        SolverConfig(epsilon=_rational_arg("--epsilons", tok), numeric_mode=args.mode)
+        SolverConfig(epsilon=_epsilon_arg("--epsilons", tok), numeric_mode=args.mode)
         for tok in args.epsilons.split(",")
     ]
     header = (

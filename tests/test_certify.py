@@ -1,17 +1,26 @@
+import ast
+import dataclasses
+import importlib
+import inspect
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_certify as reference
 from budget_flow.certify import (
     CertificationError,
     certify,
     reconstruct_gamma,
     weak_duality_bound,
 )
+from budget_flow.cli import parse_solution, solution_to_text
 from budget_flow.instance import SolverConfig, generate
 from budget_flow.oracle import exact_opt
 from budget_flow.solver import solve
 from conftest import btp, bts
+from test_derived_graph import small_instance
 
 EPS4 = Fraction(1, 4)
 
@@ -112,3 +121,89 @@ def test_weak_duality_factor_arithmetic():
     sol = solve(inst, SolverConfig(epsilon=EPS4))
     assert sol.certificate.primal_value == 15
     assert weak_duality_bound(sol.certificate) == 15  # factor exactly 1 here
+
+
+def test_certify_stands_apart_from_the_solver():
+    # `verify` trusts nothing the solver holds, so the module must not reach it
+    module = importlib.import_module("budget_flow.certify")
+    tree = ast.parse(inspect.getsource(module))
+    imported = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not imported & {"state", "derived_graph", "solver"}
+
+
+# -- the package against tests/reference_certify.py ---------------------------
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=200)
+
+DAMAGES = [
+    "none", "reparsed", "negative", "over_capacity", "doubled",
+    "dual", "cs", "jitter", "zero_flow", "ints", "integral",
+]
+
+
+def damage(kind, inst, flow, alpha, beta, pick, exact):
+    """A copy of (flow, alpha, beta) broken as `kind` names; `pick` chooses where."""
+    flow, alpha, beta = list(flow), list(alpha), list(beta)
+    one = Fraction(1) if exact else 1.0
+    e, i = pick % len(flow), pick % len(alpha)
+    capped = [d for d, spec in enumerate(inst.edges) if spec.capacity is not None]
+    if kind == "negative":
+        flow[e] = -(flow[e] or one)
+    elif kind == "over_capacity" and capped:
+        d = capped[pick % len(capped)]
+        flow[d] = inst.edges[d].capacity + one / 2
+    elif kind in ("doubled", "over_capacity"):
+        flow = [2 * f for f in flow]
+    elif kind == "dual":
+        alpha = [a / 2 for a in alpha]
+    elif kind == "cs":
+        flow[e] /= 2
+        alpha[i] += one
+    elif kind == "jitter":
+        # off-grid duals, so that float sums round and their order shows
+        alpha = [a * (1 + one / 3001) + one / 7 for a in alpha]
+        beta = [b * (1 - one / 7919) + one / 11 for b in beta]
+    elif kind == "zero_flow":
+        flow = [0 * f for f in flow]
+        if pick % 2:
+            alpha, beta = [0 * a for a in alpha], [0 * b for b in beta]
+    elif kind == "ints":
+        flow, alpha, beta = ([int(x) for x in v] for v in (flow, alpha, beta))
+    elif kind == "integral":
+        flow, alpha, beta = ([int(x) if x == int(x) else x for x in v] for v in (flow, alpha, beta))
+    return flow, alpha, beta
+
+
+def assert_same(x, y, what):
+    # repr tells -0.0 from 0.0 and shows every bit of a float
+    assert (type(x), repr(x)) == (type(y), repr(y)), what
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["btp", "bts", "pw"]), mode=st.sampled_from(["exact", "float"]),
+       eps=st.sampled_from([Fraction(1, 4), Fraction(1, 8)]), seed=st.integers(0, 10**6),
+       n=st.integers(1, 4), m=st.integers(1, 4), hurt=st.sampled_from(DAMAGES),
+       pick=st.integers(0, 10**6))
+def test_certify_matches_reference(kind, mode, eps, seed, n, m, hurt, pick):
+    # every field and every gamma equal in value and in type, float bits included
+    inst = small_instance(kind, seed, n, m)
+    config = SolverConfig(epsilon=eps, numeric_mode=mode)
+    sol = solve(inst, config)
+    exact = mode == "exact"
+    if hurt == "reparsed":
+        flow, alpha, beta, eps, parsed_mode = parse_solution(solution_to_text(sol), inst)
+        assert parsed_mode == mode
+    elif hurt in ("ints", "integral") and not exact:
+        return  # int entries are an exact-mode input
+    else:
+        flow, alpha, beta = damage(hurt, inst, sol.flow, sol.alpha, sol.beta, pick, exact)
+    tol = 0 if exact else config.float_tol
+    want = reference.certify(inst, flow, alpha, beta, eps, rigorous=exact, tol=tol)
+    got = certify(inst, flow, alpha, beta, eps, rigorous=exact, tol=tol)
+    for field in dataclasses.fields(want):
+        assert_same(getattr(got, field.name), getattr(want, field.name), field.name)
+    want_gamma = reference.reconstruct_gamma(inst, flow, alpha, beta, tol)
+    got_gamma = reconstruct_gamma(inst, flow, alpha, beta, tol)
+    assert list(got_gamma) == list(want_gamma)
+    for e in want_gamma:
+        assert_same(got_gamma[e], want_gamma[e], f"gamma {e}")

@@ -107,6 +107,15 @@ def test_generate_is_deterministic(tmp_path):
     assert a.read_text() == b.read_text()
 
 
+@pytest.mark.parametrize("option, value", [("--a-range", "5"), ("--u-range", "1:x")])
+def test_generate_bad_range_names_the_option(capsys, option, value):
+    args = ["generate", "--seed", "1", "--n", "2", "--m", "2", "--kind", "bts", option, value]
+    assert run_cli(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {option} must be <lo>:<hi> integers, not {value!r}\n"
+    assert captured.out == ""
+
+
 def test_reduce_piecewise_edge_count(tmp_path):
     src = tmp_path / "in.pw"
     src.write_text(PIECEWISE)
@@ -235,6 +244,14 @@ def test_bad_epsilon_option_exits_2(tmp_path, capsys, command):
     assert capsys.readouterr().err == "error: --epsilon: bad rational '1/0'\n"
 
 
+def test_solve_epsilon_out_of_range_names_the_option(tmp_path, capsys):
+    inst, _ = solved(tmp_path)
+    assert run_cli(["solve", str(inst), "--epsilon", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --epsilon: 2 is not in (0, 1)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "prefix, record, reason",
     [
@@ -354,7 +371,29 @@ def test_bench_gen_part_without_equals_exit_2(capsys):
 def test_bench_bad_epsilon_exits_before_the_header(capsys):
     assert run_cli(["bench", "--gen", "n=2,m=2,count=1", "--epsilons", "1/4,0"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: epsilon must be in (0, 1)\n"
+    assert captured.err == "error: --epsilons: 0 is not in (0, 1)\n"
+    assert captured.out == ""
+
+
+def test_bench_epsilon_out_of_range_names_the_option(capsys):
+    assert run_cli(["bench", "--gen", "n=2,m=2,count=1", "--epsilons", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --epsilons: 2 is not in (0, 1)\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "gen, message",
+    [
+        ("count=x", "--gen count must be an integer, not 'x'"),
+        ("n=2,m=1.5", "--gen m must be an integer, not '1.5'"),
+        ("density=abc", "--gen density must be a number, not 'abc'"),
+    ],
+)
+def test_bench_gen_bad_number_names_the_key(capsys, gen, message):
+    assert run_cli(["bench", "--gen", gen]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
 
 
