@@ -47,17 +47,12 @@ def _write(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _rational_arg(option: str, text: str) -> Fraction:
-    """A rational option value, in the syntax of a file's rational field."""
+def _epsilon_arg(option: str, text: str) -> Fraction:
+    """A rational option value strictly between 0 and 1, in a file's rational syntax."""
     try:
-        return rational(0, text)
+        epsilon = rational(0, text)
     except InstanceFormatError as exc:
         raise ValueError(f"{option}: {exc.reason}") from None
-
-
-def _epsilon_arg(option: str, text: str) -> Fraction:
-    """A rational option value strictly between 0 and 1."""
-    epsilon = _rational_arg(option, text)
     if not 0 < epsilon < 1:
         raise ValueError(f"{option}: {text} is not in (0, 1)")
     return epsilon
@@ -135,6 +130,8 @@ def parse_solution(text: str, instance: ProblemInstance):
         elif tag == "epsilon":
             (value,) = fields(line_no, tokens, 1, "epsilon <value>")
             epsilon = rational(line_no, value)
+            if not 0 < epsilon < 1:
+                raise InstanceFormatError(line_no, f"epsilon {value} is not in (0, 1)")
         elif tag == "mode":
             (mode,) = fields(line_no, tokens, 1, "mode <exact|float>")
             if mode not in ("exact", "float"):
@@ -167,7 +164,7 @@ def cmd_verify(args) -> int:
     instance = parse(_read(args.instance))
     flow, alpha, beta, epsilon, mode = parse_solution(_read(args.solution), instance)
     if args.epsilon is not None:
-        epsilon = _rational_arg("--epsilon", args.epsilon)
+        epsilon = _epsilon_arg("--epsilon", args.epsilon)
     if epsilon is None:
         print("error: epsilon not in solution file; pass --epsilon", file=sys.stderr)
         return 2

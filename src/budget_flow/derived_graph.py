@@ -20,6 +20,14 @@ Each edge has one entry at most (`_queued`).  An entry is
 `(-float(key), -key, dst, e, key, level)`.  float() of a Fraction is
 correctly rounded and so monotone: the order is exactly `(-key, dst, e)`,
 and the exact `-key` only breaks float ties.
+In exact mode a saturated edge's slack c - p*beta - alpha is tested in
+integers, as `(c*Db - p*Nb)*Da > Na*Db`.  The two-cycle sweep visits a
+source only if it is dirty, or its preferred edge e is stale (e carries flow
+valued below its sink j's level) and its last negative check read a memo
+other than j's current one, compared by identity; a missing memo never
+matches.  That check read e, alpha, e's valuation and j's back set: only
+`rebuild_preferred` changes e or alpha, and it clears the record, while a
+change of e's valuation, of j's level or of j's back set drops j's memo.
 `note_flow_changed` is the one remaining hook: the flow writers share it,
 and code that edits flows directly, as tests do, calls it.
 """
@@ -102,12 +110,13 @@ class DerivedGraph:
         self._queued = [False] * len(instance.edges)
         self._dirty: set[int] = set(range(instance.n))
         self._back: dict[int, tuple[int, ...]] = {}
+        self._checked: list[tuple[int, ...] | None] = [None] * instance.n
         for e, spec in enumerate(instance.edges):
             if not self._saturated[e]:
                 heapq.heappush(self._heaps[spec.src], self._entry(e))
         for i in range(instance.n):
             self.ensure_fresh(i)
-        self.remove_two_cycles_all()
+        self.remove_two_cycles(range(instance.n))
 
     # -- heap bookkeeping ---------------------------------------------------
 
@@ -207,6 +216,7 @@ class DerivedGraph:
         self.preferred[i] = best
         self.dual.alpha[i] = self.num.value(0) if alpha is None else alpha
         self._dirty.discard(i)
+        self._checked[i] = None
         return best
 
     def back_edges(self, j: int) -> list[int]:
@@ -223,20 +233,28 @@ class DerivedGraph:
         return list(back)
 
     def _scan_back_edges(self, j: int) -> tuple[int, ...]:
+        dual, edges, saturated = self.dual, self.instance.edges, self._saturated
+        valuation, level_j = dual.valuation, dual.level[j]
+        exact = self.num.exact
+        if exact:
+            nb, db = dual.beta[j].as_integer_ratio()
         result = []
-        level_j = self.dual.level[j]
         for e in self.instance.edges_of_sink(j):
-            y = self.dual.valuation.get(e)
+            y = valuation.get(e)
             if y is None or y >= level_j:
                 continue
-            if self._saturated[e]:
-                spec = self.instance.edges[e]
+            if saturated[e]:
+                spec = edges[e]
                 self.ensure_fresh(spec.src)
-                slack = self.dual.effective_profit(e) - self.dual.alpha[spec.src]
-                if self.num.is_pos(slack):
+                a = dual.alpha[spec.src]
+                if exact:
+                    na, da = a.as_integer_ratio()
+                    if (spec.profit * db - spec.price * nb) * da > na * db:
+                        continue
+                elif self.num.is_pos(dual.effective_profit(e) - a):
                     continue
             result.append(e)
-        result.sort(key=lambda e: (self.instance.edges[e].src, e))
+        result.sort(key=lambda e: (edges[e].src, e))
         return tuple(result)
 
     def fix_two_cycle(self, i: int) -> bool:
@@ -252,18 +270,36 @@ class DerivedGraph:
         if e is None or not self.num.is_pos(self.dual.alpha[i]):
             # only live bidders re-assign at the current price level
             return False
-        if e not in self.dual.valuation:
-            # a back edge carries flow, so an edge without a valuation is none
-            return False
         j = self.instance.edges[e].dst
+        y = self.dual.valuation.get(e)
+        if y is None or y >= self.dual.level[j]:
+            # a back edge is stale: it carries flow valued below j's level
+            return False
         back = self.back_edges(j)
         if e in back and len(back) > 1:
             self.promote(e)
             return True
+        self._checked[i] = self._back[j]  # stands until i is rebuilt or j's memo drops
         return False
 
-    def remove_two_cycles_all(self) -> None:
-        for i in range(self.instance.n):
+    def remove_two_cycles(self, sources) -> None:
+        """`fix_two_cycle` at each of `sources`, in order, that can promote.
+
+        The module docstring gives the rule, and why a skipped call returns False.
+        """
+        edges, valuation, level = self.instance.edges, self.dual.valuation, self.dual.level
+        for i in sources:
+            if i not in self._dirty:
+                e = self.preferred[i]
+                if e is None:
+                    continue
+                j = edges[e].dst
+                y = valuation.get(e)
+                if y is None or y >= level[j]:
+                    continue
+                memo = self._back.get(j)
+                if memo is not None and memo is self._checked[i]:
+                    continue
             self.fix_two_cycle(i)
 
     def find_path(self, start: int) -> Path:

@@ -292,8 +292,8 @@ def beta_update_pass(graph: DerivedGraph, candidates=None) -> list[int]:
     The new price is `DualState.next_beta`.  Saturated in-edges whose signed
     slack turns negative become back edges implicitly (their implicit edge
     dual has hit zero), which is what lets them unsaturate later.  Ends by
-    clearing two-cycles at every source with an edge into a risen sink.
-    Returns the sinks whose price rose.
+    sweeping two-cycles over the sources with an edge into a risen sink, in
+    index order.  Returns the sinks whose price rose.
     """
     instance = graph.instance
     sinks = sorted(candidates) if candidates is not None else range(instance.m)
@@ -306,8 +306,7 @@ def beta_update_pass(graph: DerivedGraph, candidates=None) -> list[int]:
             graph.raise_beta(j, value)
             risen.append(j)
     affected = {instance.edges[e].src for j in risen for e in instance.edges_of_sink(j)}
-    for i in sorted(affected):
-        graph.fix_two_cycle(i)
+    graph.remove_two_cycles(sorted(affected))
     return risen
 
 

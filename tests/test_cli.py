@@ -252,6 +252,27 @@ def test_solve_epsilon_out_of_range_names_the_option(tmp_path, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("value", ["-1", "2"])
+def test_verify_epsilon_out_of_range_names_the_option(tmp_path, capsys, value):
+    # an epsilon outside (0, 1) is bad input, not a failed certificate
+    inst, sol = solved(tmp_path)
+    assert run_cli(["verify", str(inst), str(sol), "--epsilon", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --epsilon: {value} is not in (0, 1)\n"
+    assert captured.out == ""
+
+
+def test_verify_epsilon_record_out_of_range_exits_2(tmp_path, capsys):
+    inst, sol = solved(tmp_path)
+    text = sol.read_text()
+    assert text.splitlines()[1] == "epsilon 1/4"
+    sol.write_text(text.replace("epsilon 1/4\n", "epsilon -1\n"))
+    assert run_cli(["verify", str(inst), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: line 2: epsilon -1 is not in (0, 1)\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize(
     "prefix, record, reason",
     [

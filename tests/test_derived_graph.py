@@ -11,7 +11,9 @@ from budget_flow.instance import SolverConfig, generate
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 import budget_flow.solver as solver_mod
 from budget_flow.state import make_states
+from budget_flow.cli import solution_to_text
 from conftest import btp, bts
+from reference_sweep import FullSweepGraph, PromotionLog
 
 EPS4 = SolverConfig(epsilon=Fraction(1, 4))
 
@@ -71,7 +73,7 @@ def test_remove_two_cycles_promotes_with_sibling():
     graph.ensure_fresh(0)
     assert graph.preferred[0] == 0
     assert set(graph.back_edges(0)) == {0, 3}
-    graph.remove_two_cycles_all()
+    graph.remove_two_cycles(range(inst.n))
     # the preferred edge left the back set; the sibling remains
     assert graph.back_edges(0) == [3]
     assert dual.valuation[0] == dual.level[0] == 1
@@ -83,7 +85,7 @@ def test_remove_two_cycles_keeps_sole_back_edge():
     primal.add_flow(0, Fraction(2))
     dual.valuation[0] = 0
     graph.raise_beta(0, Fraction(2))
-    graph.remove_two_cycles_all()
+    graph.remove_two_cycles(range(inst.n))
     assert graph.back_edges(0) == [0]
     assert dual.valuation[0] == 0
 
@@ -92,8 +94,84 @@ def test_remove_two_cycles_idempotent_without_cycles():
     inst = btp([5, 5], [20, 20], [(0, 0, 3, 1), (1, 1, 4, 1)])
     primal, dual, graph = fresh_graph(inst)
     before = dict(dual.valuation)
-    graph.remove_two_cycles_all()
+    graph.remove_two_cycles(range(inst.n))
     assert dict(dual.valuation) == before
+
+
+def test_sweep_visits_a_cleared_record_when_the_memo_was_dropped():
+    # the rise dropped sink 0's memo and the refresh cleared source 0's record;
+    # a missing record must not match the missing memo
+    inst = btp([5, 5, 5], [20, 50], [(0, 0, 9, 1), (1, 0, 4, 2), (0, 1, 1, 1), (2, 0, 5, 1)])
+    primal, dual, graph = fresh_graph(inst)
+    primal.add_flow(0, Fraction(2))
+    primal.add_flow(3, Fraction(2))
+    dual.valuation[0] = dual.valuation[3] = 0
+    graph.raise_beta(0, Fraction(2))
+    graph.ensure_fresh(0)
+    assert graph.preferred[0] == 0
+    assert graph._checked[0] is None and 0 not in graph._back
+    graph.remove_two_cycles([0])
+    assert graph.back_edges(0) == [3]
+    assert dual.valuation[0] == dual.level[0] == 1
+
+
+def test_sweep_skips_a_source_whose_check_read_the_current_memo():
+    inst = btp([5], [20], [(0, 0, 9, 1)])
+    primal, dual, graph = fresh_graph(inst)
+    primal.add_flow(0, Fraction(2))
+    dual.valuation[0] = 0
+    graph.raise_beta(0, Fraction(2))
+    assert not graph.fix_two_cycle(0)  # a sole back edge stays
+    visits = []
+    graph.fix_two_cycle = lambda i: visits.append(i) or DerivedGraph.fix_two_cycle(graph, i)
+    graph.remove_two_cycles([0])
+    assert visits == []
+    graph.move_flow(0, Fraction(1), revalue=False)  # drops the memo, source stays clean
+    assert 0 not in graph._dirty
+    graph.remove_two_cycles([0])
+    assert visits == [0]
+
+
+def test_sweep_skips_an_edge_that_is_not_stale():
+    inst = btp([5, 5], [20], [(0, 0, 9, 1), (1, 0, 5, 1)])
+    primal, dual, graph = fresh_graph(inst)
+    graph.raise_beta(0, Fraction(2))
+    graph.move_flow(0, Fraction(2), revalue=True)  # valued at the sink's level
+    graph.ensure_fresh(0)
+    graph.ensure_fresh(1)
+    assert not graph.fix_two_cycle(0)
+    assert 0 not in graph._back  # answered without a back-set scan
+    visits = []
+    graph.fix_two_cycle = lambda i: visits.append(i) or DerivedGraph.fix_two_cycle(graph, i)
+    graph.remove_two_cycles([0, 1])
+    assert visits == []  # source 0 is not stale, source 1 carries no flow
+
+
+def saturated_edge_graph(profit, price, beta, level, alpha):
+    """One saturated edge, valued at level 0, into a sink at `level` and price
+    `beta`; its source is clean, with alpha set to `alpha`."""
+    inst = bts([1], [10**9], [(0, 0, profit, price, 1)])
+    primal, dual, graph = fresh_graph(inst, SolverConfig(epsilon=Fraction(1, 8)))
+    graph.move_flow(0, Fraction(1), revalue=False)
+    dual.valuation[0] = 0
+    dual.beta[0], dual.level[0] = beta, level
+    graph.ensure_fresh(0)
+    dual.alpha[0] = alpha
+    return graph
+
+
+def test_zero_slack_saturated_edge_is_a_back_edge():
+    beta = Fraction(7, 3)
+    graph = saturated_edge_graph(9, 2, beta, 1, 9 - 2 * beta)
+    assert graph.dual.effective_profit(0) - graph.dual.alpha[0] == 0
+    assert graph.back_edges(0) == [0]
+
+
+def test_tiny_positive_slack_keeps_a_saturated_edge_out_of_the_back_set():
+    beta = Fraction(7, 3)
+    graph = saturated_edge_graph(9, 2, beta, 1, 9 - 2 * beta - Fraction(1, 10**30))
+    assert graph.dual.effective_profit(0) - graph.dual.alpha[0] == Fraction(1, 10**30)
+    assert graph.back_edges(0) == []
 
 
 def test_find_path_immediate_unsaturated_sink(one_by_one):
@@ -406,3 +484,75 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
             if target != primal.flow[e]:
                 graph.move_flow(e, target - primal.flow[e], revalue=flag)
         check_lazy_heaps(graph)
+
+
+# sink prices as ints, as Fractions, and high in the ladder: eps*c/p*(9/8)^(level-1), eps 1/8
+betas = st.one_of(
+    st.tuples(st.integers(1, 50), st.just(1)),
+    st.tuples(st.fractions(min_value=Fraction(1, 10**6), max_value=50), st.just(1)),
+    st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(40, 80)).map(
+        lambda t: (Fraction(t[0], 8 * t[1]) * Fraction(9, 8) ** (t[2] - 1), t[2])),
+)
+
+
+@PROPERTY
+@given(profit=st.integers(0, 10**4), price=st.integers(1, 100), beta_level=betas,
+       alpha=st.one_of(st.integers(0, 10**4), st.fractions(min_value=0, max_value=10**4)),
+       near_zero=st.sampled_from([None, 0, 1, -1]))
+def test_integer_slack_test_agrees_with_the_fraction_sign(profit, price, beta_level, alpha,
+                                                          near_zero):
+    beta, level = beta_level
+    if near_zero is not None:
+        # a slack of exactly 0, or 10**-30 either side of it
+        alpha = profit - price * beta - Fraction(near_zero, 10**30)
+    graph = saturated_edge_graph(profit, price, beta, level, alpha)
+    slack = graph.dual.effective_profit(0) - alpha
+    assert (0 in graph._scan_back_edges(0)) == (not slack > 0)
+
+
+def solve_logged(graph_cls, inst, config):
+    """solve() on a graph of `graph_cls`; returns the solution text and the graph."""
+    graphs = []
+
+    class Logged(graph_cls):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            graphs.append(self)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "DerivedGraph", Logged)
+        text = solution_to_text(solver_mod.solve(inst, config))
+    return text, graphs[0]
+
+
+def check_sweeps_agree(inst, config):
+    """Filtered and full sweeps: same promotions in order, same text with stat lines."""
+    text, graph = solve_logged(PromotionLog, inst, config)
+    ref_text, ref = solve_logged(FullSweepGraph, inst, config)
+    assert graph.promoted == ref.promoted
+    assert text == ref_text
+    return len(ref.promoted), ref.visits - graph.visits
+
+
+@PROPERTY
+@given(kind=st.sampled_from(["btp", "bts", "pw"]), mode=st.sampled_from(["exact", "float"]),
+       seed=st.integers(0, 10**6), n=st.integers(1, 5), m=st.integers(1, 5),
+       eps=st.sampled_from([Fraction(1, 4), Fraction(1, 8)]))
+def test_filtered_sweep_matches_full_sweep(kind, mode, seed, n, m, eps):
+    inst = small_instance(kind, seed, n, m)
+    check_sweeps_agree(inst, SolverConfig(epsilon=eps, numeric_mode=mode))
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_filtered_sweep_matches_full_sweep_on_larger_instances(mode):
+    # 6x6 split-piecewise instances are where a memo read by one source and
+    # then skipped for another of the same sink changes promotions
+    promotions = saved = 0
+    for seed in range(4):
+        for inst in (generate(seed=seed, n=8, m=8, density=0.7,
+                              u_range=(1, 8) if seed % 2 else None),
+                     small_instance("pw", seed, 6, 6)):
+            got = check_sweeps_agree(inst, SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode))
+            promotions += got[0]
+            saved += got[1]
+    assert promotions > 0 and saved > 0  # both sweeps promoted, and the filter skipped calls
