@@ -100,8 +100,8 @@ def certify(
     Parameters
     ----------
     instance : ProblemInstance
-    flow, alpha, beta : sequences sized |E|, n, m (ints and Fractions, or
-        floats when not rigorous)
+    flow, alpha, beta : sequences sized |E|, n, m (ints and Fractions; read
+        as floats when not rigorous)
     epsilon : approximation parameter the gap is measured against
     rigorous : stamp for exact-arithmetic runs; float-mode callers pass False
     tol : comparison slack, 0 in exact mode and below 1 otherwise
@@ -122,8 +122,12 @@ def certify(
             f"solution shape ({len(alpha)},{len(beta)},{len(flow)}) "
             f"does not match instance ({n},{m},{ne})"
         )
-    epsilon = Fraction(epsilon) if rigorous else float(epsilon)
-    zero = Fraction(0) if rigorous else 0.0
+    if rigorous:
+        epsilon, zero = Fraction(epsilon), Fraction(0)
+    else:
+        # a float written by `fmt` reads back as a Fraction that converts exactly
+        flow, alpha, beta = ([float(x) for x in v] for v in (flow, alpha, beta))
+        epsilon, zero = float(epsilon), 0.0
     edges = instance.edges
     support = [e for e, f in enumerate(flow) if f]
 

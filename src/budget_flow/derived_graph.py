@@ -6,12 +6,14 @@ assigned below the sink's current price level that may also be pulled back.
 Paths and cycles for the production solver are walked here.
 
 During a run the graph is the only writer of flows, valuations and sink
-prices: `move_flow`, `promote` and `raise_beta`.  Sink j's back set is
-memoized, and those writers drop the memo themselves, at exactly four
-events: a flow move on an in-edge of j (flow, saturation, valuation), a
-promotion of an in-edge of j, a price change at j, and a source with a
-saturated edge into j going from clean to dirty (that edge's slack reads
-the source's alpha).  A hit thus equals a fresh scan, side effects included.
+prices: `move_flow`, `promote` and `raise_beta`.  It keeps one index,
+`_stale[j]`: the in-edges of sink j that carry flow valued below
+`level[j]`.  Each writer sets the entries it changes, and code that edits
+flows or valuations directly, as tests do, calls `note_flow_changed`.
+Back edges are the stale edges that may give flow back.  A clean source's
+preferred edge is unsaturated, so a two-cycle check can promote it only when
+it is stale and has a stale sibling; the two-cycle sweep visits only dirty
+sources and those.
 Heap entries are stamped with their sink's `dual.level`, which `raise_beta`,
 the only price writer, bumps along with beta.  Keys only fall as beta rises,
 so an old stamp is an upper bound, re-keyed when it reaches the top; a rise
@@ -21,15 +23,7 @@ Each edge has one entry at most (`_queued`).  An entry is
 correctly rounded and so monotone: the order is exactly `(-key, dst, e)`,
 and the exact `-key` only breaks float ties.
 In exact mode a saturated edge's slack c - p*beta - alpha is tested in
-integers, as `(c*Db - p*Nb)*Da > Na*Db`.  The two-cycle sweep visits a
-source only if it is dirty, or its preferred edge e is stale (e carries flow
-valued below its sink j's level) and its last negative check read a memo
-other than j's current one, compared by identity; a missing memo never
-matches.  That check read e, alpha, e's valuation and j's back set: only
-`rebuild_preferred` changes e or alpha, and it clears the record, while a
-change of e's valuation, of j's level or of j's back set drops j's memo.
-`note_flow_changed` is the one remaining hook: the flow writers share it,
-and code that edits flows directly, as tests do, calls it.
+integers, as `(c*Db - p*Nb)*Da > Na*Db`.
 """
 
 from __future__ import annotations
@@ -109,8 +103,11 @@ class DerivedGraph:
         self._saturated = [primal.edge_saturated(e) for e in range(len(instance.edges))]
         self._queued = [False] * len(instance.edges)
         self._dirty: set[int] = set(range(instance.n))
-        self._back: dict[int, tuple[int, ...]] = {}
-        self._checked: list[tuple[int, ...] | None] = [None] * instance.n
+        self._stale: list[set[int]] = [set() for _ in range(instance.m)]
+        for e, y in dual.valuation.items():
+            j = instance.edges[e].dst
+            if y < dual.level[j]:
+                self._stale[j].add(e)
         for e, spec in enumerate(instance.edges):
             if not self._saturated[e]:
                 heapq.heappush(self._heaps[spec.src], self._entry(e))
@@ -127,23 +124,21 @@ class DerivedGraph:
         self._queued[e] = True
         return (-float(key), -key, dst, e, key, self.dual.level[dst])
 
-    def _mark_dirty(self, i: int) -> None:
-        if i not in self._dirty:
-            self._dirty.add(i)
-            for e in self.instance.edges_of_source(i):
-                if self._saturated[e]:
-                    self._back.pop(self.instance.edges[e].dst, None)
-
     def note_flow_changed(self, e: int) -> None:
-        """Track saturation flips; saturated edges leave the heap, others rejoin."""
-        now = self.primal.edge_saturated(e)
+        """Track staleness and saturation flips; saturated edges leave the heap,
+        others rejoin."""
         spec = self.instance.edges[e]
-        self._back.pop(spec.dst, None)
+        level = self.dual.level[spec.dst]
+        if self.dual.valuation.get(e, level) < level:
+            self._stale[spec.dst].add(e)
+        else:
+            self._stale[spec.dst].discard(e)
+        now = self.primal.edge_saturated(e)
         if now != self._saturated[e]:
             self._saturated[e] = now
             if not now and not self._queued[e]:
                 heapq.heappush(self._heaps[spec.src], self._entry(e))
-            self._mark_dirty(spec.src)
+            self._dirty.add(spec.src)
 
     def ensure_fresh(self, i: int) -> None:
         if i in self._dirty:
@@ -178,17 +173,21 @@ class DerivedGraph:
         j = self.instance.edges[e].dst
         if e in self.dual.valuation:
             self.dual.valuation[e] = self.dual.level[j]
-        self._back.pop(j, None)
+        self._stale[j].discard(e)
 
     def raise_beta(self, j: int, value) -> None:
-        """Set sink j's price to `value` (its first, or a rise) one level up."""
+        """Set sink j's price to `value` (its first, or a rise) one level up.
+
+        Every flowing in-edge of j is then valued below its level.
+        """
         self.stats.bump("beta_rises" if self.dual.level[j] else "beta_inits")
         self.dual.raise_beta(j, value)
-        self._back.pop(j, None)
-        for e in self.instance.edges_of_sink(j):
+        in_edges = self.instance.edges_of_sink(j)
+        self._stale[j] = self.dual.valuation.keys() & in_edges
+        for e in in_edges:
             i = self.instance.edges[e].src
             if self.preferred[i] == e:
-                self._mark_dirty(i)
+                self._dirty.add(i)
 
     # -- graph operations -------------------------------------------------------
 
@@ -216,36 +215,27 @@ class DerivedGraph:
         self.preferred[i] = best
         self.dual.alpha[i] = self.num.value(0) if alpha is None else alpha
         self._dirty.discard(i)
-        self._checked[i] = None
         return best
 
     def back_edges(self, j: int) -> list[int]:
-        """Positive-flow in-edges of j assigned below its level that may give flow back.
+        """Stale in-edges of j that may give flow back, ordered by (source, edge).
 
         A saturated edge qualifies only once its price slack c - p*beta - alpha
         has dropped to zero or below; until then its implicit edge dual covers it.
-        A valuation exists exactly while its edge carries flow, so edges without
-        one are skipped.  Returns a copy of the memoized set.
         """
-        back = self._back.get(j)
-        if back is None:
-            back = self._back[j] = self._scan_back_edges(j)
-        return list(back)
-
-    def _scan_back_edges(self, j: int) -> tuple[int, ...]:
+        stale = self._stale[j]
+        if not stale:
+            return []
         dual, edges, saturated = self.dual, self.instance.edges, self._saturated
-        valuation, level_j = dual.valuation, dual.level[j]
         exact = self.num.exact
         if exact:
             nb, db = dual.beta[j].as_integer_ratio()
         result = []
-        for e in self.instance.edges_of_sink(j):
-            y = valuation.get(e)
-            if y is None or y >= level_j:
-                continue
+        for e in stale:
             if saturated[e]:
                 spec = edges[e]
-                self.ensure_fresh(spec.src)
+                if spec.src in self._dirty:
+                    self.rebuild_preferred(spec.src)
                 a = dual.alpha[spec.src]
                 if exact:
                     na, da = a.as_integer_ratio()
@@ -254,8 +244,9 @@ class DerivedGraph:
                 elif self.num.is_pos(dual.effective_profit(e) - a):
                     continue
             result.append(e)
-        result.sort(key=lambda e: (edges[e].src, e))
-        return tuple(result)
+        if len(result) > 1:
+            result.sort(key=lambda e: (edges[e].src, e))
+        return result
 
     def fix_two_cycle(self, i: int) -> bool:
         """Promote the preferred edge out of the back set when siblings remain.
@@ -271,34 +262,27 @@ class DerivedGraph:
             # only live bidders re-assign at the current price level
             return False
         j = self.instance.edges[e].dst
-        y = self.dual.valuation.get(e)
-        if y is None or y >= self.dual.level[j]:
-            # a back edge is stale: it carries flow valued below j's level
+        stale = self._stale[j]
+        if e not in stale or len(stale) < 2:
             return False
-        back = self.back_edges(j)
-        if e in back and len(back) > 1:
+        # e is unsaturated, so a stale e is one of j's back edges
+        if len(self.back_edges(j)) > 1:
             self.promote(e)
             return True
-        self._checked[i] = self._back[j]  # stands until i is rebuilt or j's memo drops
         return False
 
     def remove_two_cycles(self, sources) -> None:
-        """`fix_two_cycle` at each of `sources`, in order, that can promote.
-
-        The module docstring gives the rule, and why a skipped call returns False.
-        """
-        edges, valuation, level = self.instance.edges, self.dual.valuation, self.dual.level
+        """`fix_two_cycle` at each of `sources`, in order, that is dirty or
+        prefers a stale edge with a stale sibling; a clean source that does
+        not returns False."""
+        edges = self.instance.edges
         for i in sources:
             if i not in self._dirty:
                 e = self.preferred[i]
                 if e is None:
                     continue
-                j = edges[e].dst
-                y = valuation.get(e)
-                if y is None or y >= level[j]:
-                    continue
-                memo = self._back.get(j)
-                if memo is not None and memo is self._checked[i]:
+                stale = self._stale[edges[e].dst]
+                if e not in stale or len(stale) < 2:
                     continue
             self.fix_two_cycle(i)
 

@@ -275,8 +275,8 @@ class MincostBtpInstance:
     """Equality-constrained transportation LP with rational data.
 
     Sources must ship exactly their supply and sinks receive price-weighted
-    flow exactly equal to their budget; the objective is minimized (or
-    maximized after the profit shift).  This form exists to carry the
+    flow exactly equal to their budget; the objective is minimized, or
+    maximized when `sense` is "max".  This form exists to carry the
     generalized-flow reduction; it is not fed to the approximation solver.
     """
 
@@ -284,7 +284,6 @@ class MincostBtpInstance:
     budget: tuple[Fraction, ...]
     edges: tuple[MincostEdge, ...]
     sense: str = "min"
-    tag: str = ""
 
     @property
     def n(self) -> int:
@@ -421,29 +420,6 @@ def gflow_cost(g: GenFlowInstance, flows) -> Fraction:
     return sum((arc.cost * flows[a] for a, arc in enumerate(g.arcs)), start=Fraction(0))
 
 
-def mincost_to_maxprofit(instance: MincostBtpInstance, big_m) -> MincostBtpInstance:
-    """Turn the min-cost instance into max-profit via profits big_m - cost.
-
-    Exactness of the translation needs big_m beyond the LP's granularity, and
-    an approximate solution of the shifted instance does not translate back
-    into an approximation for the original; outputs are tagged accordingly.
-    """
-    big_m = Fraction(big_m)
-    top = max(spec.cost for spec in instance.edges)
-    if big_m <= top:
-        raise ValueError(f"shift constant must exceed the largest cost {top}")
-    return MincostBtpInstance(
-        supply=instance.supply,
-        budget=instance.budget,
-        edges=tuple(
-            MincostEdge(spec.src, spec.dst, big_m - spec.cost, spec.price)
-            for spec in instance.edges
-        ),
-        sense="max",
-        tag="heuristic-bridge",
-    )
-
-
 def mincost_exact_opt(
     instance: MincostBtpInstance, maximize: bool | None = None
 ) -> tuple[Fraction, list[Fraction]]:
@@ -571,8 +547,6 @@ def serialize_gflow(g: GenFlowInstance) -> str:
 
 def serialize_mincost(instance: MincostBtpInstance) -> str:
     lines = [f"p mincost {instance.n} {instance.m} {len(instance.edges)} {instance.sense}"]
-    if instance.tag:
-        lines.append(f"# tag: {instance.tag}")
     lines += [f"s {i + 1} {_ratio_str(a)}" for i, a in enumerate(instance.supply)]
     lines += [f"t {j + 1} {_ratio_str(b)}" for j, b in enumerate(instance.budget)]
     for spec in instance.edges:

@@ -4,7 +4,7 @@ Handles capacitated (bts) instances and treats btp as the unbounded special
 case.  Flow moves in bulk along alternating paths; cycles are resolved with a
 closed-form geometric update instead of revolution-by-revolution simulation.
 The push layer works on the `DerivedGraph` alone: it decides the amounts,
-and the graph's writers move the flow and set the prices, keeping its memos
+and the graph's writers move the flow and set the prices, keeping its index
 and heaps in step.
 """
 

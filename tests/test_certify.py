@@ -198,12 +198,30 @@ def test_certify_matches_reference(kind, mode, eps, seed, n, m, hurt, pick):
     else:
         flow, alpha, beta = damage(hurt, inst, sol.flow, sol.alpha, sol.beta, pick, exact)
     tol = 0 if exact else config.float_tol
-    want = reference.certify(inst, flow, alpha, beta, eps, rigorous=exact, tol=tol)
+    # a non-rigorous certify reads its inputs as floats, re-parsed Fractions too
+    read = (flow, alpha, beta) if exact else [[float(x) for x in v] for v in (flow, alpha, beta)]
+    want = reference.certify(inst, *read, eps, rigorous=exact, tol=tol)
     got = certify(inst, flow, alpha, beta, eps, rigorous=exact, tol=tol)
     for field in dataclasses.fields(want):
         assert_same(getattr(got, field.name), getattr(want, field.name), field.name)
-    want_gamma = reference.reconstruct_gamma(inst, flow, alpha, beta, tol)
-    got_gamma = reconstruct_gamma(inst, flow, alpha, beta, tol)
+    want_gamma = reference.reconstruct_gamma(inst, *read, tol)
+    got_gamma = reconstruct_gamma(inst, *read, tol)
     assert list(got_gamma) == list(want_gamma)
     for e in want_gamma:
         assert_same(got_gamma[e], want_gamma[e], f"gamma {e}")
+
+
+@pytest.mark.parametrize("kind", ["btp", "bts", "pw"])
+def test_reread_float_certificate_equals_the_solve_certificate(kind):
+    # a float written to a solution file reads back exactly, so `verify`
+    # recomputes the solve's own certificate, float bits included
+    for seed in range(6):
+        inst = small_instance(kind, seed, 5, 5)
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float")
+        sol = solve(inst, config)
+        flow, alpha, beta, eps, mode = parse_solution(solution_to_text(sol), inst)
+        assert mode == "float"
+        cert = certify(inst, flow, alpha, beta, eps, rigorous=False, tol=config.float_tol)
+        for field in dataclasses.fields(cert):
+            assert_same(getattr(cert, field.name), getattr(sol.certificate, field.name),
+                        field.name)

@@ -1,3 +1,4 @@
+import os
 import random
 import subprocess
 import sys
@@ -438,8 +439,10 @@ def test_solve_float_first_price_below_tolerance_terminates(tmp_path, capsys):
 
 
 def test_cli_entry_point_installed():
+    src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(
         [sys.executable, "-m", "budget_flow.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
         capture_output=True,
         text=True,
     )

@@ -99,8 +99,8 @@ def test_remove_two_cycles_idempotent_without_cycles():
 
 
 def test_sweep_visits_a_cleared_record_when_the_memo_was_dropped():
-    # the rise dropped sink 0's memo and the refresh cleared source 0's record;
-    # a missing record must not match the missing memo
+    # the refresh left source 0 clean, and the rise left its preferred edge
+    # stale: the sweep must visit it
     inst = btp([5, 5, 5], [20, 50], [(0, 0, 9, 1), (1, 0, 4, 2), (0, 1, 1, 1), (2, 0, 5, 1)])
     primal, dual, graph = fresh_graph(inst)
     primal.add_flow(0, Fraction(2))
@@ -109,27 +109,10 @@ def test_sweep_visits_a_cleared_record_when_the_memo_was_dropped():
     graph.raise_beta(0, Fraction(2))
     graph.ensure_fresh(0)
     assert graph.preferred[0] == 0
-    assert graph._checked[0] is None and 0 not in graph._back
+    assert 0 not in graph._dirty and 0 in graph._stale[0]
     graph.remove_two_cycles([0])
     assert graph.back_edges(0) == [3]
     assert dual.valuation[0] == dual.level[0] == 1
-
-
-def test_sweep_skips_a_source_whose_check_read_the_current_memo():
-    inst = btp([5], [20], [(0, 0, 9, 1)])
-    primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(0, Fraction(2))
-    dual.valuation[0] = 0
-    graph.raise_beta(0, Fraction(2))
-    assert not graph.fix_two_cycle(0)  # a sole back edge stays
-    visits = []
-    graph.fix_two_cycle = lambda i: visits.append(i) or DerivedGraph.fix_two_cycle(graph, i)
-    graph.remove_two_cycles([0])
-    assert visits == []
-    graph.move_flow(0, Fraction(1), revalue=False)  # drops the memo, source stays clean
-    assert 0 not in graph._dirty
-    graph.remove_two_cycles([0])
-    assert visits == [0]
 
 
 def test_sweep_skips_an_edge_that_is_not_stale():
@@ -140,7 +123,7 @@ def test_sweep_skips_an_edge_that_is_not_stale():
     graph.ensure_fresh(0)
     graph.ensure_fresh(1)
     assert not graph.fix_two_cycle(0)
-    assert 0 not in graph._back  # answered without a back-set scan
+    assert not graph._stale[0]  # answered without a back-set scan
     visits = []
     graph.fix_two_cycle = lambda i: visits.append(i) or DerivedGraph.fix_two_cycle(graph, i)
     graph.remove_two_cycles([0, 1])
@@ -155,6 +138,7 @@ def saturated_edge_graph(profit, price, beta, level, alpha):
     graph.move_flow(0, Fraction(1), revalue=False)
     dual.valuation[0] = 0
     dual.beta[0], dual.level[0] = beta, level
+    graph.note_flow_changed(0)
     graph.ensure_fresh(0)
     dual.alpha[0] = alpha
     return graph
@@ -342,8 +326,17 @@ def test_back_edge_reenters_only_after_price_rise(monkeypatch):
     assert zeroings > 0  # the rule was exercised, not vacuously true
 
 
+def check_stale_index(graph) -> None:
+    """`_stale[j]` holds exactly the in-edges of j carrying flow valued below its level."""
+    valuation, level = graph.dual.valuation, graph.dual.level
+    for j in range(graph.instance.m):
+        expected = {e for e in graph.instance.edges_of_sink(j)
+                    if valuation.get(e, level[j]) < level[j]}
+        assert graph._stale[j] == expected, j
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_back_set_memo_matches_fresh_scan_after_every_phase(monkeypatch, mode):
+def test_stale_index_matches_valuations_after_every_phase(monkeypatch, mode):
     graphs = []
 
     class RecordingGraph(DerivedGraph):
@@ -353,16 +346,11 @@ def test_back_set_memo_matches_fresh_scan_after_every_phase(monkeypatch, mode):
 
     monkeypatch.setattr(solver_mod, "DerivedGraph", RecordingGraph)
 
-    def check_memos(snap):
-        graph = graphs[-1]
-        dirty = set(graph._dirty)
-        for j, memo in list(graph._back.items()):
-            assert graph._scan_back_edges(j) == memo, (snap.iteration, j)
-        # a valid memo only stands for scans whose ensure_fresh calls are no-ops
-        assert graph._dirty == dirty
-        checked.append(len(graph._back))
+    def check_index(snap):
+        check_stale_index(graphs[-1])
+        stale.append(sum(map(len, graphs[-1]._stale)))
 
-    checked: list[int] = []
+    stale: list[int] = []
     for seed in range(8):
         try:
             inst = generate(seed=seed, n=3 + seed % 4, m=3 + seed % 3, density=0.8,
@@ -370,8 +358,8 @@ def test_back_set_memo_matches_fresh_scan_after_every_phase(monkeypatch, mode):
         except ValueError:
             continue
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
-        assert solver_mod.solve(inst, config, on_iteration=check_memos).terminated
-    assert sum(checked) > 0  # the memo was populated and checked
+        assert solver_mod.solve(inst, config, on_iteration=check_index).terminated
+    assert sum(stale) > 0  # the index held stale edges when it was checked
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -463,6 +451,7 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
     primal, dual, num = make_states(inst, config)
     graph = DerivedGraph(inst, primal, dual)
     check_lazy_heaps(graph)
+    check_stale_index(graph)
     for op, index, flag in ops:
         e = index % len(inst.edges)
         cap = inst.edges[e].capacity
@@ -484,6 +473,7 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
             if target != primal.flow[e]:
                 graph.move_flow(e, target - primal.flow[e], revalue=flag)
         check_lazy_heaps(graph)
+        check_stale_index(graph)
 
 
 # sink prices as ints, as Fractions, and high in the ladder: eps*c/p*(9/8)^(level-1), eps 1/8
@@ -507,7 +497,7 @@ def test_integer_slack_test_agrees_with_the_fraction_sign(profit, price, beta_le
         alpha = profit - price * beta - Fraction(near_zero, 10**30)
     graph = saturated_edge_graph(profit, price, beta, level, alpha)
     slack = graph.dual.effective_profit(0) - alpha
-    assert (0 in graph._scan_back_edges(0)) == (not slack > 0)
+    assert (0 in graph.back_edges(0)) == (not slack > 0)
 
 
 def solve_logged(graph_cls, inst, config):
@@ -545,8 +535,8 @@ def test_filtered_sweep_matches_full_sweep(kind, mode, seed, n, m, eps):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_filtered_sweep_matches_full_sweep_on_larger_instances(mode):
-    # 6x6 split-piecewise instances are where a memo read by one source and
-    # then skipped for another of the same sink changes promotions
+    # 6x6 split-piecewise instances give a sink several stale edges, so one
+    # source's promotion changes what a later source's check reads
     promotions = saved = 0
     for seed in range(4):
         for inst in (generate(seed=seed, n=8, m=8, density=0.7,

@@ -18,8 +18,6 @@ from budget_flow.reductions import (
     gflow_to_btp,
     map_flow_back,
     map_flow_forward,
-    mincost_exact_opt,
-    mincost_to_maxprofit,
     normalize_split_solution,
     parse_gflow,
     parse_mincost,
@@ -356,7 +354,7 @@ def test_gflow_file_round_trip():
     assert parse_gflow(text) == g
 
 
-# -- min-cost to max-profit shift ---------------------------------------------
+# -- min-cost files -----------------------------------------------------------
 
 
 def two_edge_mincost():
@@ -466,29 +464,3 @@ def test_validation_failures_are_typed():
     g = single_arc_gflow()
     with pytest.raises(InstanceValidationError):
         gflow_to_btp(GenFlowInstance(g.num_nodes, g.arcs, 0, g.supply, 0, g.demand))
-
-
-def test_shift_costs():
-    shifted = mincost_to_maxprofit(two_edge_mincost(), Fraction(10))
-    assert [e.cost for e in shifted.edges] == [6, 2]
-    assert shifted.sense == "max"
-    assert shifted.tag == "heuristic-bridge"
-
-
-def test_shift_requires_strictly_larger_constant():
-    with pytest.raises(ValueError):
-        mincost_to_maxprofit(two_edge_mincost(), Fraction(8))
-
-
-def test_shift_optimum_relation():
-    # exact relation on the equality form: mincost = M*sum(a) - maxprofit
-    rng = random.Random(31)
-    for _ in range(10):
-        g, _ = random_feasible_gflow(rng)
-        reduced, _ = gflow_to_btp(g)
-        big_m = max(e.cost for e in reduced.edges) + rng.randint(1, 5)
-        shifted = mincost_to_maxprofit(reduced, big_m)
-        mincost, _ = mincost_exact_opt(reduced, maximize=False)
-        maxprofit, _ = mincost_exact_opt(shifted, maximize=True)
-        total_supply = sum(reduced.supply)
-        assert mincost == big_m * total_supply - maxprofit
