@@ -19,9 +19,11 @@ the only price writer, bumps along with beta.  Keys only fall as beta rises,
 so an old stamp is an upper bound, re-keyed when it reaches the top; a rise
 pushes nothing and dirties only sources whose preferred edge enters the sink.
 Each edge has one entry at most (`_queued`).  An entry is
-`(-float(key), -key, dst, e, key, level)`.  float() of a Fraction is
-correctly rounded and so monotone: the order is exactly `(-key, dst, e)`,
-and the exact `-key` only breaks float ties.
+`(-float_key, tie, dst, e, level)`, ordered exactly as `(-key, dst, e)`.  In
+exact mode the key c - p*beta is kn/Db, kn = c*Db - p*Nb: float_key is the
+correctly rounded int division `kn / Db`, as float() of the Fraction, so it
+is monotone, and only equal floats read `tie = ExactKey(kn, Db)`.  In float
+mode the key is a float and `tie` is None.
 In exact mode a saturated edge's slack c - p*beta - alpha is tested in
 integers, as `(c*Db - p*Nb)*Da > Na*Db`.
 """
@@ -83,6 +85,21 @@ class Path:
         return prefix, pairs
 
 
+class ExactKey:
+    """Exact heap key kn/d (d > 0), higher first; read only on a float tie."""
+
+    __slots__ = ("kn", "d")
+
+    def __init__(self, kn: int, d: int):
+        self.kn, self.d = kn, d
+
+    def __eq__(self, other) -> bool:
+        return self.kn * other.d == other.kn * self.d
+
+    def __lt__(self, other) -> bool:
+        return self.kn * other.d > other.kn * self.d
+
+
 class DerivedGraph:
     """Owns the heaps, preferred edges and lazy alpha refresh for one run."""
 
@@ -118,11 +135,15 @@ class DerivedGraph:
     # -- heap bookkeeping ---------------------------------------------------
 
     def _entry(self, e: int) -> tuple:
-        dst = self.instance.edges[e].dst
-        key = self.dual.effective_profit(e)
+        spec = self.instance.edges[e]
+        dst = spec.dst
         self.stats.bump("heap_updates")
         self._queued[e] = True
-        return (-float(key), -key, dst, e, key, self.dual.level[dst])
+        if self.num.exact:
+            nb, db = self.dual.beta[dst].as_integer_ratio()
+            kn = spec.profit * db - spec.price * nb
+            return (-(kn / db), ExactKey(kn, db), dst, e, self.dual.level[dst])
+        return (-self.dual.effective_profit(e), None, dst, e, self.dual.level[dst])
 
     def note_flow_changed(self, e: int) -> None:
         """Track staleness and saturation flips; saturated edges leave the heap,
@@ -201,7 +222,7 @@ class DerivedGraph:
         heap = self._heaps[i]
         best = alpha = None
         while heap:
-            _, _, dst, e, key, level = heap[0]
+            _, _, dst, e, level = heap[0]
             if self._saturated[e]:
                 heapq.heappop(heap)
                 self._queued[e] = False
@@ -209,7 +230,7 @@ class DerivedGraph:
             elif level != self.dual.level[dst]:
                 heapq.heapreplace(heap, self._entry(e))
             else:
-                best = e
+                best, key = e, self.dual.effective_profit(e)
                 alpha = key if self.num.is_pos(key) else None
                 break
         self.preferred[i] = best

@@ -76,19 +76,24 @@ class ProblemInstance:
         return len(self.budget)
 
     @cached_property
-    def _adjacency(self) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """Edge indices per source and per sink, in edge order; built once."""
+    def _adjacency(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
+        """Edge indices per source and per sink, in edge order, and the distinct
+        sources of each sink, in index order; built once."""
         out_edges, in_edges = [[] for _ in range(self.n)], [[] for _ in range(self.m)]
         for e, spec in enumerate(self.edges):
             out_edges[spec.src].append(e)
             in_edges[spec.dst].append(e)
-        return tuple(map(tuple, out_edges)), tuple(map(tuple, in_edges))
+        sources = (tuple(sorted({self.edges[e].src for e in in_j})) for in_j in in_edges)
+        return tuple(map(tuple, out_edges)), tuple(map(tuple, in_edges)), tuple(sources)
 
     def edges_of_source(self, i: int) -> tuple[int, ...]:
         return self._adjacency[0][i]
 
     def edges_of_sink(self, j: int) -> tuple[int, ...]:
         return self._adjacency[1][j]
+
+    def sources_of_sink(self, j: int) -> tuple[int, ...]:
+        return self._adjacency[2][j]
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ from .instance import (
     read_header,
     transport_records,
 )
-from .oracle import solve_equality_lp
 
 
 # ---------------------------------------------------------------------------
@@ -418,33 +417,6 @@ def transport_cost(instance: MincostBtpInstance, flows) -> Fraction:
 
 def gflow_cost(g: GenFlowInstance, flows) -> Fraction:
     return sum((arc.cost * flows[a] for a, arc in enumerate(g.arcs)), start=Fraction(0))
-
-
-def mincost_exact_opt(
-    instance: MincostBtpInstance, maximize: bool | None = None
-) -> tuple[Fraction, list[Fraction]]:
-    """Exact optimum of the equality-constrained LP by the two-phase simplex."""
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    ne = len(instance.edges)
-    for i in range(instance.n):
-        row = [Fraction(0)] * ne
-        for e, spec in enumerate(instance.edges):
-            if spec.src == i:
-                row[e] = Fraction(1)
-        rows.append(row)
-        rhs.append(instance.supply[i])
-    for j in range(instance.m):
-        row = [Fraction(0)] * ne
-        for e, spec in enumerate(instance.edges):
-            if spec.dst == j:
-                row[e] = spec.price
-        rows.append(row)
-        rhs.append(instance.budget[j])
-    costs = [spec.cost for spec in instance.edges]
-    if maximize is None:
-        maximize = instance.sense == "max"
-    return solve_equality_lp(rows, rhs, costs, maximize=maximize)
 
 
 # ---------------------------------------------------------------------------

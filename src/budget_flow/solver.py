@@ -305,8 +305,10 @@ def beta_update_pass(graph: DerivedGraph, candidates=None) -> list[int]:
         if value is not None:
             graph.raise_beta(j, value)
             risen.append(j)
-    affected = {instance.edges[e].src for j in risen for e in instance.edges_of_sink(j)}
-    graph.remove_two_cycles(sorted(affected))
+    if len(risen) == 1:
+        graph.remove_two_cycles(instance.sources_of_sink(risen[0]))
+    elif risen:
+        graph.remove_two_cycles(sorted({i for j in risen for i in instance.sources_of_sink(j)}))
     return risen
 
 
@@ -361,14 +363,15 @@ def solve(
     graph = DerivedGraph(instance, primal, dual, stats)
     terminated = True
     cursor = 0
+    n, surplus, alpha, is_pos = instance.n, primal.surplus, dual.alpha, num.is_pos
     while True:
         picked = None
-        for offset in range(instance.n):
-            i = (cursor + offset) % instance.n
-            if not num.is_pos(primal.surplus[i]):
+        for offset in range(n):
+            i = (cursor + offset) % n
+            if not is_pos(surplus[i]):
                 continue
             graph.ensure_fresh(i)
-            if num.is_pos(dual.alpha[i]):
+            if is_pos(alpha[i]):
                 picked = i
                 break
         if picked is None:

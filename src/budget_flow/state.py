@@ -79,7 +79,8 @@ class PrimalState:
 
     surplus[i]  = a_i - sum of flow out of source i
     residual[j] = b_j - price-weighted flow into sink j
-    Both always equal their defining sums; recompute_check verifies that.
+    Both always equal their defining sums, since `add_flow` moves them with
+    the flow.
     """
 
     def __init__(self, instance: ProblemInstance, num: Numerics):
@@ -109,21 +110,6 @@ class PrimalState:
             return None
         return self.num.value(cap) - self.flow[e]
 
-    def recompute_check(self) -> bool:
-        """Surpluses/residuals match their defining sums (exact-mode oracle)."""
-        for i in range(self.instance.n):
-            out = sum(self.flow[e] for e in self.instance.edges_of_source(i))
-            if not self.num.eq(self.surplus[i], self.num.value(self.instance.supply[i]) - out):
-                return False
-        for j in range(self.instance.m):
-            paid = sum(
-                self.flow[e] * self.instance.edges[e].price
-                for e in self.instance.edges_of_sink(j)
-            )
-            if not self.num.eq(self.residual[j], self.num.value(self.instance.budget[j]) - paid):
-                return False
-        return True
-
 
 class DualState:
     """Source prices alpha, sink prices beta with their levels, edge valuations.
@@ -140,6 +126,7 @@ class DualState:
         self.instance = instance
         self.num = num
         self.epsilon = num.value(config.epsilon)
+        self.rise_factor = 1 + self.epsilon
         self.alpha = [
             num.value(max((instance.edges[e].profit for e in out), default=0))
             for out in map(instance.edges_of_source, range(instance.n))
@@ -157,7 +144,7 @@ class DualState:
         in-edges; a priced one rises by the factor (1 + epsilon).
         """
         if self.level[j]:
-            return self.beta[j] * (1 + self.epsilon)
+            return self.beta[j] * self.rise_factor
         edges = self.instance.edges
         rates = [
             Fraction(edges[e].profit, edges[e].price)

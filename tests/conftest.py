@@ -94,6 +94,20 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
     return instance, primal, dual, graph, stats, pairs
 
 
+def recompute_check(primal) -> bool:
+    """Surpluses and residuals match their defining sums (an invariant monitor)."""
+    instance, num = primal.instance, primal.num
+    for i in range(instance.n):
+        out = sum(primal.flow[e] for e in instance.edges_of_source(i))
+        if not num.eq(primal.surplus[i], num.value(instance.supply[i]) - out):
+            return False
+    for j in range(instance.m):
+        paid = sum(primal.flow[e] * instance.edges[e].price for e in instance.edges_of_sink(j))
+        if not num.eq(primal.residual[j], num.value(instance.budget[j]) - paid):
+            return False
+    return True
+
+
 def simulate_revolutions(instance, flows, pairs, surplus, revolutions):
     """Reference cycle push: move flow edge by edge, one revolution at a time.
 

@@ -5,7 +5,7 @@ import pytest
 from reference_auction import auction_step, initialize, run, update_beta
 from budget_flow.certify import certify
 from budget_flow.instance import SolverConfig, generate
-from conftest import btp, bts
+from conftest import btp, bts, recompute_check
 
 EPS4 = SolverConfig(epsilon=Fraction(1, 4))
 
@@ -156,7 +156,7 @@ def test_run_abort_contract_on_shrinking_displacement_cycle():
     result = run(inst, SolverConfig(epsilon=Fraction(1, 4), max_phases=2000))
     assert not result.terminated
     assert result.stats.get("steps") == 2000
-    assert result.primal.recompute_check()
+    assert recompute_check(result.primal)
 
 
 def test_per_step_invariants_hold():

@@ -1,4 +1,5 @@
 import copy
+import heapq
 import random
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budget_flow.derived_graph import DerivedGraph, PathKind
+from budget_flow.derived_graph import DerivedGraph, ExactKey, PathKind
 from budget_flow.instance import SolverConfig, generate
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 import budget_flow.solver as solver_mod
@@ -51,6 +52,74 @@ def test_rebuild_preferred_exact_key_breaks_float_ties():
     # the float tie must not fall through to the sink index, which favours sink 0
     assert graph.preferred[0] == 1
     assert dual.alpha[0] == keys[1]
+
+
+def priced_graph(instance, betas):
+    """A graph built after the sinks in `betas` got their first price."""
+    primal, dual, _ = make_states(instance, EPS4)
+    for j, beta in betas.items():
+        dual.raise_beta(j, beta)
+    return primal, dual, DerivedGraph(instance, primal, dual)
+
+
+def heap_order(graph, i):
+    """Edge order of source i's heap, read by popping a copy."""
+    heap = list(graph._heaps[i])
+    return [heapq.heappop(heap)[3] for _ in range(len(heap))]
+
+
+def test_equal_exact_keys_in_different_ratios_fall_through_to_the_sink_index():
+    # edge 0 (sink 1): 2 - 4*(1/4) = 4/4; edge 1 (sink 0): 2 - 2*(1/2) = 2/2.
+    # Edge 0 is pushed first, so a tie read as unequal would leave it on top.
+    inst = btp([5], [9, 9], [(0, 1, 2, 4), (0, 0, 2, 2)])
+    primal, dual, graph = priced_graph(inst, {0: Fraction(1, 2), 1: Fraction(1, 4)})
+    ties = sorted((entry[1].kn, entry[1].d) for entry in graph._heaps[0])
+    assert ties == [(2, 2), (4, 4)]
+    assert graph.preferred[0] == 1
+    assert dual.alpha[0] == 1
+    assert heap_order(graph, 0) == [1, 0]
+
+
+def test_float_tie_winner_below_the_root_rises_to_the_top():
+    # edge 3's key 1 + 10**-20 equals edge 0's key 1 in floats; pushed last,
+    # it enters a heap of four below the root and must be sifted past it
+    tiny = Fraction(1, 10**20)
+    inst = btp([5], [9] * 5, [(0, 0, 1, 1), (0, 1, 1, 1), (0, 2, 1, 1), (0, 3, 2, 10**20 - 1),
+                              (0, 4, 1, 1)])
+    betas = {1: Fraction(1, 2), 2: Fraction(3, 4), 3: tiny, 4: Fraction(1, 8)}
+    primal, dual, graph = priced_graph(inst, betas)
+    keys = [dual.effective_profit(e) for e in range(5)]
+    assert float(keys[3]) == float(keys[0]) and keys[3] > keys[0]
+    assert graph.preferred[0] == 3
+    assert dual.alpha[0] == keys[3]
+    assert heap_order(graph, 0) == sorted(range(5), key=lambda e: (-keys[e], e))
+
+
+# a key kn/d, and a second key near it: the same value in another ratio, or
+# 10**-25 of it away, which float() rounds to the same value in most cases
+key_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)).flatmap(
+    lambda a: st.tuples(
+        st.just(a),
+        st.one_of(
+            st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)),
+            st.integers(1, 10**9).map(lambda s: (a[0] * s, a[1] * s)),
+            st.integers(-3, 3).map(lambda t: (a[0] * 10**25 + t, a[1] * 10**25)),
+        ),
+    )
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(pair=key_pairs)
+def test_exact_key_orders_as_the_negated_fraction(pair):
+    (ka, da), (kb, db) = pair
+    a, b = Fraction(-ka, da), Fraction(-kb, db)
+    assert (ExactKey(ka, da) == ExactKey(kb, db)) == (a == b)
+    assert (ExactKey(ka, da) < ExactKey(kb, db)) == (a < b)
+    # the entry's leading pair orders exactly as the key, also on a float tie
+    entry_a, entry_b = (-(ka / da), ExactKey(ka, da)), (-(kb / db), ExactKey(kb, db))
+    assert (entry_a < entry_b) == (a < b)
+    assert -(ka / da) == float(a)
 
 
 def test_rebuild_preferred_none_when_all_saturated():

@@ -12,10 +12,10 @@ from budget_flow.oracle import (
     approx_factor,
     exact_opt,
     simplex_max,
-    solve_equality_lp,
 )
 from budget_flow.solver import solve
 from conftest import btp, bts
+from reference_lp import solve_equality_lp
 
 
 def test_single_edge_optimum(one_by_one):

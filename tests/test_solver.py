@@ -19,7 +19,9 @@ from budget_flow.solver import (
     solve,
 )
 from budget_flow.state import Numerics, make_states
-from conftest import btp, bts, build_cycle_state, random_simple_cycle, simulate_revolutions
+from conftest import (
+    btp, bts, build_cycle_state, random_simple_cycle, recompute_check, simulate_revolutions,
+)
 
 EPS4 = SolverConfig(epsilon=Fraction(1, 4))
 EXACT = Numerics(exact=True)
@@ -125,7 +127,7 @@ def test_push_path_keeps_intermediate_sinks_tight():
                 inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j)
             )
             assert now == prices_in[j]
-        assert primal.recompute_check()
+        assert recompute_check(primal)
 
 
 # -- cycle geometry ----------------------------------------------------------
@@ -208,6 +210,30 @@ def test_float_first_price_below_tolerance_still_counts_as_a_price():
     assert runs["float"].certificate.passed
     for key in ("phases", "beta_rises"):
         assert runs["float"].stats.get(key) == runs["exact"].stats.get(key)
+
+
+CS_SOURCE_DUST = Path(__file__).parent / "data" / "float_cs_source_dust.btp"
+
+
+def test_exact_solve_certifies_the_cs_source_dust_instance():
+    # dense-float benchmark item 222 at seed 202: btp 12x12, 104 edges
+    sol = solve(parse(CS_SOURCE_DUST.read_text()), SolverConfig(epsilon=Fraction(1, 8)))
+    assert sol.terminated
+    assert sol.certificate.passed and sol.certificate.rigorous
+    assert sol.certificate.cs_source_worst == 0
+
+
+@pytest.mark.xfail(
+    strict=True, raises=AssertionError,
+    reason="ROADMAP item 3: the float solve stops a source at surplus <= float_tol, but "
+    "certify bounds alpha*surplus; cs_source_worst reads 3.16e-9 here",
+)
+def test_float_solve_certifies_the_cs_source_dust_instance():
+    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float")
+    sol = solve(parse(CS_SOURCE_DUST.read_text()), config)
+    assert sol.terminated
+    assert sol.certificate.cs_source_worst <= config.float_tol
+    assert sol.certificate.passed
 
 
 def test_cycle_geometry_ratios_and_limits():
