@@ -47,21 +47,21 @@ class PathKind(Enum):
 
 @dataclass
 class Path:
-    """Alternating walk of ('fwd'|'back', edge index) steps.
+    """Alternating walk of edge indices: forward edges at even positions, back
+    edges at odd ones.
 
     Step q leaves walk vertex q, which is a source when q is even and a sink
-    when q is odd.
+    when q is odd.  A walk of even length ends at a source; an odd one ends at
+    the sink of `steps[-1]`, which for TYPE_II is the two-cycle edge and for
+    STALLED the edge into the stalled sink.
     """
 
     kind: PathKind
-    steps: list[tuple[str, int]]
-    endpoint: tuple[str, int] | None = None
-    two_cycle_edge: int | None = None
-    stalled_sink: int | None = None
+    steps: list[int]
     cycle_start: int | None = None
 
-    def split_cycle(self) -> tuple[list[tuple[str, int]], list[tuple[int, int]]]:
-        """Decompose a TYPE_III walk into prefix steps and (forward, back) pairs.
+    def split_cycle(self) -> tuple[list[int], list[int]]:
+        """Decompose a TYPE_III walk into the prefix and the cycle.
 
         The prefix ends at the cycle's entry source; if the repeated vertex is
         a sink the cycle is rotated so it starts at the following source.
@@ -70,19 +70,8 @@ class Path:
             raise ValueError("split_cycle applies to cycle walks only")
         q = self.cycle_start
         if q % 2 == 0:
-            prefix = self.steps[:q]
-            cycle_steps = self.steps[q:]
-        else:
-            prefix = self.steps[: q + 1]
-            cycle_steps = self.steps[q + 1 :] + [self.steps[q]]
-        assert len(cycle_steps) % 2 == 0
-        pairs = []
-        for z in range(0, len(cycle_steps), 2):
-            fwd_kind, fwd = cycle_steps[z]
-            back_kind, back = cycle_steps[z + 1]
-            assert fwd_kind == "fwd" and back_kind == "back"
-            pairs.append((fwd, back))
-        return prefix, pairs
+            return self.steps[:q], self.steps[q:]
+        return self.steps[: q + 1], self.steps[q + 1 :] + [self.steps[q]]
 
 
 class ExactKey:
@@ -316,7 +305,7 @@ class DerivedGraph:
         back edge at all (price rise pending).  The walk revisits within n+m
         steps, so its length never exceeds 2(n+m)+1.
         """
-        steps: list[tuple[str, int]] = []
+        steps: list[int] = []
         src_pos: dict[int, int] = {}
         snk_pos: dict[int, int] = {}
         limit = 2 * (self.instance.n + self.instance.m) + 1
@@ -327,29 +316,29 @@ class DerivedGraph:
             self.stats.bump("walk_steps")
             self.ensure_fresh(i)
             if steps and self.num.is_zero(self.dual.alpha[i]):
-                return Path(PathKind.TYPE_I, steps, endpoint=("src", i))
+                return Path(PathKind.TYPE_I, steps)
             self.fix_two_cycle(i)
             e = self.preferred[i]
             assert e is not None, "active source without a preferred edge"
             src_pos[i] = len(steps)
-            steps.append(("fwd", e))
+            steps.append(e)
             j = self.instance.edges[e].dst
             if j in snk_pos:
-                if steps[-2] == ("back", e):
+                if steps[-2] == e:
                     # back over e, then forward over e again: a two-cycle
-                    return Path(PathKind.TYPE_II, steps, two_cycle_edge=e)
+                    return Path(PathKind.TYPE_II, steps)
                 return Path(PathKind.TYPE_III, steps, cycle_start=snk_pos[j])
             if not self.dual.level[j]:
-                return Path(PathKind.TYPE_I, steps, endpoint=("snk", j))
+                return Path(PathKind.TYPE_I, steps)
             snk_pos[j] = len(steps)
             back = self.back_edges(j)
             if e in back:
                 # after two-cycle preprocessing this is the sink's sole back edge
-                return Path(PathKind.TYPE_II, steps, two_cycle_edge=e)
+                return Path(PathKind.TYPE_II, steps)
             if not back:
-                return Path(PathKind.STALLED, steps, stalled_sink=j)
+                return Path(PathKind.STALLED, steps)
             b = back[0]
-            steps.append(("back", b))
+            steps.append(b)
             nxt = self.instance.edges[b].src
             if nxt in src_pos:
                 return Path(PathKind.TYPE_III, steps, cycle_start=src_pos[nxt])

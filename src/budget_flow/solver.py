@@ -16,7 +16,7 @@ from fractions import Fraction
 from .certify import Certificate, certify
 from .derived_graph import DerivedGraph, PathKind
 from .instance import ProblemInstance, SolverConfig, check_valid
-from .state import Numerics, PrimalState, RunStats, Snapshot, make_states
+from .state import Numerics, PrimalState, RunStats, make_states
 
 
 @dataclass
@@ -32,23 +32,21 @@ class PushReport:
 
 @dataclass(frozen=True)
 class CycleGeometry:
-    """Transfer ratios and per-edge revolution limits for one alternating cycle.
+    """Transfer ratios and the revolution limit of one alternating cycle.
 
-    pairs[z] is the (forward, back) edge pair at position z; ratio[z] the flow
-    rescaling across the back edge; cum_before[z] / cum_through[z] the product
-    of ratios up to (exclusive / inclusive) position z; rho_cycle their full
-    product.  limit_fwd / limit_back hold the largest whole number of
-    revolutions each capacity admits (None = unlimited), r_min their minimum.
+    cycle holds forward edges at even positions and back edges at odd ones;
+    pair z is (cycle[2z], cycle[2z+1]).  Across a back edge the flow rescales
+    by p_fwd/p_back; cum_before[z] / cum_through[z] is the product of these
+    ratios up to (exclusive / inclusive) pair z, rho_cycle their full product.
+    r_min is the largest whole number of revolutions every capacity admits
+    (None = unlimited).
     """
 
-    pairs: tuple[tuple[int, int], ...]
+    cycle: tuple[int, ...]
     entry_surplus: Fraction | float
-    ratio: tuple
     cum_before: tuple
     cum_through: tuple
     rho_cycle: Fraction | float
-    limit_fwd: tuple
-    limit_back: tuple
     r_min: int | None
 
 
@@ -102,7 +100,7 @@ def _geometric_sum(q, r: int | None, num: Numerics):
     return (one - q ** (r + 1)) / (one - q)
 
 
-def push_flow_path(graph: DerivedGraph, steps: list[tuple[str, int]]) -> PushReport:
+def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
     """Transfer the first source's surplus along alternating forward/back steps.
 
     The amount is clamped at every forward edge by its remaining capacity and
@@ -117,15 +115,14 @@ def push_flow_path(graph: DerivedGraph, steps: list[tuple[str, int]]) -> PushRep
         return report
     primal, num, instance = graph.primal, graph.num, graph.instance
     touched = report.touched_sinks
-    start = instance.edges[steps[0][1]].src
+    start = instance.edges[steps[0]].src
     phi = primal.surplus[start]
     if not num.is_pos(phi):
         return report
 
     k = 0
     while k + 1 < len(steps):
-        fwd = steps[k][1]
-        back = steps[k + 1][1]
+        fwd, back = steps[k], steps[k + 1]
         fwd_spec = instance.edges[fwd]
         back_spec = instance.edges[back]
         residual = primal.forward_residual(fwd)
@@ -144,7 +141,7 @@ def push_flow_path(graph: DerivedGraph, steps: list[tuple[str, int]]) -> PushRep
 
     if k < len(steps) and num.is_pos(phi):
         # path ends at a sink: one forward push bounded by capacity and budget
-        e = steps[k][1]
+        e = steps[k]
         spec = instance.edges[e]
         residual = primal.forward_residual(e)
         if residual is not None and residual < phi:
@@ -163,62 +160,49 @@ def push_flow_path(graph: DerivedGraph, steps: list[tuple[str, int]]) -> PushRep
     return report
 
 
-def cycle_geometry(
-    primal: PrimalState, pairs: list[tuple[int, int]], entry_surplus
-) -> CycleGeometry:
+def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> CycleGeometry:
     """One O(|C|) traversal computing every ratio and revolution limit."""
     num = primal.num
-    instance = primal.instance
-    sources = [instance.edges[f].src for f, _ in pairs]
-    sinks = [instance.edges[f].dst for f, _ in pairs]
+    edges = primal.instance.edges
+    fwds, backs = cycle[::2], cycle[1::2]
+    sources = [edges[f].src for f in fwds]
+    sinks = [edges[f].dst for f in fwds]
     if len(set(sources)) != len(sources) or len(set(sinks)) != len(sinks):
         raise ValueError("cycle must be simple")
-    for z, (fwd, back) in enumerate(pairs):
-        nxt = sources[(z + 1) % len(pairs)]
-        if instance.edges[back].dst != sinks[z] or instance.edges[back].src != nxt:
-            raise ValueError("pairs do not form an alternating cycle")
+    if len(backs) != len(fwds) or any(
+        edges[back].dst != sinks[z] or edges[back].src != sources[(z + 1) % len(sources)]
+        for z, back in enumerate(backs)
+    ):
+        raise ValueError("edges do not form an alternating cycle")
     if not num.is_pos(entry_surplus):
         raise ValueError("cycle entry needs positive surplus")
 
-    one = num.value(1)
-    ratio, cum_before, cum_through = [], [], []
-    acc = one
-    for fwd, back in pairs:
-        rho = num.value(instance.edges[fwd].price) / instance.edges[back].price
-        ratio.append(rho)
+    cum_before, cum_through = [], []
+    acc = num.value(1)
+    for fwd, back in zip(fwds, backs):
+        rho = num.value(edges[fwd].price) / edges[back].price
         cum_before.append(acc)
         acc = acc * rho
         cum_through.append(acc)
     rho_cycle = acc
 
-    limit_fwd: list[int | None] = []
-    limit_back: list[int | None] = []
     r_min: int | None = None
-    for z, (fwd, back) in enumerate(pairs):
-        residual = primal.forward_residual(fwd)
-        if residual is None:
-            lf = None
-        else:
-            lf = geometric_limit(entry_surplus * cum_before[z], rho_cycle, residual, num)
-        limit_fwd.append(lf)
-        lb = geometric_limit(
-            entry_surplus * cum_through[z], rho_cycle, primal.flow[back], num
-        )
-        limit_back.append(lb)
-        for lim in (lf, lb):
+    for z, (fwd, back) in enumerate(zip(fwds, backs)):
+        for cum, cap in ((cum_before, primal.forward_residual(fwd)),
+                         (cum_through, primal.flow[back])):
+            if cap is None:
+                continue
+            lim = geometric_limit(entry_surplus * cum[z], rho_cycle, cap, num)
             if lim is not None and (r_min is None or lim < r_min):
                 r_min = lim
     if rho_cycle >= 1 and r_min is None:
         raise RuntimeError("non-shrinking cycle must have a finite revolution limit")
     return CycleGeometry(
-        pairs=tuple(pairs),
+        cycle=tuple(cycle),
         entry_surplus=entry_surplus,
-        ratio=tuple(ratio),
         cum_before=tuple(cum_before),
         cum_through=tuple(cum_through),
         rho_cycle=rho_cycle,
-        limit_fwd=tuple(limit_fwd),
-        limit_back=tuple(limit_back),
         r_min=r_min,
     )
 
@@ -231,12 +215,13 @@ def apply_cycle_bulk(graph: DerivedGraph, geom: CycleGeometry, report: PushRepor
         return
     s = geom.entry_surplus
     touched = report.touched_sinks
-    for z, (fwd, back) in enumerate(geom.pairs):
+    cycle = geom.cycle
+    for z, (fwd, back) in enumerate(zip(cycle[::2], cycle[1::2])):
         touched.add(graph.move_flow(fwd, s * geom.cum_before[z] * factor, revalue=True))
         touched.add(graph.move_flow(back, -(s * geom.cum_through[z] * factor), revalue=False))
 
 
-def push_flow_cycle(graph: DerivedGraph, pairs: list[tuple[int, int]]) -> PushReport:
+def push_flow_cycle(graph: DerivedGraph, cycle: list[int]) -> PushReport:
     """Send the entry source's surplus around the cycle in closed form.
 
     All full revolutions up to the limit are applied as one bulk update per
@@ -248,45 +233,35 @@ def push_flow_cycle(graph: DerivedGraph, pairs: list[tuple[int, int]]) -> PushRe
     """
     report = PushReport()
     primal, num, stats = graph.primal, graph.num, graph.stats
-    entry = graph.instance.edges[pairs[0][0]].src
+    entry = graph.instance.edges[cycle[0]].src
     s = primal.surplus[entry]
     if not num.is_pos(s):
         return report
-    geom = cycle_geometry(primal, pairs, s)
+    geom = cycle_geometry(primal, cycle, s)
     apply_cycle_bulk(graph, geom, report)
     stats.bump("cycle_pushes")
-
-    if geom.r_min is None:
-        # shrinking cycle, no cap binds: the surplus drains completely
-        if not num.is_pos(primal.surplus[entry]):
-            primal.surplus[entry] = num.value(0)
-        assert num.is_zero(primal.surplus[entry]), "converged cycle left surplus"
-        stats.bump("surplus_clears")
-        return report
-
-    # one more clamped revolution saturates/zeroes the limiting edge exactly
-    flat: list[tuple[str, int]] = []
-    for fwd, back in pairs:
-        flat.append(("fwd", fwd))
-        flat.append(("back", back))
-    report.touched_sinks |= push_flow_path(graph, flat).touched_sinks
-
-    bind = None
-    for z, (fwd, back) in enumerate(pairs):
-        if primal.edge_saturated(fwd) or not num.is_pos(primal.flow[back]):
-            bind = z
-            break
-    assert bind is not None, "finite revolution limit but no edge reached capacity"
-    relay = flat[: 2 * bind]
-    if relay and num.is_pos(primal.surplus[entry]):
-        report.touched_sinks |= push_flow_path(graph, relay).touched_sinks
     if not num.is_pos(primal.surplus[entry]):
+        # the converged series drained the surplus, or left float dust
         primal.surplus[entry] = num.value(0)
         stats.bump("surplus_clears")
+        return report
+    assert geom.r_min is not None, "converged cycle left surplus"
+
+    # one more clamped revolution saturates/zeroes the limiting edge exactly
+    report.touched_sinks |= push_flow_path(graph, cycle).touched_sinks
+    bind = next(
+        (z for z in range(0, len(cycle), 2)
+         if primal.edge_saturated(cycle[z]) or not num.is_pos(primal.flow[cycle[z + 1]])),
+        None,
+    )
+    assert bind is not None, "finite revolution limit but no edge reached capacity"
+    relay = cycle[:bind]
+    if relay and num.is_pos(primal.surplus[entry]):
+        report.touched_sinks |= push_flow_path(graph, relay).touched_sinks
     return report
 
 
-def beta_update_pass(graph: DerivedGraph, candidates=None) -> list[int]:
+def beta_update_pass(graph: DerivedGraph, candidates) -> list[int]:
     """Raise the price of each saturated candidate sink with no back edge left.
 
     The new price is `DualState.next_beta`.  Saturated in-edges whose signed
@@ -296,9 +271,8 @@ def beta_update_pass(graph: DerivedGraph, candidates=None) -> list[int]:
     index order.  Returns the sinks whose price rose.
     """
     instance = graph.instance
-    sinks = sorted(candidates) if candidates is not None else range(instance.m)
     risen = []
-    for j in sinks:
+    for j in sorted(candidates):
         if not graph.primal.sink_saturated(j) or graph.back_edges(j):
             continue
         value = graph.dual.next_beta(j)
@@ -323,14 +297,6 @@ class Solution:
     stats: RunStats
     terminated: bool
 
-    @property
-    def primal_value(self):
-        return self.certificate.primal_value
-
-    @property
-    def dual_value(self):
-        return self.certificate.dual_value
-
 
 def solve(
     instance: ProblemInstance,
@@ -346,7 +312,9 @@ def solve(
     config : SolverConfig
         epsilon, numeric mode, optional phase cap.
     on_iteration : callable, optional
-        Receives a read-only Snapshot after every main-loop iteration.
+        Receives the run's DerivedGraph after every main-loop iteration, to
+        read `graph.primal`, `graph.dual` and `graph.stats`; it must change
+        nothing.
 
     Returns
     -------
@@ -383,31 +351,30 @@ def solve(
         cursor = (picked + 1) % instance.n
 
         path = graph.find_path(picked)
+        steps = path.steps
         if path.kind is PathKind.TYPE_III:
-            prefix, pairs = path.split_cycle()
+            prefix, cycle = path.split_cycle()
             touched = push_flow_path(graph, prefix).touched_sinks
-            if num.is_pos(primal.surplus[instance.edges[pairs[0][0]].src]):
-                touched |= push_flow_cycle(graph, pairs).touched_sinks
+            touched |= push_flow_cycle(graph, cycle).touched_sinks
         elif path.kind is PathKind.TYPE_I:
-            touched = push_flow_path(graph, path.steps).touched_sinks
-            if path.endpoint[0] == "src":
+            touched = push_flow_path(graph, steps).touched_sinks
+            if len(steps) % 2 == 0:  # ends at an alpha=0 source
                 stats.bump("path_pushes_to_source")
             stats.bump("path_pushes")
         else:
             # two-cycle end or stall: flow moves only up to the final sink
-            touched = push_flow_path(graph, path.steps[:-1]).touched_sinks
+            touched = push_flow_path(graph, steps[:-1]).touched_sinks
+            touched.add(instance.edges[steps[-1]].dst)
             if path.kind is PathKind.TYPE_II:
                 # re-assign the loop edge's flow at the current price
-                graph.promote(path.two_cycle_edge)
-                touched.add(instance.edges[path.two_cycle_edge].dst)
+                graph.promote(steps[-1])
                 stats.bump("two_cycle_eliminations")
             else:
-                touched.add(path.stalled_sink)
                 stats.bump("stalls")
 
-        beta_update_pass(graph, candidates=touched)
+        beta_update_pass(graph, touched)
         if on_iteration is not None:
-            on_iteration(Snapshot.of(primal, dual, stats.get("phases")))
+            on_iteration(graph)
     flow, alpha, beta = list(primal.flow), list(dual.alpha), list(dual.beta)
     certificate = certify(
         instance, flow, alpha, beta, config.epsilon,

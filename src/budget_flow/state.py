@@ -46,7 +46,7 @@ class Numerics:
         self.tol = Fraction(0) if exact else tol
         if exact:
             self.value = Fraction
-            self.eq, self.le, self.lt = operator.eq, operator.le, operator.lt
+            self.eq, self.le = operator.eq, operator.le
             self.is_zero, self.is_pos = _numerator_is_zero, _numerator_is_pos
 
     def value(self, x) -> Fraction | float:
@@ -57,9 +57,6 @@ class Numerics:
 
     def le(self, a, b) -> bool:
         return a - b <= self.tol
-
-    def lt(self, a, b) -> bool:
-        return b - a > self.tol
 
     def is_zero(self, a) -> bool:
         return abs(a) <= self.tol
@@ -182,25 +179,3 @@ def make_states(
     num = Numerics.for_config(config)
     return PrimalState(instance, num), DualState(instance, config, num), num
 
-
-@dataclass(frozen=True)
-class Snapshot:
-    """Read-only copy of solver state handed to between-iteration monitors."""
-
-    flow: tuple
-    alpha: tuple
-    beta: tuple
-    level: tuple
-    valuation: tuple
-    iteration: int
-
-    @staticmethod
-    def of(primal: PrimalState, dual: DualState, iteration: int) -> "Snapshot":
-        return Snapshot(
-            flow=tuple(primal.flow),
-            alpha=tuple(dual.alpha),
-            beta=tuple(dual.beta),
-            level=tuple(dual.level),
-            valuation=tuple(sorted(dual.valuation.items())),
-            iteration=iteration,
-        )

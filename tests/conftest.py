@@ -61,19 +61,20 @@ def two_sources_one_sink() -> ProblemInstance:
 def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=None):
     """Synthetic alternating cycle: k sources, k sinks, fwd[z]=(i_z,j_z), back[z]=(i_{z+1},j_z).
 
-    Returns (instance, primal, dual, graph, stats, pairs).  Supplies and
-    budgets are large so only edge capacities and back-edge flows bind.
+    Returns (instance, primal, dual, graph, stats, cycle), where cycle is
+    [fwd[0], back[0], fwd[1], back[1], ...].  Supplies and budgets are large
+    so only edge capacities and back-edge flows bind.
     """
     k = len(prices_fwd)
     caps_fwd = caps_fwd or [None] * k
     edges = []
-    pairs = []
+    cycle = []
     for z in range(k):
         fwd_idx = len(edges)
         edges.append(EdgeSpec(z, z, 10**6, prices_fwd[z], capacity=caps_fwd[z]))
         back_idx = len(edges)
         edges.append(EdgeSpec((z + 1) % k, z, 10**6, prices_back[z], capacity=None))
-        pairs.append((fwd_idx, back_idx))
+        cycle += [fwd_idx, back_idx]
     instance = ProblemInstance(
         kind=Kind.BTS,
         supply=tuple([10**9] * k),
@@ -82,16 +83,16 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
     )
     primal, dual, num = make_states(instance, SolverConfig(epsilon=Fraction(1, 4)))
     for z in range(k):
-        primal.add_flow(pairs[z][1], Fraction(back_flows[z]))
+        primal.add_flow(cycle[2 * z + 1], Fraction(back_flows[z]))
     # entry surplus is whatever remains at source 0 minus the requested value
     entry = 0
     primal.surplus[entry] = Fraction(surplus)
     for z in range(k):
-        dual.valuation[pairs[z][1]] = 0  # assigned before sink z had a price
+        dual.valuation[cycle[2 * z + 1]] = 0  # assigned before sink z had a price
         dual.raise_beta(z, Fraction(1))
     stats = RunStats()
     graph = DerivedGraph(instance, primal, dual, stats)
-    return instance, primal, dual, graph, stats, pairs
+    return instance, primal, dual, graph, stats, cycle
 
 
 def recompute_check(primal) -> bool:
@@ -108,7 +109,7 @@ def recompute_check(primal) -> bool:
     return True
 
 
-def simulate_revolutions(instance, flows, pairs, surplus, revolutions):
+def simulate_revolutions(instance, flows, cycle, surplus, revolutions):
     """Reference cycle push: move flow edge by edge, one revolution at a time.
 
     No clamping; the caller guarantees the revolution count is admissible.
@@ -118,7 +119,7 @@ def simulate_revolutions(instance, flows, pairs, surplus, revolutions):
     carry = Fraction(surplus)
     for _ in range(revolutions):
         x = carry
-        for fwd, back in pairs:
+        for fwd, back in zip(cycle[::2], cycle[1::2]):
             out[fwd] += x
             x = x * instance.edges[fwd].price / instance.edges[back].price
             out[back] -= x
@@ -127,7 +128,7 @@ def simulate_revolutions(instance, flows, pairs, surplus, revolutions):
 
 
 def random_simple_cycle(rng: random.Random):
-    """Random synthetic cycle state with 2..4 pairs."""
+    """Random synthetic cycle state with 2..4 (forward, back) edge pairs."""
     k = rng.randint(2, 4)
     prices_fwd = [rng.randint(1, 6) for _ in range(k)]
     prices_back = [rng.randint(1, 6) for _ in range(k)]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from budget_flow.instance import Kind, ProblemInstance, SolverConfig, check_valid
-from budget_flow.state import DualState, PrimalState, RunStats, Snapshot, make_states
+from budget_flow.state import DualState, PrimalState, RunStats, make_states
 
 
 @dataclass(frozen=True)
@@ -172,8 +172,9 @@ def run(
     """Auction rounds until no source has both positive alpha and surplus.
 
     Sources are scheduled round-robin among those still active.  `on_step`
-    receives a read-only Snapshot after every step.  Returns non-terminated
-    (partial state intact) if config.max_phases is exceeded.
+    receives the live (primal, dual) after every step and must not change
+    them.  Returns non-terminated (partial state intact) if config.max_phases
+    is exceeded.
     """
     primal, dual = initialize(instance, config)
     counters = ("pushes", "replacements", "self_promotes", "retirements", "beta_rises",
@@ -197,5 +198,5 @@ def run(
         cursor = (picked + 1) % instance.n
         auction_step(picked, primal, dual, stats)
         if on_step is not None:
-            on_step(Snapshot.of(primal, dual, stats.get("steps")))
+            on_step(primal, dual)
     return RunResult(primal=primal, dual=dual, stats=stats, terminated=terminated)

@@ -79,9 +79,9 @@ def test_criterion_1_approximation_guarantee():
             sol = solve(inst, SolverConfig(epsilon=eps, max_phases=100000))
             assert sol.terminated
             opt, _ = exact_opt(inst)
-            assert sol.primal_value >= (1 - eps) * opt, (
+            assert sol.certificate.primal_value >= (1 - eps) * opt, (
                 f"kind={'bts' if capacitated else 'btp'} idx={k} eps={eps}: "
-                f"{sol.primal_value} < (1-eps)*{opt}"
+                f"{sol.certificate.primal_value} < (1-eps)*{opt}"
             )
             checked += 1
     verdict(1, "approximation guarantee", True, f"({checked} instances)")
@@ -99,9 +99,9 @@ def test_criterion_1_at_ten_by_ten():
         sol = solve(inst, SolverConfig(epsilon=eps))
         assert sol.terminated
         opt, _ = exact_opt(inst)
-        assert sol.primal_value >= (1 - eps) * opt, (
+        assert sol.certificate.primal_value >= (1 - eps) * opt, (
             f"kind={'bts' if capacitated else 'btp'} seed={seed}: "
-            f"{sol.primal_value} < (1-eps)*{opt}"
+            f"{sol.certificate.primal_value} < (1-eps)*{opt}"
         )
         checked += 1
     verdict(1, "approximation guarantee at 10x10", True, f"({checked} instances)")
@@ -182,40 +182,41 @@ def test_criterion_3_per_iteration_feasibility():
         last_beta = [Fraction(0)] * inst.m
         tight: set[int] = set()
 
-        def monitor(snap):
+        def monitor(graph):
+            primal, dual = graph.primal, graph.dual
             shipped = [Fraction(0)] * inst.n
             paid = [Fraction(0)] * inst.m
             for e, spec in enumerate(inst.edges):
-                assert snap.flow[e] >= 0
+                assert primal.flow[e] >= 0
                 if spec.capacity is not None:
-                    assert snap.flow[e] <= spec.capacity
-                shipped[spec.src] += snap.flow[e]
-                paid[spec.dst] += spec.price * snap.flow[e]
+                    assert primal.flow[e] <= spec.capacity
+                shipped[spec.src] += primal.flow[e]
+                paid[spec.dst] += spec.price * primal.flow[e]
             for i in range(inst.n):
                 assert shipped[i] <= inst.supply[i]
             gammas = reconstruct_gamma(
-                inst, list(snap.flow), list(snap.alpha), list(snap.beta)
+                inst, list(primal.flow), list(dual.alpha), list(dual.beta)
             )
             for j in range(inst.m):
                 assert paid[j] <= inst.budget[j]
                 if paid[j] < inst.budget[j]:
-                    assert snap.beta[j] == 0  # unsaturated implies zero price
-                assert snap.beta[j] >= last_beta[j]  # monotone prices
-                last_beta[j] = snap.beta[j]
+                    assert dual.beta[j] == 0  # unsaturated implies zero price
+                assert dual.beta[j] >= last_beta[j]  # monotone prices
+                last_beta[j] = dual.beta[j]
                 if paid[j] == inst.budget[j]:
                     tight.add(j)
                 else:
                     assert j not in tight  # tightness persists
             for e, g in gammas.items():
                 if g > 0:
-                    assert snap.flow[e] == inst.edges[e].capacity
+                    assert primal.flow[e] == inst.edges[e].capacity
             for e, spec in enumerate(inst.edges):
                 bound = (
                     spec.profit
-                    - spec.price * snap.beta[spec.dst]
+                    - spec.price * dual.beta[spec.dst]
                     - gammas.get(e, Fraction(0))
                 )
-                assert snap.alpha[spec.src] >= bound  # dual feasibility
+                assert dual.alpha[spec.src] >= bound  # dual feasibility
 
         sol = solve(inst, SolverConfig(epsilon=eps, max_phases=100000), on_iteration=monitor)
         assert sol.terminated and sol.certificate.passed
@@ -276,10 +277,10 @@ def test_criterion_5_cycle_push_equivalence():
         prices_back = [rng.randint(1, 6) for _ in range(k)]
         back_flows = [Fraction(10**6)] * k
         surplus = Fraction(rng.randint(1, 30), rng.randint(1, 3))
-        inst, primal, dual, graph, stats, pairs = build_cycle_state(
+        inst, primal, dual, graph, stats, cycle = build_cycle_state(
             prices_fwd, prices_back, back_flows, surplus
         )
-        geom = cycle_geometry(primal, pairs, surplus)
+        geom = cycle_geometry(primal, cycle, surplus)
         # pin one back edge so the revolution limit is at most the target
         target = rng.randint(0, 16)
         z = rng.randrange(k)
@@ -289,14 +290,14 @@ def test_criterion_5_cycle_push_equivalence():
             start=Fraction(0),
         )
         slop = per_rev * geom.rho_cycle ** (target + 1) * Fraction(rng.randint(0, 3), 4)
-        primal.flow[pairs[z][1]] = partial + slop
-        geom = cycle_geometry(primal, pairs, surplus)
+        primal.flow[cycle[2 * z + 1]] = partial + slop
+        geom = cycle_geometry(primal, cycle, surplus)
         assert geom.r_min is not None and geom.r_min <= target
         if geom.r_min < 0:
             trials += 1
             continue
         expected, _ = simulate_revolutions(
-            inst, primal.flow, pairs, surplus, geom.r_min + 1
+            inst, primal.flow, cycle, surplus, geom.r_min + 1
         )
         apply_cycle_bulk(graph, geom, PushReport())
         assert primal.flow == expected

@@ -169,11 +169,6 @@ def test_per_step_invariants_hold():
         except ValueError:
             continue
 
-        snapshots = []
-        result = run(inst, config, on_step=snapshots.append)
-        if not result.terminated:
-            continue
-        checked += 1
         last_beta = [Fraction(0)] * inst.m
         first_beta = [
             eps * min((Fraction(inst.edges[e].profit, inst.edges[e].price)
@@ -181,38 +176,41 @@ def test_per_step_invariants_hold():
                       default=0)
             for j in range(inst.m)
         ]
-        for snap in snapshots:
+
+        def check(primal, dual):
+            flow, alpha, beta, level = primal.flow, dual.alpha, dual.beta, dual.level
             # primal feasibility
             for i in range(inst.n):
-                assert sum(snap.flow[e] for e in inst.edges_of_source(i)) <= inst.supply[i]
+                assert sum(flow[e] for e in inst.edges_of_source(i)) <= inst.supply[i]
             paid = [Fraction(0)] * inst.m
             for e, spec in enumerate(inst.edges):
-                assert snap.flow[e] >= 0
-                paid[spec.dst] += spec.price * snap.flow[e]
+                assert flow[e] >= 0
+                paid[spec.dst] += spec.price * flow[e]
             for j in range(inst.m):
                 assert paid[j] <= inst.budget[j]
                 # unsaturated sinks keep price zero; beta never decreases
                 if paid[j] < inst.budget[j]:
-                    assert snap.beta[j] == 0
-                assert snap.beta[j] >= last_beta[j]
-            last_beta = list(snap.beta)
+                    assert beta[j] == 0
+                assert beta[j] >= last_beta[j]
+            last_beta[:] = beta
             # beta sits exactly on its level: beta0 * (1 + eps)^(level - 1)
             for j in range(inst.m):
-                if snap.level[j] == 0:
-                    assert snap.beta[j] == 0
+                if level[j] == 0:
+                    assert beta[j] == 0
                 else:
-                    assert snap.beta[j] == first_beta[j] * (1 + eps) ** (snap.level[j] - 1)
+                    assert beta[j] == first_beta[j] * (1 + eps) ** (level[j] - 1)
             # dual feasibility and the approximate flow condition
             for e, spec in enumerate(inst.edges):
-                key = spec.profit - spec.price * snap.beta[spec.dst]
-                assert snap.alpha[spec.src] >= key
-                if snap.flow[e] > 0:
-                    assert snap.alpha[spec.src] <= key + eps * spec.profit
+                key = spec.profit - spec.price * beta[spec.dst]
+                assert alpha[spec.src] >= key
+                if flow[e] > 0:
+                    assert alpha[spec.src] <= key + eps * spec.profit
             # valuations sit on one of the two active levels
-            valuation = dict(snap.valuation)
             for e, spec in enumerate(inst.edges):
-                if snap.flow[e] > 0:
-                    assert valuation[e] in (snap.level[spec.dst], snap.level[spec.dst] - 1)
+                if flow[e] > 0:
+                    assert dual.valuation[e] in (level[spec.dst], level[spec.dst] - 1)
+
+        checked += run(inst, config, on_step=check).terminated
     assert checked >= 3
 
 

@@ -231,8 +231,7 @@ def test_find_path_immediate_unsaturated_sink(one_by_one):
     primal, dual, graph = fresh_graph(one_by_one)
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_I
-    assert path.endpoint == ("snk", 0)
-    assert path.steps == [("fwd", 0)]
+    assert path.steps == [0]  # odd length: ends at the sink of edge 0
 
 
 def test_find_path_stops_at_retired_source():
@@ -245,8 +244,7 @@ def test_find_path_stops_at_retired_source():
     graph.raise_beta(1, Fraction(3))
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_I
-    assert path.endpoint == ("src", 1)
-    assert [kind for kind, _ in path.steps] == ["fwd", "back"]
+    assert path.steps == [0, 1]  # even length: ends at the source of edge 1
 
 
 def test_find_path_detects_cycle():
@@ -264,9 +262,9 @@ def test_find_path_detects_cycle():
     graph.raise_beta(1, Fraction(1))
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_III
-    prefix, pairs = path.split_cycle()
+    prefix, cycle = path.split_cycle()
     assert prefix == []
-    assert len(pairs) == 2
+    assert cycle == [0, 1, 2, 3]
 
 
 def test_find_path_two_cycle_end():
@@ -277,7 +275,7 @@ def test_find_path_two_cycle_end():
     graph.raise_beta(0, Fraction(1))
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_II
-    assert path.two_cycle_edge == 0
+    assert path.steps == [0]  # the two-cycle edge is the last one
 
 
 def test_find_path_stalled_sink():
@@ -289,7 +287,7 @@ def test_find_path_stalled_sink():
     dual.valuation[1] = dual.level[0]
     path = graph.find_path(0)
     assert path.kind is PathKind.STALLED
-    assert path.stalled_sink == 0
+    assert path.steps == [0]  # the stalled sink is edge 0's
 
 
 def test_walk_length_bound():
@@ -405,19 +403,10 @@ def check_stale_index(graph) -> None:
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-def test_stale_index_matches_valuations_after_every_phase(monkeypatch, mode):
-    graphs = []
-
-    class RecordingGraph(DerivedGraph):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            graphs.append(self)
-
-    monkeypatch.setattr(solver_mod, "DerivedGraph", RecordingGraph)
-
-    def check_index(snap):
-        check_stale_index(graphs[-1])
-        stale.append(sum(map(len, graphs[-1]._stale)))
+def test_stale_index_matches_valuations_after_every_phase(mode):
+    def check_index(graph):
+        check_stale_index(graph)
+        stale.append(sum(map(len, graph._stale)))
 
     stale: list[int] = []
     for seed in range(8):
@@ -431,21 +420,47 @@ def test_stale_index_matches_valuations_after_every_phase(monkeypatch, mode):
     assert sum(stale) > 0  # the index held stale edges when it was checked
 
 
+def check_walk_shape(graph, start, path) -> None:
+    """The walk leaves `start`, forward edges (even positions) and back edges
+    (odd) alternate, and the walk's end is the one its kind names."""
+    edges, dual, steps = graph.instance.edges, graph.dual, path.steps
+    assert edges[steps[0]].src == start, steps
+    for q in range(1, len(steps)):
+        prev, e = edges[steps[q - 1]], edges[steps[q]]
+        if q % 2:
+            assert e.dst == prev.dst, steps  # back into the sink just reached
+        else:
+            assert e.src == prev.src, steps  # forward out of the source just reached
+    last = edges[steps[-1]]
+    if path.kind is PathKind.TYPE_I:
+        if len(steps) % 2:
+            assert dual.level[last.dst] == 0, steps
+        else:
+            assert dual.alpha[last.src] == 0, steps
+    elif path.kind is PathKind.STALLED:
+        assert graph.back_edges(last.dst) == [], steps
+    elif path.kind is PathKind.TYPE_II:
+        assert len(steps) % 2, steps
+        assert steps[-1] in graph.back_edges(last.dst) or steps[-2] == steps[-1], steps
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_two_cycle_ends_are_type_ii(monkeypatch, mode):
     # a walk that goes back over an edge and then forward over it again ends
     # as a two-cycle; it never reaches solve() as a one-pair cycle (e, e)
     ends: list[bool] = []
+    kinds: set[PathKind] = set()
 
     class WalkGraph(DerivedGraph):
         def find_path(self, start):
             path = super().find_path(start)
+            check_walk_shape(self, start, path)
+            kinds.add(path.kind)
             if path.kind is PathKind.TYPE_III:
-                _, pairs = path.split_cycle()
-                assert all(fwd != back for fwd, back in pairs), path.steps
+                _, cycle = path.split_cycle()
+                assert all(f != b for f, b in zip(cycle[::2], cycle[1::2])), path.steps
             elif path.kind is PathKind.TYPE_II:
-                e = path.two_cycle_edge
-                ends.append(path.steps[-2:] == [("back", e), ("fwd", e)])
+                ends.append(len(path.steps) > 1 and path.steps[-2] == path.steps[-1])
             return path
 
     monkeypatch.setattr(solver_mod, "DerivedGraph", WalkGraph)
@@ -459,6 +474,7 @@ def test_two_cycle_ends_are_type_ii(monkeypatch, mode):
         assert solver_mod.solve(inst, config).terminated
     assert ends, "no two-cycle end was seen"
     assert any(ends), "no walk went back and forth over one edge"
+    assert len(kinds) == len(PathKind), kinds  # every end was checked
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)

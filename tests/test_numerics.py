@@ -37,10 +37,9 @@ def test_exact_sign_tests_match_the_operators(a):
 @PROPERTY
 @given(values, values)
 def test_exact_comparisons_match_the_operators(a, b):
-    assert EXACT.lt(a, b) is (a < b)
     assert EXACT.le(a, b) is (a <= b)
     assert EXACT.eq(a, b) is (a == b)
-    assert EXACT.eq(a, a) and EXACT.le(a, a) and not EXACT.lt(a, a)
+    assert EXACT.eq(a, a) and EXACT.le(a, a)
 
 
 @PROPERTY

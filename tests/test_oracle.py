@@ -127,7 +127,7 @@ def test_oracle_upper_bounds_every_feasible_flow():
             continue
         opt, _ = exact_opt(inst)
         sol = solve(inst, SolverConfig(epsilon=Fraction(1, 4), max_phases=20000))
-        assert sol.primal_value <= opt
+        assert sol.certificate.primal_value <= opt
         # random scaled-down feasible flows stay below the optimum too
         scale = Fraction(rng.randint(0, 4), 4)
         value = sum(
@@ -157,7 +157,7 @@ def test_approx_factor_in_band():
     eps = Fraction(1, 10)
     inst = generate(seed=12, n=3, m=3, density=1.0)
     sol = solve(inst, SolverConfig(epsilon=eps, max_phases=20000))
-    factor = approx_factor(inst, sol.primal_value)
+    factor = approx_factor(inst, sol.certificate.primal_value)
     assert Fraction(9, 10) <= factor <= 1
 
 

@@ -40,7 +40,7 @@ def path_state(instance, config=EPS4):
 def test_push_single_forward_edge():
     inst = btp([4], [6], [(0, 0, 5, 1)])
     primal, dual, graph, stats = path_state(inst)
-    report = push_flow_path(graph, [("fwd", 0)])
+    report = push_flow_path(graph, [0])
     assert primal.flow[0] == 4
     assert primal.surplus[0] == 0
     assert report.moved and report.touched_sinks == {0}
@@ -56,8 +56,7 @@ def test_push_path_rescales_across_back_edge():
     primal, dual, graph, stats = path_state(inst)
     primal.add_flow(1, Fraction(3))
     dual.valuation[1] = 0
-    steps = [("fwd", 0), ("back", 1), ("fwd", 2)]
-    push_flow_path(graph, steps)
+    push_flow_path(graph, [0, 1, 2])
     assert primal.flow[0] == 4
     assert primal.flow[1] == 1
     assert primal.flow[2] == 2
@@ -73,8 +72,7 @@ def test_push_path_forward_cap_strands_surplus():
     primal, dual, graph, stats = path_state(inst)
     primal.add_flow(1, Fraction(3))
     dual.valuation[1] = 0
-    steps = [("fwd", 0), ("back", 1), ("fwd", 2)]
-    push_flow_path(graph, steps)
+    push_flow_path(graph, [0, 1, 2])
     assert primal.flow[0] == 1  # clamped at capacity
     assert primal.surplus[0] == 3
     assert primal.flow[1] == Fraction(5, 2)
@@ -85,7 +83,7 @@ def test_push_path_forward_cap_strands_surplus():
 def test_push_path_budget_clamp_on_final_sink():
     inst = btp([4], [6], [(0, 0, 5, 2)])
     primal, dual, graph, stats = path_state(inst)
-    push_flow_path(graph, [("fwd", 0)])
+    push_flow_path(graph, [0])
     assert primal.flow[0] == 3  # 6/2, not the full surplus
     assert primal.surplus[0] == 1
     assert primal.sink_saturated(0)
@@ -96,24 +94,16 @@ def test_push_path_keeps_intermediate_sinks_tight():
     for _ in range(30):
         k = rng.randint(2, 3)
         edges = []
-        steps = []
         for z in range(k):
-            f = len(edges)
             edges.append((z, z, 9, rng.randint(1, 5)))
             if z + 1 < k:
-                b = len(edges)
                 edges.append((z + 1, z, 9, rng.randint(1, 5)))
-                steps.append((f, b))
-            else:
-                last_f = f
+        steps = list(range(len(edges)))  # the walk takes every edge in turn
         inst = btp([20] * k, [10**6] * k, edges)
         primal, dual, graph, stats = path_state(inst)
-        flat = []
-        for f, b in steps:
+        for b in steps[1::2]:
             primal.add_flow(b, Fraction(rng.randint(1, 8)))
             dual.valuation[b] = 0
-            flat += [("fwd", f), ("back", b)]
-        flat.append(("fwd", last_f))
         prices_in = [
             sum(
                 inst.edges[e].price * primal.flow[e]
@@ -121,7 +111,7 @@ def test_push_path_keeps_intermediate_sinks_tight():
             )
             for j in range(k)
         ]
-        push_flow_path(graph, flat)
+        push_flow_path(graph, steps)
         for j in range(k - 1):  # every pass-through sink is price-neutral
             now = sum(
                 inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j)
@@ -237,11 +227,12 @@ def test_float_solve_certifies_the_cs_source_dust_instance():
 
 
 def test_cycle_geometry_ratios_and_limits():
-    inst, primal, dual, graph, stats, pairs = build_cycle_state(
+    inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
     )
-    geom = cycle_geometry(primal, pairs, primal.surplus[0])
-    assert list(geom.ratio) == [Fraction(1, 2), Fraction(1)]
+    geom = cycle_geometry(primal, cycle, primal.surplus[0])
+    ratios = [t / b for b, t in zip(geom.cum_before, geom.cum_through)]
+    assert ratios == [Fraction(1, 2), Fraction(1)]
     assert geom.rho_cycle == Fraction(1, 2)
     assert geom.cum_before == (Fraction(1), Fraction(1, 2))
     assert geom.cum_through == (Fraction(1, 2), Fraction(1, 2))
@@ -249,70 +240,71 @@ def test_cycle_geometry_ratios_and_limits():
 
 
 def test_cycle_geometry_rejects_nonsimple():
-    inst, primal, dual, graph, stats, pairs = build_cycle_state(
+    inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
     )
     with pytest.raises(ValueError):
-        cycle_geometry(primal, pairs + pairs, primal.surplus[0])
+        cycle_geometry(primal, cycle + cycle, primal.surplus[0])
 
 
 # -- push_flow_cycle ---------------------------------------------------------
 
 
 def test_cycle_push_drains_surplus_when_nothing_binds():
-    inst, primal, dual, graph, stats, pairs = build_cycle_state(
+    inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
     )
     before = [
         sum(inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j))
         for j in range(2)
     ]
-    push_flow_cycle(graph, pairs)
+    push_flow_cycle(graph, cycle)
     assert primal.surplus[0] == 0
-    assert primal.flow[pairs[0][0]] == 8  # 4 / (1 - 1/2)
+    assert primal.flow[cycle[0]] == 8  # 4 / (1 - 1/2)
     for j in range(2):  # budgets unchanged at every sink on the cycle
         now = sum(inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j))
         assert now == before[j]
 
 
 def test_cycle_push_zeroes_limiting_back_edge():
-    inst, primal, dual, graph, stats, pairs = build_cycle_state(
+    inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[Fraction(5, 2), 100], surplus=4
     )
-    geom = cycle_geometry(primal, pairs, primal.surplus[0])
+    geom = cycle_geometry(primal, cycle, primal.surplus[0])
     assert geom.r_min == 0
-    push_flow_cycle(graph, pairs)
-    assert primal.flow[pairs[0][1]] == 0
-    assert pairs[0][1] not in dual.valuation
+    push_flow_cycle(graph, cycle)
+    assert primal.flow[cycle[1]] == 0
+    assert cycle[1] not in dual.valuation
     # the final clamped revolution returns 1/2 past the zeroed edge, so the
     # 4*(1/2) bulk remainder net of one clamped unit lands back at the entry
     assert primal.surplus[0] == Fraction(3, 2)
 
 
 def test_cycle_push_unit_ratio_linear_limit():
-    inst, primal, dual, graph, stats, pairs = build_cycle_state(
+    inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[2, 3], prices_back=[3, 2], back_flows=[100, Fraction(5, 2)], surplus=1
     )
-    geom = cycle_geometry(primal, pairs, primal.surplus[0])
+    geom = cycle_geometry(primal, cycle, primal.surplus[0])
     assert geom.rho_cycle == 1
     # through back edge 1 each revolution carries 2/3*3/2 = 1; cap 5/2 -> r=1
-    assert geom.limit_back[1] == 1
+    per_rev = primal.surplus[0] * geom.cum_through[1]
+    assert geometric_limit(per_rev, geom.rho_cycle, primal.flow[cycle[3]], EXACT) == 1
     assert geom.r_min == 1
-    push_flow_cycle(graph, pairs)
-    assert primal.flow[pairs[1][1]] == 0
+    push_flow_cycle(graph, cycle)
+    assert primal.flow[cycle[3]] == 0
 
 
 def test_cycle_bulk_matches_revolution_simulation():
     rng = random.Random(99)
     compared = 0
     for _ in range(1200):
-        inst, primal, dual, graph, stats, pairs = random_simple_cycle(rng)
+        inst, primal, dual, graph, stats, cycle = random_simple_cycle(rng)
         s = primal.surplus[0]
-        geom = cycle_geometry(primal, pairs, s)
+        geom = cycle_geometry(primal, cycle, s)
         if geom.r_min is None or geom.r_min > 16 or geom.r_min < 0:
             continue
         expected, _ = simulate_revolutions(
-            inst, primal.flow, pairs, s, geom.r_min + 1
+            inst, primal.flow, cycle, s, geom.r_min + 1
         )
         from budget_flow.solver import PushReport
 
@@ -325,13 +317,14 @@ def test_cycle_bulk_matches_revolution_simulation():
 def test_cycle_push_postcondition():
     rng = random.Random(7)
     for _ in range(200):
-        inst, primal, dual, graph, stats, pairs = random_simple_cycle(rng)
-        push_flow_cycle(graph, pairs)
+        inst, primal, dual, graph, stats, cycle = random_simple_cycle(rng)
+        push_flow_cycle(graph, cycle)
         cleared = primal.surplus[0] == 0
-        zeroed = any(primal.flow[b] == 0 for _, b in pairs)
-        saturated = any(primal.edge_saturated(f) for f, _ in pairs)
+        zeroed = any(primal.flow[b] == 0 for b in cycle[1::2])
+        saturated = any(primal.edge_saturated(f) for f in cycle[::2])
         assert cleared or zeroed or saturated
-        for f, b in pairs:
+        assert stats.get("surplus_clears") == cleared  # one count per drained entry
+        for f, b in zip(cycle[::2], cycle[1::2]):
             assert primal.flow[b] >= 0
             cap = inst.edges[f].capacity
             if cap is not None:
@@ -370,13 +363,13 @@ def test_solve_random_instances_reach_factor():
         sol = solve(inst, SolverConfig(epsilon=eps, max_phases=20000))
         assert sol.terminated
         opt, _ = exact_opt(inst)
-        assert sol.primal_value >= (1 - eps) * opt
+        assert sol.certificate.primal_value >= (1 - eps) * opt
 
 
 def test_solve_zero_profit_instance():
     inst = btp([3], [5], [(0, 0, 0, 1)])
     sol = solve(inst, EPS4)
-    assert sol.primal_value == 0
+    assert sol.certificate.primal_value == 0
     assert sol.stats.get("phases", 0) == 0
     assert sol.certificate.passed  # vacuous: dual is zero too
 
@@ -391,39 +384,40 @@ def test_monitored_invariants_every_iteration():
         last_beta = [Fraction(0)] * inst.m
         tight: set[int] = set()
 
-        def monitor(snap):
+        def monitor(graph):
+            primal, dual = graph.primal, graph.dual
             paid = [Fraction(0)] * inst.m
             shipped = [Fraction(0)] * inst.n
             for e, spec in enumerate(inst.edges):
-                assert snap.flow[e] >= 0
+                assert primal.flow[e] >= 0
                 if spec.capacity is not None:
-                    assert snap.flow[e] <= spec.capacity
-                paid[spec.dst] += spec.price * snap.flow[e]
-                shipped[spec.src] += snap.flow[e]
+                    assert primal.flow[e] <= spec.capacity
+                paid[spec.dst] += spec.price * primal.flow[e]
+                shipped[spec.src] += primal.flow[e]
             for i in range(inst.n):
                 assert shipped[i] <= inst.supply[i]
             for j in range(inst.m):
                 assert paid[j] <= inst.budget[j]
                 if paid[j] < inst.budget[j]:
-                    assert snap.beta[j] == 0
-                assert snap.beta[j] >= last_beta[j]
-                last_beta[j] = snap.beta[j]
+                    assert dual.beta[j] == 0
+                assert dual.beta[j] >= last_beta[j]
+                last_beta[j] = dual.beta[j]
                 if paid[j] == inst.budget[j]:
                     tight.add(j)
                 else:
                     assert j not in tight  # tight sinks stay tight
-            gammas = reconstruct_gamma(inst, list(snap.flow), list(snap.alpha), list(snap.beta))
+            gammas = reconstruct_gamma(inst, list(primal.flow), list(dual.alpha), list(dual.beta))
             for e, g in gammas.items():
                 if g > 0:
-                    assert snap.flow[e] == inst.edges[e].capacity
+                    assert primal.flow[e] == inst.edges[e].capacity
             for e, spec in enumerate(inst.edges):
-                bound = spec.profit - spec.price * snap.beta[spec.dst] - gammas.get(e, 0)
-                assert snap.alpha[spec.src] >= bound
-                if snap.flow[e] > 0:
+                bound = spec.profit - spec.price * dual.beta[spec.dst] - gammas.get(e, 0)
+                assert dual.alpha[spec.src] >= bound
+                if primal.flow[e] > 0:
                     slack = (
                         spec.profit
-                        - snap.alpha[spec.src]
-                        - spec.price * snap.beta[spec.dst]
+                        - dual.alpha[spec.src]
+                        - spec.price * dual.beta[spec.dst]
                         - gammas.get(e, 0)
                     )
                     assert abs(slack) <= eps * spec.profit
@@ -442,9 +436,9 @@ def test_valuation_exists_exactly_on_positive_flow(mode):
         except ValueError:
             continue
 
-        def monitor(snap):
-            valued = {e for e, _ in snap.valuation}
-            assert valued == {e for e, f in enumerate(snap.flow) if f > 0}, snap.iteration
+        def monitor(graph):
+            flowing = {e for e, f in enumerate(graph.primal.flow) if f > 0}
+            assert set(graph.dual.valuation) == flowing, graph.stats.get("phases")
 
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
         assert solve(inst, config, on_iteration=monitor).terminated
@@ -463,19 +457,20 @@ def test_beta_strictly_rises_with_level(mode):
             continue
         last = [(0, 0)] * inst.m
 
-        def monitor(snap):
+        def monitor(graph):
             nonlocal levels_seen
-            for j, (level, beta) in enumerate(zip(snap.level, snap.beta)):
+            dual, phase = graph.dual, graph.stats.get("phases")
+            for j, (level, beta) in enumerate(zip(dual.level, dual.beta)):
                 last_level, last_beta = last[j]
-                assert level >= last_level, (snap.iteration, j)
+                assert level >= last_level, (phase, j)
                 if level == last_level:
-                    assert beta == last_beta, (snap.iteration, j)
+                    assert beta == last_beta, (phase, j)
                 else:
-                    assert beta > last_beta, (snap.iteration, j)
+                    assert beta > last_beta, (phase, j)
                     levels_seen += 1
                 last[j] = (level, beta)
-            for e, level in snap.valuation:
-                assert level <= snap.level[inst.edges[e].dst], (snap.iteration, e)
+            for e, level in dual.valuation.items():
+                assert level <= dual.level[inst.edges[e].dst], (phase, e)
 
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
         assert solve(inst, config, on_iteration=monitor).terminated
@@ -537,8 +532,8 @@ def test_beta_update_pass_full_scan_initializes_saturated_sink():
     primal.add_flow(0, Fraction(4))
     dual.valuation[0] = 0
     graph.note_flow_changed(0)
-    risen = beta_update_pass(graph)  # no candidate filter
+    risen = beta_update_pass(graph, range(inst.m))
     assert risen == [0]
     assert dual.beta[0] == Fraction(3, 4)  # eps * min(c/p) with eps = 1/4
     # second pass stalls: the in-flow is now one level down, a back edge
-    assert beta_update_pass(graph) == []
+    assert beta_update_pass(graph, range(inst.m)) == []
