@@ -1,32 +1,20 @@
-"""Walkthrough: the two instance transforms.
+"""Walkthrough: the piecewise-linear profit transform.
 
-First a concave piecewise-linear profit instance is split into parallel
-capacitated segments, solved, and mapped back.  Then a min-cost generalized
-flow (arcs multiply flow in transit) becomes an equality-constrained
-transportation instance whose costs match the original exactly in both
-directions.
+A concave piecewise-linear profit instance is split into parallel capacitated
+segments, solved, and mapped back.
 """
 
 from fractions import Fraction
 
 from budget_flow import SolverConfig, solve
 from budget_flow.reductions import (
-    Arc,
-    GenFlowInstance,
     PiecewiseEdge,
     PiecewiseInstance,
-    gflow_cost,
-    gflow_to_btp,
-    map_flow_back,
-    map_flow_forward,
     normalize_split_solution,
     piecewise_profit,
     reassemble,
     split_piecewise,
-    transport_cost,
 )
-
-# --- piecewise profits -------------------------------------------------------
 
 pw = PiecewiseInstance(
     supply=(6, 4),
@@ -47,27 +35,3 @@ totals = reassemble(normalized, edge_map)
 for o, edge in enumerate(pw.edges):
     profit = piecewise_profit(pw, o, totals[o])
     print(f"  pair ({edge.src + 1},{edge.dst + 1}): ships {totals[o]}, profit {profit}")
-
-# --- generalized flow --------------------------------------------------------
-
-print()
-g = GenFlowInstance(
-    num_nodes=3,
-    arcs=(
-        Arc(tail=0, head=1, cost=Fraction(4), capacity=Fraction(10), multiplier=Fraction(1, 2)),
-        Arc(tail=1, head=2, cost=Fraction(1), capacity=Fraction(6), multiplier=Fraction(3)),
-    ),
-    source=0,
-    supply=Fraction(4),
-    sink=2,
-    demand=Fraction(6),  # 4 units shrink to 2 across arc 1, then triple
-)
-reduced, mapper = gflow_to_btp(g)
-print(f"transform: {g.num_nodes} nodes / {len(g.arcs)} arcs -> "
-      f"{reduced.n} sources / {reduced.m} sinks")
-
-arc_flow = [Fraction(4), Fraction(2)]
-mapped = map_flow_forward(arc_flow, mapper)
-print(f"arc cost {gflow_cost(g, arc_flow)} == transport cost {transport_cost(reduced, mapped)}")
-assert map_flow_back(mapped, mapper) == arc_flow
-print("round trip reproduces the arc flow exactly")

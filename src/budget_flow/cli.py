@@ -221,47 +221,27 @@ def _split_range(option: str, text: str) -> tuple[int, int]:
 
 
 def cmd_reduce(args) -> int:
-    if args.piecewise:
-        pw = reductions.parse_piecewise(_read(args.input))
-        split, edge_map = reductions.split_piecewise(pw)
-        if args.map_back is None:
-            _write(args.output, serialize(split))
-            return 0
-        flow, _, _, _, _ = parse_solution(_read(args.map_back), split)
-        normalized = reductions.normalize_split_solution(flow, edge_map)
-        totals = reductions.reassemble(normalized, edge_map)
-        lines = []
-        profit = Fraction(0)
-        for o, edge in enumerate(pw.edges):
-            lines.append(f"flow {edge.src + 1} {edge.dst + 1} {fmt(totals[o])}")
-            profit += reductions.piecewise_profit(pw, o, totals[o])
-        lines.append(f"primal {fmt(profit)}")
-        _write(args.output, "\n".join(lines) + "\n")
-        return 0
-    g = reductions.parse_gflow(_read(args.input))
-    reduced, mapper = reductions.gflow_to_btp(g)
+    pw = reductions.parse_piecewise(_read(args.input))
+    split, edge_map = reductions.split_piecewise(pw)
     if args.map_back is None:
-        _write(args.output, reductions.serialize_mincost(reduced))
+        _write(args.output, serialize(split))
         return 0
-    flows = _read_mincost_flows(args.map_back, len(reduced.edges))
-    arc_flow = reductions.map_flow_back(flows, mapper)
-    lines = [f"aflow {a + 1} {fmt(v)}" for a, v in enumerate(arc_flow)]
-    lines.append(f"cost {fmt(reductions.gflow_cost(g, arc_flow))}")
+    flow, _, _, _, _ = parse_solution(_read(args.map_back), split)
+    normalized = reductions.normalize_split_solution(flow, edge_map)
+    totals = reductions.reassemble(normalized, edge_map)
+    lines = []
+    profit = Fraction(0)
+    for o, edge in enumerate(pw.edges):
+        lines.append(f"flow {edge.src + 1} {edge.dst + 1} {fmt(totals[o])}")
+        profit += reductions.piecewise_profit(pw, o, totals[o])
+    lines.append(f"primal {fmt(profit)}")
     _write(args.output, "\n".join(lines) + "\n")
     return 0
 
 
-def _read_mincost_flows(path: str, count: int) -> list[Fraction]:
-    """`mflow <edge> <value>` records, one per edge of the reduced instance at most."""
-    flows: list[Fraction | None] = [None] * count
-    for line_no, tokens in records(_read(path)):
-        if tokens[0] != "mflow":
-            raise InstanceFormatError(line_no, "expected: mflow <edge> <value>")
-        indexed(line_no, tokens, flows, "edge", rational)
-    return [Fraction(0) if v is None else v for v in flows]
-
-
 def cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, not {args.repeat}")
     instances: list[tuple[str, ProblemInstance]] = []
     if args.gen:
         params = {}
@@ -394,10 +374,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=cmd_generate)
 
-    p_reduce = sub.add_parser("reduce", help="piecewise or generalized-flow transforms")
-    group = p_reduce.add_mutually_exclusive_group(required=True)
-    group.add_argument("--piecewise", action="store_true")
-    group.add_argument("--gflow", action="store_true")
+    p_reduce = sub.add_parser(
+        "reduce", help="split piecewise-linear profits, or map a split solution back"
+    )
+    p_reduce.add_argument("--piecewise", action="store_true", required=True)
     p_reduce.add_argument("input")
     p_reduce.add_argument("output")
     p_reduce.add_argument("--map-back", default=None, metavar="SOLUTION")

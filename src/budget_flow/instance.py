@@ -201,13 +201,13 @@ def check_valid(instance: ProblemInstance) -> ProblemInstance:
 # Capacities are only accepted on bts instances; seg= appears only on split
 # piecewise instances.
 #
-# Every file this package reads (instances, the reductions' piecewise, gflow
-# and mincost inputs, solutions) is a sequence of line records read by the
-# functions below: '#' starts a comment, tokens are whitespace-separated, the
-# first token is the record's tag and indices are 1-based.  An integer field
-# is an int literal; a rational field is an integer, a ratio `p/q` of integers
-# with q != 0, or a decimal such as `0.25` or `1e-9` whose exponent has at most
-# four digits.  Every fault is an InstanceFormatError naming its line.
+# Every file this package reads (instances, the reductions' piecewise input,
+# solutions) is a sequence of line records read by the functions below: '#'
+# starts a comment, tokens are whitespace-separated, the first token is the
+# record's tag and indices are 1-based.  An integer field is an int literal; a
+# rational field is an integer, a ratio `p/q` of integers with q != 0, or a
+# decimal such as `0.25` or `1e-9` whose exponent has at most four digits.
+# Every fault is an InstanceFormatError naming its line.
 # ---------------------------------------------------------------------------
 
 
@@ -293,15 +293,9 @@ def indexed(line_no: int, tokens: list[str], values: list, what: str, read) -> N
     values[k] = read(line_no, tokens[2])
 
 
-def declared(line_no: int, what: str, count: int, found: int) -> None:
-    """A header's record count must match the records found."""
-    if found != count:
-        raise InstanceFormatError(line_no, f"header declares {count} {what}, found {found}")
-
-
-def transport_records(lines, header_line: int, n: int, m: int, num_edges: int, read, edge):
-    """The s/t/e body of a transportation file: one `s` line per source and one
-    `t` line per sink, read by `read`, and the edges, each read by
+def transport_records(lines, header_line: int, n: int, m: int, num_edges: int, edge):
+    """The s/t/e body of a transportation file: one integer `s` line per source
+    and one integer `t` line per sink, and the edges, each read by
     `edge(line_no, tokens)`."""
     if max(n, m) > len(lines):  # some line must be missing; allocate nothing that large
         raise InstanceFormatError(
@@ -315,16 +309,19 @@ def transport_records(lines, header_line: int, n: int, m: int, num_edges: int, r
         if tag == "e":
             edges.append(edge(line_no, tokens))
         elif tag == "s":
-            indexed(line_no, tokens, supply, "source", read)
+            indexed(line_no, tokens, supply, "source", integer)
         elif tag == "t":
-            indexed(line_no, tokens, budget, "sink", read)
+            indexed(line_no, tokens, budget, "sink", integer)
         else:
             raise InstanceFormatError(line_no, f"unknown record {tag!r}")
     for values, what in ((supply, "source"), (budget, "sink")):
         if None in values:
             k = values.index(None) + 1
             raise InstanceFormatError(header_line, f"missing line for {what} {k}")
-    declared(header_line, "edges", num_edges, len(edges))
+    if len(edges) != num_edges:
+        raise InstanceFormatError(
+            header_line, f"header declares {num_edges} edges, found {len(edges)}"
+        )
     return tuple(supply), tuple(budget), tuple(edges)
 
 
@@ -348,9 +345,7 @@ def parse(text: str) -> ProblemInstance:
             segment,
         )
 
-    supply, budget, edges = transport_records(
-        lines, header_line, n, m, num_edges, integer, edge
-    )
+    supply, budget, edges = transport_records(lines, header_line, n, m, num_edges, edge)
     return check_valid(ProblemInstance(kind, supply, budget, edges))
 
 

@@ -1,9 +1,8 @@
-"""Instance transforms: piecewise-linear profits and generalized flow.
+"""Instance transform: concave piecewise-linear profits.
 
 Concave piecewise-linear profit edges split into parallel capacitated segments
-solvable by the bts solver; min-cost generalized flow maps onto an
-equality-constrained min-cost transportation instance and back, preserving
-cost exactly.  All transform arithmetic is exact.
+solvable by the bts solver, and a split solution maps back to per-pair totals
+and profile profits.  All transform arithmetic is exact.
 """
 
 from __future__ import annotations
@@ -18,10 +17,7 @@ from .instance import (
     Kind,
     ProblemInstance,
     check_valid,
-    declared,
-    fields,
     integer,
-    rational,
     read_header,
     transport_records,
 )
@@ -174,258 +170,8 @@ def piecewise_profit(pw: PiecewiseInstance, original_edge: int, amount) -> Fract
 
 
 # ---------------------------------------------------------------------------
-# min-cost generalized flow  <->  equality-constrained min-cost transportation
+# the piecewise file format
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Arc:
-    tail: int
-    head: int
-    cost: Fraction
-    capacity: Fraction
-    multiplier: Fraction
-
-
-@dataclass(frozen=True)
-class GenFlowInstance:
-    """Digraph with per-arc gain/loss multipliers, one source and one sink.
-
-    Arc flow f is consumed at the tail and delivers multiplier*f at the head.
-    The source has no incoming arcs and the sink no outgoing ones.
-    """
-
-    num_nodes: int
-    arcs: tuple[Arc, ...]
-    source: int
-    supply: Fraction
-    sink: int
-    demand: Fraction
-
-
-def validate_gflow(g: GenFlowInstance) -> list[str]:
-    issues = []
-    if g.source == g.sink:
-        issues.append("source and sink must differ")
-    if not (0 <= g.source < g.num_nodes and 0 <= g.sink < g.num_nodes):
-        issues.append("source/sink out of range")
-    if g.supply < 0 or g.demand < 0:
-        issues.append("negative supply or demand")
-    for a, arc in enumerate(g.arcs):
-        if not (0 <= arc.tail < g.num_nodes and 0 <= arc.head < g.num_nodes):
-            issues.append(f"arc {a}: endpoint out of range")
-        if arc.capacity <= 0:
-            issues.append(f"arc {a}: capacity must be positive")
-        if arc.multiplier <= 0:
-            issues.append(f"arc {a}: multiplier must be positive")
-        if arc.head == g.source:
-            issues.append(f"arc {a}: arcs into the source are not supported")
-        if arc.tail == g.sink:
-            issues.append(f"arc {a}: arcs out of the sink are not supported")
-    return issues
-
-
-def _kept_nodes(g: GenFlowInstance) -> list[int]:
-    """The nodes that an arc, the source or the sink touches, in node order.
-
-    Every other node carries no flow, so it has no constraint to check and
-    gets no source in the reduction.
-    """
-    return sorted({g.source, g.sink}.union(*((arc.tail, arc.head) for arc in g.arcs)))
-
-
-def check_gflow_feasible(g: GenFlowInstance, flows) -> list[str]:
-    """Violated constraints of a candidate arc flow, empty if feasible."""
-    issues = []
-    if len(flows) != len(g.arcs):
-        return ["flow vector length does not match arc count"]
-    into = dict.fromkeys(_kept_nodes(g), Fraction(0))
-    out_of = dict(into)
-    for a, arc in enumerate(g.arcs):
-        if flows[a] < 0:
-            issues.append(f"arc {a}: negative flow")
-        if flows[a] > arc.capacity:
-            issues.append(f"arc {a}: capacity exceeded")
-        into[arc.head] += arc.multiplier * flows[a]
-        out_of[arc.tail] += flows[a]
-    for node, inflow in into.items():
-        outflow = out_of[node]
-        if node == g.source:
-            if outflow != g.supply:
-                issues.append(f"source outflow {outflow} != supply {g.supply}")
-        elif node == g.sink:
-            if inflow != g.demand:
-                issues.append(f"sink inflow {inflow} != demand {g.demand}")
-        elif inflow != outflow:
-            issues.append(f"node {node}: conservation violated ({inflow} != {outflow})")
-    return issues
-
-
-@dataclass(frozen=True)
-class MincostEdge:
-    src: int
-    dst: int
-    cost: Fraction
-    price: Fraction
-
-
-@dataclass(frozen=True)
-class MincostBtpInstance:
-    """Equality-constrained transportation LP with rational data.
-
-    Sources must ship exactly their supply and sinks receive price-weighted
-    flow exactly equal to their budget; the objective is minimized, or
-    maximized when `sense` is "max".  This form exists to carry the
-    generalized-flow reduction; it is not fed to the approximation solver.
-    """
-
-    supply: tuple[Fraction, ...]
-    budget: tuple[Fraction, ...]
-    edges: tuple[MincostEdge, ...]
-    sense: str = "min"
-
-    @property
-    def n(self) -> int:
-        return len(self.supply)
-
-    @property
-    def m(self) -> int:
-        return len(self.budget)
-
-
-@dataclass(frozen=True)
-class GFlowMapper:
-    """Index bookkeeping for the arc-to-sink transform.
-
-    Arc a feeds sink a; its slack edge (from the tail node's source, price 1,
-    cost 0) is tail_edge[a] and its carry edge (from the head node's source,
-    price 1/mu, cost c/mu) is head_edge[a].  The extra sink holds the supply
-    via supply_edge from the source node.
-    """
-
-    g: GenFlowInstance
-    tail_edge: tuple[int, ...]
-    head_edge: tuple[int, ...]
-    supply_sink: int
-    supply_edge: int
-
-
-def gflow_to_btp(g: GenFlowInstance) -> tuple[MincostBtpInstance, GFlowMapper]:
-    """One source per kept node, one sink per arc plus a supply sink.
-
-    The kept nodes are the arcs' ends, the source and the sink, in node order;
-    any other node carries no flow and gets no source, so the size does not
-    grow with the header's node count.  A node's supply is the total capacity
-    leaving it (the sink node gets the demand instead).  Arc (i,j) becomes a
-    sink with budget u_ij fed by a free slack edge from node i and by a carry
-    edge from node j with cost c_ij/mu_ij and price 1/mu_ij.
-    """
-    issues = validate_gflow(g)
-    if issues:
-        raise InstanceValidationError(issues)
-    source_of = {node: i for i, node in enumerate(_kept_nodes(g))}
-    supply = [Fraction(0)] * len(source_of)
-    for arc in g.arcs:
-        supply[source_of[arc.tail]] += arc.capacity
-    supply[source_of[g.sink]] = Fraction(g.demand)
-    budget = [Fraction(arc.capacity) for arc in g.arcs]
-    edges: list[MincostEdge] = []
-    tail_edge, head_edge = [], []
-    for a, arc in enumerate(g.arcs):
-        tail_edge.append(len(edges))
-        edges.append(
-            MincostEdge(src=source_of[arc.tail], dst=a, cost=Fraction(0), price=Fraction(1))
-        )
-        head_edge.append(len(edges))
-        edges.append(
-            MincostEdge(
-                src=source_of[arc.head],
-                dst=a,
-                cost=arc.cost / arc.multiplier,
-                price=1 / arc.multiplier,
-            )
-        )
-    supply_sink = len(budget)
-    budget.append(Fraction(g.supply))
-    supply_edge = len(edges)
-    edges.append(
-        MincostEdge(src=source_of[g.source], dst=supply_sink, cost=Fraction(0), price=Fraction(1))
-    )
-    instance = MincostBtpInstance(
-        supply=tuple(supply), budget=tuple(budget), edges=tuple(edges)
-    )
-    return instance, GFlowMapper(
-        g=g,
-        tail_edge=tuple(tail_edge),
-        head_edge=tuple(head_edge),
-        supply_sink=supply_sink,
-        supply_edge=supply_edge,
-    )
-
-
-def check_mincost_feasible(instance: MincostBtpInstance, flows) -> list[str]:
-    issues = []
-    if len(flows) != len(instance.edges):
-        return ["flow vector length does not match edge count"]
-    shipped = [Fraction(0)] * instance.n
-    received = [Fraction(0)] * instance.m
-    for e, (spec, f) in enumerate(zip(instance.edges, flows)):
-        if f < 0:
-            issues.append(f"edge {e}: negative flow")
-        shipped[spec.src] += f
-        received[spec.dst] += spec.price * f
-    for i, total in enumerate(shipped):
-        if total != instance.supply[i]:
-            issues.append(f"source {i}: ships {total}, supply is {instance.supply[i]}")
-    for j, total in enumerate(received):
-        if total != instance.budget[j]:
-            issues.append(f"sink {j}: receives {total}, budget is {instance.budget[j]}")
-    return issues
-
-
-def map_flow_forward(flows, mapper: GFlowMapper) -> list[Fraction]:
-    """Arc flow -> transportation flow of identical cost (checked feasible)."""
-    issues = check_gflow_feasible(mapper.g, flows)
-    if issues:
-        raise ValueError("; ".join(issues))
-    out = [Fraction(0)] * (2 * len(mapper.g.arcs) + 1)
-    for a, arc in enumerate(mapper.g.arcs):
-        out[mapper.tail_edge[a]] = arc.capacity - Fraction(flows[a])
-        out[mapper.head_edge[a]] = arc.multiplier * Fraction(flows[a])
-    out[mapper.supply_edge] = Fraction(mapper.g.supply)
-    return out
-
-
-def map_flow_back(flows, mapper: GFlowMapper) -> list[Fraction]:
-    """Transportation flow -> arc flow of identical cost (checked feasible)."""
-    instance, _ = gflow_to_btp(mapper.g)
-    issues = check_mincost_feasible(instance, flows)
-    if issues:
-        raise ValueError("; ".join(issues))
-    return [
-        Fraction(flows[mapper.head_edge[a]]) / arc.multiplier
-        for a, arc in enumerate(mapper.g.arcs)
-    ]
-
-
-def transport_cost(instance: MincostBtpInstance, flows) -> Fraction:
-    return sum(
-        (spec.cost * flows[e] for e, spec in enumerate(instance.edges)),
-        start=Fraction(0),
-    )
-
-
-def gflow_cost(g: GenFlowInstance, flows) -> Fraction:
-    return sum((arc.cost * flows[a] for a, arc in enumerate(g.arcs)), start=Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# file formats for the transform inputs and outputs
-# ---------------------------------------------------------------------------
-
-
-def _ratio_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
 
 def parse_piecewise(text: str) -> PiecewiseInstance:
@@ -448,9 +194,7 @@ def parse_piecewise(text: str) -> PiecewiseInstance:
             raise InstanceFormatError(line_no, "segment length must be uniform")
         return PiecewiseEdge(src - 1, dst - 1, price, tuple(slopes))
 
-    supply, budget, edges = transport_records(
-        lines, header_line, n, m, num_edges, integer, edge
-    )
+    supply, budget, edges = transport_records(lines, header_line, n, m, num_edges, edge)
     pw = PiecewiseInstance(supply, budget, seg_len if seg_len is not None else 1, edges)
     issues = validate_piecewise(pw)
     if issues:
@@ -468,85 +212,3 @@ def serialize_piecewise(pw: PiecewiseInstance) -> str:
             f"e {edge.src + 1} {edge.dst + 1} {edge.price} pw {pw.segment_length} {slopes}"
         )
     return "\n".join(lines) + "\n"
-
-
-def parse_gflow(text: str) -> GenFlowInstance:
-    """Format: `g |V| |A|`, `a i j c u mu` per arc, `src s d_s`, `snk t d_t`."""
-    header_line, (num_nodes, num_arcs), lines = read_header(text, "g <V> <A>")
-    arcs: list[Arc] = []
-    ends: dict[str, tuple[int, Fraction]] = {}
-    for line_no, tokens in lines:
-        tag = tokens[0]
-        if tag == "a":
-            tail, head, *values = fields(line_no, tokens, 5, "a <i> <j> <c> <u> <mu>")
-            arcs.append(
-                Arc(
-                    integer(line_no, tail) - 1,
-                    integer(line_no, head) - 1,
-                    *(rational(line_no, token) for token in values),
-                )
-            )
-        elif tag in ("src", "snk"):
-            if tag in ends:
-                raise InstanceFormatError(line_no, f"duplicate {tag} record")
-            node, amount = fields(line_no, tokens, 2, f"{tag} <node> <amount>")
-            ends[tag] = (integer(line_no, node) - 1, rational(line_no, amount))
-        else:
-            raise InstanceFormatError(line_no, f"unknown record {tag!r}")
-    for tag in ("src", "snk"):
-        if tag not in ends:
-            raise InstanceFormatError(header_line, f"missing {tag} record")
-    declared(header_line, "arcs", num_arcs, len(arcs))
-    (source, supply), (sink, demand) = ends["src"], ends["snk"]
-    g = GenFlowInstance(num_nodes, tuple(arcs), source, supply, sink, demand)
-    issues = validate_gflow(g)
-    if issues:
-        raise InstanceValidationError(issues)
-    return g
-
-
-def serialize_gflow(g: GenFlowInstance) -> str:
-    lines = [f"g {g.num_nodes} {len(g.arcs)}"]
-    for arc in g.arcs:
-        lines.append(
-            f"a {arc.tail + 1} {arc.head + 1} {_ratio_str(arc.cost)} "
-            f"{_ratio_str(arc.capacity)} {_ratio_str(arc.multiplier)}"
-        )
-    lines.append(f"src {g.source + 1} {_ratio_str(g.supply)}")
-    lines.append(f"snk {g.sink + 1} {_ratio_str(g.demand)}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_mincost(instance: MincostBtpInstance) -> str:
-    lines = [f"p mincost {instance.n} {instance.m} {len(instance.edges)} {instance.sense}"]
-    lines += [f"s {i + 1} {_ratio_str(a)}" for i, a in enumerate(instance.supply)]
-    lines += [f"t {j + 1} {_ratio_str(b)}" for j, b in enumerate(instance.budget)]
-    for spec in instance.edges:
-        lines.append(
-            f"e {spec.src + 1} {spec.dst + 1} {_ratio_str(spec.cost)} {_ratio_str(spec.price)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def parse_mincost(text: str) -> MincostBtpInstance:
-    """Format: `p mincost n m E <min|max>` header, s/t lines, `e i j c p` edges."""
-    header_line, (n, m, num_edges, sense), lines = read_header(
-        text, "p mincost <n> <m> <E> <min|max>"
-    )
-
-    def edge(line_no: int, tokens: list[str]) -> MincostEdge:
-        src, dst, cost, price = fields(line_no, tokens, 4, "e <i> <j> <c> <p>")
-        spec = MincostEdge(
-            integer(line_no, src) - 1,
-            integer(line_no, dst) - 1,
-            rational(line_no, cost),
-            rational(line_no, price),
-        )
-        if not (0 <= spec.src < n and 0 <= spec.dst < m):
-            raise InstanceFormatError(line_no, f"edge ({src},{dst}) has a dangling index")
-        return spec
-
-    supply, budget, edges = transport_records(
-        lines, header_line, n, m, num_edges, rational, edge
-    )
-    return MincostBtpInstance(supply, budget, edges, sense)

@@ -64,12 +64,6 @@ class Numerics:
     def is_pos(self, a) -> bool:
         return a > self.tol
 
-    @staticmethod
-    def for_config(config: SolverConfig) -> "Numerics":
-        if config.numeric_mode == "exact":
-            return Numerics(exact=True)
-        return Numerics(exact=False, tol=config.float_tol)
-
 
 class PrimalState:
     """Per-edge flow plus incrementally maintained surpluses and budget residuals.
@@ -172,10 +166,36 @@ def _numerator_is_pos(a) -> bool:
     return a.numerator > 0
 
 
+def dual_bound(instance: ProblemInstance, epsilon) -> float:
+    """D = max(1, max c, (1+eps) * max c/p), a bound on every dual of a run.
+
+    alpha_i starts at the best profit out of i and never exceeds it, since
+    beta >= 0; gamma_e <= c_e.  A first price is eps * min c/p.  A price rises
+    only at a saturated sink with no back edge, so each in-edge e carrying
+    flow was assigned at the current price with a positive key or is saturated
+    with positive slack; either way c_e - p_e*beta_j > 0, so beta_j < (1+eps)
+    * max c/p after the rise.  The floor of 1 covers c = 0.
+    """
+    top_rate = max((spec.profit / spec.price for spec in instance.edges), default=0.0)
+    top_profit = max((spec.profit for spec in instance.edges), default=0)
+    return max(1.0, top_profit, (1 + float(epsilon)) * top_rate)
+
+
 def make_states(
     instance: ProblemInstance, config: SolverConfig
 ) -> tuple[PrimalState, DualState, Numerics]:
-    """Zero flow, zero sink prices, alpha_i = best profit out of i: both feasible."""
-    num = Numerics.for_config(config)
+    """Zero flow, zero sink prices, alpha_i = best profit out of i: both feasible.
+
+    A float run compares within `float_tol / D`, D = `dual_bound`.  `certify`
+    bounds each complementary product, alpha_i*surplus_i, beta_j*residual_j
+    and gamma_e*(u_e - f_e), by `float_tol`; each is a dual at most D times a
+    residual the run left at most `float_tol / D`, so each is at most
+    `float_tol`, up to `certify`'s own rounding.
+    """
+    if config.numeric_mode == "exact":
+        num = Numerics(exact=True)
+    else:
+        tol = config.float_tol / dual_bound(instance, config.epsilon)
+        num = Numerics(exact=False, tol=tol)
     return PrimalState(instance, num), DualState(instance, config, num), num
 

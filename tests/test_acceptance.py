@@ -15,18 +15,11 @@ from budget_flow.oracle import exact_opt
 from budget_flow.reductions import (
     PiecewiseEdge,
     PiecewiseInstance,
-    check_gflow_feasible,
-    check_mincost_feasible,
     fill_order_holds,
-    gflow_cost,
-    gflow_to_btp,
-    map_flow_back,
-    map_flow_forward,
     normalize_split_solution,
     piecewise_profit,
     reassemble,
     split_piecewise,
-    transport_cost,
 )
 from budget_flow.solver import (
     PushReport,
@@ -35,7 +28,6 @@ from budget_flow.solver import (
     solve,
 )
 from conftest import build_cycle_state, simulate_revolutions
-from test_reductions import random_feasible_gflow
 
 EPSILONS = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)]
 
@@ -395,20 +387,3 @@ def test_criterion_7_piecewise_reduction():
             )
             assert piecewise_profit(pw, o, totals[o]) == group_profit
     verdict(7, "piecewise reduction", True, "(200 profiles)")
-
-
-def test_criterion_8_generalized_flow_reduction():
-    """Both mapping directions preserve cost exactly and round-trip."""
-    rng = random.Random(6060)
-    done = 0
-    while done < 200:
-        g, flows = random_feasible_gflow(rng)
-        reduced, mapper = gflow_to_btp(g)
-        mapped = map_flow_forward(flows, mapper)
-        assert check_mincost_feasible(reduced, mapped) == []
-        assert transport_cost(reduced, mapped) == gflow_cost(g, flows)
-        back = map_flow_back(mapped, mapper)
-        assert back == flows
-        assert check_gflow_feasible(g, back) == []
-        done += 1
-    verdict(8, "generalized-flow reduction", True, "(200 feasible flows)")

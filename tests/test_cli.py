@@ -1,29 +1,17 @@
 import os
-import random
 import subprocess
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from budget_flow.certify import fmt
 from budget_flow.cli import MAX_EMPTY_DRAWS, main
 from budget_flow.instance import generate, serialize
-from budget_flow.reductions import (
-    gflow_cost,
-    gflow_to_btp,
-    map_flow_forward,
-    parse_gflow,
-    serialize_gflow,
-)
-from test_reductions import random_feasible_gflow
 
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
 BTS_BINDING = "p bts 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2 3\n"
 PIECEWISE = "p pw 1 2 2\ns 1 6\nt 1 50\nt 2 40\ne 1 1 3 pw 2 5 3\ne 1 2 2 pw 2 4 1\n"
-GFLOW = "g 2 1\na 1 2 4 10 1/2\nsrc 1 2\nsnk 2 1\n"
 
 
 def run_cli(args):
@@ -157,77 +145,6 @@ def test_reduce_piecewise_malformed_exits_2(tmp_path, capsys, text, line):
     assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "text, line",
-    [
-        ("g 2 1\na 1 2 4 10 1/2\nsrc 1\nsnk 2 1\n", 3),
-        ("g 2 1\na 1 x 4 10 1/2\nsrc 1 2\nsnk 2 1\n", 2),
-    ],
-)
-def test_reduce_gflow_malformed_exits_2(tmp_path, capsys, text, line):
-    src = tmp_path / "in.gfl"
-    src.write_text(text)
-    assert run_cli(["reduce", "--gflow", str(src), str(tmp_path / "out.mc")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
-
-
-def test_reduce_gflow_map_back_round_trip(tmp_path, capsys):
-    # one arc 1->2 with capacity 10, cost 4 and multiplier 1/2: 2 units leave node 1 and
-    # 1 arrives at node 2.  In the reduced instance that is 8 units of slack on edge 1,
-    # 1 unit carried from node 2 at price 2 on edge 2 and the supply of 2 on edge 3.
-    src = tmp_path / "in.gfl"
-    src.write_text(GFLOW)
-    mflow = tmp_path / "reduced.flow"
-    mflow.write_text("# reduced edge flows, in any order\nmflow 3 2/1\nmflow 1 8\nmflow 2 1\n")
-    _, mapper = gflow_to_btp(parse_gflow(GFLOW))
-    assert map_flow_forward([Fraction(2)], mapper) == [8, 1, 2]
-    out = tmp_path / "mapped.txt"
-    assert run_cli(["reduce", "--gflow", str(src), str(out), "--map-back", str(mflow)]) == 0
-    assert out.read_text() == "aflow 1 2/1\ncost 8/1\n"
-
-
-@pytest.mark.parametrize("seed", [5, 20, 25])  # several arcs carry flow, some edges none
-def test_reduce_gflow_map_back_random(tmp_path, capsys, seed):
-    g, arc_flow = random_feasible_gflow(random.Random(seed))
-    src = tmp_path / "in.gfl"
-    src.write_text(serialize_gflow(g))
-    _, mapper = gflow_to_btp(g)
-    mflow = tmp_path / "reduced.flow"
-    mflow.write_text(
-        "".join(  # zero flows are left out
-            f"mflow {k + 1} {fmt(v)}\n"
-            for k, v in enumerate(map_flow_forward(arc_flow, mapper))
-            if v
-        )
-    )
-    out = tmp_path / "mapped.txt"
-    assert run_cli(["reduce", "--gflow", str(src), str(out), "--map-back", str(mflow)]) == 0
-    assert out.read_text().splitlines() == [
-        *(f"aflow {a + 1} {fmt(v)}" for a, v in enumerate(arc_flow)),
-        f"cost {fmt(gflow_cost(g, arc_flow))}",
-    ]
-
-
-@pytest.mark.parametrize(
-    "records, line, reason",
-    [
-        ("mflow 999 5\n", 1, "edge index 999 out of range 1..3"),
-        ("mflow 1 2\nmflow 0 5\n", 2, "edge index 0 out of range 1..3"),
-        ("mflow 1 1/0\n", 1, "bad rational '1/0'"),
-        ("mflow 1 2\nmflow 1 2\n", 2, "duplicate mflow line for edge 1"),
-    ],
-)
-def test_reduce_gflow_map_back_malformed_exits_2(tmp_path, capsys, records, line, reason):
-    src = tmp_path / "in.gfl"
-    src.write_text(GFLOW)
-    mflow = tmp_path / "reduced.flow"
-    mflow.write_text(records)
-    args = ["reduce", "--gflow", str(src), str(tmp_path / "out"), "--map-back", str(mflow)]
-    assert run_cli(args) == 2
-    assert capsys.readouterr().err == f"error: line {line}: {reason}\n"
-
-
 def solved(tmp_path):
     """ONE_BY_ONE and its certified solution file."""
     inst = tmp_path / "inst.btp"
@@ -295,32 +212,6 @@ def test_verify_malformed_solution_record_exits_2(tmp_path, capsys, prefix, reco
     assert capsys.readouterr().err == f"error: line {k + 1}: {reason}\n"
 
 
-def test_reduce_gflow_counts(tmp_path):
-    src = tmp_path / "in.gfl"
-    src.write_text(GFLOW)
-    out = tmp_path / "out.mc"
-    assert run_cli(["reduce", "--gflow", str(src), str(out)]) == 0
-    header = out.read_text().splitlines()[0]
-    # a source per node that an arc touches, and |A|+1 sinks
-    assert header == "p mincost 2 2 3 min"
-
-
-def test_reduce_gflow_size_ignores_arcless_header_nodes(tmp_path):
-    # two billion nodes in the header, two of them on the one arc
-    src = tmp_path / "in.gfl"
-    src.write_text("g 2000000000 1\na 1 2000000000 3 5 1/2\nsrc 1 4\nsnk 2000000000 2\n")
-    out = tmp_path / "out.mc"
-    assert run_cli(["reduce", "--gflow", str(src), str(out)]) == 0
-    lines = out.read_text().splitlines()
-    assert lines[0] == "p mincost 2 2 3 min"
-    assert [line for line in lines if line.startswith("s ")] == ["s 1 5", "s 2 2"]
-    mflow = tmp_path / "reduced.flow"
-    mflow.write_text("mflow 1 1\nmflow 2 2\nmflow 3 4\n")
-    mapped = tmp_path / "mapped.txt"
-    assert run_cli(["reduce", "--gflow", str(src), str(mapped), "--map-back", str(mflow)]) == 0
-    assert mapped.read_text() == "aflow 1 4/1\ncost 12/1\n"
-
-
 @pytest.mark.parametrize("mode, rigorous", [("exact", "true"), ("float", "false")])
 def test_solve_certificate_follows_mode(tmp_path, capsys, mode, rigorous):
     # float flows are checked within the float tolerance and never stamped rigorous
@@ -380,6 +271,14 @@ def test_bench_unknown_gen_kind_exit_2(capsys):
     assert run_cli(["bench", "--gen", "count=1,kind=xyz"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --gen kind must be btp or bts, not 'xyz'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("repeat", ["0", "-1"])
+def test_bench_repeat_below_one_exits_2(capsys, repeat):
+    assert run_cli(["bench", "--gen", "n=2,m=2,count=1", "--repeat", repeat]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: --repeat must be at least 1, not {repeat}\n"
     assert captured.out == ""
 
 

@@ -29,17 +29,9 @@ from budget_flow.instance import (
     serialize,
 )
 from budget_flow.reductions import (
-    Arc,
-    GenFlowInstance,
-    MincostBtpInstance,
-    MincostEdge,
     PiecewiseEdge,
     PiecewiseInstance,
-    parse_gflow,
-    parse_mincost,
     parse_piecewise,
-    serialize_gflow,
-    serialize_mincost,
     serialize_piecewise,
 )
 from budget_flow.solver import solve
@@ -48,8 +40,6 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 counts = st.integers(1, 4)
 positive = st.integers(1, 20)
-rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
-positive_rationals = st.fractions(min_value=Fraction(1, 12), max_value=20, max_denominator=12)
 
 
 @st.composite
@@ -89,40 +79,9 @@ def piecewise_instances(draw) -> PiecewiseInstance:
     return PiecewiseInstance(supply, budget, draw(st.integers(1, 4)), edges)
 
 
-@st.composite
-def gflow_instances(draw) -> GenFlowInstance:
-    nodes = draw(st.integers(2, 5))
-    source, sink = 0, nodes - 1
-    arcs = tuple(
-        Arc(tail, head, draw(rationals), draw(positive_rationals), draw(positive_rationals))
-        for tail, head in draw(
-            st.lists(
-                st.tuples(st.integers(0, nodes - 2), st.integers(1, nodes - 1)),  # none into
-                max_size=6,  # the source, none out of the sink
-            )
-        )
-    )
-    supply, demand = draw(positive_rationals), draw(positive_rationals)
-    return GenFlowInstance(nodes, arcs, source, supply, sink, demand)
-
-
-@st.composite
-def mincost_instances(draw) -> MincostBtpInstance:
-    n, m = draw(counts), draw(counts)
-    edges = tuple(
-        MincostEdge(draw(st.integers(0, n - 1)), draw(st.integers(0, m - 1)), c, p)
-        for c, p in draw(st.lists(st.tuples(rationals, rationals), max_size=6))
-    )
-    supply = tuple(draw(rationals) for _ in range(n))
-    budget = tuple(draw(rationals) for _ in range(m))
-    return MincostBtpInstance(supply, budget, edges, draw(st.sampled_from(["min", "max"])))
-
-
 FORMATS = {
     "btp/bts": (instances(), serialize, parse),
     "pw": (piecewise_instances(), serialize_piecewise, parse_piecewise),
-    "gflow": (gflow_instances(), serialize_gflow, parse_gflow),
-    "mincost": (mincost_instances(), serialize_mincost, parse_mincost),
 }
 
 

@@ -18,7 +18,7 @@ from budget_flow.solver import (
     push_flow_path,
     solve,
 )
-from budget_flow.state import Numerics, make_states
+from budget_flow.state import Numerics, dual_bound, make_states
 from conftest import (
     btp, bts, build_cycle_state, random_simple_cycle, recompute_check, simulate_revolutions,
 )
@@ -213,17 +213,30 @@ def test_exact_solve_certifies_the_cs_source_dust_instance():
     assert sol.certificate.cs_source_worst == 0
 
 
-@pytest.mark.xfail(
-    strict=True, raises=AssertionError,
-    reason="ROADMAP item 3: the float solve stops a source at surplus <= float_tol, but "
-    "certify bounds alpha*surplus; cs_source_worst reads 3.16e-9 here",
-)
 def test_float_solve_certifies_the_cs_source_dust_instance():
     config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float")
     sol = solve(parse(CS_SOURCE_DUST.read_text()), config)
     assert sol.terminated
     assert sol.certificate.cs_source_worst <= config.float_tol
     assert sol.certificate.passed
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_duals_stay_within_the_bound_that_scales_the_float_tolerance(mode):
+    # float runs compare within float_tol / dual_bound; that is sound only if
+    # alpha_i <= best profit out of i, gamma_e <= c_e and beta_j < (1+eps) max c/p
+    for seed in range(40):
+        inst = generate(seed=seed, n=5, m=5, density=0.7, p_range=(1, 3),
+                        u_range=(1, 8) if seed % 2 else None)
+        eps = Fraction(1, 4) if seed % 4 < 2 else Fraction(1, 8)
+        sol = solve(inst, SolverConfig(epsilon=eps, numeric_mode=mode))
+        top_rate = max(Fraction(spec.profit, spec.price) for spec in inst.edges)
+        assert all(b < (1 + eps) * top_rate for b in sol.beta)
+        for i, a in enumerate(sol.alpha):
+            assert a <= max(inst.edges[e].profit for e in inst.edges_of_source(i))
+        gamma = reconstruct_gamma(inst, sol.flow, sol.alpha, sol.beta)
+        assert all(g <= inst.edges[e].profit for e, g in gamma.items())
+        assert max(sol.alpha + sol.beta + list(gamma.values())) <= dual_bound(inst, eps)
 
 
 def test_cycle_geometry_ratios_and_limits():
