@@ -145,6 +145,53 @@ def test_reduce_piecewise_malformed_exits_2(tmp_path, capsys, text, line):
     assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
 
 
+def refuse_gflow(capsys, args, out):
+    """`reduce --gflow` is no option: it exits 2 before any file is read and
+    writes nothing; returns the error text."""
+    with pytest.raises(SystemExit) as info:
+        run_cli(["reduce", "--piecewise", "--gflow", *args])
+    assert info.value.code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.endswith("error: unrecognized arguments: --gflow\n")
+    return err
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("g 2 1\na 1 2 4 10 1/2\nsrc 1\nsnk 2 1\n", 3),
+        ("g 2 1\na 1 x 4 10 1/2\nsrc 1 2\nsnk 2 1\n", 2),
+    ],
+)
+def test_reduce_gflow_malformed_exits_2(tmp_path, capsys, text, line):
+    # a generalized-flow file, malformed at `line`, that no reader gets to see
+    src = tmp_path / "in.gfl"
+    src.write_text(text)
+    out = tmp_path / "out"
+    assert f"line {line}" not in refuse_gflow(capsys, [str(src), str(out)], out)
+
+
+@pytest.mark.parametrize(
+    "records, line, reason",
+    [
+        ("mflow 999 5\n", 1, "edge index 999 out of range 1..3"),
+        ("mflow 1 2\nmflow 0 5\n", 2, "edge index 0 out of range 1..3"),
+        ("mflow 1 1/0\n", 1, "bad rational '1/0'"),
+        ("mflow 1 2\nmflow 1 2\n", 2, "duplicate mflow line for edge 1"),
+    ],
+)
+def test_reduce_gflow_map_back_malformed_exits_2(tmp_path, capsys, records, line, reason):
+    # `mflow` records, malformed at `line` for `reason`, that no reader gets to see
+    src = tmp_path / "in.gfl"
+    src.write_text("g 2 1\na 1 2 4 10 1/2\nsrc 1 2\nsnk 2 1\n")
+    mflow = tmp_path / "reduced.flow"
+    mflow.write_text(records)
+    out = tmp_path / "out"
+    err = refuse_gflow(capsys, [str(src), str(out), "--map-back", str(mflow)], out)
+    assert f"line {line}" not in err and reason not in err
+
+
 def solved(tmp_path):
     """ONE_BY_ONE and its certified solution file."""
     inst = tmp_path / "inst.btp"

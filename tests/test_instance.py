@@ -2,7 +2,6 @@ from fractions import Fraction
 
 import pytest
 
-from budget_flow.cli import parse_solution
 from budget_flow.instance import (
     EdgeSpec,
     InstanceFormatError,
@@ -14,7 +13,6 @@ from budget_flow.instance import (
     diagnostics,
     generate,
     parse,
-    rational,
     serialize,
     validate,
 )
@@ -117,21 +115,6 @@ def test_serialize_parse_round_trip():
             continue
         text = serialize(inst)
         assert serialize(parse(text)) == text
-
-
-def test_rationals_take_fraction_syntax():
-    # read through the solution file's flow/alpha/beta records
-    inst = parse("p btp 1 2 2\ns 1 6\nt 1 1\nt 2 1\ne 1 1 4 1\ne 1 2 8 1\n")
-    text = "flow 1 1 0.25\nflow 1 2 1E-9999\nalpha 1 3/-4\nbeta 1 1e1\n"
-    flow, alpha, beta, _, _ = parse_solution(text, inst)
-    assert flow == [Fraction(1, 4), Fraction(1, 10**9999)]
-    assert alpha == [Fraction(-3, 4)] and beta == [10, 0]
-    for bad in ("1/0", "x", "1/2/3", "inf", "nan", "0x10", "1e99999999"):
-        with pytest.raises(InstanceFormatError) as info:
-            parse_solution(f"flow 1 1 1\nalpha 1 {bad}\n", inst)
-        assert info.value.line_no == 2
-    with pytest.raises(InstanceFormatError):
-        rational(1, "")  # no file record holds an empty token
 
 
 def test_generate_deterministic_and_valid():

@@ -3,7 +3,16 @@ from fractions import Fraction
 
 import pytest
 
-from budget_flow.instance import InstanceFormatError, InstanceValidationError, Kind
+from budget_flow.cli import parse_solution
+from budget_flow.instance import (
+    InstanceFormatError,
+    InstanceValidationError,
+    Kind,
+    parse,
+    rational,
+    serialize,
+)
+from budget_flow.oracle import exact_opt
 from budget_flow.reductions import (
     PiecewiseEdge,
     PiecewiseInstance,
@@ -136,6 +145,106 @@ def test_piecewise_file_round_trip():
     assert parse_piecewise(text) == pw
 
 
+def random_pw(rng: random.Random) -> PiecewiseInstance:
+    """Up to four profile edges on distinct pairs of a small instance."""
+    n, m = rng.randint(1, 3), rng.randint(1, 3)
+    pairs = rng.sample([(i, j) for i in range(n) for j in range(m)], k=min(n * m, 4))
+    edges = tuple(
+        PiecewiseEdge(
+            src=i,
+            dst=j,
+            price=rng.randint(1, 5),
+            slopes=tuple(sorted((rng.randint(0, 9) for _ in range(rng.randint(1, 4))),
+                                reverse=True)),
+        )
+        for i, j in pairs
+    )
+    return PiecewiseInstance((60,) * n, (10**6,) * m, rng.randint(1, 4), edges)
+
+
+def test_single_arc_counts_and_cost_equality():
+    # a budget of 9 at price 3 buys 3 of the 5 units: 2 at slope 5, then 1 at slope 3
+    pw = PiecewiseInstance(supply=(5,), budget=(9,), segment_length=2,
+                           edges=(PiecewiseEdge(0, 0, 3, (5, 3, 1)),))
+    split, edge_map = split_piecewise(pw)
+    assert (split.n, split.m, len(split.edges)) == (1, 1, 3)
+    assert edge_map.groups == ((0, 1, 2),)
+    value, flow = exact_opt(split)
+    totals = reassemble(normalize_split_solution(flow, edge_map), edge_map)
+    assert totals == [3]
+    assert piecewise_profit(pw, 0, totals[0]) == value == 13
+
+
+def test_random_flows_round_trip_and_preserve_cost():
+    """Pair totals spread over their segments reassemble to the same totals, and
+    the split profit of each pair is its profile profit."""
+    rng = random.Random(17)
+    for _ in range(60):
+        pw = random_pw(rng)
+        split, edge_map = split_piecewise(pw)
+        length = pw.segment_length
+        totals = [
+            Fraction(rng.randint(0, 4 * length * len(edge.slopes)), 4) for edge in pw.edges
+        ]
+        flows = [Fraction(0)] * len(split.edges)
+        for o, group in enumerate(edge_map.groups):
+            flows[group[-1]] = totals[o]  # all of it on the last segment
+        spread = normalize_split_solution(flows, edge_map)
+        assert fill_order_holds(spread, edge_map)
+        assert all(0 <= f <= length for f in spread)
+        assert reassemble(spread, edge_map) == totals
+        for o, group in enumerate(edge_map.groups):
+            profit = sum(split.edges[e].profit * spread[e] for e in group)
+            assert profit == piecewise_profit(pw, o, totals[o])
+
+
+def test_transform_prices_follow_multiplier():
+    """Every segment keeps its edge's price, the budget one unit of flow uses, so
+    a split flow and its reassembled totals use the same budget at every sink."""
+    rng = random.Random(31)
+    for _ in range(50):
+        pw = random_pw(rng)
+        split, edge_map = split_piecewise(pw)
+        for o, group in enumerate(edge_map.groups):
+            assert {split.edges[e].price for e in group} == {pw.edges[o].price}
+        cap = pw.segment_length
+        flows = [min(Fraction(rng.randint(0, 4 * cap), 4), cap) for _ in split.edges]
+        totals = reassemble(normalize_split_solution(flows, edge_map), edge_map)
+        for j in range(pw.m):
+            split_use = sum(s.price * f for s, f in zip(split.edges, flows) if s.dst == j)
+            total_use = sum(e.price * t for e, t in zip(pw.edges, totals) if e.dst == j)
+            assert split_use == total_use
+
+
+def test_unit_multipliers_degenerate_to_unit_prices():
+    # one segment per profile at price 1 is the plain capacitated instance
+    pw = parse_piecewise("p pw 2 1 2\ns 1 4\ns 2 3\nt 1 6\ne 1 1 1 pw 5 7\ne 2 1 1 pw 5 2\n")
+    split, _ = split_piecewise(pw)
+    assert all(spec.price == 1 for spec in split.edges)
+    assert serialize(split) == (
+        "p bts 2 1 2\ns 1 4\ns 2 3\nt 1 6\ne 1 1 7 1 5 seg=1\ne 2 1 2 1 5 seg=1\n"
+    )
+
+
+def test_map_forward_rejects_infeasible():
+    pw = pw_instance([(5, 3)], l=2)
+    assert piecewise_profit(pw, 0, 4) == 16
+    with pytest.raises(ValueError):
+        piecewise_profit(pw, 0, Fraction(9, 2))  # beyond the last segment
+
+
+def test_zero_flow_maps_to_slack_edges():
+    # a split solution without flow records leaves every segment all slack
+    pw = parse_piecewise(PW_TEXT)
+    split, edge_map = split_piecewise(pw)
+    flow, _, _, _, _ = parse_solution("", split)
+    normalized = normalize_split_solution(flow, edge_map)
+    assert normalized == [0] * len(split.edges)
+    totals = reassemble(normalized, edge_map)
+    assert totals == [0, 0]
+    assert [piecewise_profit(pw, o, t) for o, t in enumerate(totals)] == [0, 0]
+
+
 PW_TEXT = "p pw 1 2 2\ns 1 6\nt 1 50\nt 2 40\ne 1 1 3 pw 2 5 3\ne 1 2 2 pw 2 4 1\n"
 
 
@@ -168,6 +277,21 @@ def test_count_mismatch_cites_the_header_line(parse, text):
     with pytest.raises(InstanceFormatError) as info:
         parse("# a comment first\n" + text)
     assert info.value.line_no == 2
+
+
+def test_rationals_take_fraction_syntax():
+    # read through the solution file's flow/alpha/beta records
+    inst = parse("p btp 1 2 2\ns 1 6\nt 1 1\nt 2 1\ne 1 1 4 1\ne 1 2 8 1\n")
+    text = "flow 1 1 0.25\nflow 1 2 1E-9999\nalpha 1 3/-4\nbeta 1 1e1\n"
+    flow, alpha, beta, _, _ = parse_solution(text, inst)
+    assert flow == [Fraction(1, 4), Fraction(1, 10**9999)]
+    assert alpha == [Fraction(-3, 4)] and beta == [10, 0]
+    for bad in ("1/0", "x", "1/2/3", "inf", "nan", "0x10", "1e99999999"):
+        with pytest.raises(InstanceFormatError) as info:
+            parse_solution(f"flow 1 1 1\nalpha 1 {bad}\n", inst)
+        assert info.value.line_no == 2
+    with pytest.raises(InstanceFormatError):
+        rational(1, "")  # no file record holds an empty token
 
 
 def test_validation_failures_are_typed():
