@@ -18,6 +18,7 @@ from .instance import (
     InstanceFormatError,
     ProblemInstance,
     SolverConfig,
+    check_float_range,
     diagnostics,
     fields,
     generate,
@@ -142,15 +143,17 @@ def parse_solution(text: str, instance: ProblemInstance):
 
 
 def cmd_solve(args) -> int:
+    if args.max_phases is not None and args.max_phases < 0:
+        raise ValueError(f"--max-phases must be at least 0, not {args.max_phases}")
     instance = parse(_read(args.instance))
     config = SolverConfig(
         epsilon=_epsilon_arg("--epsilon", args.epsilon),
         numeric_mode=args.mode,
         max_phases=args.max_phases,
     )
+    solution = solve(instance, config)
     if args.mode == "float":
         print("warning: float mode produces a non-rigorous certificate", file=sys.stderr)
-    solution = solve(instance, config)
     text = solution_to_text(solution)
     if not args.seed_stats:
         text = "".join(
@@ -168,7 +171,9 @@ def cmd_verify(args) -> int:
     if epsilon is None:
         print("error: epsilon not in solution file; pass --epsilon", file=sys.stderr)
         return 2
-    tol = SolverConfig().float_tol if mode == "float" else 0
+    if mode == "float":
+        check_float_range(instance, flow, alpha, beta)
+    tol = SolverConfig.float_tol if mode == "float" else 0
     cert = certify(instance, flow, alpha, beta, epsilon, rigorous=(mode == "exact"), tol=tol)
     print(f"primal_feasible {cert.primal_feasible}")
     print(f"dual_feasible {cert.dual_feasible}")

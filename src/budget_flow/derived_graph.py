@@ -1,19 +1,17 @@
 """Directed residual structure: preferred edges, back edges, best-sink heaps.
 
 Forward arcs are each source's preferred edge (best effective profit among
-unsaturated edges); reverse arcs are back edges, i.e. positive-flow edges
-assigned below the sink's current price level that may also be pulled back.
+unsaturated edges); reverse arcs are back edges: stale edges, whose flow was
+assigned below the sink's current price level, that may give flow back.
 Paths and cycles for the production solver are walked here.
 
-During a run the graph is the only writer of flows, valuations and sink
-prices: `move_flow`, `promote` and `raise_beta`.  It keeps one index,
-`_stale[j]`: the in-edges of sink j that carry flow valued below
-`level[j]`.  Each writer sets the entries it changes, and code that edits
-flows or valuations directly, as tests do, calls `note_flow_changed`.
-Back edges are the stale edges that may give flow back.  A clean source's
-preferred edge is unsaturated, so a two-cycle check can promote it only when
-it is stale and has a stale sibling; the two-cycle sweep visits only dirty
-sources and those.
+During a run the graph is the only writer of flows and sink prices:
+`move_flow`, `promote` and `raise_beta`.  `_stale[j]`, the in-edges of sink j
+that carry stale flow, is the one record of it: a rise makes every flowing
+in-edge stale, and a promotion, a `revalue` move or clearing the flow makes an
+edge fresh.  A clean source's preferred edge is unsaturated, so a two-cycle
+check can promote it only when it is stale and has a stale sibling; the
+two-cycle sweep visits only dirty sources and those.
 Heap entries are stamped with their sink's `dual.level`, which `raise_beta`,
 the only price writer, bumps along with beta.  Keys only fall as beta rises,
 so an old stamp is an upper bound, re-keyed when it reaches the top; a rise
@@ -21,9 +19,9 @@ pushes nothing and dirties only sources whose preferred edge enters the sink.
 Each edge has one entry at most (`_queued`).  An entry is
 `(-float_key, tie, dst, e, level)`, ordered exactly as `(-key, dst, e)`.  In
 exact mode the key c - p*beta is kn/Db, kn = c*Db - p*Nb: float_key is the
-correctly rounded int division `kn / Db`, as float() of the Fraction, so it
-is monotone, and only equal floats read `tie = ExactKey(kn, Db)`.  In float
-mode the key is a float and `tie` is None.
+correctly rounded int division `kn / Db`, as float() of the Fraction, or
++-inf beyond the float range, so it is monotone, and only equal floats read
+`tie = ExactKey(kn, Db)`.  In float mode the key is a float and `tie` is None.
 In exact mode a saturated edge's slack c - p*beta - alpha is tested in
 integers, as `(c*Db - p*Nb)*Da > Na*Db`.
 """
@@ -31,6 +29,7 @@ integers, as `(c*Db - p*Nb)*Da > Na*Db`.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -90,7 +89,8 @@ class ExactKey:
 
 
 class DerivedGraph:
-    """Owns the heaps, preferred edges and lazy alpha refresh for one run."""
+    """Owns the heaps, preferred edges and lazy alpha refresh for one run,
+    from the zero flow that `make_states` gives."""
 
     def __init__(
         self,
@@ -106,20 +106,14 @@ class DerivedGraph:
         self.stats = stats if stats is not None else RunStats()
         self.preferred: list[int | None] = [None] * instance.n
         self._heaps: list[list] = [[] for _ in range(instance.n)]
-        self._saturated = [primal.edge_saturated(e) for e in range(len(instance.edges))]
+        self._saturated = [False] * len(instance.edges)
         self._queued = [False] * len(instance.edges)
         self._dirty: set[int] = set(range(instance.n))
         self._stale: list[set[int]] = [set() for _ in range(instance.m)]
-        for e, y in dual.valuation.items():
-            j = instance.edges[e].dst
-            if y < dual.level[j]:
-                self._stale[j].add(e)
         for e, spec in enumerate(instance.edges):
-            if not self._saturated[e]:
-                heapq.heappush(self._heaps[spec.src], self._entry(e))
+            heapq.heappush(self._heaps[spec.src], self._entry(e))
         for i in range(instance.n):
             self.ensure_fresh(i)
-        self.remove_two_cycles(range(instance.n))
 
     # -- heap bookkeeping ---------------------------------------------------
 
@@ -131,24 +125,12 @@ class DerivedGraph:
         if self.num.exact:
             nb, db = self.dual.beta[dst].as_integer_ratio()
             kn = spec.profit * db - spec.price * nb
-            return (-(kn / db), ExactKey(kn, db), dst, e, self.dual.level[dst])
+            try:
+                key = kn / db
+            except OverflowError:
+                key = math.inf if kn > 0 else -math.inf
+            return (-key, ExactKey(kn, db), dst, e, self.dual.level[dst])
         return (-self.dual.effective_profit(e), None, dst, e, self.dual.level[dst])
-
-    def note_flow_changed(self, e: int) -> None:
-        """Track staleness and saturation flips; saturated edges leave the heap,
-        others rejoin."""
-        spec = self.instance.edges[e]
-        level = self.dual.level[spec.dst]
-        if self.dual.valuation.get(e, level) < level:
-            self._stale[spec.dst].add(e)
-        else:
-            self._stale[spec.dst].discard(e)
-        now = self.primal.edge_saturated(e)
-        if now != self._saturated[e]:
-            self._saturated[e] = now
-            if not now and not self._queued[e]:
-                heapq.heappush(self._heaps[spec.src], self._entry(e))
-            self._dirty.add(spec.src)
 
     def ensure_fresh(self, i: int) -> None:
         if i in self._dirty:
@@ -159,44 +141,49 @@ class DerivedGraph:
     def move_flow(self, e: int, delta, revalue: bool) -> int:
         """Add `delta` to edge e's flow; returns the edge's sink.
 
-        Flow that lands on zero, or on float dust below it, is cleared along
-        with its valuation; otherwise `revalue` assigns the flow at the sink's
-        current price.
+        Flow that lands on zero, or on float dust below it, is cleared; it and
+        flow moved with `revalue` are then assigned at the sink's current level.
         """
         primal, num = self.primal, self.num
         primal.add_flow(e, delta)
         self.stats.bump("flow_updates")
-        j = self.instance.edges[e].dst
-        if not num.is_pos(primal.flow[e]):
+        spec = self.instance.edges[e]
+        j = spec.dst
+        zeroed = not num.is_pos(primal.flow[e])
+        if zeroed:
             primal.flow[e] = num.value(0)
-            self.dual.valuation.pop(e, None)
             self.stats.bump("back_edge_zeroings")
-        elif revalue:
-            self.dual.valuation[e] = self.dual.level[j]
-        if delta > 0 and primal.edge_saturated(e):
+        if zeroed or revalue:
+            self._stale[j].discard(e)
+        now = primal.edge_saturated(e)
+        if delta > 0 and now:
             self.stats.bump("forward_saturations")
-        self.note_flow_changed(e)
+        if now != self._saturated[e]:
+            self._saturated[e] = now
+            if not now and not self._queued[e]:
+                heapq.heappush(self._heaps[spec.src], self._entry(e))
+            self._dirty.add(spec.src)
         return j
 
     def promote(self, e: int) -> None:
         """Re-assign edge e's flow, if it has any, at its sink's current level."""
-        j = self.instance.edges[e].dst
-        if e in self.dual.valuation:
-            self.dual.valuation[e] = self.dual.level[j]
-        self._stale[j].discard(e)
+        self._stale[self.instance.edges[e].dst].discard(e)
 
     def raise_beta(self, j: int, value) -> None:
         """Set sink j's price to `value` (its first, or a rise) one level up.
 
-        Every flowing in-edge of j is then valued below its level.
+        Every in-edge of j carrying flow, which `move_flow` leaves exactly zero
+        or positive, is then stale.
         """
         self.stats.bump("beta_rises" if self.dual.level[j] else "beta_inits")
         self.dual.raise_beta(j, value)
-        in_edges = self.instance.edges_of_sink(j)
-        self._stale[j] = self.dual.valuation.keys() & in_edges
-        for e in in_edges:
-            i = self.instance.edges[e].src
-            if self.preferred[i] == e:
+        edges, flow, preferred = self.instance.edges, self.primal.flow, self.preferred
+        stale = self._stale[j] = set()
+        for e in self.instance.edges_of_sink(j):
+            if flow[e]:
+                stale.add(e)
+            i = edges[e].src
+            if preferred[i] == e:
                 self._dirty.add(i)
 
     # -- graph operations -------------------------------------------------------
@@ -262,8 +249,8 @@ class DerivedGraph:
         """Promote the preferred edge out of the back set when siblings remain.
 
         With several back edges at the sink, a preferred edge that is also a
-        back edge would form a two-step loop; raising its valuation to the
-        sink's level removes it while leaving the sink's price unchanged.  The
+        back edge would form a two-step loop; promoting its flow to the sink's
+        level removes it while leaving the sink's price unchanged.  The
         lone back edge case is kept, since removing it would enable a price rise.
         """
         self.ensure_fresh(i)

@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import ClassVar
 
 
 class Kind(Enum):
@@ -100,26 +101,26 @@ class ProblemInstance:
 class SolverConfig:
     """Run parameters: approximation tolerance, determinism and numeric policy.
 
-    epsilon must lie strictly between 0 and 1.  Ties among equally good sinks
-    break toward the lowest index.  numeric_mode "exact" keeps every quantity a
-    Fraction; "float" runs in float64 with comparison tolerance `float_tol` and
-    produces non-rigorous certificates.
+    epsilon lies strictly between 0 and 1, and a max_phases cap is at least 0.
+    Ties among equally good sinks break toward the lowest index.  numeric_mode
+    "exact" keeps every quantity a Fraction; "float" runs in float64 and
+    produces non-rigorous certificates, checked within the constant `float_tol`.
     """
 
     epsilon: Fraction = Fraction(1, 4)
     max_phases: int | None = None
     numeric_mode: str = "exact"
-    float_tol: float = 1e-9
+    float_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
         eps = Fraction(self.epsilon) if not isinstance(self.epsilon, float) else self.epsilon
         object.__setattr__(self, "epsilon", eps)
         if not (0 < self.epsilon < 1):
             raise ValueError("epsilon must be in (0, 1)")
+        if self.max_phases is not None and self.max_phases < 0:
+            raise ValueError(f"max_phases must be at least 0, not {self.max_phases}")
         if self.numeric_mode not in ("exact", "float"):
             raise ValueError("numeric_mode must be 'exact' or 'float'")
-        if self.numeric_mode == "float" and not self.float_tol > 0:
-            raise ValueError("float_tol must be positive in float mode")
 
 
 @dataclass(frozen=True)
@@ -180,6 +181,20 @@ def validate(instance: ProblemInstance) -> ValidationReport:
             tag = f"edge {e + 1} ({spec.src + 1},{spec.dst + 1})"
             issues.extend(f"{tag}: {fault}" for fault in faults)
     return ValidationReport(ok=not issues, violations=tuple(issues))
+
+
+def check_float_range(instance: ProblemInstance, flow=(), alpha=(), beta=()) -> None:
+    """Raise ValueError naming the first record, of the instance or of a solution's
+    flow, alpha and beta, whose number a float cannot hold; float mode converts each."""
+    edge_max = [max(spec.profit, spec.price, spec.capacity or 0) for spec in instance.edges]
+    for name, values in (("source", instance.supply), ("sink", instance.budget),
+                         ("edge", edge_max), ("flow on edge", flow), ("alpha", alpha),
+                         ("beta", beta)):
+        for k, x in enumerate(values, start=1):
+            try:
+                float(x)
+            except OverflowError:
+                raise ValueError(f"{name} {k}: number beyond the float range") from None
 
 
 def check_valid(instance: ProblemInstance) -> ProblemInstance:
@@ -356,16 +371,9 @@ def serialize(instance: ProblemInstance) -> str:
         lines.append(f"s {i + 1} {a}")
     for j, b in enumerate(instance.budget):
         lines.append(f"t {j + 1} {b}")
-    order = sorted(
-        range(len(instance.edges)),
-        key=lambda e: (
-            instance.edges[e].src,
-            instance.edges[e].dst,
-            instance.edges[e].segment if instance.edges[e].segment is not None else -1,
-        ),
-    )
-    for e in order:
-        spec = instance.edges[e]
+    ordered = sorted(instance.edges, key=lambda spec: (
+        spec.src, spec.dst, -1 if spec.segment is None else spec.segment))
+    for spec in ordered:
         parts = [f"e {spec.src + 1} {spec.dst + 1} {spec.profit} {spec.price}"]
         if spec.capacity is not None:
             parts.append(str(spec.capacity))

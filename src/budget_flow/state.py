@@ -6,7 +6,7 @@ import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .instance import ProblemInstance, SolverConfig
+from .instance import ProblemInstance, SolverConfig, check_float_range
 
 
 @dataclass
@@ -103,14 +103,13 @@ class PrimalState:
 
 
 class DualState:
-    """Source prices alpha, sink prices beta with their levels, edge valuations.
+    """Source prices alpha, sink prices beta and their levels.
 
     level[j] counts sink j's prices: 0 while it has none, then beta_j =
     beta0_j * (1 + epsilon)^(level[j] - 1).  It alone records price levels and
     whether a sink has a price.  `raise_beta`, the only price writer, sets
     beta_j and bumps level[j] together; a solve calls it through
-    `DerivedGraph.raise_beta`.  valuation[e] is the sink's level when edge
-    e's flow was last assigned; it exists only while the edge carries flow.
+    `DerivedGraph.raise_beta`, which also records the flow it leaves stale.
     """
 
     def __init__(self, instance: ProblemInstance, config: SolverConfig, num: Numerics):
@@ -124,7 +123,6 @@ class DualState:
         ]
         self.beta = [num.value(0) for _ in range(instance.m)]
         self.level = [0] * instance.m
-        self.valuation: dict[int, int] = {}
         if num.exact:
             self.effective_profit = self._exact_effective_profit
 
@@ -195,6 +193,7 @@ def make_states(
     if config.numeric_mode == "exact":
         num = Numerics(exact=True)
     else:
+        check_float_range(instance)
         tol = config.float_tol / dual_bound(instance, config.epsilon)
         num = Numerics(exact=False, tol=tol)
     return PrimalState(instance, num), DualState(instance, config, num), num

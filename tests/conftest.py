@@ -82,16 +82,15 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
         edges=tuple(edges),
     )
     primal, dual, num = make_states(instance, SolverConfig(epsilon=Fraction(1, 4)))
+    stats = RunStats()
+    graph = DerivedGraph(instance, primal, dual, stats)
     for z in range(k):
-        primal.add_flow(cycle[2 * z + 1], Fraction(back_flows[z]))
+        # assigned before sink z had a price, so the rise leaves it stale
+        graph.move_flow(cycle[2 * z + 1], Fraction(back_flows[z]), revalue=True)
+        graph.raise_beta(z, Fraction(1))
     # entry surplus is whatever remains at source 0 minus the requested value
     entry = 0
     primal.surplus[entry] = Fraction(surplus)
-    for z in range(k):
-        dual.valuation[cycle[2 * z + 1]] = 0  # assigned before sink z had a price
-        dual.raise_beta(z, Fraction(1))
-    stats = RunStats()
-    graph = DerivedGraph(instance, primal, dual, stats)
     return instance, primal, dual, graph, stats, cycle
 
 

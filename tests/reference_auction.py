@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from budget_flow.instance import Kind, ProblemInstance, SolverConfig, check_valid
-from budget_flow.state import DualState, PrimalState, RunStats, make_states
+from budget_flow.state import DualState, Numerics, PrimalState, RunStats, make_states
 
 
 @dataclass(frozen=True)
@@ -24,10 +24,20 @@ class StepOutcome:
     amount: Fraction | float | None = None
 
 
+class ReferenceDual(DualState):
+    """The package's duals plus edge valuations: valuation[e] is the sink's
+    level when edge e's flow was last assigned, or one below it once its
+    source retires; it exists only while the edge carries flow."""
+
+    def __init__(self, instance: ProblemInstance, config: SolverConfig, num: Numerics):
+        super().__init__(instance, config, num)
+        self.valuation: dict[int, int] = {}
+
+
 @dataclass
 class RunResult:
     primal: PrimalState
-    dual: DualState
+    dual: ReferenceDual
     stats: RunStats
     terminated: bool
 
@@ -39,14 +49,16 @@ def _reject_capacitated(instance: ProblemInstance) -> None:
 
 def initialize(
     instance: ProblemInstance, config: SolverConfig
-) -> tuple[PrimalState, DualState]:
+) -> tuple[PrimalState, ReferenceDual]:
     """Zero flow, zero sink prices, alpha_i = max profit out of i."""
     _reject_capacitated(check_valid(instance))
-    primal, dual, _ = make_states(instance, config)
-    return primal, dual
+    primal, _, num = make_states(instance, config)
+    return primal, ReferenceDual(instance, config, num)
 
 
-def update_beta(j: int, primal: PrimalState, dual: DualState, stats: RunStats | None = None) -> str:
+def update_beta(
+    j: int, primal: PrimalState, dual: ReferenceDual, stats: RunStats | None = None
+) -> str:
     """Raise sink j's price if no flow remains at the lower level.
 
     Call sites guarantee j is saturated.  A sink at level 0 takes its first
@@ -72,7 +84,9 @@ def update_beta(j: int, primal: PrimalState, dual: DualState, stats: RunStats | 
     return "rise" if rising else "init"
 
 
-def _best_sink(i: int, primal: PrimalState, dual: DualState) -> tuple[int | None, Fraction | float]:
+def _best_sink(
+    i: int, primal: PrimalState, dual: ReferenceDual
+) -> tuple[int | None, Fraction | float]:
     best_e, best_key = None, dual.num.value(0)
     for e in primal.instance.edges_of_source(i):
         key = dual.effective_profit(e)
@@ -81,20 +95,20 @@ def _best_sink(i: int, primal: PrimalState, dual: DualState) -> tuple[int | None
     return best_e, best_key
 
 
-def _refresh_alpha(i: int, primal: PrimalState, dual: DualState) -> None:
+def _refresh_alpha(i: int, primal: PrimalState, dual: ReferenceDual) -> None:
     _, best_key = _best_sink(i, primal, dual)
     zero = dual.num.value(0)
     dual.alpha[i] = best_key if best_key > zero else zero
 
 
-def _demote(i: int, primal: PrimalState, dual: DualState) -> None:
+def _demote(i: int, primal: PrimalState, dual: ReferenceDual) -> None:
     # Holding flow at the top level would let beta rise past this source's reach.
     for e in primal.instance.edges_of_source(i):
         if e in dual.valuation:
             dual.valuation[e] = dual.level[primal.instance.edges[e].dst] - 1
 
 
-def _retire(i: int, primal: PrimalState, dual: DualState, stats: RunStats) -> StepOutcome:
+def _retire(i: int, primal: PrimalState, dual: ReferenceDual, stats: RunStats) -> StepOutcome:
     dual.alpha[i] = dual.num.value(0)
     _demote(i, primal, dual)
     stats.bump("retirements")
@@ -102,7 +116,7 @@ def _retire(i: int, primal: PrimalState, dual: DualState, stats: RunStats) -> St
 
 
 def auction_step(
-    i: int, primal: PrimalState, dual: DualState, stats: RunStats | None = None
+    i: int, primal: PrimalState, dual: ReferenceDual, stats: RunStats | None = None
 ) -> StepOutcome:
     """One bidding interaction for source i (requires alpha_i > 0, surplus > 0).
 

@@ -259,6 +259,54 @@ def test_verify_malformed_solution_record_exits_2(tmp_path, capsys, prefix, reco
     assert capsys.readouterr().err == f"error: line {k + 1}: {reason}\n"
 
 
+HUGE = 10**400
+# three profits beyond the float range; keys into sinks 1 and 2 tie as floats
+HUGE_PROFITS = (f"p btp 2 2 4\ns 1 5\ns 2 5\nt 1 10\nt 2 10\ne 1 1 {HUGE} 2\n"
+                f"e 1 2 {HUGE + 1} 2\ne 2 1 {HUGE + 7} 3\ne 2 2 3 1\n")
+
+
+def test_exact_solve_takes_profits_beyond_the_float_range(tmp_path, capsys):
+    inst = tmp_path / "huge.btp"
+    inst.write_text(HUGE_PROFITS)
+    out = tmp_path / "out.sol"
+    assert run_cli(["solve", str(inst), "-o", str(out)]) == 0
+    assert run_cli(["oracle", str(inst)]) == 0
+    optimum = next(line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("primal "))
+    text = out.read_text()
+    assert "cert passed true\n" in text
+    assert f"{optimum}\n" in text
+
+
+def test_float_solve_of_a_number_beyond_the_float_range_exits_2(tmp_path, capsys):
+    inst = tmp_path / "huge.btp"
+    inst.write_text(f"p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 {HUGE} 2\n")
+    assert run_cli(["solve", str(inst), "--mode", "float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: edge 1: number beyond the float range\n"
+    assert captured.out == ""
+
+
+def test_float_verify_of_a_value_beyond_the_float_range_exits_2(tmp_path, capsys):
+    inst, sol = solved(tmp_path)
+    text = sol.read_text().replace("mode exact\n", "mode float\n")
+    lines = [("alpha 1 1e400" if line.startswith("alpha 1 ") else line)
+             for line in text.splitlines()]
+    sol.write_text("\n".join(lines) + "\n")
+    assert run_cli(["verify", str(inst), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: alpha 1: number beyond the float range\n"
+    assert captured.out == ""
+
+
+def test_solve_negative_max_phases_exits_2(tmp_path, capsys):
+    inst, _ = solved(tmp_path)
+    assert run_cli(["solve", str(inst), "--max-phases", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-phases must be at least 0, not -1\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("mode, rigorous", [("exact", "true"), ("float", "false")])
 def test_solve_certificate_follows_mode(tmp_path, capsys, mode, rigorous):
     # float flows are checked within the float tolerance and never stamped rigorous

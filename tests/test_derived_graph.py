@@ -1,5 +1,6 @@
 import copy
 import heapq
+import math
 import random
 from fractions import Fraction
 
@@ -52,6 +53,17 @@ def test_rebuild_preferred_exact_key_breaks_float_ties():
     # the float tie must not fall through to the sink index, which favours sink 0
     assert graph.preferred[0] == 1
     assert dual.alpha[0] == keys[1]
+
+
+def test_keys_beyond_the_float_range_tie_through_the_exact_key():
+    # both keys read -inf as floats; edge 0 enters the lower sink and is pushed
+    # first, so only the exact key can put edge 1 on top
+    big = 10**400
+    inst = btp([5], [9, 9], [(0, 0, big, 1), (0, 1, big + 1, 1)])
+    primal, dual, graph = fresh_graph(inst)
+    assert [entry[0] for entry in graph._heaps[0]] == [-math.inf, -math.inf]
+    assert graph.preferred[0] == 1
+    assert dual.alpha[0] == big + 1
 
 
 def priced_graph(instance, betas):
@@ -125,8 +137,7 @@ def test_exact_key_orders_as_the_negated_fraction(pair):
 def test_rebuild_preferred_none_when_all_saturated():
     inst = bts([5], [100], [(0, 0, 4, 1, 2)])
     primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(0, Fraction(2))
-    graph.note_flow_changed(0)
+    graph.move_flow(0, Fraction(2), revalue=True)
     assert graph.rebuild_preferred(0) is None
     assert dual.alpha[0] == 0
 
@@ -135,36 +146,34 @@ def test_remove_two_cycles_promotes_with_sibling():
     # sink 0 has back edges from sources 0 and 2; source 0 prefers edge into it
     inst = btp([5, 5, 5], [20, 50], [(0, 0, 9, 1), (1, 0, 4, 2), (0, 1, 1, 1), (2, 0, 5, 1)])
     primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(0, Fraction(2))
-    primal.add_flow(3, Fraction(2))
-    dual.valuation[0] = dual.valuation[3] = 0  # assigned before sink 0 had a price
-    graph.raise_beta(0, Fraction(2))
+    graph.move_flow(0, Fraction(2), revalue=True)
+    graph.move_flow(3, Fraction(2), revalue=True)
+    graph.raise_beta(0, Fraction(2))  # the flow was assigned before sink 0 had a price
     graph.ensure_fresh(0)
     assert graph.preferred[0] == 0
     assert set(graph.back_edges(0)) == {0, 3}
     graph.remove_two_cycles(range(inst.n))
     # the preferred edge left the back set; the sibling remains
     assert graph.back_edges(0) == [3]
-    assert dual.valuation[0] == dual.level[0] == 1
+    assert graph._stale[0] == {3} and dual.level[0] == 1
 
 
 def test_remove_two_cycles_keeps_sole_back_edge():
     inst = btp([5], [20], [(0, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(0, Fraction(2))
-    dual.valuation[0] = 0
+    graph.move_flow(0, Fraction(2), revalue=True)
     graph.raise_beta(0, Fraction(2))
     graph.remove_two_cycles(range(inst.n))
     assert graph.back_edges(0) == [0]
-    assert dual.valuation[0] == 0
+    assert graph._stale[0] == {0}
 
 
 def test_remove_two_cycles_idempotent_without_cycles():
     inst = btp([5, 5], [20, 20], [(0, 0, 3, 1), (1, 1, 4, 1)])
     primal, dual, graph = fresh_graph(inst)
-    before = dict(dual.valuation)
+    before = [set(stale) for stale in graph._stale]
     graph.remove_two_cycles(range(inst.n))
-    assert dict(dual.valuation) == before
+    assert graph._stale == before
 
 
 def test_sweep_visits_a_cleared_record_when_the_memo_was_dropped():
@@ -172,16 +181,15 @@ def test_sweep_visits_a_cleared_record_when_the_memo_was_dropped():
     # stale: the sweep must visit it
     inst = btp([5, 5, 5], [20, 50], [(0, 0, 9, 1), (1, 0, 4, 2), (0, 1, 1, 1), (2, 0, 5, 1)])
     primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(0, Fraction(2))
-    primal.add_flow(3, Fraction(2))
-    dual.valuation[0] = dual.valuation[3] = 0
+    graph.move_flow(0, Fraction(2), revalue=True)
+    graph.move_flow(3, Fraction(2), revalue=True)
     graph.raise_beta(0, Fraction(2))
     graph.ensure_fresh(0)
     assert graph.preferred[0] == 0
     assert 0 not in graph._dirty and 0 in graph._stale[0]
     graph.remove_two_cycles([0])
     assert graph.back_edges(0) == [3]
-    assert dual.valuation[0] == dual.level[0] == 1
+    assert graph._stale[0] == {3} and dual.level[0] == 1
 
 
 def test_sweep_skips_an_edge_that_is_not_stale():
@@ -200,14 +208,13 @@ def test_sweep_skips_an_edge_that_is_not_stale():
 
 
 def saturated_edge_graph(profit, price, beta, level, alpha):
-    """One saturated edge, valued at level 0, into a sink at `level` and price
+    """One saturated edge, assigned before its sink's rise to `level` and price
     `beta`; its source is clean, with alpha set to `alpha`."""
     inst = bts([1], [10**9], [(0, 0, profit, price, 1)])
     primal, dual, graph = fresh_graph(inst, SolverConfig(epsilon=Fraction(1, 8)))
-    graph.move_flow(0, Fraction(1), revalue=False)
-    dual.valuation[0] = 0
-    dual.beta[0], dual.level[0] = beta, level
-    graph.note_flow_changed(0)
+    graph.move_flow(0, Fraction(1), revalue=True)
+    for k in range(level - 1, -1, -1):  # up the eps-1/8 ladder to `beta`
+        graph.raise_beta(0, beta / Fraction(9, 8) ** k)
     graph.ensure_fresh(0)
     dual.alpha[0] = alpha
     return graph
@@ -238,8 +245,7 @@ def test_find_path_stops_at_retired_source():
     # walk: source 0 -> sink 0 -> source 1 (alpha forced to 0)
     inst = btp([5, 5], [10, 50], [(0, 0, 8, 1), (1, 0, 2, 1), (1, 1, 2, 1)])
     primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(1, Fraction(10))
-    dual.valuation[1] = 0
+    graph.move_flow(1, Fraction(10), revalue=True)
     graph.raise_beta(0, Fraction(3))
     graph.raise_beta(1, Fraction(3))
     path = graph.find_path(0)
@@ -255,9 +261,8 @@ def test_find_path_detects_cycle():
         [(0, 0, 9, 1), (1, 0, 7, 1), (1, 1, 9, 1), (0, 1, 7, 1)],
     )
     primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(1, Fraction(10))
-    primal.add_flow(3, Fraction(10))
-    dual.valuation[1] = dual.valuation[3] = 0
+    graph.move_flow(1, Fraction(10), revalue=True)
+    graph.move_flow(3, Fraction(10), revalue=True)
     graph.raise_beta(0, Fraction(1))
     graph.raise_beta(1, Fraction(1))
     path = graph.find_path(0)
@@ -270,8 +275,7 @@ def test_find_path_detects_cycle():
 def test_find_path_two_cycle_end():
     inst = btp([5], [10], [(0, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(0, Fraction(10))
-    dual.valuation[0] = 0
+    graph.move_flow(0, Fraction(10), revalue=True)
     graph.raise_beta(0, Fraction(1))
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_II
@@ -282,9 +286,8 @@ def test_find_path_stalled_sink():
     # saturated sink whose only in-flow sits at the top level: no back edge
     inst = btp([5, 5], [10], [(0, 0, 9, 1), (1, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
-    primal.add_flow(1, Fraction(10))
     graph.raise_beta(0, Fraction(1))
-    dual.valuation[1] = dual.level[0]
+    graph.move_flow(1, Fraction(10), revalue=True)  # assigned at the current level
     path = graph.find_path(0)
     assert path.kind is PathKind.STALLED
     assert path.steps == [0]  # the stalled sink is edge 0's
@@ -353,9 +356,10 @@ def test_back_edge_reenters_only_after_price_rise(monkeypatch):
             self.events.append(("rise", None, j))
             self.record(j)
 
-        def note_flow_changed(self, e):
-            super().note_flow_changed(e)
-            self.record(self.instance.edges[e].dst)
+        def move_flow(self, e, delta, revalue):
+            j = super().move_flow(e, delta, revalue)
+            self.record(j)
+            return j
 
         def fix_two_cycle(self, i):
             promoted = super().fix_two_cycle(i)
@@ -394,12 +398,13 @@ def test_back_edge_reenters_only_after_price_rise(monkeypatch):
 
 
 def check_stale_index(graph) -> None:
-    """`_stale[j]` holds exactly the in-edges of j carrying flow valued below its level."""
-    valuation, level = graph.dual.valuation, graph.dual.level
-    for j in range(graph.instance.m):
-        expected = {e for e in graph.instance.edges_of_sink(j)
-                    if valuation.get(e, level[j]) < level[j]}
-        assert graph._stale[j] == expected, j
+    """Each `_stale[j]` holds only in-edges of j that carry flow, and none while
+    j has no price."""
+    edges, flow, num = graph.instance.edges, graph.primal.flow, graph.num
+    for j, stale in enumerate(graph._stale):
+        assert all(edges[e].dst == j and num.is_pos(flow[e]) for e in stale), j
+        if not graph.dual.level[j]:
+            assert not stale, j
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -517,6 +522,14 @@ def check_lazy_heaps(graph) -> None:
         assert graph.dual.alpha[i] == (-neg_key if num.is_pos(-neg_key) else num.value(0))
 
 
+def check_stale_model(graph, stale: set[int]) -> None:
+    """`_stale[j]` is exactly the edges of `stale` that enter sink j."""
+    edges = graph.instance.edges
+    assert graph._stale == [{e for e in stale if edges[e].dst == j}
+                            for j in range(graph.instance.m)]
+    check_stale_index(graph)
+
+
 steps = st.lists(
     st.tuples(st.sampled_from(["fill", "half", "drain", "rise", "promote", "fresh"]),
               st.integers(0, 7), st.booleans()),
@@ -535,8 +548,12 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
     config = SolverConfig(epsilon=Fraction(1, 4), numeric_mode=mode)
     primal, dual, num = make_states(inst, config)
     graph = DerivedGraph(inst, primal, dual)
+    # the test's own record of stale edges, kept by the writers' rules: a rise
+    # makes every flowing in-edge stale; a promotion, a revalued move or a
+    # drain makes the edge fresh
+    stale: set[int] = set()
     check_lazy_heaps(graph)
-    check_stale_index(graph)
+    check_stale_model(graph, stale)
     for op, index, flag in ops:
         e = index % len(inst.edges)
         cap = inst.edges[e].capacity
@@ -546,8 +563,12 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
             if value is None:
                 continue
             graph.raise_beta(j, value)
+            stale = {f for f in stale if inst.edges[f].dst != j}
+            stale |= {f for f, spec in enumerate(inst.edges)
+                      if spec.dst == j and primal.flow[f] > 0}
         elif op == "promote":
             graph.promote(e)
+            stale.discard(e)
         elif op == "fresh":
             # as walks and sweeps do between writes: one source, or all of them
             for i in range(inst.n) if flag else [index % inst.n]:
@@ -557,8 +578,10 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
             target = {"fill": full, "half": full / 2, "drain": num.value(0)}[op]
             if target != primal.flow[e]:
                 graph.move_flow(e, target - primal.flow[e], revalue=flag)
+                if flag or op == "drain":
+                    stale.discard(e)
         check_lazy_heaps(graph)
-        check_stale_index(graph)
+        check_stale_model(graph, stale)
 
 
 # sink prices as ints, as Fractions, and high in the ladder: eps*c/p*(9/8)^(level-1), eps 1/8

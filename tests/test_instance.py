@@ -172,3 +172,9 @@ def test_solver_config_epsilon_bounds():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=Fraction(0))
     assert SolverConfig(epsilon=Fraction(1, 10)).epsilon == Fraction(1, 10)
+
+
+def test_solver_config_rejects_a_negative_phase_cap():
+    with pytest.raises(ValueError, match="max_phases must be at least 0, not -1"):
+        SolverConfig(max_phases=-1)
+    assert SolverConfig(max_phases=0).max_phases == 0

@@ -54,8 +54,7 @@ def test_push_path_rescales_across_back_edge():
         [(0, 0, 9, 1), (1, 0, 9, 2), (1, 1, 9, 1)],
     )
     primal, dual, graph, stats = path_state(inst)
-    primal.add_flow(1, Fraction(3))
-    dual.valuation[1] = 0
+    graph.move_flow(1, Fraction(3), revalue=True)
     push_flow_path(graph, [0, 1, 2])
     assert primal.flow[0] == 4
     assert primal.flow[1] == 1
@@ -70,8 +69,7 @@ def test_push_path_forward_cap_strands_surplus():
         [(0, 0, 9, 1, 1), (1, 0, 9, 2, None), (1, 1, 9, 1, None)],
     )
     primal, dual, graph, stats = path_state(inst)
-    primal.add_flow(1, Fraction(3))
-    dual.valuation[1] = 0
+    graph.move_flow(1, Fraction(3), revalue=True)
     push_flow_path(graph, [0, 1, 2])
     assert primal.flow[0] == 1  # clamped at capacity
     assert primal.surplus[0] == 3
@@ -102,8 +100,7 @@ def test_push_path_keeps_intermediate_sinks_tight():
         inst = btp([20] * k, [10**6] * k, edges)
         primal, dual, graph, stats = path_state(inst)
         for b in steps[1::2]:
-            primal.add_flow(b, Fraction(rng.randint(1, 8)))
-            dual.valuation[b] = 0
+            graph.move_flow(b, Fraction(rng.randint(1, 8)), revalue=True)
         prices_in = [
             sum(
                 inst.edges[e].price * primal.flow[e]
@@ -287,7 +284,7 @@ def test_cycle_push_zeroes_limiting_back_edge():
     assert geom.r_min == 0
     push_flow_cycle(graph, cycle)
     assert primal.flow[cycle[1]] == 0
-    assert cycle[1] not in dual.valuation
+    assert graph._stale[0] == set()  # a cleared back edge is no longer stale
     # the final clamped revolution returns 1/2 past the zeroed edge, so the
     # 4*(1/2) bulk remainder net of one clamped unit lands back at the entry
     assert primal.surplus[0] == Fraction(3, 2)
@@ -441,7 +438,9 @@ def test_monitored_invariants_every_iteration():
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_valuation_exists_exactly_on_positive_flow(mode):
-    # the back-edge scan skips edges without a valuation instead of testing flow
+    # a price rise marks an in-edge stale by reading its flow as a truth value,
+    # which is sound only while every flow is exactly zero or positive
+    stale_seen = 0
     for seed in range(6):
         try:
             inst = generate(seed=seed, n=5, m=5, density=0.8,
@@ -450,11 +449,17 @@ def test_valuation_exists_exactly_on_positive_flow(mode):
             continue
 
         def monitor(graph):
-            flowing = {e for e, f in enumerate(graph.primal.flow) if f > 0}
-            assert set(graph.dual.valuation) == flowing, graph.stats.get("phases")
+            nonlocal stale_seen
+            phase, num = graph.stats.get("phases"), graph.num
+            for e, f in enumerate(graph.primal.flow):
+                assert f == 0 or num.is_pos(f), (phase, e)
+            for stale in graph._stale:
+                assert all(num.is_pos(graph.primal.flow[e]) for e in stale), phase
+                stale_seen += len(stale)
 
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
         assert solve(inst, config, on_iteration=monitor).terminated
+    assert stale_seen > 0
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -482,8 +487,6 @@ def test_beta_strictly_rises_with_level(mode):
                     assert beta > last_beta, (phase, j)
                     levels_seen += 1
                 last[j] = (level, beta)
-            for e, level in dual.valuation.items():
-                assert level <= dual.level[inst.edges[e].dst], (phase, e)
 
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
         assert solve(inst, config, on_iteration=monitor).terminated
@@ -542,9 +545,7 @@ def test_beta_update_pass_full_scan_initializes_saturated_sink():
 
     inst = btp([9], [4], [(0, 0, 3, 1)])
     primal, dual, graph, stats = path_state(inst)
-    primal.add_flow(0, Fraction(4))
-    dual.valuation[0] = 0
-    graph.note_flow_changed(0)
+    graph.move_flow(0, Fraction(4), revalue=True)
     risen = beta_update_pass(graph, range(inst.m))
     assert risen == [0]
     assert dual.beta[0] == Fraction(3, 4)  # eps * min(c/p) with eps = 1/4
