@@ -19,7 +19,7 @@ pushes nothing and dirties only sources whose preferred edge enters the sink.
 Each edge has one entry at most (`_queued`).  An entry is
 `(-float_key, tie, dst, e, level)`, ordered exactly as `(-key, dst, e)`.  In
 exact mode the key c - p*beta is kn/Db, kn = c*Db - p*Nb: float_key is the
-correctly rounded int division `kn / Db`, as float() of the Fraction, or
+correctly rounded int division `kn / Db`, as float() of kn/Db reduced, or
 +-inf beyond the float range, so it is monotone, and only equal floats read
 `tie = ExactKey(kn, Db)`.  In float mode the key is a float and `tie` is None.
 In exact mode a saturated edge's slack c - p*beta - alpha is tested in
@@ -139,7 +139,8 @@ class DerivedGraph:
     # -- writers ----------------------------------------------------------------
 
     def move_flow(self, e: int, delta, revalue: bool) -> int:
-        """Add `delta` to edge e's flow; returns the edge's sink.
+        """Add `delta`, in the primal state's units, to edge e's flow; returns
+        the edge's sink.
 
         Flow that lands on zero, or on float dust below it, is cleared; it and
         flow moved with `revalue` are then assigned at the sink's current level.
@@ -151,7 +152,7 @@ class DerivedGraph:
         j = spec.dst
         zeroed = not num.is_pos(primal.flow[e])
         if zeroed:
-            primal.flow[e] = num.value(0)
+            primal.flow[e] = primal.zero
             self.stats.bump("back_edge_zeroings")
         if zeroed or revalue:
             self._stale[j].discard(e)
@@ -210,7 +211,7 @@ class DerivedGraph:
                 alpha = key if self.num.is_pos(key) else None
                 break
         self.preferred[i] = best
-        self.dual.alpha[i] = self.num.value(0) if alpha is None else alpha
+        self.dual.alpha[i] = self.dual.zero if alpha is None else alpha
         self._dirty.discard(i)
         return best
 

@@ -103,8 +103,9 @@ class SolverConfig:
 
     epsilon lies strictly between 0 and 1, and a max_phases cap is at least 0.
     Ties among equally good sinks break toward the lowest index.  numeric_mode
-    "exact" keeps every quantity a Fraction; "float" runs in float64 and
-    produces non-rigorous certificates, checked within the constant `float_tol`.
+    "exact" keeps every quantity exact, as ints during the run and Fractions
+    in the solution; "float" runs in float64 and produces non-rigorous
+    certificates, checked within the constant `float_tol`.
     """
 
     epsilon: Fraction = Fraction(1, 4)

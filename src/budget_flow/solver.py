@@ -5,7 +5,10 @@ case.  Flow moves in bulk along alternating paths; cycles are resolved with a
 closed-form geometric update instead of revolution-by-revolution simulation.
 The push layer works on the `DerivedGraph` alone: it decides the amounts,
 and the graph's writers move the flow and set the prices, keeping its index
-and heaps in step.
+and heaps in step.  Amounts are in the primal state's units: floats in float
+mode, and in exact mode integer numerators over the state's shared `scale`.
+One body serves both modes; `PrimalState` holds the mode's rules, and its
+`clamp` and `divide` are the only divisions of an amount.
 """
 
 from __future__ import annotations
@@ -108,7 +111,10 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
     amount is multiplied by p_fwd/p_back, so each intermediate sink's
     price-weighted inflow is unchanged.  A trailing forward step (path ending
     at a sink) is additionally clamped by the sink's remaining budget.
-    Clamping strands the unsent remainder as surplus where it stood.
+    Clamping strands the unsent remainder as surplus where it stood.  A
+    quotient limit is compared before it is divided, and only the chosen one
+    is divided; a division may rescale the state, so `phi` is always the value
+    the state's method returned.
     """
     report = PushReport()
     if not steps:
@@ -128,14 +134,12 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
         residual = primal.forward_residual(fwd)
         if residual is not None and residual < phi:
             phi = residual
-        back_limit = primal.flow[back] * back_spec.price / fwd_spec.price
-        if back_limit < phi:
-            phi = back_limit
+        phi = primal.clamp(phi, primal.flow[back] * back_spec.price, fwd_spec.price)
         if not num.is_pos(phi):
-            phi = num.value(0)
+            phi = primal.zero
             break
         touched.add(graph.move_flow(fwd, phi, revalue=True))
-        phi = phi * fwd_spec.price / back_spec.price
+        phi = primal.divide(phi * fwd_spec.price, back_spec.price)
         touched.add(graph.move_flow(back, -phi, revalue=False))
         k += 2
 
@@ -146,22 +150,24 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
         residual = primal.forward_residual(e)
         if residual is not None and residual < phi:
             phi = residual
-        budget_room = primal.residual[spec.dst] / spec.price
-        if budget_room < phi:
-            phi = budget_room
+        phi = primal.clamp(phi, primal.residual[spec.dst], spec.price)
         if num.is_pos(phi):
             touched.add(graph.move_flow(e, phi, revalue=True))
             if primal.sink_saturated(spec.dst):
-                primal.residual[spec.dst] = num.value(0)
+                primal.residual[spec.dst] = primal.zero
 
     if not num.is_pos(primal.surplus[start]):
-        primal.surplus[start] = num.value(0)
+        primal.surplus[start] = primal.zero
         graph.stats.bump("surplus_clears")
     return report
 
 
 def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> CycleGeometry:
-    """One O(|C|) traversal computing every ratio and revolution limit."""
+    """One O(|C|) traversal computing every ratio and revolution limit.
+
+    Works on numbers, not the state's units: `entry_surplus` is a value, as
+    `primal.value` reads it, and so are the capacities it reads.
+    """
     num = primal.num
     edges = primal.instance.edges
     fwds, backs = cycle[::2], cycle[1::2]
@@ -192,7 +198,7 @@ def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> Cycl
                          (cum_through, primal.flow[back])):
             if cap is None:
                 continue
-            lim = geometric_limit(entry_surplus * cum[z], rho_cycle, cap, num)
+            lim = geometric_limit(entry_surplus * cum[z], rho_cycle, primal.value(cap), num)
             if lim is not None and (r_min is None or lim < r_min):
                 r_min = lim
     if rho_cycle >= 1 and r_min is None:
@@ -208,8 +214,13 @@ def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> Cycl
 
 
 def apply_cycle_bulk(graph: DerivedGraph, geom: CycleGeometry, report: PushReport) -> None:
-    """All admissible whole revolutions as one geometric-sum update per edge."""
-    num = graph.num
+    """All admissible whole revolutions as one geometric-sum update per edge.
+
+    Each amount is converted to the state's units just before its own move:
+    a conversion may rescale the state, which would leave an amount converted
+    earlier stale.
+    """
+    num, units = graph.num, graph.primal.units
     factor = _geometric_sum(geom.rho_cycle, geom.r_min, num)
     if not num.is_pos(factor):
         return
@@ -217,8 +228,8 @@ def apply_cycle_bulk(graph: DerivedGraph, geom: CycleGeometry, report: PushRepor
     touched = report.touched_sinks
     cycle = geom.cycle
     for z, (fwd, back) in enumerate(zip(cycle[::2], cycle[1::2])):
-        touched.add(graph.move_flow(fwd, s * geom.cum_before[z] * factor, revalue=True))
-        touched.add(graph.move_flow(back, -(s * geom.cum_through[z] * factor), revalue=False))
+        touched.add(graph.move_flow(fwd, units(s * geom.cum_before[z] * factor), revalue=True))
+        touched.add(graph.move_flow(back, -units(s * geom.cum_through[z] * factor), revalue=False))
 
 
 def push_flow_cycle(graph: DerivedGraph, cycle: list[int]) -> PushReport:
@@ -237,12 +248,12 @@ def push_flow_cycle(graph: DerivedGraph, cycle: list[int]) -> PushReport:
     s = primal.surplus[entry]
     if not num.is_pos(s):
         return report
-    geom = cycle_geometry(primal, cycle, s)
+    geom = cycle_geometry(primal, cycle, primal.value(s))
     apply_cycle_bulk(graph, geom, report)
     stats.bump("cycle_pushes")
     if not num.is_pos(primal.surplus[entry]):
         # the converged series drained the surplus, or left float dust
-        primal.surplus[entry] = num.value(0)
+        primal.surplus[entry] = primal.zero
         stats.bump("surplus_clears")
         return report
     assert geom.r_min is not None, "converged cycle left surplus"
@@ -314,11 +325,13 @@ def solve(
     on_iteration : callable, optional
         Receives the run's DerivedGraph after every main-loop iteration, to
         read `graph.primal`, `graph.dual` and `graph.stats`; it must change
-        nothing.
+        nothing.  Stored flows and duals are read as numbers through the
+        states' `value`, for example `graph.primal.value(graph.primal.flow[e])`.
 
     Returns
     -------
-    Solution with exact flows, duals, a certificate recomputed from scratch,
+    Solution with flows and duals as numbers (reduced Fractions in exact mode,
+    floats in float mode), a certificate recomputed from scratch,
     and the run counters.  Exact runs get a rigorous certificate with no
     tolerance; float runs are checked within `config.float_tol` and stamped
     non-rigorous.  `terminated` is False only when max_phases was hit; the
@@ -375,7 +388,8 @@ def solve(
         beta_update_pass(graph, touched)
         if on_iteration is not None:
             on_iteration(graph)
-    flow, alpha, beta = list(primal.flow), list(dual.alpha), list(dual.beta)
+    flow = list(map(primal.value, primal.flow))
+    alpha, beta = list(map(dual.value, dual.alpha)), list(map(dual.value, dual.beta))
     certificate = certify(
         instance, flow, alpha, beta, config.epsilon,
         rigorous=num.exact, tol=0 if num.exact else config.float_tol,

@@ -12,7 +12,7 @@ import pytest
 from budget_flow.derived_graph import DerivedGraph
 from budget_flow.instance import EdgeSpec, Kind, ProblemInstance, SolverConfig
 from budget_flow.solver import RunStats
-from budget_flow.state import make_states
+from budget_flow.state import Numerics, PrimalState, make_states
 
 
 def pytest_configure(config):
@@ -58,12 +58,28 @@ def two_sources_one_sink() -> ProblemInstance:
     return btp([10, 10], [10], [(0, 0, 2, 1), (1, 0, 5, 2)])
 
 
-def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=None):
+class FractionPrimal(PrimalState):
+    """`PrimalState` with its float rules run on Fractions: every quantity a
+    plain Fraction and every limit divided, with no shared denominator.  The
+    same push on it and on the exact state must give the same values."""
+
+    def __init__(self, instance: ProblemInstance):
+        super().__init__(instance, Numerics(exact=False))
+        self.num = Numerics(exact=True)
+        self.zero = Fraction(0)
+        self.flow = [Fraction(0)] * len(instance.edges)
+        self.surplus = [Fraction(a) for a in instance.supply]
+        self.residual = [Fraction(b) for b in instance.budget]
+
+
+def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=None,
+                      fractions=False):
     """Synthetic alternating cycle: k sources, k sinks, fwd[z]=(i_z,j_z), back[z]=(i_{z+1},j_z).
 
     Returns (instance, primal, dual, graph, stats, cycle), where cycle is
     [fwd[0], back[0], fwd[1], back[1], ...].  Supplies and budgets are large
-    so only edge capacities and back-edge flows bind.
+    so only edge capacities and back-edge flows bind.  With `fractions` the
+    primal state is a `FractionPrimal`.
     """
     k = len(prices_fwd)
     caps_fwd = caps_fwd or [None] * k
@@ -82,28 +98,41 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
         edges=tuple(edges),
     )
     primal, dual, num = make_states(instance, SolverConfig(epsilon=Fraction(1, 4)))
+    if fractions:
+        primal = FractionPrimal(instance)
     stats = RunStats()
     graph = DerivedGraph(instance, primal, dual, stats)
     for z in range(k):
         # assigned before sink z had a price, so the rise leaves it stale
-        graph.move_flow(cycle[2 * z + 1], Fraction(back_flows[z]), revalue=True)
+        move(graph, cycle[2 * z + 1], back_flows[z])
         graph.raise_beta(z, Fraction(1))
-    # entry surplus is whatever remains at source 0 minus the requested value
-    entry = 0
-    primal.surplus[entry] = Fraction(surplus)
+    # the entry source's surplus is set to the requested value
+    primal.surplus[0] = primal.units(Fraction(surplus))
     return instance, primal, dual, graph, stats, cycle
 
 
+def move(graph, e: int, amount, revalue: bool = True) -> int:
+    """`graph.move_flow` of a number, converted to the primal state's units."""
+    return graph.move_flow(e, graph.primal.units(Fraction(amount)), revalue=revalue)
+
+
+def values(state, name: str) -> list:
+    """A state's stored list `name` (flow, surplus, residual, alpha or beta) as numbers."""
+    return [state.value(x) for x in getattr(state, name)]
+
+
 def recompute_check(primal) -> bool:
-    """Surpluses and residuals match their defining sums (an invariant monitor)."""
+    """Surpluses and residuals match their defining sums (an invariant monitor),
+    read as numbers through the state's accessor."""
     instance, num = primal.instance, primal.num
+    flow, surplus, residual = (values(primal, name) for name in ("flow", "surplus", "residual"))
     for i in range(instance.n):
-        out = sum(primal.flow[e] for e in instance.edges_of_source(i))
-        if not num.eq(primal.surplus[i], num.value(instance.supply[i]) - out):
+        out = sum(flow[e] for e in instance.edges_of_source(i))
+        if not num.eq(surplus[i], num.value(instance.supply[i]) - out):
             return False
     for j in range(instance.m):
-        paid = sum(primal.flow[e] * instance.edges[e].price for e in instance.edges_of_sink(j))
-        if not num.eq(primal.residual[j], num.value(instance.budget[j]) - paid):
+        paid = sum(flow[e] * instance.edges[e].price for e in instance.edges_of_sink(j))
+        if not num.eq(residual[j], num.value(instance.budget[j]) - paid):
             return False
     return True
 
@@ -126,7 +155,7 @@ def simulate_revolutions(instance, flows, cycle, surplus, revolutions):
     return out, carry
 
 
-def random_simple_cycle(rng: random.Random):
+def random_simple_cycle(rng: random.Random, fractions: bool = False):
     """Random synthetic cycle state with 2..4 (forward, back) edge pairs."""
     k = rng.randint(2, 4)
     prices_fwd = [rng.randint(1, 6) for _ in range(k)]
@@ -136,4 +165,4 @@ def random_simple_cycle(rng: random.Random):
     caps_fwd = [
         rng.randint(1, 60) if rng.random() < 0.5 else None for _ in range(k)
     ]
-    return build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd)
+    return build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd, fractions)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from budget_flow.instance import Kind, ProblemInstance, SolverConfig, check_valid
-from budget_flow.state import DualState, Numerics, PrimalState, RunStats, make_states
+from budget_flow.state import Numerics, RunStats, make_states
 
 
 @dataclass(frozen=True)
@@ -24,19 +24,71 @@ class StepOutcome:
     amount: Fraction | float | None = None
 
 
-class ReferenceDual(DualState):
-    """The package's duals plus edge valuations: valuation[e] is the sink's
-    level when edge e's flow was last assigned, or one below it once its
-    source retires; it exists only while the edge carries flow."""
+class ReferencePrimal:
+    """Flows, surpluses and budget residuals as plain numbers of the run's mode
+    (Fractions or floats), with surpluses and residuals moved with the flow."""
+
+    def __init__(self, instance: ProblemInstance, num: Numerics):
+        self.instance = instance
+        self.num = num
+        self.flow = [num.value(0) for _ in instance.edges]
+        self.surplus = [num.value(a) for a in instance.supply]
+        self.residual = [num.value(b) for b in instance.budget]
+
+    def add_flow(self, e: int, delta) -> None:
+        spec = self.instance.edges[e]
+        self.flow[e] += delta
+        self.surplus[spec.src] -= delta
+        self.residual[spec.dst] -= delta * spec.price
+
+    def sink_saturated(self, j: int) -> bool:
+        return self.num.is_zero(self.residual[j])
+
+    def value(self, x):
+        """Stored quantities are numbers already."""
+        return x
+
+
+class ReferenceDual:
+    """Source and sink prices as plain numbers, their levels, and edge
+    valuations: valuation[e] is the sink's level when edge e's flow was last
+    assigned, or one below it once its source retires; it exists only while
+    the edge carries flow.  Prices follow the package's rule, `next_beta`."""
 
     def __init__(self, instance: ProblemInstance, config: SolverConfig, num: Numerics):
-        super().__init__(instance, config, num)
+        self.instance = instance
+        self.num = num
+        self.epsilon = num.value(config.epsilon)
+        self.alpha = [
+            num.value(max((instance.edges[e].profit for e in out), default=0))
+            for out in map(instance.edges_of_source, range(instance.n))
+        ]
+        self.beta = [num.value(0) for _ in range(instance.m)]
+        self.level = [0] * instance.m
         self.valuation: dict[int, int] = {}
+
+    def next_beta(self, j: int):
+        """epsilon * min(c/p) over j's profitable in-edges at level 0, else a
+        rise by (1 + epsilon); None while no in-edge is profitable."""
+        if self.level[j]:
+            return self.beta[j] * (1 + self.epsilon)
+        edges = self.instance.edges
+        rates = [Fraction(edges[e].profit, edges[e].price)
+                 for e in self.instance.edges_of_sink(j) if edges[e].profit > 0]
+        return self.epsilon * self.num.value(min(rates)) if rates else None
+
+    def raise_beta(self, j: int, new_value) -> None:
+        self.beta[j] = new_value
+        self.level[j] += 1
+
+    def effective_profit(self, e: int):
+        spec = self.instance.edges[e]
+        return spec.profit - spec.price * self.beta[spec.dst]
 
 
 @dataclass
 class RunResult:
-    primal: PrimalState
+    primal: ReferencePrimal
     dual: ReferenceDual
     stats: RunStats
     terminated: bool
@@ -49,20 +101,20 @@ def _reject_capacitated(instance: ProblemInstance) -> None:
 
 def initialize(
     instance: ProblemInstance, config: SolverConfig
-) -> tuple[PrimalState, ReferenceDual]:
+) -> tuple[ReferencePrimal, ReferenceDual]:
     """Zero flow, zero sink prices, alpha_i = max profit out of i."""
     _reject_capacitated(check_valid(instance))
-    primal, _, num = make_states(instance, config)
-    return primal, ReferenceDual(instance, config, num)
+    _, _, num = make_states(instance, config)
+    return ReferencePrimal(instance, num), ReferenceDual(instance, config, num)
 
 
 def update_beta(
-    j: int, primal: PrimalState, dual: ReferenceDual, stats: RunStats | None = None
+    j: int, primal: ReferencePrimal, dual: ReferenceDual, stats: RunStats | None = None
 ) -> str:
     """Raise sink j's price if no flow remains at the lower level.
 
     Call sites guarantee j is saturated.  A sink at level 0 takes its first
-    price from `DualState.next_beta`; a priced one rises exactly when every
+    price from `ReferenceDual.next_beta`; a priced one rises exactly when every
     positive-flow in-edge sits at the top level.  Returns "init", "rise", or
     "none".
     """
@@ -85,7 +137,7 @@ def update_beta(
 
 
 def _best_sink(
-    i: int, primal: PrimalState, dual: ReferenceDual
+    i: int, primal: ReferencePrimal, dual: ReferenceDual
 ) -> tuple[int | None, Fraction | float]:
     best_e, best_key = None, dual.num.value(0)
     for e in primal.instance.edges_of_source(i):
@@ -95,20 +147,20 @@ def _best_sink(
     return best_e, best_key
 
 
-def _refresh_alpha(i: int, primal: PrimalState, dual: ReferenceDual) -> None:
+def _refresh_alpha(i: int, primal: ReferencePrimal, dual: ReferenceDual) -> None:
     _, best_key = _best_sink(i, primal, dual)
     zero = dual.num.value(0)
     dual.alpha[i] = best_key if best_key > zero else zero
 
 
-def _demote(i: int, primal: PrimalState, dual: ReferenceDual) -> None:
+def _demote(i: int, primal: ReferencePrimal, dual: ReferenceDual) -> None:
     # Holding flow at the top level would let beta rise past this source's reach.
     for e in primal.instance.edges_of_source(i):
         if e in dual.valuation:
             dual.valuation[e] = dual.level[primal.instance.edges[e].dst] - 1
 
 
-def _retire(i: int, primal: PrimalState, dual: ReferenceDual, stats: RunStats) -> StepOutcome:
+def _retire(i: int, primal: ReferencePrimal, dual: ReferenceDual, stats: RunStats) -> StepOutcome:
     dual.alpha[i] = dual.num.value(0)
     _demote(i, primal, dual)
     stats.bump("retirements")
@@ -116,7 +168,7 @@ def _retire(i: int, primal: PrimalState, dual: ReferenceDual, stats: RunStats) -
 
 
 def auction_step(
-    i: int, primal: PrimalState, dual: ReferenceDual, stats: RunStats | None = None
+    i: int, primal: ReferencePrimal, dual: ReferenceDual, stats: RunStats | None = None
 ) -> StepOutcome:
     """One bidding interaction for source i (requires alpha_i > 0, surplus > 0).
 

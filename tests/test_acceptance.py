@@ -27,7 +27,7 @@ from budget_flow.solver import (
     cycle_geometry,
     solve,
 )
-from conftest import build_cycle_state, simulate_revolutions
+from conftest import build_cycle_state, move, simulate_revolutions, values
 
 EPSILONS = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)]
 
@@ -175,40 +175,39 @@ def test_criterion_3_per_iteration_feasibility():
         tight: set[int] = set()
 
         def monitor(graph):
-            primal, dual = graph.primal, graph.dual
+            flow = values(graph.primal, "flow")
+            alpha, beta = values(graph.dual, "alpha"), values(graph.dual, "beta")
             shipped = [Fraction(0)] * inst.n
             paid = [Fraction(0)] * inst.m
             for e, spec in enumerate(inst.edges):
-                assert primal.flow[e] >= 0
+                assert flow[e] >= 0
                 if spec.capacity is not None:
-                    assert primal.flow[e] <= spec.capacity
-                shipped[spec.src] += primal.flow[e]
-                paid[spec.dst] += spec.price * primal.flow[e]
+                    assert flow[e] <= spec.capacity
+                shipped[spec.src] += flow[e]
+                paid[spec.dst] += spec.price * flow[e]
             for i in range(inst.n):
                 assert shipped[i] <= inst.supply[i]
-            gammas = reconstruct_gamma(
-                inst, list(primal.flow), list(dual.alpha), list(dual.beta)
-            )
+            gammas = reconstruct_gamma(inst, flow, alpha, beta)
             for j in range(inst.m):
                 assert paid[j] <= inst.budget[j]
                 if paid[j] < inst.budget[j]:
-                    assert dual.beta[j] == 0  # unsaturated implies zero price
-                assert dual.beta[j] >= last_beta[j]  # monotone prices
-                last_beta[j] = dual.beta[j]
+                    assert beta[j] == 0  # unsaturated implies zero price
+                assert beta[j] >= last_beta[j]  # monotone prices
+                last_beta[j] = beta[j]
                 if paid[j] == inst.budget[j]:
                     tight.add(j)
                 else:
                     assert j not in tight  # tightness persists
             for e, g in gammas.items():
                 if g > 0:
-                    assert primal.flow[e] == inst.edges[e].capacity
+                    assert flow[e] == inst.edges[e].capacity
             for e, spec in enumerate(inst.edges):
                 bound = (
                     spec.profit
-                    - spec.price * dual.beta[spec.dst]
+                    - spec.price * beta[spec.dst]
                     - gammas.get(e, Fraction(0))
                 )
-                assert dual.alpha[spec.src] >= bound  # dual feasibility
+                assert alpha[spec.src] >= bound  # dual feasibility
 
         sol = solve(inst, SolverConfig(epsilon=eps, max_phases=100000), on_iteration=monitor)
         assert sol.terminated and sol.certificate.passed
@@ -282,17 +281,18 @@ def test_criterion_5_cycle_push_equivalence():
             start=Fraction(0),
         )
         slop = per_rev * geom.rho_cycle ** (target + 1) * Fraction(rng.randint(0, 3), 4)
-        primal.flow[cycle[2 * z + 1]] = partial + slop
+        back = cycle[2 * z + 1]
+        move(graph, back, partial + slop - primal.value(primal.flow[back]))
         geom = cycle_geometry(primal, cycle, surplus)
         assert geom.r_min is not None and geom.r_min <= target
         if geom.r_min < 0:
             trials += 1
             continue
         expected, _ = simulate_revolutions(
-            inst, primal.flow, cycle, surplus, geom.r_min + 1
+            inst, values(primal, "flow"), cycle, surplus, geom.r_min + 1
         )
         apply_cycle_bulk(graph, geom, PushReport())
-        assert primal.flow == expected
+        assert values(primal, "flow") == expected
         trials += 1
     verdict(5, "cycle-push oracle equivalence", True, f"({trials} trials)")
 

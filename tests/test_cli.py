@@ -287,6 +287,20 @@ def test_float_solve_of_a_number_beyond_the_float_range_exits_2(tmp_path, capsys
     assert captured.out == ""
 
 
+def test_float_solve_whose_dual_value_leaves_the_float_range_exits_2(tmp_path, capsys):
+    # every number fits in a float, but sum(a) * max c, a bound on the dual
+    # value, does not: the certificate would read a gap of nan
+    inst = tmp_path / "wide.btp"
+    inst.write_text(f"p btp 2 2 3\ns 1 5\ns 2 5\nt 1 10\nt 2 10\n"
+                    f"e 1 1 {10**308} 2\ne 1 2 {10**308} 2\ne 2 1 {10**307} 3\n")
+    assert run_cli(["solve", str(inst), "--mode", "float"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: dual value bound beyond the float range\n"
+    assert captured.out == ""
+    assert run_cli(["solve", str(inst)]) == 0  # exact mode has no such limit
+    assert "cert passed true\n" in capsys.readouterr().out
+
+
 def test_float_verify_of_a_value_beyond_the_float_range_exits_2(tmp_path, capsys):
     inst, sol = solved(tmp_path)
     text = sol.read_text().replace("mode exact\n", "mode float\n")

@@ -12,9 +12,9 @@ from budget_flow.derived_graph import DerivedGraph, ExactKey, PathKind
 from budget_flow.instance import SolverConfig, generate
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 import budget_flow.solver as solver_mod
-from budget_flow.state import make_states
+from budget_flow.state import Ratio, make_states
 from budget_flow.cli import solution_to_text
-from conftest import btp, bts
+from conftest import btp, bts, move, values
 from reference_sweep import FullSweepGraph, PromotionLog
 
 EPS4 = SolverConfig(epsilon=Fraction(1, 4))
@@ -32,7 +32,7 @@ def test_rebuild_preferred_picks_best_key():
     graph.raise_beta(0, Fraction(1))
     graph.raise_beta(1, Fraction(2))
     assert graph.rebuild_preferred(0) == 0
-    assert dual.alpha[0] == 8
+    assert dual.value(dual.alpha[0]) == 8
 
 
 def test_rebuild_preferred_tie_breaks_to_lowest_sink():
@@ -47,12 +47,12 @@ def test_rebuild_preferred_exact_key_breaks_float_ties():
     inst = btp([5], [100, 100], [(0, 0, 1, 1), (0, 1, 2, 10**20 - 1)])
     primal, dual, graph = fresh_graph(inst)
     graph.raise_beta(1, Fraction(1, 10**20))
-    keys = [dual.effective_profit(e) for e in range(2)]
+    keys = [dual.value(dual.effective_profit(e)) for e in range(2)]
     assert keys[1] > keys[0] and float(keys[1]) == float(keys[0])
     graph.ensure_fresh(0)
     # the float tie must not fall through to the sink index, which favours sink 0
     assert graph.preferred[0] == 1
-    assert dual.alpha[0] == keys[1]
+    assert dual.value(dual.alpha[0]) == keys[1]
 
 
 def test_keys_beyond_the_float_range_tie_through_the_exact_key():
@@ -63,7 +63,7 @@ def test_keys_beyond_the_float_range_tie_through_the_exact_key():
     primal, dual, graph = fresh_graph(inst)
     assert [entry[0] for entry in graph._heaps[0]] == [-math.inf, -math.inf]
     assert graph.preferred[0] == 1
-    assert dual.alpha[0] == big + 1
+    assert dual.value(dual.alpha[0]) == big + 1
 
 
 def priced_graph(instance, betas):
@@ -88,7 +88,7 @@ def test_equal_exact_keys_in_different_ratios_fall_through_to_the_sink_index():
     ties = sorted((entry[1].kn, entry[1].d) for entry in graph._heaps[0])
     assert ties == [(2, 2), (4, 4)]
     assert graph.preferred[0] == 1
-    assert dual.alpha[0] == 1
+    assert dual.value(dual.alpha[0]) == 1
     assert heap_order(graph, 0) == [1, 0]
 
 
@@ -100,10 +100,10 @@ def test_float_tie_winner_below_the_root_rises_to_the_top():
                               (0, 4, 1, 1)])
     betas = {1: Fraction(1, 2), 2: Fraction(3, 4), 3: tiny, 4: Fraction(1, 8)}
     primal, dual, graph = priced_graph(inst, betas)
-    keys = [dual.effective_profit(e) for e in range(5)]
+    keys = [dual.value(dual.effective_profit(e)) for e in range(5)]
     assert float(keys[3]) == float(keys[0]) and keys[3] > keys[0]
     assert graph.preferred[0] == 3
-    assert dual.alpha[0] == keys[3]
+    assert dual.value(dual.alpha[0]) == keys[3]
     assert heap_order(graph, 0) == sorted(range(5), key=lambda e: (-keys[e], e))
 
 
@@ -137,17 +137,17 @@ def test_exact_key_orders_as_the_negated_fraction(pair):
 def test_rebuild_preferred_none_when_all_saturated():
     inst = bts([5], [100], [(0, 0, 4, 1, 2)])
     primal, dual, graph = fresh_graph(inst)
-    graph.move_flow(0, Fraction(2), revalue=True)
+    move(graph, 0, 2)
     assert graph.rebuild_preferred(0) is None
-    assert dual.alpha[0] == 0
+    assert dual.value(dual.alpha[0]) == 0
 
 
 def test_remove_two_cycles_promotes_with_sibling():
     # sink 0 has back edges from sources 0 and 2; source 0 prefers edge into it
     inst = btp([5, 5, 5], [20, 50], [(0, 0, 9, 1), (1, 0, 4, 2), (0, 1, 1, 1), (2, 0, 5, 1)])
     primal, dual, graph = fresh_graph(inst)
-    graph.move_flow(0, Fraction(2), revalue=True)
-    graph.move_flow(3, Fraction(2), revalue=True)
+    move(graph, 0, 2)
+    move(graph, 3, 2)
     graph.raise_beta(0, Fraction(2))  # the flow was assigned before sink 0 had a price
     graph.ensure_fresh(0)
     assert graph.preferred[0] == 0
@@ -161,7 +161,7 @@ def test_remove_two_cycles_promotes_with_sibling():
 def test_remove_two_cycles_keeps_sole_back_edge():
     inst = btp([5], [20], [(0, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
-    graph.move_flow(0, Fraction(2), revalue=True)
+    move(graph, 0, 2)
     graph.raise_beta(0, Fraction(2))
     graph.remove_two_cycles(range(inst.n))
     assert graph.back_edges(0) == [0]
@@ -169,11 +169,23 @@ def test_remove_two_cycles_keeps_sole_back_edge():
 
 
 def test_remove_two_cycles_idempotent_without_cycles():
-    inst = btp([5, 5], [20, 20], [(0, 0, 3, 1), (1, 1, 4, 1)])
+    # the rise leaves the flow on edges 0 and 3 stale; the first sweep promotes
+    # source 0's preferred edge 0 and leaves no two-cycle, so a second sweep
+    # over the same sources must change nothing
+    inst = btp([5, 5, 5], [20, 50], [(0, 0, 9, 1), (1, 0, 4, 2), (0, 1, 1, 1), (2, 0, 5, 1)])
     primal, dual, graph = fresh_graph(inst)
-    before = [set(stale) for stale in graph._stale]
+    move(graph, 0, 2)
+    move(graph, 3, 2)
+    graph.raise_beta(0, Fraction(2))
     graph.remove_two_cycles(range(inst.n))
-    assert graph._stale == before
+    assert graph._stale[0] == {3}  # edge 0 was promoted
+
+    def swept_state():
+        return [set(stale) for stale in graph._stale], list(graph.preferred), values(dual, "alpha")
+
+    before = swept_state()
+    graph.remove_two_cycles(range(inst.n))
+    assert swept_state() == before
 
 
 def test_sweep_visits_a_cleared_record_when_the_memo_was_dropped():
@@ -181,8 +193,8 @@ def test_sweep_visits_a_cleared_record_when_the_memo_was_dropped():
     # stale: the sweep must visit it
     inst = btp([5, 5, 5], [20, 50], [(0, 0, 9, 1), (1, 0, 4, 2), (0, 1, 1, 1), (2, 0, 5, 1)])
     primal, dual, graph = fresh_graph(inst)
-    graph.move_flow(0, Fraction(2), revalue=True)
-    graph.move_flow(3, Fraction(2), revalue=True)
+    move(graph, 0, 2)
+    move(graph, 3, 2)
     graph.raise_beta(0, Fraction(2))
     graph.ensure_fresh(0)
     assert graph.preferred[0] == 0
@@ -196,7 +208,7 @@ def test_sweep_skips_an_edge_that_is_not_stale():
     inst = btp([5, 5], [20], [(0, 0, 9, 1), (1, 0, 5, 1)])
     primal, dual, graph = fresh_graph(inst)
     graph.raise_beta(0, Fraction(2))
-    graph.move_flow(0, Fraction(2), revalue=True)  # valued at the sink's level
+    move(graph, 0, 2)  # valued at the sink's level
     graph.ensure_fresh(0)
     graph.ensure_fresh(1)
     assert not graph.fix_two_cycle(0)
@@ -212,25 +224,31 @@ def saturated_edge_graph(profit, price, beta, level, alpha):
     `beta`; its source is clean, with alpha set to `alpha`."""
     inst = bts([1], [10**9], [(0, 0, profit, price, 1)])
     primal, dual, graph = fresh_graph(inst, SolverConfig(epsilon=Fraction(1, 8)))
-    graph.move_flow(0, Fraction(1), revalue=True)
+    move(graph, 0, 1)
     for k in range(level - 1, -1, -1):  # up the eps-1/8 ladder to `beta`
         graph.raise_beta(0, beta / Fraction(9, 8) ** k)
     graph.ensure_fresh(0)
-    dual.alpha[0] = alpha
+    dual.alpha[0] = Ratio(*alpha.as_integer_ratio())
     return graph
+
+
+def slack(graph):
+    """Edge 0's price slack c - p*beta - alpha, read through the accessor."""
+    dual = graph.dual
+    return dual.value(dual.effective_profit(0)) - dual.value(dual.alpha[0])
 
 
 def test_zero_slack_saturated_edge_is_a_back_edge():
     beta = Fraction(7, 3)
     graph = saturated_edge_graph(9, 2, beta, 1, 9 - 2 * beta)
-    assert graph.dual.effective_profit(0) - graph.dual.alpha[0] == 0
+    assert slack(graph) == 0
     assert graph.back_edges(0) == [0]
 
 
 def test_tiny_positive_slack_keeps_a_saturated_edge_out_of_the_back_set():
     beta = Fraction(7, 3)
     graph = saturated_edge_graph(9, 2, beta, 1, 9 - 2 * beta - Fraction(1, 10**30))
-    assert graph.dual.effective_profit(0) - graph.dual.alpha[0] == Fraction(1, 10**30)
+    assert slack(graph) == Fraction(1, 10**30)
     assert graph.back_edges(0) == []
 
 
@@ -245,7 +263,7 @@ def test_find_path_stops_at_retired_source():
     # walk: source 0 -> sink 0 -> source 1 (alpha forced to 0)
     inst = btp([5, 5], [10, 50], [(0, 0, 8, 1), (1, 0, 2, 1), (1, 1, 2, 1)])
     primal, dual, graph = fresh_graph(inst)
-    graph.move_flow(1, Fraction(10), revalue=True)
+    move(graph, 1, 10)
     graph.raise_beta(0, Fraction(3))
     graph.raise_beta(1, Fraction(3))
     path = graph.find_path(0)
@@ -261,8 +279,8 @@ def test_find_path_detects_cycle():
         [(0, 0, 9, 1), (1, 0, 7, 1), (1, 1, 9, 1), (0, 1, 7, 1)],
     )
     primal, dual, graph = fresh_graph(inst)
-    graph.move_flow(1, Fraction(10), revalue=True)
-    graph.move_flow(3, Fraction(10), revalue=True)
+    move(graph, 1, 10)
+    move(graph, 3, 10)
     graph.raise_beta(0, Fraction(1))
     graph.raise_beta(1, Fraction(1))
     path = graph.find_path(0)
@@ -275,7 +293,7 @@ def test_find_path_detects_cycle():
 def test_find_path_two_cycle_end():
     inst = btp([5], [10], [(0, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
-    graph.move_flow(0, Fraction(10), revalue=True)
+    move(graph, 0, 10)
     graph.raise_beta(0, Fraction(1))
     path = graph.find_path(0)
     assert path.kind is PathKind.TYPE_II
@@ -287,7 +305,7 @@ def test_find_path_stalled_sink():
     inst = btp([5, 5], [10], [(0, 0, 9, 1), (1, 0, 9, 1)])
     primal, dual, graph = fresh_graph(inst)
     graph.raise_beta(0, Fraction(1))
-    graph.move_flow(1, Fraction(10), revalue=True)  # assigned at the current level
+    move(graph, 1, 10)  # assigned at the current level
     path = graph.find_path(0)
     assert path.kind is PathKind.STALLED
     assert path.steps == [0]  # the stalled sink is edge 0's
@@ -302,7 +320,7 @@ def test_walk_length_bound():
             continue
         limit = 2 * (inst.n + inst.m) + 1
         primal, dual, graph = fresh_graph(inst)
-        path = graph.find_path(0) if dual.alpha[0] > 0 else None
+        path = graph.find_path(0) if dual.value(dual.alpha[0]) > 0 else None
         if path is not None:
             assert len(path.steps) + 1 <= limit
 
@@ -317,14 +335,14 @@ def test_heap_keys_match_recomputation():
         for i in range(inst.n):
             top = graph.rebuild_preferred(i)
             keys = [
-                dual.effective_profit(e)
+                dual.value(dual.effective_profit(e))
                 for e in inst.edges_of_source(i)
                 if not primal.edge_saturated(e)
             ]
             if top is None:
                 assert not keys
             else:
-                assert dual.effective_profit(top) == max(keys)
+                assert dual.value(dual.effective_profit(top)) == max(keys)
 
 
 def test_back_edge_reenters_only_after_price_rise(monkeypatch):
@@ -347,7 +365,7 @@ def test_back_edge_reenters_only_after_price_rise(monkeypatch):
             for e in sorted(current - previous):
                 self.events.append(("enter", e, j))
             for e in sorted(previous - current):
-                zeroed = not self.num.is_pos(self.primal.flow[e])
+                zeroed = not self.num.is_pos(self.primal.value(self.primal.flow[e]))
                 self.events.append(("zero" if zeroed else "leave", e, j))
             self.seen[j] = current
 
@@ -400,7 +418,7 @@ def test_back_edge_reenters_only_after_price_rise(monkeypatch):
 def check_stale_index(graph) -> None:
     """Each `_stale[j]` holds only in-edges of j that carry flow, and none while
     j has no price."""
-    edges, flow, num = graph.instance.edges, graph.primal.flow, graph.num
+    edges, flow, num = graph.instance.edges, values(graph.primal, "flow"), graph.num
     for j, stale in enumerate(graph._stale):
         assert all(edges[e].dst == j and num.is_pos(flow[e]) for e in stale), j
         if not graph.dual.level[j]:
@@ -441,7 +459,7 @@ def check_walk_shape(graph, start, path) -> None:
         if len(steps) % 2:
             assert dual.level[last.dst] == 0, steps
         else:
-            assert dual.alpha[last.src] == 0, steps
+            assert dual.value(dual.alpha[last.src]) == 0, steps
     elif path.kind is PathKind.STALLED:
         assert graph.back_edges(last.dst) == [], steps
     elif path.kind is PathKind.TYPE_II:
@@ -506,20 +524,22 @@ def check_lazy_heaps(graph) -> None:
     for i in range(inst.n):
         assert len(graph._heaps[i]) <= len(inst.edges_of_source(i))
     graph = copy.deepcopy(graph)  # leave the original's dirty sources and stale entries be
+    beta = values(dual, "beta")
     for i in range(inst.n):
         graph.ensure_fresh(i)
+        alpha = graph.dual.value(graph.dual.alpha[i])
         keyed = [
-            (-(spec.profit - spec.price * dual.beta[spec.dst]), spec.dst, e)
+            (-(spec.profit - spec.price * beta[spec.dst]), spec.dst, e)
             for e in inst.edges_of_source(i)
             if not primal.edge_saturated(e)
             for spec in [inst.edges[e]]
         ]
         if not keyed:
-            assert graph.preferred[i] is None and graph.dual.alpha[i] == 0
+            assert graph.preferred[i] is None and alpha == 0
             continue
         neg_key, _, best = min(keyed)
         assert graph.preferred[i] == best
-        assert graph.dual.alpha[i] == (-neg_key if num.is_pos(-neg_key) else num.value(0))
+        assert alpha == (-neg_key if num.is_pos(-neg_key) else num.value(0))
 
 
 def check_stale_model(graph, stale: set[int]) -> None:
@@ -565,7 +585,7 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
             graph.raise_beta(j, value)
             stale = {f for f in stale if inst.edges[f].dst != j}
             stale |= {f for f, spec in enumerate(inst.edges)
-                      if spec.dst == j and primal.flow[f] > 0}
+                      if spec.dst == j and primal.value(primal.flow[f]) > 0}
         elif op == "promote":
             graph.promote(e)
             stale.discard(e)
@@ -576,8 +596,9 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
         else:
             full = num.value(cap if cap is not None else 3)
             target = {"fill": full, "half": full / 2, "drain": num.value(0)}[op]
-            if target != primal.flow[e]:
-                graph.move_flow(e, target - primal.flow[e], revalue=flag)
+            current = primal.value(primal.flow[e])
+            if target != current:
+                graph.move_flow(e, primal.units(target - current), revalue=flag)
                 if flag or op == "drain":
                     stale.discard(e)
         check_lazy_heaps(graph)
@@ -604,8 +625,7 @@ def test_integer_slack_test_agrees_with_the_fraction_sign(profit, price, beta_le
         # a slack of exactly 0, or 10**-30 either side of it
         alpha = profit - price * beta - Fraction(near_zero, 10**30)
     graph = saturated_edge_graph(profit, price, beta, level, alpha)
-    slack = graph.dual.effective_profit(0) - alpha
-    assert (0 in graph.back_edges(0)) == (not slack > 0)
+    assert (0 in graph.back_edges(0)) == (not slack(graph) > 0)
 
 
 def solve_logged(graph_cls, inst, config):

@@ -20,7 +20,8 @@ from budget_flow.solver import (
 )
 from budget_flow.state import Numerics, dual_bound, make_states
 from conftest import (
-    btp, bts, build_cycle_state, random_simple_cycle, recompute_check, simulate_revolutions,
+    FractionPrimal, btp, bts, build_cycle_state, move, random_simple_cycle, recompute_check,
+    simulate_revolutions, values,
 )
 
 EPS4 = SolverConfig(epsilon=Fraction(1, 4))
@@ -41,8 +42,8 @@ def test_push_single_forward_edge():
     inst = btp([4], [6], [(0, 0, 5, 1)])
     primal, dual, graph, stats = path_state(inst)
     report = push_flow_path(graph, [0])
-    assert primal.flow[0] == 4
-    assert primal.surplus[0] == 0
+    assert values(primal, "flow") == [4]
+    assert values(primal, "surplus") == [0]
     assert report.moved and report.touched_sinks == {0}
 
 
@@ -54,12 +55,10 @@ def test_push_path_rescales_across_back_edge():
         [(0, 0, 9, 1), (1, 0, 9, 2), (1, 1, 9, 1)],
     )
     primal, dual, graph, stats = path_state(inst)
-    graph.move_flow(1, Fraction(3), revalue=True)
+    move(graph, 1, 3)
     push_flow_path(graph, [0, 1, 2])
-    assert primal.flow[0] == 4
-    assert primal.flow[1] == 1
-    assert primal.flow[2] == 2
-    assert primal.surplus[0] == 0
+    assert values(primal, "flow") == [4, 1, 2]
+    assert values(primal, "surplus")[0] == 0
 
 
 def test_push_path_forward_cap_strands_surplus():
@@ -69,12 +68,10 @@ def test_push_path_forward_cap_strands_surplus():
         [(0, 0, 9, 1, 1), (1, 0, 9, 2, None), (1, 1, 9, 1, None)],
     )
     primal, dual, graph, stats = path_state(inst)
-    graph.move_flow(1, Fraction(3), revalue=True)
+    move(graph, 1, 3)
     push_flow_path(graph, [0, 1, 2])
-    assert primal.flow[0] == 1  # clamped at capacity
-    assert primal.surplus[0] == 3
-    assert primal.flow[1] == Fraction(5, 2)
-    assert primal.flow[2] == Fraction(1, 2)
+    assert values(primal, "flow") == [1, Fraction(5, 2), Fraction(1, 2)]  # 1: capacity
+    assert values(primal, "surplus")[0] == 3
     assert primal.edge_saturated(0)
 
 
@@ -82,8 +79,8 @@ def test_push_path_budget_clamp_on_final_sink():
     inst = btp([4], [6], [(0, 0, 5, 2)])
     primal, dual, graph, stats = path_state(inst)
     push_flow_path(graph, [0])
-    assert primal.flow[0] == 3  # 6/2, not the full surplus
-    assert primal.surplus[0] == 1
+    assert values(primal, "flow") == [3]  # 6/2, not the full surplus
+    assert values(primal, "surplus") == [1]
     assert primal.sink_saturated(0)
 
 
@@ -100,21 +97,121 @@ def test_push_path_keeps_intermediate_sinks_tight():
         inst = btp([20] * k, [10**6] * k, edges)
         primal, dual, graph, stats = path_state(inst)
         for b in steps[1::2]:
-            graph.move_flow(b, Fraction(rng.randint(1, 8)), revalue=True)
-        prices_in = [
-            sum(
-                inst.edges[e].price * primal.flow[e]
-                for e in inst.edges_of_sink(j)
-            )
-            for j in range(k)
-        ]
+            move(graph, b, rng.randint(1, 8))
+        prices_in = sink_payments(primal)
         push_flow_path(graph, steps)
         for j in range(k - 1):  # every pass-through sink is price-neutral
-            now = sum(
-                inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j)
-            )
-            assert now == prices_in[j]
+            assert sink_payments(primal)[j] == prices_in[j]
         assert recompute_check(primal)
+
+
+# -- exact units against plain Fractions ------------------------------------
+
+
+def twin_graphs(instance):
+    """Graphs on the exact state and on a `FractionPrimal`, from one instance."""
+    graphs = []
+    for fractions in (False, True):
+        primal, dual, _ = make_states(instance, EPS4)
+        if fractions:
+            primal = FractionPrimal(instance)
+        graphs.append(DerivedGraph(instance, primal, dual, RunStats()))
+    return graphs
+
+
+def state_values(graph) -> list:
+    return [values(graph.primal, name) for name in ("flow", "surplus", "residual")]
+
+
+def test_path_push_rescales_across_a_back_edge_and_at_the_budget():
+    # edge 0's capacity 1 binds; 1*3/2 across the back edge is not whole, and
+    # neither is the final sink's budget room 4/7: two rescales in one walk
+    inst = bts([10, 10], [100, 4], [(0, 0, 9, 3, 1), (1, 0, 9, 2, None), (1, 1, 9, 7, None)])
+    exact, ref = twin_graphs(inst)
+    for graph in (exact, ref):
+        move(graph, 1, 5)
+        push_flow_path(graph, [0, 1, 2])
+    assert exact.primal.scale == 14
+    assert values(exact.primal, "flow") == [1, Fraction(7, 2), Fraction(4, 7)]
+    assert state_values(exact) == state_values(ref)
+
+
+def test_path_push_matches_the_fraction_push_on_random_walks():
+    rng = random.Random(23)
+    rescaled = 0
+    for _ in range(300):
+        k = rng.randint(1, 3)  # (forward, back) pairs before the final forward edge
+        edges = []
+        for z in range(k + 1):
+            edges.append((z, z, 9, rng.randint(1, 7), rng.choice([None, rng.randint(1, 6)])))
+            edges.append((z + 1, z, 9, rng.randint(1, 7), None))
+        edges.pop()  # the last sink has no back edge
+        steps = list(range(len(edges) - (rng.random() < 0.3)))  # may end at a source
+        inst = bts([rng.randint(1, 30) for _ in range(k + 1)],
+                   [rng.randint(1, 40) for _ in range(k + 1)], edges)
+        graphs = twin_graphs(inst)
+        back_flows = [Fraction(rng.randint(1, 12), rng.randint(1, 5)) for _ in range(k)]
+        for graph in graphs:
+            for b, f in zip(steps[1::2], back_flows):
+                move(graph, b, f)
+        scale = graphs[0].primal.scale
+        for graph in graphs:
+            push_flow_path(graph, steps)
+        rescaled += graphs[0].primal.scale != scale
+        assert state_values(graphs[0]) == state_values(graphs[1])
+    assert rescaled > 50  # most pushes divided into a new denominator
+
+
+def test_finite_cycle_push_rescales_between_its_two_conversions():
+    # a cycle pair's forward amount is converted and moved, then its back
+    # amount; a rescale at the second conversion must not stale the first
+    rng = random.Random(31)
+    between = 0
+    for _ in range(400):
+        start = rng.getstate()
+        inst, primal, dual, graph, stats, cycle = random_simple_cycle(rng)
+        rng.setstate(start)
+        ref_graph = random_simple_cycle(rng, fractions=True)[3]
+        if cycle_geometry(primal, cycle, primal.value(primal.surplus[0])).r_min is None:
+            continue
+        rescales = []
+
+        def recording(x, units=primal.units):
+            scale = primal.scale
+            out = units(x)
+            rescales.append(primal.scale != scale)
+            return out
+
+        primal.units = recording
+        push_flow_cycle(graph, cycle)
+        push_flow_cycle(ref_graph, cycle)
+        assert state_values(graph) == state_values(ref_graph)
+        between += any(rescales[1::2])  # odd conversions are the back amounts
+    assert between > 20
+
+
+def test_supply_and_budget_identities_hold_after_every_phase():
+    checked, scales = 0, []
+
+    def monitor(graph):
+        nonlocal checked
+        assert recompute_check(graph.primal), graph.stats.get("phases")
+        checked += 1
+        scales.append(graph.primal.scale)
+
+    for seed in range(10):
+        inst = generate(seed=seed, n=6, m=6, density=0.8, u_range=(1, 6))
+        sol = solve(inst, SolverConfig(epsilon=Fraction(1, 8)), on_iteration=monitor)
+        assert sol.terminated and sol.certificate.passed
+    assert checked > 100 and max(scales) > 1  # checked across rescales
+
+
+def test_float_states_refuse_duals_beyond_the_float_range():
+    # each number fits in a float, but (1 + eps) * max c/p does not
+    inst = btp([1], [1], [(0, 0, 17 * 10**307, 1)])
+    with pytest.raises(ValueError, match="dual bound beyond the float range"):
+        make_states(inst, SolverConfig(epsilon=Fraction(1, 2), numeric_mode="float"))
+    make_states(inst, SolverConfig(epsilon=Fraction(1, 2)))  # exact mode has no such limit
 
 
 # -- cycle geometry ----------------------------------------------------------
@@ -236,11 +333,22 @@ def test_duals_stay_within_the_bound_that_scales_the_float_tolerance(mode):
         assert max(sol.alpha + sol.beta + list(gamma.values())) <= dual_bound(inst, eps)
 
 
+def sink_payments(primal) -> list:
+    """Price-weighted inflow of each sink, read through the accessor."""
+    inst, flow = primal.instance, values(primal, "flow")
+    return [sum(inst.edges[e].price * flow[e] for e in inst.edges_of_sink(j))
+            for j in range(inst.m)]
+
+
+def entry_surplus(primal):
+    return primal.value(primal.surplus[0])
+
+
 def test_cycle_geometry_ratios_and_limits():
     inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
     )
-    geom = cycle_geometry(primal, cycle, primal.surplus[0])
+    geom = cycle_geometry(primal, cycle, entry_surplus(primal))
     ratios = [t / b for b, t in zip(geom.cum_before, geom.cum_through)]
     assert ratios == [Fraction(1, 2), Fraction(1)]
     assert geom.rho_cycle == Fraction(1, 2)
@@ -254,7 +362,7 @@ def test_cycle_geometry_rejects_nonsimple():
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
     )
     with pytest.raises(ValueError):
-        cycle_geometry(primal, cycle + cycle, primal.surplus[0])
+        cycle_geometry(primal, cycle + cycle, entry_surplus(primal))
 
 
 # -- push_flow_cycle ---------------------------------------------------------
@@ -264,44 +372,40 @@ def test_cycle_push_drains_surplus_when_nothing_binds():
     inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
     )
-    before = [
-        sum(inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j))
-        for j in range(2)
-    ]
+    before = sink_payments(primal)
     push_flow_cycle(graph, cycle)
-    assert primal.surplus[0] == 0
-    assert primal.flow[cycle[0]] == 8  # 4 / (1 - 1/2)
-    for j in range(2):  # budgets unchanged at every sink on the cycle
-        now = sum(inst.edges[e].price * primal.flow[e] for e in inst.edges_of_sink(j))
-        assert now == before[j]
+    assert entry_surplus(primal) == 0
+    assert values(primal, "flow")[cycle[0]] == 8  # 4 / (1 - 1/2)
+    assert sink_payments(primal) == before  # budgets unchanged at every sink on the cycle
 
 
 def test_cycle_push_zeroes_limiting_back_edge():
     inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[Fraction(5, 2), 100], surplus=4
     )
-    geom = cycle_geometry(primal, cycle, primal.surplus[0])
+    geom = cycle_geometry(primal, cycle, entry_surplus(primal))
     assert geom.r_min == 0
     push_flow_cycle(graph, cycle)
-    assert primal.flow[cycle[1]] == 0
+    assert values(primal, "flow")[cycle[1]] == 0
     assert graph._stale[0] == set()  # a cleared back edge is no longer stale
     # the final clamped revolution returns 1/2 past the zeroed edge, so the
     # 4*(1/2) bulk remainder net of one clamped unit lands back at the entry
-    assert primal.surplus[0] == Fraction(3, 2)
+    assert entry_surplus(primal) == Fraction(3, 2)
 
 
 def test_cycle_push_unit_ratio_linear_limit():
     inst, primal, dual, graph, stats, cycle = build_cycle_state(
         prices_fwd=[2, 3], prices_back=[3, 2], back_flows=[100, Fraction(5, 2)], surplus=1
     )
-    geom = cycle_geometry(primal, cycle, primal.surplus[0])
+    geom = cycle_geometry(primal, cycle, entry_surplus(primal))
     assert geom.rho_cycle == 1
     # through back edge 1 each revolution carries 2/3*3/2 = 1; cap 5/2 -> r=1
-    per_rev = primal.surplus[0] * geom.cum_through[1]
-    assert geometric_limit(per_rev, geom.rho_cycle, primal.flow[cycle[3]], EXACT) == 1
+    per_rev = entry_surplus(primal) * geom.cum_through[1]
+    cap = primal.value(primal.flow[cycle[3]])
+    assert geometric_limit(per_rev, geom.rho_cycle, cap, EXACT) == 1
     assert geom.r_min == 1
     push_flow_cycle(graph, cycle)
-    assert primal.flow[cycle[3]] == 0
+    assert values(primal, "flow")[cycle[3]] == 0
 
 
 def test_cycle_bulk_matches_revolution_simulation():
@@ -309,17 +413,17 @@ def test_cycle_bulk_matches_revolution_simulation():
     compared = 0
     for _ in range(1200):
         inst, primal, dual, graph, stats, cycle = random_simple_cycle(rng)
-        s = primal.surplus[0]
+        s = entry_surplus(primal)
         geom = cycle_geometry(primal, cycle, s)
         if geom.r_min is None or geom.r_min > 16 or geom.r_min < 0:
             continue
         expected, _ = simulate_revolutions(
-            inst, primal.flow, cycle, s, geom.r_min + 1
+            inst, values(primal, "flow"), cycle, s, geom.r_min + 1
         )
         from budget_flow.solver import PushReport
 
         apply_cycle_bulk(graph, geom, PushReport())
-        assert primal.flow == expected
+        assert values(primal, "flow") == expected
         compared += 1
     assert compared >= 100
 
@@ -329,16 +433,17 @@ def test_cycle_push_postcondition():
     for _ in range(200):
         inst, primal, dual, graph, stats, cycle = random_simple_cycle(rng)
         push_flow_cycle(graph, cycle)
-        cleared = primal.surplus[0] == 0
-        zeroed = any(primal.flow[b] == 0 for b in cycle[1::2])
+        flow = values(primal, "flow")
+        cleared = entry_surplus(primal) == 0
+        zeroed = any(flow[b] == 0 for b in cycle[1::2])
         saturated = any(primal.edge_saturated(f) for f in cycle[::2])
         assert cleared or zeroed or saturated
         assert stats.get("surplus_clears") == cleared  # one count per drained entry
         for f, b in zip(cycle[::2], cycle[1::2]):
-            assert primal.flow[b] >= 0
+            assert flow[b] >= 0
             cap = inst.edges[f].capacity
             if cap is not None:
-                assert primal.flow[f] <= cap
+                assert flow[f] <= cap
 
 
 # -- solve -------------------------------------------------------------------
@@ -395,39 +500,40 @@ def test_monitored_invariants_every_iteration():
         tight: set[int] = set()
 
         def monitor(graph):
-            primal, dual = graph.primal, graph.dual
+            flow = values(graph.primal, "flow")
+            alpha, beta = values(graph.dual, "alpha"), values(graph.dual, "beta")
             paid = [Fraction(0)] * inst.m
             shipped = [Fraction(0)] * inst.n
             for e, spec in enumerate(inst.edges):
-                assert primal.flow[e] >= 0
+                assert flow[e] >= 0
                 if spec.capacity is not None:
-                    assert primal.flow[e] <= spec.capacity
-                paid[spec.dst] += spec.price * primal.flow[e]
-                shipped[spec.src] += primal.flow[e]
+                    assert flow[e] <= spec.capacity
+                paid[spec.dst] += spec.price * flow[e]
+                shipped[spec.src] += flow[e]
             for i in range(inst.n):
                 assert shipped[i] <= inst.supply[i]
             for j in range(inst.m):
                 assert paid[j] <= inst.budget[j]
                 if paid[j] < inst.budget[j]:
-                    assert dual.beta[j] == 0
-                assert dual.beta[j] >= last_beta[j]
-                last_beta[j] = dual.beta[j]
+                    assert beta[j] == 0
+                assert beta[j] >= last_beta[j]
+                last_beta[j] = beta[j]
                 if paid[j] == inst.budget[j]:
                     tight.add(j)
                 else:
                     assert j not in tight  # tight sinks stay tight
-            gammas = reconstruct_gamma(inst, list(primal.flow), list(dual.alpha), list(dual.beta))
+            gammas = reconstruct_gamma(inst, flow, alpha, beta)
             for e, g in gammas.items():
                 if g > 0:
-                    assert primal.flow[e] == inst.edges[e].capacity
+                    assert flow[e] == inst.edges[e].capacity
             for e, spec in enumerate(inst.edges):
-                bound = spec.profit - spec.price * dual.beta[spec.dst] - gammas.get(e, 0)
-                assert dual.alpha[spec.src] >= bound
-                if primal.flow[e] > 0:
+                bound = spec.profit - spec.price * beta[spec.dst] - gammas.get(e, 0)
+                assert alpha[spec.src] >= bound
+                if flow[e] > 0:
                     slack = (
                         spec.profit
-                        - dual.alpha[spec.src]
-                        - spec.price * dual.beta[spec.dst]
+                        - alpha[spec.src]
+                        - spec.price * beta[spec.dst]
                         - gammas.get(e, 0)
                     )
                     assert abs(slack) <= eps * spec.profit
@@ -451,10 +557,11 @@ def test_valuation_exists_exactly_on_positive_flow(mode):
         def monitor(graph):
             nonlocal stale_seen
             phase, num = graph.stats.get("phases"), graph.num
-            for e, f in enumerate(graph.primal.flow):
+            flow = values(graph.primal, "flow")
+            for e, f in enumerate(flow):
                 assert f == 0 or num.is_pos(f), (phase, e)
             for stale in graph._stale:
-                assert all(num.is_pos(graph.primal.flow[e]) for e in stale), phase
+                assert all(num.is_pos(flow[e]) for e in stale), phase
                 stale_seen += len(stale)
 
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
@@ -478,7 +585,7 @@ def test_beta_strictly_rises_with_level(mode):
         def monitor(graph):
             nonlocal levels_seen
             dual, phase = graph.dual, graph.stats.get("phases")
-            for j, (level, beta) in enumerate(zip(dual.level, dual.beta)):
+            for j, (level, beta) in enumerate(zip(dual.level, values(dual, "beta"))):
                 last_level, last_beta = last[j]
                 assert level >= last_level, (phase, j)
                 if level == last_level:
@@ -545,9 +652,9 @@ def test_beta_update_pass_full_scan_initializes_saturated_sink():
 
     inst = btp([9], [4], [(0, 0, 3, 1)])
     primal, dual, graph, stats = path_state(inst)
-    graph.move_flow(0, Fraction(4), revalue=True)
+    move(graph, 0, 4)
     risen = beta_update_pass(graph, range(inst.m))
     assert risen == [0]
-    assert dual.beta[0] == Fraction(3, 4)  # eps * min(c/p) with eps = 1/4
+    assert dual.value(dual.beta[0]) == Fraction(3, 4)  # eps * min(c/p) with eps = 1/4
     # second pass stalls: the in-flow is now one level down, a back edge
     assert beta_update_pass(graph, range(inst.m)) == []
