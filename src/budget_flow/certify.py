@@ -3,10 +3,16 @@
 Everything here is recomputed from the raw instance plus flows and duals; the
 solver's internal state is never trusted.  In particular the implicit edge
 duals are reconstructed from alpha and beta rather than taken as input.
+
+An exact certificate is computed on integers: the flows it is given are read
+over their own common denominator and the duals over theirs, and Fractions
+are built only for the fields it returns.  The solver's shared denominator is
+not read; the flows arrive as plain numbers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -17,9 +23,8 @@ class CertificationError(ValueError):
 
 def fmt(x) -> str:
     """Exact values as num/den; floats as repr."""
-    if isinstance(x, Fraction) or isinstance(x, int):
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
+    if isinstance(x, (Fraction, int)):
+        return f"{x.numerator}/{x.denominator}"
     return repr(x)
 
 
@@ -76,14 +81,32 @@ def reconstruct_gamma(instance, flow, alpha, beta, tol=0) -> dict[int, Fraction 
     A zero flow is passed over without arithmetic: every capacity is at least 1
     and `tol` is below 1, so it never fills one.
     """
+    support = [e for e, f in enumerate(flow) if f]
+    return _gammas(instance, support, flow, alpha, beta, tol, 1, 1)
+
+
+def _gammas(instance, support, flow, alpha, beta, tol, flow_den, dual_den) -> dict:
+    """The gamma rule on the nonzero flows, the edges in `support`.
+
+    Flows are read over `flow_den` and duals over `dual_den`, and each gamma
+    is returned over `dual_den`.  With both denominators 1 the values are read
+    as they are, float bits included, since `x*1 == x`.
+    """
     gammas = {}
-    for e, spec in enumerate(instance.edges):
-        f = flow[e]
-        if f and spec.capacity is not None and abs(f - spec.capacity) <= tol:
-            slack = spec.profit - spec.price * beta[spec.dst] - alpha[spec.src]
+    for e in support:
+        spec = instance.edges[e]
+        if spec.capacity is not None and abs(flow[e] - spec.capacity * flow_den) <= tol:
+            slack = spec.profit * dual_den - spec.price * beta[spec.dst] - alpha[spec.src]
             if slack > tol:
                 gammas[e] = slack
     return gammas
+
+
+def _over_lcm(ratios) -> tuple[list[int], int]:
+    """The numerators of (numerator, denominator) pairs over their lcm, and the lcm."""
+    lcm = math.lcm(*{d for _, d in ratios})
+    factor = {d: lcm // d for _, d in ratios}
+    return [x * factor[d] for x, d in ratios], lcm
 
 
 def certify(
@@ -113,8 +136,14 @@ def certify(
 
     Only nonzero flows enter the sums and the per-edge primal and slackness
     tests; a zero flow adds nothing to a sum and passes every such test.  In
-    exact mode (rigorous, tol 0) the one test every edge needs, the dual
-    constraint, runs on integer numerators and denominators.
+    exact mode (rigorous, tol 0) the work is done on integers: the nonzero
+    flows are read as numerators over their common denominator `lf`, alpha,
+    beta and epsilon as numerators over theirs, `ld`, and each sum, product and
+    comparison below runs on numerators; Fractions are built only for the
+    returned fields.  The dual constraint, the one test every edge needs, runs
+    on each node's own numerator and denominator, so its cost does not grow
+    with `ld`.  Otherwise the values are read as numerators over 1, which
+    leaves every float expression and its bits as they were.
     """
     n, m, ne = instance.n, instance.m, len(instance.edges)
     if len(flow) != ne or len(alpha) != n or len(beta) != m:
@@ -130,8 +159,22 @@ def certify(
         epsilon, zero = float(epsilon), 0.0
     edges = instance.edges
     support = [e for e, f in enumerate(flow) if f]
+    exact = rigorous and not tol
+    if exact:
+        given_flow, given_alpha, given_beta = flow, alpha, beta
+        ratio_a = [a.as_integer_ratio() for a in alpha]
+        ratio_b = [b.as_integer_ratio() for b in beta]
+        nums, lf = _over_lcm([flow[e].as_integer_ratio() for e in support])
+        flow = [0] * ne
+        for e, x in zip(support, nums):
+            flow[e] = x
+        # epsilon too, since it scales the dual slacks it is compared with
+        duals, ld = _over_lcm(ratio_a + ratio_b + [epsilon.as_integer_ratio()])
+        alpha, beta, eps, zero = duals[:n], duals[n:-1], duals[-1], 0
+    else:
+        lf, ld, eps = 1, 1, epsilon
 
-    gammas = reconstruct_gamma(instance, flow, alpha, beta, tol)
+    gammas = _gammas(instance, support, flow, alpha, beta, tol, lf, ld)
 
     primal_violations = []
     out_of = [zero] * n
@@ -142,26 +185,26 @@ def certify(
         spec, f = edges[e], flow[e]
         if f < -tol:
             primal_violations.append(f"negative flow on edge {e}")
-        if spec.capacity is not None and f - spec.capacity > tol:
+        if spec.capacity is not None and f - spec.capacity * lf > tol:
             primal_violations.append(f"capacity exceeded on edge {e}")
         out_of[spec.src] += f
         into[spec.dst] += spec.price * f
         if f > tol:
             slack = (
-                spec.profit
+                spec.profit * ld
                 - alpha[spec.src]
                 - spec.price * beta[spec.dst]
                 - gammas.get(e, zero)
             )
             flow_slack_sum += f * slack
-            excess = abs(slack) - epsilon * spec.profit
+            excess = abs(slack) - eps * spec.profit
             if excess > cs_flow_excess:
                 cs_flow_excess = excess
     for i in range(n):
-        if out_of[i] - instance.supply[i] > tol:
+        if out_of[i] - instance.supply[i] * lf > tol:
             primal_violations.append(f"supply exceeded at source {i + 1}")
     for j in range(m):
-        if into[j] - instance.budget[j] > tol:
+        if into[j] - instance.budget[j] * lf > tol:
             primal_violations.append(f"budget exceeded at sink {j + 1}")
 
     dual_violations = []
@@ -171,10 +214,8 @@ def certify(
     for j in range(m):
         if beta[j] < -tol:
             dual_violations.append(f"negative beta at sink {j + 1}")
-    if rigorous and not tol:
+    if exact:
         # c - p*beta - alpha > 0 times both denominators; a gamma makes it 0
-        ratio_a = [a.as_integer_ratio() for a in alpha]
-        ratio_b = [b.as_integer_ratio() for b in beta]
         for e, spec in enumerate(edges):
             na, da = ratio_a[spec.src]
             nb, db = ratio_b[spec.dst]
@@ -186,10 +227,11 @@ def certify(
             if bound - alpha[spec.src] > tol:
                 dual_violations.append(f"dual constraint violated on edge {e}")
 
-    # each complementary product once: its worst for slackness, its sum for the identity
-    source_terms = [alpha[i] * (instance.supply[i] - out_of[i]) for i in range(n)]
-    sink_terms = [beta[j] * (instance.budget[j] - into[j]) for j in range(m)]
-    cap_terms = [g * (edges[e].capacity - flow[e]) for e, g in gammas.items()]
+    # each complementary product once, over ld*lf: its worst for slackness,
+    # its sum for the identity
+    source_terms = [alpha[i] * (instance.supply[i] * lf - out_of[i]) for i in range(n)]
+    sink_terms = [beta[j] * (instance.budget[j] * lf - into[j]) for j in range(m)]
+    cap_terms = [g * (edges[e].capacity * lf - flow[e]) for e, g in gammas.items()]
     cs_source = max(map(abs, source_terms), default=zero)
     cs_sink = max(map(abs, sink_terms), default=zero)
     cs_edge = max(map(abs, cap_terms), default=zero)
@@ -202,7 +244,7 @@ def certify(
         dual_value += edges[e].capacity * g
 
     # gap identity, recomputed both ways
-    lhs = dual_value - primal_value
+    lhs = dual_value * lf - primal_value * ld
     rhs = (
         sum(source_terms, start=zero)
         + sum(sink_terms, start=zero)
@@ -212,7 +254,7 @@ def certify(
     identity_ok = lhs == rhs if rigorous else abs(lhs - rhs) <= tol * (1 + abs(lhs))
 
     if primal_value > tol:
-        gap_ratio = (dual_value - primal_value) / primal_value
+        gap_ratio = Fraction(lhs, ld * primal_value) if exact else lhs / primal_value
         gap_status = "ok"
         gap_ok = gap_ratio <= epsilon + tol
     else:
@@ -230,6 +272,21 @@ def certify(
         and identity_ok
         and gap_ok
     )
+    if exact:
+        cs_source, cs_sink = Fraction(cs_source, ld * lf), Fraction(cs_sink, ld * lf)
+        cs_edge = Fraction(cs_edge, ld * lf)
+        # a gamma needs a full edge, so every capacity term is 0 and the worst
+        # is the first; computed from the given values, that term is an int
+        # when its flow, alpha and beta are
+        first = next(iter(gammas), None)
+        if first is not None and all(
+            isinstance(x, int)
+            for x in (given_flow[first], given_alpha[edges[first].src],
+                      given_beta[edges[first].dst])
+        ):
+            cs_edge = int(cs_edge)
+        cs_flow_excess = Fraction(cs_flow_excess, ld)
+        primal_value, dual_value = Fraction(primal_value, lf), Fraction(dual_value, ld)
     return Certificate(
         primal_feasible=not primal_violations,
         primal_violations=tuple(primal_violations),

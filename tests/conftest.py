@@ -14,6 +14,11 @@ from budget_flow.instance import EdgeSpec, Kind, ProblemInstance, SolverConfig
 from budget_flow.solver import RunStats
 from budget_flow.state import Numerics, PrimalState, make_states
 
+# A phase cap for test solves: the runs here take at most a few hundred phases
+# on instances whose rise bounds are at most a few hundred, so a run that
+# cannot end fails its `terminated` check instead of hanging the suite.
+PHASE_CAP = 20_000
+
 
 def pytest_configure(config):
     """Hypothesis caches constants read from the package's source under its home

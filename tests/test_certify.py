@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import importlib
 import inspect
+import math
 from fractions import Fraction
 
 import pytest
@@ -19,14 +20,15 @@ from budget_flow.cli import parse_solution, solution_to_text
 from budget_flow.instance import SolverConfig, generate
 from budget_flow.oracle import exact_opt
 from budget_flow.solver import solve
-from conftest import btp, bts
+from conftest import PHASE_CAP, btp, bts
 from test_derived_graph import small_instance
 
 EPS4 = Fraction(1, 4)
 
 
 def test_solver_output_certifies(two_sources_one_sink):
-    sol = solve(two_sources_one_sink, SolverConfig(epsilon=EPS4))
+    sol = solve(two_sources_one_sink, SolverConfig(epsilon=EPS4, max_phases=PHASE_CAP))
+    assert sol.terminated
     cert = certify(two_sources_one_sink, sol.flow, sol.alpha, sol.beta, EPS4)
     assert cert.passed
     assert cert.gap_ratio is not None and cert.gap_ratio <= EPS4
@@ -83,7 +85,8 @@ def test_gap_identity_holds_on_arbitrary_feasible_data():
 
 
 def test_certificate_is_deterministic(two_sources_one_sink):
-    sol = solve(two_sources_one_sink, SolverConfig(epsilon=EPS4))
+    sol = solve(two_sources_one_sink, SolverConfig(epsilon=EPS4, max_phases=PHASE_CAP))
+    assert sol.terminated
     a = certify(two_sources_one_sink, sol.flow, sol.alpha, sol.beta, EPS4)
     b = certify(two_sources_one_sink, sol.flow, sol.alpha, sol.beta, EPS4)
     assert a == b
@@ -102,7 +105,8 @@ def test_oracle_value_between_primal_and_dual():
 
 
 def test_weak_duality_bound(two_sources_one_sink):
-    sol = solve(two_sources_one_sink, SolverConfig(epsilon=EPS4))
+    sol = solve(two_sources_one_sink, SolverConfig(epsilon=EPS4, max_phases=PHASE_CAP))
+    assert sol.terminated
     bound = weak_duality_bound(sol.certificate)
     opt, _ = exact_opt(two_sources_one_sink)
     assert bound >= opt
@@ -118,7 +122,8 @@ def test_weak_duality_bound_requires_feasibility(one_by_one):
 def test_weak_duality_factor_arithmetic():
     # primal 20, dual 21: optimum confined to [20, 21]
     inst = btp([5], [10], [(0, 0, 3, 2)])
-    sol = solve(inst, SolverConfig(epsilon=EPS4))
+    sol = solve(inst, SolverConfig(epsilon=EPS4, max_phases=PHASE_CAP))
+    assert sol.terminated
     assert sol.certificate.primal_value == 15
     assert weak_duality_bound(sol.certificate) == 15  # factor exactly 1 here
 
@@ -225,3 +230,61 @@ def test_reread_float_certificate_equals_the_solve_certificate(kind):
         for field in dataclasses.fields(cert):
             assert_same(getattr(cert, field.name), getattr(sol.certificate, field.name),
                         field.name)
+
+
+def assert_matches_reference(inst, flow, alpha, beta, eps):
+    """The exact certificate and gammas equal the reference's, type included."""
+    want = reference.certify(inst, flow, alpha, beta, eps)
+    got = certify(inst, flow, alpha, beta, eps)
+    for field in dataclasses.fields(want):
+        assert_same(getattr(got, field.name), getattr(want, field.name), field.name)
+    want_gamma = reference.reconstruct_gamma(inst, flow, alpha, beta)
+    got_gamma = reconstruct_gamma(inst, flow, alpha, beta)
+    assert list(got_gamma) == list(want_gamma)
+    for e in want_gamma:
+        assert_same(got_gamma[e], want_gamma[e], f"gamma {e}")
+    return got
+
+
+@pytest.fixture(scope="module")
+def rung_solutions():
+    # the ladder's rungs, generate(seed=3, density=0.7), bts with u_range=(1, 8)
+    solutions = {}
+    for size in (20, 40):
+        for kind in ("btp", "bts"):
+            inst = generate(seed=3, n=size, m=size, density=0.7,
+                            u_range=(1, 8) if kind == "bts" else None)
+            sol = solve(inst, SolverConfig(epsilon=Fraction(1, 8), max_phases=PHASE_CAP))
+            assert sol.terminated and sol.certificate.passed
+            solutions[size, kind] = sol
+    return solutions
+
+
+@pytest.mark.parametrize("size", [20, 40])
+@pytest.mark.parametrize("kind", ["btp", "bts"])
+@pytest.mark.parametrize("hurt", DAMAGES)
+def test_certify_matches_reference_at_rung_scale(rung_solutions, size, kind, hurt):
+    # the property test reaches n, m <= 4; here the common denominators are
+    # those of real runs, and jitter's off-grid duals make the duals' one grow
+    sol = rung_solutions[size, kind]
+    inst = sol.instance
+    for pick in (0, 7919):
+        if hurt == "reparsed":
+            flow, alpha, beta, _, _ = parse_solution(solution_to_text(sol), inst)
+        else:
+            flow, alpha, beta = damage(hurt, inst, sol.flow, sol.alpha, sol.beta, pick, True)
+        assert_matches_reference(inst, flow, alpha, beta, Fraction(1, 8))
+
+
+@pytest.mark.parametrize("kind", ["btp", "bts"])
+def test_certify_matches_reference_on_duals_over_many_primes(rung_solutions, kind):
+    # every alpha and beta gets its own prime denominator, so the duals' common
+    # denominator is the product of 80 primes while each node's stays small
+    sol = rung_solutions[40, kind]
+    inst = sol.instance
+    primes = [p for p in range(3, 600) if all(p % q for q in range(2, int(p**0.5) + 1))]
+    alpha = [a + Fraction(1, p) for a, p in zip(sol.alpha, primes)]
+    beta = [b + Fraction(1, p) for b, p in zip(sol.beta, primes[inst.n:])]
+    assert math.lcm(*(x.denominator for x in alpha + beta)).bit_length() > 600
+    cert = assert_matches_reference(inst, sol.flow, alpha, beta, Fraction(1, 8))
+    assert cert.dual_feasible  # raising a dual keeps it feasible

@@ -20,11 +20,11 @@ from budget_flow.solver import (
 )
 from budget_flow.state import Numerics, dual_bound, make_states
 from conftest import (
-    FractionPrimal, btp, bts, build_cycle_state, move, random_simple_cycle, recompute_check,
-    simulate_revolutions, values,
+    PHASE_CAP, FractionPrimal, btp, bts, build_cycle_state, move, random_simple_cycle,
+    recompute_check, simulate_revolutions, values,
 )
 
-EPS4 = SolverConfig(epsilon=Fraction(1, 4))
+EPS4 = SolverConfig(epsilon=Fraction(1, 4), max_phases=PHASE_CAP)
 EXACT = Numerics(exact=True)
 
 
@@ -201,7 +201,8 @@ def test_supply_and_budget_identities_hold_after_every_phase():
 
     for seed in range(10):
         inst = generate(seed=seed, n=6, m=6, density=0.8, u_range=(1, 6))
-        sol = solve(inst, SolverConfig(epsilon=Fraction(1, 8)), on_iteration=monitor)
+        config = SolverConfig(epsilon=Fraction(1, 8), max_phases=PHASE_CAP)
+        sol = solve(inst, config, on_iteration=monitor)
         assert sol.terminated and sol.certificate.passed
     assert checked > 100 and max(scales) > 1  # checked across rescales
 
@@ -274,7 +275,8 @@ def test_float_solve_survives_cycle_entered_with_dust():
     # a cycle entered with surplus 1.9e-8 whose per-revolution amount at a
     # later edge falls below float_tol (1.7e-10); the float solve used to raise
     text = (Path(__file__).parent / "data" / "float_dust_cycle.btp").read_text()
-    sol = solve(parse(text), SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float"))
+    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float", max_phases=PHASE_CAP)
+    sol = solve(parse(text), config)
     assert sol.terminated
     assert sol.certificate.passed
 
@@ -301,14 +303,15 @@ CS_SOURCE_DUST = Path(__file__).parent / "data" / "float_cs_source_dust.btp"
 
 def test_exact_solve_certifies_the_cs_source_dust_instance():
     # dense-float benchmark item 222 at seed 202: btp 12x12, 104 edges
-    sol = solve(parse(CS_SOURCE_DUST.read_text()), SolverConfig(epsilon=Fraction(1, 8)))
+    config = SolverConfig(epsilon=Fraction(1, 8), max_phases=PHASE_CAP)
+    sol = solve(parse(CS_SOURCE_DUST.read_text()), config)
     assert sol.terminated
     assert sol.certificate.passed and sol.certificate.rigorous
     assert sol.certificate.cs_source_worst == 0
 
 
 def test_float_solve_certifies_the_cs_source_dust_instance():
-    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float")
+    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float", max_phases=PHASE_CAP)
     sol = solve(parse(CS_SOURCE_DUST.read_text()), config)
     assert sol.terminated
     assert sol.certificate.cs_source_worst <= config.float_tol
@@ -323,7 +326,8 @@ def test_duals_stay_within_the_bound_that_scales_the_float_tolerance(mode):
         inst = generate(seed=seed, n=5, m=5, density=0.7, p_range=(1, 3),
                         u_range=(1, 8) if seed % 2 else None)
         eps = Fraction(1, 4) if seed % 4 < 2 else Fraction(1, 8)
-        sol = solve(inst, SolverConfig(epsilon=eps, numeric_mode=mode))
+        sol = solve(inst, SolverConfig(epsilon=eps, numeric_mode=mode, max_phases=PHASE_CAP))
+        assert sol.terminated
         top_rate = max(Fraction(spec.profit, spec.price) for spec in inst.edges)
         assert all(b < (1 + eps) * top_rate for b in sol.beta)
         for i, a in enumerate(sol.alpha):
@@ -452,6 +456,7 @@ def test_cycle_push_postcondition():
 def test_solve_bts_capacity_binds():
     inst = bts([5], [10], [(0, 0, 3, 2, 3)])
     sol = solve(inst, EPS4)
+    assert sol.terminated
     assert sol.flow == [3]
     assert sol.certificate.passed
     gammas = reconstruct_gamma(inst, sol.flow, sol.alpha, sol.beta)
@@ -461,6 +466,7 @@ def test_solve_bts_capacity_binds():
 def test_solve_matches_basic_auction_verdict():
     inst = btp([10, 10], [10], [(0, 0, 2, 1), (1, 0, 5, 2)])
     sol = solve(inst, EPS4)
+    assert sol.terminated
     res = basic_auction.run(inst, EPS4)
     cert_basic = certify(
         inst, list(res.primal.flow), list(res.dual.alpha), list(res.dual.beta), Fraction(1, 4)
@@ -484,6 +490,7 @@ def test_solve_random_instances_reach_factor():
 def test_solve_zero_profit_instance():
     inst = btp([3], [5], [(0, 0, 0, 1)])
     sol = solve(inst, EPS4)
+    assert sol.terminated
     assert sol.certificate.primal_value == 0
     assert sol.stats.get("phases", 0) == 0
     assert sol.certificate.passed  # vacuous: dual is zero too
@@ -564,7 +571,7 @@ def test_valuation_exists_exactly_on_positive_flow(mode):
                 assert all(num.is_pos(flow[e]) for e in stale), phase
                 stale_seen += len(stale)
 
-        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
         assert solve(inst, config, on_iteration=monitor).terminated
     assert stale_seen > 0
 
@@ -595,7 +602,7 @@ def test_beta_strictly_rises_with_level(mode):
                     levels_seen += 1
                 last[j] = (level, beta)
 
-        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
         assert solve(inst, config, on_iteration=monitor).terminated
     assert levels_seen > 0
 
@@ -642,6 +649,7 @@ def test_solve_abort_flag_when_capped():
 def test_solution_output_fields():
     inst = bts([5], [10], [(0, 0, 3, 2, 3)])
     sol = solve(inst, EPS4)
+    assert sol.terminated
     stats = sol.stats.to_dict()
     assert "operations" in stats
     assert stats["phases"] >= 1
