@@ -17,19 +17,14 @@ the only price writer, bumps along with beta.  Keys only fall as beta rises,
 so an old stamp is an upper bound, re-keyed when it reaches the top; a rise
 pushes nothing and dirties only sources whose preferred edge enters the sink.
 Each edge has one entry at most (`_queued`).  An entry is
-`(-float_key, tie, dst, e, level)`, ordered exactly as `(-key, dst, e)`.  In
-exact mode the key c - p*beta is kn/Db, kn = c*Db - p*Nb: float_key is the
-correctly rounded int division `kn / Db`, as float() of kn/Db reduced, or
-+-inf beyond the float range, so it is monotone, and only equal floats read
-`tie = ExactKey(kn, Db)`.  In float mode the key is a float and `tie` is None.
-In exact mode a saturated edge's slack c - p*beta - alpha is tested in
-integers, as `(c*Db - p*Nb)*Da > Na*Db`.
+`(-key, tie, dst, e, level)`, ordered exactly as `(-key, dst, e)` for the key
+c - p*beta; the dual state builds its leading pair (`heap_key`) and tests a
+saturated edge's slack (`has_slack`) in its own representation.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -73,21 +68,6 @@ class Path:
         return self.steps[: q + 1], self.steps[q + 1 :] + [self.steps[q]]
 
 
-class ExactKey:
-    """Exact heap key kn/d (d > 0), higher first; read only on a float tie."""
-
-    __slots__ = ("kn", "d")
-
-    def __init__(self, kn: int, d: int):
-        self.kn, self.d = kn, d
-
-    def __eq__(self, other) -> bool:
-        return self.kn * other.d == other.kn * self.d
-
-    def __lt__(self, other) -> bool:
-        return self.kn * other.d > other.kn * self.d
-
-
 class DerivedGraph:
     """Owns the heaps, preferred edges and lazy alpha refresh for one run,
     from the zero flow that `make_states` gives."""
@@ -118,19 +98,11 @@ class DerivedGraph:
     # -- heap bookkeeping ---------------------------------------------------
 
     def _entry(self, e: int) -> tuple:
-        spec = self.instance.edges[e]
-        dst = spec.dst
+        dst = self.instance.edges[e].dst
         self.stats.bump("heap_updates")
         self._queued[e] = True
-        if self.num.exact:
-            nb, db = self.dual.beta[dst].as_integer_ratio()
-            kn = spec.profit * db - spec.price * nb
-            try:
-                key = kn / db
-            except OverflowError:
-                key = math.inf if kn > 0 else -math.inf
-            return (-key, ExactKey(kn, db), dst, e, self.dual.level[dst])
-        return (-self.dual.effective_profit(e), None, dst, e, self.dual.level[dst])
+        key, tie = self.dual.heap_key(e)
+        return (key, tie, dst, e, self.dual.level[dst])
 
     def ensure_fresh(self, i: int) -> None:
         if i in self._dirty:
@@ -225,21 +197,13 @@ class DerivedGraph:
         if not stale:
             return []
         dual, edges, saturated = self.dual, self.instance.edges, self._saturated
-        exact = self.num.exact
-        if exact:
-            nb, db = dual.beta[j].as_integer_ratio()
         result = []
         for e in stale:
             if saturated[e]:
-                spec = edges[e]
-                if spec.src in self._dirty:
-                    self.rebuild_preferred(spec.src)
-                a = dual.alpha[spec.src]
-                if exact:
-                    na, da = a.as_integer_ratio()
-                    if (spec.profit * db - spec.price * nb) * da > na * db:
-                        continue
-                elif self.num.is_pos(dual.effective_profit(e) - a):
+                src = edges[e].src
+                if src in self._dirty:
+                    self.rebuild_preferred(src)
+                if dual.has_slack(e):
                     continue
             result.append(e)
         if len(result) > 1:

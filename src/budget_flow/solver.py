@@ -390,8 +390,9 @@ def solve(
             on_iteration(graph)
     flow = list(map(primal.value, primal.flow))
     alpha, beta = list(map(dual.value, dual.alpha)), list(map(dual.value, dual.beta))
+    exact = config.numeric_mode == "exact"
     certificate = certify(
         instance, flow, alpha, beta, config.epsilon,
-        rigorous=num.exact, tol=0 if num.exact else config.float_tol,
+        rigorous=exact, tol=0 if exact else config.float_tol,
     )
     return Solution(instance, config, flow, alpha, beta, certificate, stats, terminated)

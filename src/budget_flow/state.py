@@ -1,4 +1,9 @@
-"""Primal flow state and dual price state of an auction run."""
+"""Primal flow state and dual price state of an auction run.
+
+The one module that knows how a run stores its numbers: the base classes
+hold the float rules, the `Exact` subclasses the exact ones, and
+`make_states` picks a mode's three once.
+"""
 
 from __future__ import annotations
 
@@ -34,25 +39,19 @@ class RunStats:
 
 
 class Numerics:
-    """Comparison policy: exact rationals (tol 0) or float64 with tolerance.
+    """Comparison policy of a float run: float64 within the tolerance `tol`.
 
-    The methods below are the float rules.  Exact mode binds its rules once,
-    at construction: plain operators, and sign tests that read the numerator,
-    which carries the sign because the denominator of a Fraction or a `Ratio`
-    is always positive and an int is its own numerator.  `value` converts a
-    number of the instance to the mode's type: a Fraction or a float.
+    `value` converts a number of the instance to the mode's type, `number`.
+    `ExactNumerics` holds the exact rules.
     """
 
-    def __init__(self, exact: bool = True, tol: float = 0.0):
-        self.exact = exact
-        self.tol = Fraction(0) if exact else tol
-        if exact:
-            self.value = Fraction
-            self.eq, self.le = operator.eq, operator.le
-            self.is_zero, self.is_pos = _numerator_is_zero, _numerator_is_pos
+    number = float
 
-    def value(self, x) -> Fraction | float:
-        return float(x)
+    def __init__(self, tol: float = 0.0):
+        self.tol = tol
+
+    def value(self, x):
+        return self.number(x)
 
     def eq(self, a, b) -> bool:
         return abs(a - b) <= self.tol
@@ -67,14 +66,29 @@ class Numerics:
         return a > self.tol
 
 
-class Ratio:
-    """An exact value numerator/denominator, denominator > 0, kept unreduced.
+class ExactNumerics(Numerics):
+    """Exact rationals: plain operators, and sign tests that read the
+    numerator, which carries the sign because the denominator of a Fraction
+    or a `Ratio` is always positive and an int is its own numerator."""
 
-    Exact duals are stored as these pairs.  Like a Fraction they expose
-    `numerator`, which carries the sign, and `as_integer_ratio`, so the sign
-    tests of `Numerics` and the integer tests of `derived_graph` read either;
-    `DualState.value` turns one into a reduced Fraction.
-    """
+    number = Fraction
+    eq = staticmethod(operator.eq)
+    le = staticmethod(operator.le)
+
+    @staticmethod
+    def is_zero(a) -> bool:
+        return a.numerator == 0
+
+    @staticmethod
+    def is_pos(a) -> bool:
+        return a.numerator > 0
+
+
+class Ratio:
+    """An exact value numerator/denominator, denominator > 0, kept unreduced:
+    an exact dual, or the tie of an exact heap entry.  Like a Fraction it
+    exposes `numerator`, which carries the sign, and `as_integer_ratio`, and
+    it compares by cross-multiplication, as the value it stands for."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -83,6 +97,12 @@ class Ratio:
 
     def as_integer_ratio(self) -> tuple[int, int]:
         return self.numerator, self.denominator
+
+    def __eq__(self, other) -> bool:
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+    def __lt__(self, other) -> bool:
+        return self.numerator * other.denominator < other.numerator * self.denominator
 
     def __repr__(self) -> str:
         return f"Ratio({self.numerator}, {self.denominator})"
@@ -96,40 +116,32 @@ class PrimalState:
     Both always equal their defining sums, since `add_flow` moves them with
     the flow.
 
-    A float run stores floats.  An exact run stores ints: each quantity is
-    its numerator over one shared denominator, `scale`, and the amounts a
-    caller passes and gets back are in the same units.  `value` reads a stored
-    quantity as a number and `units` converts a number back.  `divide` is the
-    one division: when a quotient is not whole it multiplies `scale`, and every
-    stored numerator, by the least factor that makes it whole, so a numerator
-    a caller holds across it is stale.  The methods below are the float rules;
-    exact mode binds its own at construction, as `Numerics` does.
+    Each quantity is stored as a `number` over one shared denominator,
+    `scale`, and the amounts a caller passes and gets back are in the same
+    units.  `value` reads a stored quantity as a number and `units` converts
+    a number back.  `divide` is the one division.  The methods below are the
+    float rules, where `scale` stays 1; `ExactPrimal` holds the exact ones.
     """
+
+    number = float
 
     def __init__(self, instance: ProblemInstance, num: Numerics):
         self.instance = instance
         self.num = num
-        if num.exact:
-            self.scale = 1
-            self.zero = 0
-            self._flowing: set[int] = set()  # the edges with positive flow
-            self.flow = [0] * len(instance.edges)
-            self.surplus = list(instance.supply)
-            self.residual = list(instance.budget)
-            self.add_flow, self.divide = self._exact_add_flow, self._exact_divide
-            self.clamp, self.units = self._exact_clamp, self._exact_units
-            self.edge_saturated = self._exact_edge_saturated
-            self.forward_residual = self._exact_forward_residual
-            self.value = self._exact_value
-            return
-        self.zero = num.value(0)
-        self.flow = [num.value(0) for _ in instance.edges]
-        self.surplus = [num.value(a) for a in instance.supply]
-        self.residual = [num.value(b) for b in instance.budget]
+        self.scale = 1
+        self.zero = self.number(0)
+        self._flowing: set[int] = set()  # the edges `add_flow` left nonzero
+        self.flow = [self.zero] * len(instance.edges)
+        self.surplus = [self.number(a) for a in instance.supply]
+        self.residual = [self.number(b) for b in instance.budget]
 
     def add_flow(self, e: int, delta) -> None:
         spec = self.instance.edges[e]
-        self.flow[e] += delta
+        f = self.flow[e] = self.flow[e] + delta
+        if f:
+            self._flowing.add(e)
+        else:
+            self._flowing.discard(e)
         self.surplus[spec.src] -= delta
         self.residual[spec.dst] -= delta * spec.price
 
@@ -138,14 +150,12 @@ class PrimalState:
 
     def edge_saturated(self, e: int) -> bool:
         cap = self.instance.edges[e].capacity
-        return cap is not None and self.num.eq(self.flow[e], cap)
+        return cap is not None and self.num.eq(self.flow[e], cap * self.scale)
 
     def forward_residual(self, e: int):
         """Remaining edge capacity; None means unbounded."""
         cap = self.instance.edges[e].capacity
-        if cap is None:
-            return None
-        return self.num.value(cap) - self.flow[e]
+        return None if cap is None else cap * self.scale - self.flow[e]
 
     def divide(self, n, d: int):
         """n/d in the caller's units; exact mode may rescale to keep it whole."""
@@ -158,31 +168,23 @@ class PrimalState:
 
     def units(self, x):
         """A number as a stored quantity."""
-        return self.num.value(x)
+        return self.number(x)
 
     def value(self, x):
         """A stored quantity as a number: the accessor monitors and tests read."""
         return x
 
-    def _exact_add_flow(self, e: int, delta: int) -> None:
-        spec = self.instance.edges[e]
-        f = self.flow[e] = self.flow[e] + delta
-        if f:
-            self._flowing.add(e)
-        else:
-            self._flowing.discard(e)
-        self.surplus[spec.src] -= delta
-        self.residual[spec.dst] -= delta * spec.price
 
-    def _exact_edge_saturated(self, e: int) -> bool:
-        cap = self.instance.edges[e].capacity
-        return cap is not None and self.flow[e] == cap * self.scale
+class ExactPrimal(PrimalState):
+    """Exact rules: each quantity is an int numerator over `scale`.  When a
+    quotient is not whole, `divide` multiplies `scale`, and every stored
+    numerator, by the least factor that makes it whole, so a numerator a
+    caller holds across it is stale."""
 
-    def _exact_forward_residual(self, e: int) -> int | None:
-        cap = self.instance.edges[e].capacity
-        return None if cap is None else cap * self.scale - self.flow[e]
+    number = int
+    _zero_value = Fraction(0)
 
-    def _exact_divide(self, n: int, d: int) -> int:
+    def divide(self, n: int, d: int) -> int:
         q, r = divmod(n, d)
         if not r:
             return q
@@ -190,14 +192,15 @@ class PrimalState:
         self._rescale(d // g)
         return n // g
 
-    def _exact_clamp(self, phi: int, n: int, d: int) -> int:
-        return self._exact_divide(n, d) if n < phi * d else phi
+    def clamp(self, phi: int, n: int, d: int) -> int:
+        return self.divide(n, d) if n < phi * d else phi
 
-    def _exact_units(self, x) -> int:
-        return self._exact_divide(x.numerator * self.scale, x.denominator)
+    def units(self, x) -> int:
+        return self.divide(x.numerator * self.scale, x.denominator)
 
-    def _exact_value(self, x: int) -> Fraction:
-        return Fraction(x, self.scale)
+    def value(self, x: int) -> Fraction:
+        """Zero reads as one shared Fraction, so zero flows build none."""
+        return Fraction(x, self.scale) if x else self._zero_value
 
     def _rescale(self, factor: int) -> None:
         """Multiply `scale` and every stored numerator by `factor`; zero flows
@@ -220,9 +223,12 @@ class DualState:
     beta_j and bumps level[j] together; a solve calls it through
     `DerivedGraph.raise_beta`, which also records the flow it leaves stale.
 
-    A float run stores floats; an exact run stores each alpha and beta as a
-    `Ratio`, which `value` reads as a reduced Fraction.
+    Each alpha and beta is stored as a `number`; the methods below are the
+    float rules and `ExactDual` holds the exact ones.  `heap_key` and
+    `has_slack` are the derived graph's two tests on prices.
     """
+
+    number = float
 
     def __init__(self, instance: ProblemInstance, config: SolverConfig, num: Numerics):
         self.instance = instance
@@ -234,17 +240,9 @@ class DualState:
             for out in map(instance.edges_of_source, range(instance.n))
         ]
         self.level = [0] * instance.m
-        if num.exact:
-            self.zero = Ratio(0)
-            self.alpha = [Ratio(c) for c in best]
-            self.beta = [self.zero] * instance.m
-            self._rise = self.rise_factor.as_integer_ratio()
-            self.effective_profit = self._exact_effective_profit
-            self.raise_beta, self.value = self._exact_raise_beta, self._exact_value
-            return
-        self.zero = num.value(0)
-        self.alpha = [num.value(c) for c in best]
-        self.beta = [num.value(0) for _ in range(instance.m)]
+        self.zero = self.number(0)
+        self.alpha = [self.number(c) for c in best]
+        self.beta = [self.zero] * instance.m
 
     def next_beta(self, j: int):
         """Sink j's next price, or None while no in-edge is profitable.
@@ -253,10 +251,7 @@ class DualState:
         in-edges; a priced one rises by the factor (1 + epsilon).
         """
         if self.level[j]:
-            b = self.beta[j]
-            if self.num.exact:
-                return Ratio(b.numerator * self._rise[0], b.denominator * self._rise[1])
-            return b * self.rise_factor
+            return self._risen(self.beta[j])
         edges = self.instance.edges
         rates = [
             Fraction(edges[e].profit, edges[e].price)
@@ -264,6 +259,9 @@ class DualState:
             if edges[e].profit > 0
         ]
         return self.epsilon * self.num.value(min(rates)) if rates else None
+
+    def _risen(self, b):
+        return b * self.rise_factor
 
     def raise_beta(self, j: int, new_value) -> None:
         self.beta[j] = new_value
@@ -273,31 +271,66 @@ class DualState:
         spec = self.instance.edges[e]
         return spec.profit - spec.price * self.beta[spec.dst]
 
+    def heap_key(self, e: int) -> tuple:
+        """The leading pair `(-key, tie)` of edge e's heap entry, key = c - p*beta.
+        A float key orders alone, so `tie` is None."""
+        return -self.effective_profit(e), None
+
+    def has_slack(self, e: int) -> bool:
+        """Whether edge e's price slack c - p*beta - alpha is positive."""
+        return self.num.is_pos(
+            self.effective_profit(e) - self.alpha[self.instance.edges[e].src])
+
     def value(self, x):
         """A stored dual as a number: the accessor monitors and tests read."""
         return x
 
-    def _exact_raise_beta(self, j: int, new_value) -> None:
-        """Any exact rational is stored as a Ratio."""
-        self.beta[j] = Ratio(*new_value.as_integer_ratio())
-        self.level[j] += 1
 
-    def _exact_effective_profit(self, e: int) -> Ratio:
+class ExactDual(DualState):
+    """Exact rules: each alpha and beta is a `Ratio`, read as a reduced Fraction.
+
+    With beta = Nb/Db, a heap key c - p*beta is kn/Db, kn = c*Db - p*Nb.  Its
+    entry leads with the correctly rounded int division `kn / Db`, as float()
+    of kn/Db reduced, or +-inf beyond the float range, so it is monotone, and
+    only equal floats read the tie `Ratio(-kn, Db)`.  A slack c - p*beta -
+    alpha, alpha = Na/Da, is tested in integers, as `(c*Db - p*Nb)*Da > Na*Db`.
+    """
+
+    number = Ratio
+
+    def _risen(self, b) -> Ratio:
+        r = self.rise_factor
+        return Ratio(b.numerator * r.numerator, b.denominator * r.denominator)
+
+    def raise_beta(self, j: int, new_value) -> None:
+        """Any exact rational is stored as a Ratio."""
+        super().raise_beta(j, Ratio(*new_value.as_integer_ratio()))
+
+    def effective_profit(self, e: int) -> Ratio:
         spec = self.instance.edges[e]
         b = self.beta[spec.dst]
         return Ratio(spec.profit * b.denominator - spec.price * b.numerator, b.denominator)
 
+    def heap_key(self, e: int) -> tuple:
+        spec = self.instance.edges[e]
+        b = self.beta[spec.dst]
+        db = b.denominator
+        kn = spec.profit * db - spec.price * b.numerator
+        try:
+            key = kn / db
+        except OverflowError:
+            key = math.inf if kn > 0 else -math.inf
+        return -key, Ratio(-kn, db)
+
+    def has_slack(self, e: int) -> bool:
+        spec = self.instance.edges[e]
+        b, a = self.beta[spec.dst], self.alpha[spec.src]
+        return ((spec.profit * b.denominator - spec.price * b.numerator) * a.denominator
+                > a.numerator * b.denominator)
+
     @staticmethod
-    def _exact_value(x) -> Fraction:
+    def value(x) -> Fraction:
         return Fraction(x.numerator, x.denominator)
-
-
-def _numerator_is_zero(a) -> bool:
-    return a.numerator == 0
-
-
-def _numerator_is_pos(a) -> bool:
-    return a.numerator > 0
 
 
 def dual_bound(instance: ProblemInstance, epsilon) -> float:
@@ -331,13 +364,13 @@ def make_states(
     most the primal value, itself at most sum(a)*max c.
     """
     if config.numeric_mode == "exact":
-        num = Numerics(exact=True)
-        return PrimalState(instance, num), DualState(instance, config, num), num
+        num = ExactNumerics()
+        return ExactPrimal(instance, num), ExactDual(instance, config, num), num
     check_float_range(instance)
     bound = dual_bound(instance, config.epsilon)
     if not math.isfinite(bound):
         raise ValueError("dual bound beyond the float range")
-    num = Numerics(exact=False, tol=config.float_tol / bound)
+    num = Numerics(tol=config.float_tol / bound)
     dual = DualState(instance, config, num)
     terms = 1 + (instance.kind is Kind.BTS)
     try:  # max(alpha) is max c

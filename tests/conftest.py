@@ -12,7 +12,7 @@ import pytest
 from budget_flow.derived_graph import DerivedGraph
 from budget_flow.instance import EdgeSpec, Kind, ProblemInstance, SolverConfig
 from budget_flow.solver import RunStats
-from budget_flow.state import Numerics, PrimalState, make_states
+from budget_flow.state import ExactNumerics, PrimalState, make_states
 
 # A phase cap for test solves: the runs here take at most a few hundred phases
 # on instances whose rise bounds are at most a few hundred, so a run that
@@ -68,13 +68,10 @@ class FractionPrimal(PrimalState):
     plain Fraction and every limit divided, with no shared denominator.  The
     same push on it and on the exact state must give the same values."""
 
+    number = Fraction
+
     def __init__(self, instance: ProblemInstance):
-        super().__init__(instance, Numerics(exact=False))
-        self.num = Numerics(exact=True)
-        self.zero = Fraction(0)
-        self.flow = [Fraction(0)] * len(instance.edges)
-        self.surplus = [Fraction(a) for a in instance.supply]
-        self.residual = [Fraction(b) for b in instance.budget]
+        super().__init__(instance, ExactNumerics())
 
 
 def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=None,

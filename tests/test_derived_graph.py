@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budget_flow.derived_graph import DerivedGraph, ExactKey, PathKind
+from budget_flow.derived_graph import DerivedGraph, PathKind
 from budget_flow.instance import SolverConfig, generate
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 import budget_flow.solver as solver_mod
@@ -85,7 +85,8 @@ def test_equal_exact_keys_in_different_ratios_fall_through_to_the_sink_index():
     # Edge 0 is pushed first, so a tie read as unequal would leave it on top.
     inst = btp([5], [9, 9], [(0, 1, 2, 4), (0, 0, 2, 2)])
     primal, dual, graph = priced_graph(inst, {0: Fraction(1, 2), 1: Fraction(1, 4)})
-    ties = sorted((entry[1].kn, entry[1].d) for entry in graph._heaps[0])
+    # each tie is Ratio(-kn, Db) for the key kn/Db
+    ties = sorted((-entry[1].numerator, entry[1].denominator) for entry in graph._heaps[0])
     assert ties == [(2, 2), (4, 4)]
     assert graph.preferred[0] == 1
     assert dual.value(dual.alpha[0]) == 1
@@ -126,10 +127,11 @@ key_pairs = st.tuples(st.integers(-10**6, 10**6), st.integers(1, 10**6)).flatmap
 def test_exact_key_orders_as_the_negated_fraction(pair):
     (ka, da), (kb, db) = pair
     a, b = Fraction(-ka, da), Fraction(-kb, db)
-    assert (ExactKey(ka, da) == ExactKey(kb, db)) == (a == b)
-    assert (ExactKey(ka, da) < ExactKey(kb, db)) == (a < b)
+    tie_a, tie_b = Ratio(-ka, da), Ratio(-kb, db)
+    assert (tie_a == tie_b) == (a == b)
+    assert (tie_a < tie_b) == (a < b)
     # the entry's leading pair orders exactly as the key, also on a float tie
-    entry_a, entry_b = (-(ka / da), ExactKey(ka, da)), (-(kb / db), ExactKey(kb, db))
+    entry_a, entry_b = (-(ka / da), tie_a), (-(kb / db), tie_b)
     assert (entry_a < entry_b) == (a < b)
     assert -(ka / da) == float(a)
 

@@ -1,24 +1,27 @@
-"""Exact `Numerics` against the plain Fraction operators, and edge saturation.
+"""`ExactNumerics` against the plain Fraction operators, and edge saturation.
 
-Exact mode binds its comparisons at construction and reads the numerator for
+Exact mode compares with the plain operators and reads the numerator for
 sign tests; these properties pin that to the operators they replace, on
 Fractions, ints and the unreduced `Ratio` pairs of exact duals alike,
-negative, zero and large.  Hypothesis runs
-derandomized with no example database, so the suite stays deterministic.
+negative, zero and large.  The capacity rules of `PrimalState` are one body
+for both modes; in float mode they must keep the bits of the float
+expressions.  Hypothesis runs derandomized with no example database, so the
+suite stays deterministic.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budget_flow.instance import SolverConfig
-from budget_flow.state import Numerics, Ratio, make_states
+from budget_flow.state import ExactNumerics, Numerics, PrimalState, Ratio, make_states
 from conftest import bts
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 BIG = 10**40
-EXACT = Numerics(exact=True)
+EXACT = ExactNumerics()
 
 ints = st.integers(-BIG, BIG) | st.integers(-3, 3)
 fractions = (
@@ -65,3 +68,26 @@ def test_edge_saturated_matches_the_converted_capacity(cap, mode, sign, offset):
     primal.add_flow(0, primal.units(num.value(cap + sign * offset)))
     assert primal.edge_saturated(0) is num.eq(primal.value(primal.flow[0]), num.value(cap))
     assert primal.edge_saturated(1) is False
+
+
+caps = st.integers(1, 2**64) | st.sampled_from([2**53 - 1, 2**53, 2**53 + 1, 2**63 + 1, 10**18 + 1])
+
+
+@PROPERTY
+@given(caps, st.data(), st.sampled_from([0.0, 1e-12, 1e-9, 0.5]))
+def test_float_capacity_rules_keep_the_float_bits(cap, data, tol):
+    """`forward_residual` and `edge_saturated` compute `cap * scale - f` and
+    `eq(f, cap * scale)` with scale 1; in float mode these give the bits of
+    `float(cap) - f` and `eq(f, float(cap))`, also for capacities no float holds."""
+    near = float(cap)
+    flow = data.draw(
+        st.sampled_from([near, math.nextafter(near, 0), math.nextafter(near, math.inf),
+                         near - tol, near + tol, 0.0, -0.0])
+        | st.floats(0, 2.0**65)
+    )
+    num = Numerics(tol=tol)
+    primal = PrimalState(bts([1], [1], [(0, 0, 1, 1, cap)]), num)
+    primal.flow[0] = flow
+    residual = primal.forward_residual(0)
+    assert type(residual) is float and residual.hex() == (float(cap) - flow).hex()
+    assert primal.edge_saturated(0) is num.eq(flow, float(cap))

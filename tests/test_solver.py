@@ -18,14 +18,14 @@ from budget_flow.solver import (
     push_flow_path,
     solve,
 )
-from budget_flow.state import Numerics, dual_bound, make_states
+from budget_flow.state import ExactNumerics, Numerics, dual_bound, make_states
 from conftest import (
     PHASE_CAP, FractionPrimal, btp, bts, build_cycle_state, move, random_simple_cycle,
     recompute_check, simulate_revolutions, values,
 )
 
 EPS4 = SolverConfig(epsilon=Fraction(1, 4), max_phases=PHASE_CAP)
-EXACT = Numerics(exact=True)
+EXACT = ExactNumerics()
 
 
 def path_state(instance, config=EPS4):
@@ -263,7 +263,7 @@ def test_geometric_limit_matches_naive_scan():
 
 def test_geometric_limit_accepts_amounts_below_float_tolerance():
     # positive but under float_tol: a converging series, not an error
-    num = Numerics(exact=False, tol=1e-9)
+    num = Numerics(tol=1e-9)
     assert geometric_limit(1.7e-10, 0.5, 10.0, num) is None
     with pytest.raises(ValueError):
         geometric_limit(0.0, 0.5, 10.0, num)
