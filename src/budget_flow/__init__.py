@@ -13,12 +13,10 @@ from .instance import (
     Kind,
     ProblemInstance,
     SolverConfig,
-    ValidationReport,
     diagnostics,
     generate,
     parse,
     serialize,
-    validate,
 )
 from .oracle import approx_factor, exact_opt
 from .solver import Solution, solve
@@ -31,7 +29,6 @@ __all__ = [
     "ProblemInstance",
     "Solution",
     "SolverConfig",
-    "ValidationReport",
     "approx_factor",
     "certify",
     "diagnostics",
@@ -40,7 +37,6 @@ __all__ = [
     "parse",
     "serialize",
     "solve",
-    "validate",
     "weak_duality_bound",
 ]
 

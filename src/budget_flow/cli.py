@@ -232,6 +232,10 @@ def cmd_reduce(args) -> int:
         _write(args.output, serialize(split))
         return 0
     flow, _, _, _, _ = parse_solution(_read(args.map_back), split)
+    for value, spec in zip(flow, split.edges):
+        if not 0 <= value <= spec.capacity:
+            raise ValueError(f"flow {spec.src + 1} {spec.dst + 1} seg={spec.segment}: "
+                             f"{value} is outside [0, {spec.capacity}]")
     normalized = reductions.normalize_split_solution(flow, edge_map)
     totals = reductions.reassemble(normalized, edge_map)
     lines = []

@@ -60,13 +60,17 @@ class ProblemInstance:
     """Immutable bipartite instance: supplies, budgets, priced/profit edges.
 
     Sources and sinks are 0-based internally; the file format is 1-based.
-    Instances are safe to share across concurrent solver runs.
+    Construction validates, so an instance that exists is valid; instances
+    are safe to share across concurrent solver runs.
     """
 
     kind: Kind
     supply: tuple[int, ...]
     budget: tuple[int, ...]
     edges: tuple[EdgeSpec, ...]
+
+    def __post_init__(self):
+        validate(self)  # looked up at call time, so a wrapped `validate` sees every check
 
     @property
     def n(self) -> int:
@@ -125,12 +129,6 @@ class SolverConfig:
 
 
 @dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class InstanceDiagnostics:
     """Profit-rate spread U and the implied cap on price-level raises.
 
@@ -145,8 +143,8 @@ class InstanceDiagnostics:
     ops_per_rise_allowance: float
 
 
-def validate(instance: ProblemInstance) -> ValidationReport:
-    """Check all structural invariants, returning the complete violation list."""
+def validate(instance: ProblemInstance) -> None:
+    """Check every structural invariant; raise InstanceValidationError listing all faults."""
     issues: list[str] = []
     if instance.n < 1:
         issues.append("no sources")
@@ -181,7 +179,8 @@ def validate(instance: ProblemInstance) -> ValidationReport:
         if faults:  # the prefix is built only for an edge with a fault
             tag = f"edge {e + 1} ({spec.src + 1},{spec.dst + 1})"
             issues.extend(f"{tag}: {fault}" for fault in faults)
-    return ValidationReport(ok=not issues, violations=tuple(issues))
+    if issues:
+        raise InstanceValidationError(issues)
 
 
 def check_float_range(instance: ProblemInstance, flow=(), alpha=(), beta=()) -> None:
@@ -196,14 +195,6 @@ def check_float_range(instance: ProblemInstance, flow=(), alpha=(), beta=()) -> 
                 float(x)
             except OverflowError:
                 raise ValueError(f"{name} {k}: number beyond the float range") from None
-
-
-def check_valid(instance: ProblemInstance) -> ProblemInstance:
-    """Raise InstanceValidationError unless `instance` validates cleanly."""
-    report = validate(instance)
-    if not report.ok:
-        raise InstanceValidationError(list(report.violations))
-    return instance
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +353,7 @@ def parse(text: str) -> ProblemInstance:
         )
 
     supply, budget, edges = transport_records(lines, header_line, n, m, num_edges, edge)
-    return check_valid(ProblemInstance(kind, supply, budget, edges))
+    return ProblemInstance(kind, supply, budget, edges)
 
 
 def serialize(instance: ProblemInstance) -> str:
@@ -432,13 +423,12 @@ def generate(
             )
     if not edges:
         raise EmptySample("empty edge set after sampling; raise density or retry seed")
-    instance = ProblemInstance(
+    return ProblemInstance(
         kind=kind,
         supply=tuple(rng.randint(*a_range) for _ in range(n)),
         budget=tuple(rng.randint(*b_range) for _ in range(m)),
         edges=tuple(edges),
     )
-    return check_valid(instance)
 
 
 def diagnostics(instance: ProblemInstance, epsilon: Fraction) -> InstanceDiagnostics:

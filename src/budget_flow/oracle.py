@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .instance import ProblemInstance, check_valid
+from .instance import ProblemInstance
 
 ORACLE_EDGE_LIMIT = 100
 
@@ -121,7 +121,6 @@ def exact_opt(instance: ProblemInstance) -> tuple[Fraction, list[Fraction]]:
     Guarded at ORACLE_EDGE_LIMIT edges, where one solve takes up to a few
     seconds; beyond that this oracle is not meant to run.
     """
-    check_valid(instance)
     if len(instance.edges) > ORACLE_EDGE_LIMIT:
         raise OracleSizeError("instance too large for oracle")
     rows, rhs = _lp_rows(instance)

@@ -16,7 +16,6 @@ from .instance import (
     InstanceValidationError,
     Kind,
     ProblemInstance,
-    check_valid,
     integer,
     read_header,
     transport_records,
@@ -41,10 +40,15 @@ class PiecewiseEdge:
 
 @dataclass(frozen=True)
 class PiecewiseInstance:
+    """Supplies, budgets and concave profile edges; construction validates."""
+
     supply: tuple[int, ...]
     budget: tuple[int, ...]
     segment_length: int
     edges: tuple[PiecewiseEdge, ...]
+
+    def __post_init__(self):
+        validate_piecewise(self)
 
     @property
     def n(self) -> int:
@@ -63,26 +67,32 @@ class EdgeMap:
     groups: tuple[tuple[int, ...], ...]  # groups[o][k] = split edge index
 
 
-def validate_piecewise(pw: PiecewiseInstance) -> list[str]:
+def validate_piecewise(pw: PiecewiseInstance) -> None:
+    """Raise InstanceValidationError listing every fault, as `validate` does."""
     issues = []
     if pw.segment_length < 1:
         issues.append("segment length must be at least 1")
     seen: set[tuple[int, int]] = set()
     for o, edge in enumerate(pw.edges):
+        faults = []
         if (edge.src, edge.dst) in seen:
-            issues.append(f"edge {o}: duplicate pair (one profile per source-sink pair)")
+            faults.append("duplicate pair (one profile per source-sink pair)")
         seen.add((edge.src, edge.dst))
         if not edge.slopes:
-            issues.append(f"edge {o}: empty profile")
+            faults.append("empty profile")
         if any(a < b for a, b in zip(edge.slopes, edge.slopes[1:])):
-            issues.append(f"edge {o}: profile not concave (slopes must not increase)")
+            faults.append("profile not concave (slopes must not increase)")
         if any(s < 0 for s in edge.slopes):
-            issues.append(f"edge {o}: negative slope unsupported")
+            faults.append("negative slope unsupported")
         if edge.price < 1:
-            issues.append(f"edge {o}: zero price")
+            faults.append("zero price")
         if not (0 <= edge.src < pw.n and 0 <= edge.dst < pw.m):
-            issues.append(f"edge {o}: dangling source or sink index")
-    return issues
+            faults.append("dangling source or sink index")
+        if faults:
+            tag = f"edge {o + 1} ({edge.src + 1},{edge.dst + 1})"
+            issues.extend(f"{tag}: {fault}" for fault in faults)
+    if issues:
+        raise InstanceValidationError(issues)
 
 
 def split_piecewise(pw: PiecewiseInstance) -> tuple[ProblemInstance, EdgeMap]:
@@ -91,9 +101,6 @@ def split_piecewise(pw: PiecewiseInstance) -> tuple[ProblemInstance, EdgeMap]:
     Segment k gets capacity `segment_length`, profit slopes[k] and the
     original price; the duplicate-edge rule keys on (src, dst, segment).
     """
-    issues = validate_piecewise(pw)
-    if issues:
-        raise InstanceValidationError(issues)
     edges = []
     groups = []
     for edge in pw.edges:
@@ -111,10 +118,8 @@ def split_piecewise(pw: PiecewiseInstance) -> tuple[ProblemInstance, EdgeMap]:
                 )
             )
         groups.append(tuple(group))
-    instance = ProblemInstance(
-        kind=Kind.BTS, supply=pw.supply, budget=pw.budget, edges=tuple(edges)
-    )
-    return check_valid(instance), EdgeMap(pw.segment_length, tuple(groups))
+    split = ProblemInstance(kind=Kind.BTS, supply=pw.supply, budget=pw.budget, edges=tuple(edges))
+    return split, EdgeMap(pw.segment_length, tuple(groups))
 
 
 def fill_order_holds(flows, edge_map: EdgeMap) -> bool:
@@ -195,11 +200,7 @@ def parse_piecewise(text: str) -> PiecewiseInstance:
         return PiecewiseEdge(src - 1, dst - 1, price, tuple(slopes))
 
     supply, budget, edges = transport_records(lines, header_line, n, m, num_edges, edge)
-    pw = PiecewiseInstance(supply, budget, seg_len if seg_len is not None else 1, edges)
-    issues = validate_piecewise(pw)
-    if issues:
-        raise InstanceValidationError(issues)
-    return pw
+    return PiecewiseInstance(supply, budget, seg_len if seg_len is not None else 1, edges)
 
 
 def serialize_piecewise(pw: PiecewiseInstance) -> str:

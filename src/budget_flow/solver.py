@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .certify import Certificate, certify
 from .derived_graph import DerivedGraph, PathKind
-from .instance import ProblemInstance, SolverConfig, check_valid
+from .instance import ProblemInstance, SolverConfig
 from .state import Numerics, PrimalState, RunStats, make_states
 
 
@@ -319,7 +319,7 @@ def solve(
     Parameters
     ----------
     instance : ProblemInstance
-        btp or bts instance; validated before the run starts.
+        btp or bts instance.
     config : SolverConfig
         epsilon, numeric mode, optional phase cap.
     on_iteration : callable, optional
@@ -338,7 +338,6 @@ def solve(
     partial state is still returned and certified as-is.
     """
     config = config or SolverConfig()
-    check_valid(instance)
     primal, dual, num = make_states(instance, config)
     stats = RunStats()
     graph = DerivedGraph(instance, primal, dual, stats)

@@ -10,7 +10,13 @@ from fractions import Fraction
 import pytest
 
 from budget_flow.derived_graph import DerivedGraph
-from budget_flow.instance import EdgeSpec, Kind, ProblemInstance, SolverConfig
+from budget_flow.instance import (
+    EdgeSpec,
+    InstanceValidationError,
+    Kind,
+    ProblemInstance,
+    SolverConfig,
+)
 from budget_flow.solver import RunStats
 from budget_flow.state import ExactNumerics, PrimalState, make_states
 
@@ -49,6 +55,13 @@ def bts(supply, budget, edges) -> ProblemInstance:
         budget=tuple(budget),
         edges=tuple(EdgeSpec(*e) for e in edges),
     )
+
+
+def violations(build) -> list[str]:
+    """The ordered violation list of the InstanceValidationError `build()` raises."""
+    with pytest.raises(InstanceValidationError) as info:
+        build()
+    return info.value.violations
 
 
 @pytest.fixture

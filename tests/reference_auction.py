@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from budget_flow.instance import Kind, ProblemInstance, SolverConfig, check_valid
+from budget_flow.instance import Kind, ProblemInstance, SolverConfig
 from budget_flow.state import Numerics, RunStats, make_states
 
 
@@ -103,7 +103,7 @@ def initialize(
     instance: ProblemInstance, config: SolverConfig
 ) -> tuple[ReferencePrimal, ReferenceDual]:
     """Zero flow, zero sink prices, alpha_i = max profit out of i."""
-    _reject_capacitated(check_valid(instance))
+    _reject_capacitated(instance)
     _, _, num = make_states(instance, config)
     return ReferencePrimal(instance, num), ReferenceDual(instance, config, num)
 

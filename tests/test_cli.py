@@ -130,6 +130,26 @@ def test_reduce_piecewise_map_back(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "records, reason",
+    [
+        ("flow 1 1 2 seg=1\nflow 1 1 3 seg=2\n", "flow 1 1 seg=2: 3 is outside [0, 2]"),
+        ("flow 1 1 -3 seg=1\n", "flow 1 1 seg=1: -3 is outside [0, 2]"),
+    ],
+)
+def test_reduce_map_back_flow_outside_its_segment_exits_2(tmp_path, capsys, records, reason):
+    # the profile `pw 2 5 3` has domain 4: two segments of capacity 2
+    src = tmp_path / "in.pw"
+    src.write_text(PIECEWISE)
+    sol = tmp_path / "split.sol"
+    sol.write_text(records)
+    mapped = tmp_path / "mapped.txt"
+    args = ["reduce", "--piecewise", str(src), str(mapped), "--map-back", str(sol)]
+    assert run_cli(args) == 2
+    assert capsys.readouterr().err == f"error: {reason}\n"
+    assert not mapped.exists()
+
+
+@pytest.mark.parametrize(
     "text, line",
     [
         ("p pw 2 1 1\ns 1 6\nt 1 50\ne 1 1 3 pw 2 5 3\n", 1),  # no `s 2` line

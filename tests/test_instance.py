@@ -1,7 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+import budget_flow.instance
+import budget_flow.reductions
 from budget_flow.instance import (
     EdgeSpec,
     InstanceFormatError,
@@ -14,43 +17,37 @@ from budget_flow.instance import (
     generate,
     parse,
     serialize,
-    validate,
 )
-from conftest import btp
+from budget_flow.reductions import parse_piecewise, split_piecewise
+from budget_flow.solver import solve
+from conftest import btp, violations
 
 
 def test_validate_minimal_ok(one_by_one):
-    report = validate(one_by_one)
-    assert report.ok and report.violations == ()
+    assert replace(one_by_one) == one_by_one  # constructing again raises nothing
 
 
 def test_validate_zero_price():
-    inst = btp([5], [10], [(0, 0, 3, 0)])
-    report = validate(inst)
-    assert not report.ok
-    assert any("zero price" in v for v in report.violations)
+    assert violations(lambda: btp([5], [10], [(0, 0, 3, 0)])) == ["edge 1 (1,1): zero price"]
 
 
 def test_validate_duplicate_edge():
-    inst = btp([5], [10], [(0, 0, 3, 2), (0, 0, 1, 1)])
-    report = validate(inst)
-    assert any("duplicate edge" in v for v in report.violations)
+    assert violations(lambda: btp([5], [10], [(0, 0, 3, 2), (0, 0, 1, 1)])) == [
+        "edge 2 (1,1): duplicate edge"
+    ]
 
 
 def test_validate_dangling_and_nonpositive():
-    inst = ProblemInstance(
+    assert violations(lambda: ProblemInstance(
         kind=Kind.BTP,
         supply=(0,),
         budget=(10,),
         edges=(EdgeSpec(0, 3, 1, 1),),
-    )
-    report = validate(inst)
-    assert any("dangling sink" in v for v in report.violations)
-    assert any("non-positive supply" in v for v in report.violations)
+    )) == ["non-positive supply at source 1", "edge 1 (1,4): dangling sink index"]
 
 
 def test_validate_lists_every_fault_in_order():
-    inst = ProblemInstance(
+    assert violations(lambda: ProblemInstance(
         kind=Kind.BTP,
         supply=(5, 0),
         budget=(10,),
@@ -60,8 +57,7 @@ def test_validate_lists_every_fault_in_order():
             EdgeSpec(1, 1, 4, 1, capacity=0),
             EdgeSpec(0, 0, 1, 1),
         ),
-    )
-    assert validate(inst).violations == (
+    )) == [
         "non-positive supply at source 2",
         "edge 2 (3,1): dangling source index",
         "edge 2 (3,1): zero price",
@@ -70,7 +66,43 @@ def test_validate_lists_every_fault_in_order():
         "edge 3 (2,2): non-positive capacity",
         "edge 3 (2,2): capacity on a btp instance",
         "edge 4 (1,1): duplicate edge",
-    )
+    ]
+
+
+ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
+ONE_PROFILE = "p pw 1 1 1\ns 1 6\nt 1 50\ne 1 1 3 pw 2 5 3\n"
+
+
+def counted(monkeypatch, module, name: str) -> list:
+    """Replace module.name with a wrapper that records each argument and then
+    runs the original check."""
+    calls = []
+    check = getattr(module, name)
+
+    def wrapper(value):
+        calls.append(value)
+        check(value)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "build, instance_checks, piecewise_checks",
+    [
+        (lambda valid: solve(parse(ONE_BY_ONE)), 1, 0),
+        (lambda valid: generate(seed=0, n=2, m=2, density=1.0), 1, 0),
+        (lambda valid: split_piecewise(parse_piecewise(ONE_PROFILE)), 1, 1),
+        (lambda valid: violations(lambda: replace(valid, supply=(0,))), 1, 0),
+    ],
+    ids=["solve-parse", "generate", "split-parse_piecewise", "replace-invalid"],
+)
+def test_each_value_is_validated_exactly_once(monkeypatch, one_by_one, build,
+                                              instance_checks, piecewise_checks):
+    instance_calls = counted(monkeypatch, budget_flow.instance, "validate")
+    piecewise_calls = counted(monkeypatch, budget_flow.reductions, "validate_piecewise")
+    build(one_by_one)
+    assert (len(instance_calls), len(piecewise_calls)) == (instance_checks, piecewise_checks)
 
 
 def test_parse_minimal():
@@ -122,7 +154,7 @@ def test_generate_deterministic_and_valid():
     b = generate(seed=0, n=2, m=2, density=1.0)
     assert a == b
     assert len(a.edges) == 4
-    assert validate(a).ok
+    assert replace(a) == a  # constructing again raises nothing
 
 
 def test_generate_full_density_edge_count():

@@ -4,7 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from budget_flow.instance import SolverConfig, check_valid, generate
+from budget_flow.instance import SolverConfig, generate
 from budget_flow.oracle import (
     ORACLE_EDGE_LIMIT,
     OracleSizeError,
@@ -56,7 +56,6 @@ def exact_opt_enumerated(instance):
     is the optimum.  Cost grows as C(#rows+|E|, |E|), so this is the
     test reference for the simplex, not a production path.
     """
-    check_valid(instance)
     ne = len(instance.edges)
     rows, rhs = _lp_rows(instance)
     for e in range(ne):  # nonnegativity as explicit rows -x_e <= 0

@@ -6,7 +6,6 @@ import pytest
 from budget_flow.cli import parse_solution
 from budget_flow.instance import (
     InstanceFormatError,
-    InstanceValidationError,
     Kind,
     parse,
     rational,
@@ -24,6 +23,7 @@ from budget_flow.reductions import (
     serialize_piecewise,
     split_piecewise,
 )
+from conftest import violations
 
 
 def pw_instance(slopes_per_edge, l=2, price=3):
@@ -295,13 +295,23 @@ def test_rationals_take_fraction_syntax():
 
 
 def test_validation_failures_are_typed():
-    nonconcave = PW_TEXT.replace("pw 2 5 3", "pw 2 3 5")
-    with pytest.raises(InstanceValidationError):
-        parse_piecewise(nonconcave)
-    with pytest.raises(InstanceValidationError):
-        split_piecewise(pw_instance([(3, 5)]))
-    with pytest.raises(InstanceValidationError):
-        split_piecewise(
-            PiecewiseInstance(supply=(5,), budget=(5,), segment_length=1,
-                              edges=(PiecewiseEdge(0, 1, 1, (2,)),))  # dangling sink
-        )
+    nonconcave = PW_TEXT.replace("pw 2 4 1", "pw 2 1 4")  # the second edge
+    assert violations(lambda: parse_piecewise(nonconcave)) == [
+        "edge 2 (1,2): profile not concave (slopes must not increase)"
+    ]
+    assert violations(lambda: pw_instance([(3, 5)])) == [
+        "edge 1 (1,1): profile not concave (slopes must not increase)"
+    ]
+    assert violations(lambda: PiecewiseInstance(
+        supply=(5,), budget=(5,), segment_length=0,
+        edges=(PiecewiseEdge(0, 1, 0, (2, -1, 3)), PiecewiseEdge(0, 1, 1, ())),
+    )) == [
+        "segment length must be at least 1",
+        "edge 1 (1,2): profile not concave (slopes must not increase)",
+        "edge 1 (1,2): negative slope unsupported",
+        "edge 1 (1,2): zero price",
+        "edge 1 (1,2): dangling source or sink index",
+        "edge 2 (1,2): duplicate pair (one profile per source-sink pair)",
+        "edge 2 (1,2): empty profile",
+        "edge 2 (1,2): dangling source or sink index",
+    ]
