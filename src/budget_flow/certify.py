@@ -2,7 +2,8 @@
 
 Everything here is recomputed from the raw instance plus flows and duals; the
 solver's internal state is never trusted.  In particular the implicit edge
-duals are reconstructed from alpha and beta rather than taken as input.
+duals are reconstructed from alpha and beta rather than taken as input, and the
+certificate returns the ones it checked.
 
 An exact certificate is computed on integers: the flows it is given are read
 over their own common denominator and the duals over theirs, and Fractions
@@ -36,7 +37,9 @@ class Certificate:
     |c - alpha - p*beta - gamma| - epsilon*c, so any positive value is a
     violation.  The other three residuals are worst absolute complementary
     products and must be exactly zero.  gap_ratio is None ("vacuous") when the
-    primal value is zero.
+    primal value is zero.  gammas holds the (edge, gamma) pairs of the edge
+    duals the checks used, in edge order: an edge its flow fills, within tol,
+    gets c - p*beta - alpha when that is above tol.
     """
 
     primal_feasible: bool
@@ -49,6 +52,7 @@ class Certificate:
     cs_flow_worst_excess: Fraction | float
     primal_value: Fraction | float
     dual_value: Fraction | float
+    gammas: tuple[tuple[int, Fraction | float], ...]
     gap_ratio: Fraction | float | None
     gap_status: str  # "ok" | "vacuous"
     identity_ok: bool
@@ -73,33 +77,6 @@ class Certificate:
         for v in self.primal_violations + self.dual_violations:
             lines.append(f"cert violation {v}")
         return lines
-
-
-def reconstruct_gamma(instance, flow, alpha, beta, tol=0) -> dict[int, Fraction | float]:
-    """Edge duals from scratch: max(0, c - p*beta - alpha) where flow fills capacity.
-
-    A zero flow is passed over without arithmetic: every capacity is at least 1
-    and `tol` is below 1, so it never fills one.
-    """
-    support = [e for e, f in enumerate(flow) if f]
-    return _gammas(instance, support, flow, alpha, beta, tol, 1, 1)
-
-
-def _gammas(instance, support, flow, alpha, beta, tol, flow_den, dual_den) -> dict:
-    """The gamma rule on the nonzero flows, the edges in `support`.
-
-    Flows are read over `flow_den` and duals over `dual_den`, and each gamma
-    is returned over `dual_den`.  With both denominators 1 the values are read
-    as they are, float bits included, since `x*1 == x`.
-    """
-    gammas = {}
-    for e in support:
-        spec = instance.edges[e]
-        if spec.capacity is not None and abs(flow[e] - spec.capacity * flow_den) <= tol:
-            slack = spec.profit * dual_den - spec.price * beta[spec.dst] - alpha[spec.src]
-            if slack > tol:
-                gammas[e] = slack
-    return gammas
 
 
 def _over_lcm(ratios) -> tuple[list[int], int]:
@@ -174,7 +151,16 @@ def certify(
     else:
         lf, ld, eps = 1, 1, epsilon
 
-    gammas = _gammas(instance, support, flow, alpha, beta, tol, lf, ld)
+    # the gamma rule: an edge its flow fills gets the dual slack c - p*beta -
+    # alpha when that is positive; a zero flow fills no edge, since every
+    # capacity is at least 1 and tol is below 1
+    gammas = {}
+    for e in support:
+        spec = edges[e]
+        if spec.capacity is not None and abs(flow[e] - spec.capacity * lf) <= tol:
+            slack = spec.profit * ld - spec.price * beta[spec.dst] - alpha[spec.src]
+            if slack > tol:
+                gammas[e] = slack
 
     primal_violations = []
     out_of = [zero] * n
@@ -274,17 +260,18 @@ def certify(
     )
     if exact:
         cs_source, cs_sink = Fraction(cs_source, ld * lf), Fraction(cs_sink, ld * lf)
-        cs_edge = Fraction(cs_edge, ld * lf)
+        # each gamma again, from the given values, so its type follows theirs
+        gammas = {
+            e: edges[e].profit - edges[e].price * given_beta[edges[e].dst]
+            - given_alpha[edges[e].src]
+            for e in gammas
+        }
         # a gamma needs a full edge, so every capacity term is 0 and the worst
-        # is the first; computed from the given values, that term is an int
-        # when its flow, alpha and beta are
-        first = next(iter(gammas), None)
-        if first is not None and all(
-            isinstance(x, int)
-            for x in (given_flow[first], given_alpha[edges[first].src],
-                      given_beta[edges[first].dst])
-        ):
-            cs_edge = int(cs_edge)
+        # is the first
+        cs_edge = next(
+            (abs(g * (edges[e].capacity - given_flow[e])) for e, g in gammas.items()),
+            Fraction(0),
+        )
         cs_flow_excess = Fraction(cs_flow_excess, ld)
         primal_value, dual_value = Fraction(primal_value, lf), Fraction(dual_value, ld)
     return Certificate(
@@ -298,6 +285,7 @@ def certify(
         cs_flow_worst_excess=cs_flow_excess,
         primal_value=primal_value,
         dual_value=dual_value,
+        gammas=tuple(gammas.items()),
         gap_ratio=gap_ratio,
         gap_status=gap_status,
         identity_ok=identity_ok,

@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from . import oracle, reductions
-from .certify import certify, fmt, reconstruct_gamma
+from .certify import certify, fmt
 from .instance import (
     EmptySample,
     InstanceFormatError,
@@ -84,11 +84,9 @@ def solution_to_text(solution: Solution) -> str:
         lines.append(f"alpha {i + 1} {fmt(a)}")
     for j, b in enumerate(solution.beta):
         lines.append(f"beta {j + 1} {fmt(b)}")
-    gammas = reconstruct_gamma(instance, solution.flow, solution.alpha, solution.beta)
-    for e in sorted(gammas):
-        if gammas[e] > 0:
-            spec = instance.edges[e]
-            lines.append(f"gamma {spec.src + 1} {spec.dst + 1} {fmt(gammas[e])}")
+    for e, g in cert.gammas:
+        spec = instance.edges[e]
+        lines.append(f"gamma {spec.src + 1} {spec.dst + 1} {fmt(g)}")
     lines.append(f"primal {fmt(cert.primal_value)}")
     lines.append(f"dual {fmt(cert.dual_value)}")
     lines.append(f"gap {fmt(cert.gap_ratio) if cert.gap_ratio is not None else 'vacuous'}")
@@ -386,7 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce = sub.add_parser(
         "reduce", help="split piecewise-linear profits, or map a split solution back"
     )
-    p_reduce.add_argument("--piecewise", action="store_true", required=True)
     p_reduce.add_argument("input")
     p_reduce.add_argument("output")
     p_reduce.add_argument("--map-back", default=None, metavar="SOLUTION")

@@ -105,11 +105,12 @@ class ProblemInstance:
 class SolverConfig:
     """Run parameters: approximation tolerance, determinism and numeric policy.
 
-    epsilon lies strictly between 0 and 1, and a max_phases cap is at least 0.
-    Ties among equally good sinks break toward the lowest index.  numeric_mode
-    "exact" keeps every quantity exact, as ints during the run and Fractions
-    in the solution; "float" runs in float64 and produces non-rigorous
-    certificates, checked within the constant `float_tol`.
+    epsilon lies strictly between 0 and 1 and is held as a Fraction, and a
+    max_phases cap is at least 0.  Ties among equally good sinks break toward
+    the lowest index.  numeric_mode "exact" keeps every quantity exact, as
+    ints during the run and Fractions in the solution; "float" runs in float64
+    and produces non-rigorous certificates, checked within the constant
+    `float_tol`.
     """
 
     epsilon: Fraction = Fraction(1, 4)
@@ -118,10 +119,9 @@ class SolverConfig:
     float_tol: ClassVar[float] = 1e-9
 
     def __post_init__(self):
-        eps = Fraction(self.epsilon) if not isinstance(self.epsilon, float) else self.epsilon
-        object.__setattr__(self, "epsilon", eps)
-        if not (0 < self.epsilon < 1):
+        if not (0 < self.epsilon < 1):  # before converting: Fraction refuses inf and nan
             raise ValueError("epsilon must be in (0, 1)")
+        object.__setattr__(self, "epsilon", Fraction(self.epsilon))
         if self.max_phases is not None and self.max_phases < 0:
             raise ValueError(f"max_phases must be at least 0, not {self.max_phases}")
         if self.numeric_mode not in ("exact", "float"):

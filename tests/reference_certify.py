@@ -177,6 +177,7 @@ def certify(
         cs_flow_worst_excess=cs_flow_excess,
         primal_value=primal_value,
         dual_value=dual_value,
+        gammas=tuple(gammas.items()),
         gap_ratio=gap_ratio,
         gap_status=gap_status,
         identity_ok=identity_ok,

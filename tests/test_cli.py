@@ -109,7 +109,7 @@ def test_reduce_piecewise_edge_count(tmp_path):
     src = tmp_path / "in.pw"
     src.write_text(PIECEWISE)
     out = tmp_path / "out.bts"
-    assert run_cli(["reduce", "--piecewise", str(src), str(out)]) == 0
+    assert run_cli(["reduce", str(src), str(out)]) == 0
     text = out.read_text()
     assert text.startswith("p bts 1 2 4")  # two profiles of two segments
     assert "seg=1" in text and "seg=2" in text
@@ -119,12 +119,12 @@ def test_reduce_piecewise_map_back(tmp_path):
     src = tmp_path / "in.pw"
     src.write_text(PIECEWISE)
     reduced = tmp_path / "out.bts"
-    run_cli(["reduce", "--piecewise", str(src), str(reduced)])
+    run_cli(["reduce", str(src), str(reduced)])
     sol = tmp_path / "split.sol"
     assert run_cli(["solve", str(reduced), "-o", str(sol)]) == 0
     mapped = tmp_path / "mapped.txt"
     assert run_cli(
-        ["reduce", "--piecewise", str(src), str(mapped), "--map-back", str(sol)]
+        ["reduce", str(src), str(mapped), "--map-back", str(sol)]
     ) == 0
     assert "primal" in mapped.read_text()
 
@@ -143,7 +143,7 @@ def test_reduce_map_back_flow_outside_its_segment_exits_2(tmp_path, capsys, reco
     sol = tmp_path / "split.sol"
     sol.write_text(records)
     mapped = tmp_path / "mapped.txt"
-    args = ["reduce", "--piecewise", str(src), str(mapped), "--map-back", str(sol)]
+    args = ["reduce", str(src), str(mapped), "--map-back", str(sol)]
     assert run_cli(args) == 2
     assert capsys.readouterr().err == f"error: {reason}\n"
     assert not mapped.exists()
@@ -160,16 +160,28 @@ def test_reduce_map_back_flow_outside_its_segment_exits_2(tmp_path, capsys, reco
 def test_reduce_piecewise_malformed_exits_2(tmp_path, capsys, text, line):
     src = tmp_path / "in.pw"
     src.write_text(text)
-    assert run_cli(["reduce", "--piecewise", str(src), str(tmp_path / "out.bts")]) == 2
+    assert run_cli(["reduce", str(src), str(tmp_path / "out.bts")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1
+
+
+def test_reduce_piecewise_flag_is_gone(tmp_path, capsys):
+    # `reduce` always splits a piecewise file, so the flag that said so is no option
+    src = tmp_path / "in.pw"
+    src.write_text(PIECEWISE)
+    out = tmp_path / "out.bts"
+    with pytest.raises(SystemExit) as info:
+        run_cli(["reduce", "--piecewise", str(src), str(out)])
+    assert info.value.code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --piecewise\n")
 
 
 def refuse_gflow(capsys, args, out):
     """`reduce --gflow` is no option: it exits 2 before any file is read and
     writes nothing; returns the error text."""
     with pytest.raises(SystemExit) as info:
-        run_cli(["reduce", "--piecewise", "--gflow", *args])
+        run_cli(["reduce", "--gflow", *args])
     assert info.value.code == 2
     assert not out.exists()
     err = capsys.readouterr().err

@@ -7,13 +7,17 @@ it pins flows, duals and certificate fields alone.  Both were first recorded
 before the derived graph was indexed (adjacency tuples, back-set memo,
 price-level heap stamps).  Lazy heap re-keying then changed the
 `heap_updates` and `operations` counters only: `GOLDEN` was re-recorded for
-it, and `STAT_FREE`, recorded before that change, held unedited.
+it, and `STAT_FREE`, recorded before that change, held unedited.  Both
+hashes of `bts-float-12` were re-recorded when its record gained the line
+`gamma 8 10 0.822277547441109`: the certificate had counted that edge dual in
+the `dual` line, but the record had left it out.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+from collections import defaultdict
 from fractions import Fraction
 
 import pytest
@@ -56,7 +60,7 @@ GOLDEN = {
     "btp-exact-11": "b25e86eed1ebc45985a984420bba571e2456bba4a7b9b93c2dc032146cf2f1fb",
     "bts-exact-12": "f9c434211140ecc709e1a9c61e3796cf67a9ef41f826be2994fd02b1447a2279",
     "btp-float-11": "7fe30e55e99e99588593ca05840eb07b530e84048f0cbc008db25df5da3398ac",
-    "bts-float-12": "05a7475c264bd19706d478b894cbb5ba909ad3839f8bfb5e03ee8c475d7e6794",
+    "bts-float-12": "e7debdf81894748cffc23735dab92d0ddb855a7c5845ee58d148c10c3f678a0b",
     "pw-exact-21": "93062ac147b664e3acec9a59e6a3dea427be1439570a0f2f4cd296f20ff0e00a",
     "pw-exact-22": "566b57f59063a264ef61a1d1684cc977bb7cbe44da62a7f677b00d4e1b7f2066",
 }
@@ -66,7 +70,7 @@ STAT_FREE = {
     "btp-exact-11": "4e558de619e7c65da357b5520a5e6e671e0e02eab42a4bef64562c49b1fdb97b",
     "bts-exact-12": "91efeac8d24f584d25d4d2bed46201e39806c6f817dfa7d5941f12f51c589969",
     "btp-float-11": "5ed4a21dcb90e82dff5281807eefc5686946d33ba42af67ce85124c5f1ae25c2",
-    "bts-float-12": "a9e122d62b333cb7a2c235a168ed482e51d1b9dce241bfa63dd4518b7e3ce7fb",
+    "bts-float-12": "6c8e53cfd77f43aa4fa1a4411a83f0947e144e7f86b95b3736829af9659568af",
     "pw-exact-21": "5933a364c2d57986f60d0077092e626d6f5e4a306ae830b1969b26292b0b80ea",
     "pw-exact-22": "790b222c7ea490865fcc3361dc5c1aaf8938c17c303a6925bb445d888a38e96a",
 }
@@ -90,3 +94,49 @@ def test_full_solution_text_is_unchanged(name):
 def test_solution_text_without_stats_is_unchanged(name):
     lines = solution_text(name).splitlines(keepends=True)
     assert sha256("".join(line for line in lines if not line.startswith("stat "))) == STAT_FREE[name]
+
+
+def assert_record_adds_up(inst, text: str, mode: str):
+    """The `dual` line equals a*alpha + b*beta + u*gamma over the record's own
+    lines, and the `primal` line c*flow: exactly in exact mode, and within a
+    relative 1e-9 in float mode.  A float is written as its repr, so it reads
+    back as a Fraction of the same value."""
+    parallel = defaultdict(list)
+    for spec in inst.edges:
+        parallel[spec.src + 1, spec.dst + 1].append(spec)
+    summed = {"dual": Fraction(0), "primal": Fraction(0)}
+    stated = {}
+    for line in text.splitlines():
+        tag, *rest = line.split()
+        if tag == "alpha":
+            summed["dual"] += inst.supply[int(rest[0]) - 1] * Fraction(rest[1])
+        elif tag == "beta":
+            summed["dual"] += inst.budget[int(rest[0]) - 1] * Fraction(rest[1])
+        elif tag == "gamma":
+            # a gamma line names no segment: its parallel edges share one capacity
+            (capacity,) = {spec.capacity for spec in parallel[int(rest[0]), int(rest[1])]}
+            summed["dual"] += capacity * Fraction(rest[2])
+        elif tag == "flow":
+            seg = int(rest[3].removeprefix("seg=")) if len(rest) > 3 else None
+            (spec,) = [s for s in parallel[int(rest[0]), int(rest[1])] if s.segment == seg]
+            summed["primal"] += spec.profit * Fraction(rest[2])
+        elif tag in summed:
+            stated[tag] = Fraction(rest[0])
+    rel_tol = 0 if mode == "exact" else Fraction(1, 10**9)
+    for tag in summed:
+        assert abs(stated[tag] - summed[tag]) <= rel_tol * abs(stated[tag]), (
+            tag, float(stated[tag]), float(summed[tag]))
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_solution_record_adds_up(name):
+    # the record's gamma lines are the edge duals its dual value counts
+    inst, mode = _case(name)
+    assert_record_adds_up(inst, solution_text(name), mode)
+
+
+def test_float_record_with_a_gamma_within_float_tol_adds_up():
+    # a flow within float_tol of its capacity, short of it, still gets its gamma line
+    inst = generate(seed=0, n=8, m=8, density=0.7, u_range=(1, 8))
+    sol = solve(inst, SolverConfig(epsilon=EPS, numeric_mode="float"))
+    assert_record_adds_up(inst, solution_to_text(sol), "float")

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -204,6 +205,14 @@ def test_solver_config_epsilon_bounds():
     with pytest.raises(ValueError):
         SolverConfig(epsilon=Fraction(0))
     assert SolverConfig(epsilon=Fraction(1, 10)).epsilon == Fraction(1, 10)
+
+
+def test_solver_config_epsilon_is_always_a_fraction():
+    eps = SolverConfig(epsilon=0.25).epsilon
+    assert eps == Fraction(1, 4) and type(eps) is Fraction
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            SolverConfig(epsilon=bad)
 
 
 def test_solver_config_rejects_a_negative_phase_cap():

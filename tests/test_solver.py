@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 import reference_auction as basic_auction
-from budget_flow.certify import certify, reconstruct_gamma
+import reference_certify as reference
+from budget_flow.certify import certify
 from budget_flow.derived_graph import DerivedGraph
 from budget_flow.instance import SolverConfig, generate, parse
 from budget_flow.oracle import exact_opt
@@ -332,7 +333,7 @@ def test_duals_stay_within_the_bound_that_scales_the_float_tolerance(mode):
         assert all(b < (1 + eps) * top_rate for b in sol.beta)
         for i, a in enumerate(sol.alpha):
             assert a <= max(inst.edges[e].profit for e in inst.edges_of_source(i))
-        gamma = reconstruct_gamma(inst, sol.flow, sol.alpha, sol.beta)
+        gamma = dict(sol.certificate.gammas)
         assert all(g <= inst.edges[e].profit for e, g in gamma.items())
         assert max(sol.alpha + sol.beta + list(gamma.values())) <= dual_bound(inst, eps)
 
@@ -459,8 +460,7 @@ def test_solve_bts_capacity_binds():
     assert sol.terminated
     assert sol.flow == [3]
     assert sol.certificate.passed
-    gammas = reconstruct_gamma(inst, sol.flow, sol.alpha, sol.beta)
-    assert gammas  # capacity dual supports the certificate
+    assert sol.certificate.gammas  # capacity dual supports the certificate
 
 
 def test_solve_matches_basic_auction_verdict():
@@ -529,7 +529,7 @@ def test_monitored_invariants_every_iteration():
                     tight.add(j)
                 else:
                     assert j not in tight  # tight sinks stay tight
-            gammas = reconstruct_gamma(inst, flow, alpha, beta)
+            gammas = reference.reconstruct_gamma(inst, flow, alpha, beta)
             for e, g in gammas.items():
                 if g > 0:
                     assert flow[e] == inst.edges[e].capacity
