@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import filterfalse
 
 
 class CertificationError(ValueError):
@@ -24,9 +25,10 @@ class CertificationError(ValueError):
 
 def fmt(x) -> str:
     """Exact values as num/den; floats as repr."""
-    if isinstance(x, (Fraction, int)):
-        return f"{x.numerator}/{x.denominator}"
-    return repr(x)
+    # a float is told apart first: asking an ABC such as Fraction about it runs Python code
+    if isinstance(x, float) or not isinstance(x, (Fraction, int)):
+        return repr(x)
+    return f"{x.numerator}/{x.denominator}"
 
 
 @dataclass(frozen=True)
@@ -77,6 +79,18 @@ class Certificate:
         for v in self.primal_violations + self.dual_violations:
             lines.append(f"cert violation {v}")
         return lines
+
+
+def nonzero(values) -> list[int]:
+    """Indices of the nonzero entries, in order.
+
+    Each entry is first compared with one zero entry by identity; only the
+    entries that are not that object are asked whether they are zero.  The
+    solver and the solution reader share one zero object among their zero
+    flows, so on their vectors no zero costs a Python-level call.
+    """
+    zero = next(filterfalse(None, values), None)
+    return [e for e, value in enumerate(values) if value is not zero and value]
 
 
 def _over_lcm(ratios) -> tuple[list[int], int]:
@@ -131,11 +145,15 @@ def certify(
     if rigorous:
         epsilon, zero = Fraction(epsilon), Fraction(0)
     else:
-        # a float written by `fmt` reads back as a Fraction that converts exactly
-        flow, alpha, beta = ([float(x) for x in v] for v in (flow, alpha, beta))
+        # a float written by `fmt` reads back as a Fraction that converts
+        # exactly; a zero flow is never read, so only the others are converted
+        given_flow, flow = flow, [0.0] * ne
+        for e in nonzero(given_flow):
+            flow[e] = float(given_flow[e])
+        alpha, beta = ([float(x) for x in v] for v in (alpha, beta))
         epsilon, zero = float(epsilon), 0.0
     edges = instance.edges
-    support = [e for e, f in enumerate(flow) if f]
+    support = nonzero(flow)
     exact = rigorous and not tol
     if exact:
         given_flow, given_alpha, given_beta = flow, alpha, beta

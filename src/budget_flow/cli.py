@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from . import oracle, reductions
-from .certify import certify, fmt
+from .certify import certify, fmt, nonzero
 from .instance import (
     EmptySample,
     InstanceFormatError,
@@ -59,14 +59,16 @@ def _epsilon_arg(option: str, text: str) -> Fraction:
     return epsilon
 
 
+def edge_line(tag: str, spec, value) -> str:
+    """`<tag> i j value`, with the edge's `seg=k` when it is a split segment."""
+    seg = f" seg={spec.segment}" if spec.segment is not None else ""
+    return f"{tag} {spec.src + 1} {spec.dst + 1} {fmt(value)}{seg}"
+
+
 def flow_lines(instance: ProblemInstance, flow) -> list[str]:
     """`flow i j value [seg=k]` for every edge with positive flow, in edge order."""
-    lines = []
-    for e, spec in enumerate(instance.edges):
-        if flow[e] > 0:
-            seg = f" seg={spec.segment}" if spec.segment is not None else ""
-            lines.append(f"flow {spec.src + 1} {spec.dst + 1} {fmt(flow[e])}{seg}")
-    return lines
+    edges = instance.edges
+    return [edge_line("flow", edges[e], flow[e]) for e in nonzero(flow) if flow[e] > 0]
 
 
 def solution_to_text(solution: Solution) -> str:
@@ -85,8 +87,7 @@ def solution_to_text(solution: Solution) -> str:
     for j, b in enumerate(solution.beta):
         lines.append(f"beta {j + 1} {fmt(b)}")
     for e, g in cert.gammas:
-        spec = instance.edges[e]
-        lines.append(f"gamma {spec.src + 1} {spec.dst + 1} {fmt(g)}")
+        lines.append(edge_line("gamma", instance.edges[e], g))
     lines.append(f"primal {fmt(cert.primal_value)}")
     lines.append(f"dual {fmt(cert.dual_value)}")
     lines.append(f"gap {fmt(cert.gap_ratio) if cert.gap_ratio is not None else 'vacuous'}")
@@ -96,11 +97,15 @@ def solution_to_text(solution: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
+READ_TAGS = ("flow", "alpha", "beta", "epsilon", "mode")  # the records parse_solution reads
+
+
 def parse_solution(text: str, instance: ProblemInstance):
     """Read flows, duals, epsilon and mode back from a solution file.
 
     Only `flow`, `alpha`, `beta`, `epsilon` and `mode` records are read; the
-    rest of what `solution_to_text` writes is ignored.  Absent values are zero.
+    rest of what `solution_to_text` writes is skipped unsplit.  Absent values
+    are zero.
     """
     edge_of = {(spec.src, spec.dst, spec.segment): e for e, spec in enumerate(instance.edges)}
     zero = Fraction(0)  # a parsed value is never this object, so `is zero` means unset
@@ -109,7 +114,7 @@ def parse_solution(text: str, instance: ProblemInstance):
     beta: list[Fraction | None] = [None] * instance.m
     epsilon = None
     mode = "exact"
-    for line_no, tokens in records(text):
+    for line_no, tokens in records(text, READ_TAGS):
         tag = tokens[0]
         if tag == "flow":
             seg = pop_segment(line_no, tokens)

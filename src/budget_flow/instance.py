@@ -39,7 +39,7 @@ class InstanceValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeSpec:
     """One source->sink edge: integer profit, positive integer price, optional capacity.
 
@@ -144,11 +144,27 @@ class InstanceDiagnostics:
 
 
 def validate(instance: ProblemInstance) -> None:
-    """Check every structural invariant; raise InstanceValidationError listing all faults."""
+    """Check every structural invariant; raise InstanceValidationError listing all faults.
+
+    A valid instance passes one combined test per edge, with no fault list
+    built; only an instance that fails it is walked again, to list each fault
+    in order.
+    """
+    n, m, edges = instance.n, instance.m, instance.edges
+    capacitated = instance.kind is Kind.BTS
+    if n >= 1 and m >= 1 and min(instance.supply) >= 1 and min(instance.budget) >= 1:
+        keys = {
+            (spec.src, spec.dst, spec.segment)
+            for spec in edges
+            if 0 <= spec.src < n and 0 <= spec.dst < m and spec.price >= 1 and spec.profit >= 0
+            and (spec.capacity is None or (capacitated and spec.capacity >= 1))
+        }
+        if len(keys) == len(edges):  # every edge passed, and no key repeats
+            return
     issues: list[str] = []
-    if instance.n < 1:
+    if n < 1:
         issues.append("no sources")
-    if instance.m < 1:
+    if m < 1:
         issues.append("no sinks")
     for i, a in enumerate(instance.supply):
         if a < 1:
@@ -157,11 +173,11 @@ def validate(instance: ProblemInstance) -> None:
         if b < 1:
             issues.append(f"non-positive budget at sink {j + 1}")
     seen: set[tuple[int, int, int | None]] = set()
-    for e, spec in enumerate(instance.edges):
+    for e, spec in enumerate(edges):
         faults = []
-        if not (0 <= spec.src < instance.n):
+        if not (0 <= spec.src < n):
             faults.append("dangling source index")
-        if not (0 <= spec.dst < instance.m):
+        if not (0 <= spec.dst < m):
             faults.append("dangling sink index")
         if spec.price < 1:
             faults.append("zero price")
@@ -170,7 +186,7 @@ def validate(instance: ProblemInstance) -> None:
         if spec.capacity is not None:
             if spec.capacity < 1:
                 faults.append("non-positive capacity")
-            if instance.kind is Kind.BTP:
+            if not capacitated:
                 faults.append("capacity on a btp instance")
         key = (spec.src, spec.dst, spec.segment)
         if key in seen:
@@ -218,12 +234,18 @@ def check_float_range(instance: ProblemInstance, flow=(), alpha=(), beta=()) -> 
 # ---------------------------------------------------------------------------
 
 
-def records(text: str) -> list[tuple[int, list[str]]]:
-    """(line_no, tokens) for every line that holds more than a comment."""
+def records(text: str, tags: tuple[str, ...] | None = None) -> list[tuple[int, list[str]]]:
+    """(line_no, tokens) for every line that holds more than a comment.
+
+    Given `tags`, only lines that start with one of them, past any leading
+    whitespace, are split: a reader skips the records it ignores unread.  Such
+    a line's first token may still be longer than the tag.
+    """
     return [
         (line_no, tokens)
         for line_no, raw in enumerate(text.splitlines(), start=1)
-        if (tokens := (raw[: raw.index("#")] if "#" in raw else raw).split())
+        if (tags is None or raw.lstrip().startswith(tags))
+        and (tokens := (raw[: raw.index("#")] if "#" in raw else raw).split())
     ]
 
 
@@ -263,10 +285,15 @@ def integer(line_no: int, token: str) -> int:
 
 
 def rational(line_no: int, token: str) -> Fraction:
+    """`p/q`, an integer or a plain decimal `[-]d+[.d+]` is read as an int pair;
+    any other form, exponents included, goes to Fraction's own parser."""
     try:
         if "/" in token:
             num, den = token.split("/", 1)
             return Fraction(int(num), int(den))
+        whole, dot, digits = (token[1:] if token[:1] == "-" else token).partition(".")
+        if token.isascii() and whole.isdigit() and (digits.isdigit() or not dot):
+            return Fraction(int(token.replace(".", "")), 10 ** len(digits))
         if "e" in token or "E" in token:  # Fraction computes 10**exponent exactly
             if len(token.lower().partition("e")[2].lstrip("+-")) > 4:
                 raise ValueError
@@ -336,21 +363,27 @@ def parse(text: str) -> ProblemInstance:
     """Parse the line-oriented instance format; raises InstanceFormatError."""
     header_line, (kind, n, m, num_edges), lines = read_header(text, "p <btp|bts> <n> <m> <E>")
     kind = Kind(kind)
+    widths = (5, 6) if kind is Kind.BTS else (5,)
 
     def edge(line_no: int, tokens: list[str]) -> EdgeSpec:
         segment = pop_segment(line_no, tokens)
-        if len(tokens) not in (5, 6):
-            raise InstanceFormatError(line_no, "edge needs: e <i> <j> <c> <p> [<u>]")
-        if len(tokens) == 6 and kind is Kind.BTP:
+        if len(tokens) in widths:
+            try:
+                return EdgeSpec(
+                    int(tokens[1]) - 1,
+                    int(tokens[2]) - 1,
+                    int(tokens[3]),
+                    int(tokens[4]),
+                    int(tokens[5]) if len(tokens) == 6 else None,
+                    segment,
+                )
+            except ValueError:
+                for token in tokens[1:]:
+                    integer(line_no, token)  # cites the first field that is no integer
+                raise
+        if len(tokens) == 6:
             raise InstanceFormatError(line_no, "capacity field not allowed on btp instances")
-        return EdgeSpec(
-            integer(line_no, tokens[1]) - 1,
-            integer(line_no, tokens[2]) - 1,
-            integer(line_no, tokens[3]),
-            integer(line_no, tokens[4]),
-            integer(line_no, tokens[5]) if len(tokens) == 6 else None,
-            segment,
-        )
+        raise InstanceFormatError(line_no, "edge needs: e <i> <j> <c> <p> [<u>]")
 
     supply, budget, edges = transport_records(lines, header_line, n, m, num_edges, edge)
     return ProblemInstance(kind, supply, budget, edges)

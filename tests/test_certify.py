@@ -272,3 +272,39 @@ def test_certify_matches_reference_on_duals_over_many_primes(rung_solutions, kin
     assert math.lcm(*(x.denominator for x in alpha + beta)).bit_length() > 600
     cert = assert_matches_reference(inst, sol.flow, alpha, beta, Fraction(1, 8))
     assert cert.dual_feasible  # raising a dual keeps it feasible
+
+
+ZERO_KINDS = {
+    "int": lambda: 0,
+    "fraction": lambda: Fraction(0),  # a new object per edge
+    "float": lambda: 0.0,
+    "negative-float": lambda: -0.0,
+}
+
+
+# a float zero is no exact-mode input: the reference would add it to its sums
+ZERO_CASES = [("exact", ("int",)), ("exact", ("fraction",)), ("exact", ("int", "fraction")),
+              *(("float", (k,)) for k in ZERO_KINDS), ("float", tuple(ZERO_KINDS))]
+
+
+@pytest.mark.parametrize("mode, kinds", ZERO_CASES,
+                         ids=[f"{mode}-{'+'.join(kinds)}" for mode, kinds in ZERO_CASES])
+@pytest.mark.parametrize("kind", ["btp", "bts", "pw"])
+def test_zero_flows_of_any_type_certify_as_the_reference_does(kind, mode, kinds):
+    # the support is found without asking each zero whether it is zero
+    exact = mode == "exact"
+    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
+    for seed in range(4):
+        inst = small_instance(kind, seed, 3 + seed % 2, 4)
+        sol = solve(inst, config)
+        flow = [f if f else ZERO_KINDS[kinds[e % len(kinds)]]() for e, f in enumerate(sol.flow)]
+        if seed % 2:  # a nonzero flow on the first edge, so the first zero comes later
+            flow[0] = flow[0] or (Fraction(1, 3) if exact else 1 / 3)
+        read = (flow, sol.alpha, sol.beta)
+        if not exact:
+            read = [[float(x) for x in v] for v in read]
+        tol = 0 if exact else config.float_tol
+        want = reference.certify(inst, *read, config.epsilon, rigorous=exact, tol=tol)
+        got = certify(inst, flow, sol.alpha, sol.beta, config.epsilon, rigorous=exact, tol=tol)
+        for field in dataclasses.fields(want):
+            assert_same(getattr(got, field.name), getattr(want, field.name), field.name)

@@ -8,6 +8,7 @@ import pytest
 
 from budget_flow.cli import MAX_EMPTY_DRAWS, main
 from budget_flow.instance import generate, serialize
+from test_golden import _piecewise_split
 
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
 BTS_BINDING = "p bts 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2 3\n"
@@ -488,3 +489,63 @@ def test_cli_entry_point_installed():
     )
     assert result.returncode == 0
     assert "budget-flow" in result.stdout
+
+
+DATA = Path(__file__).parent / "data"
+# `verify`'s stdout on each instance's own `solve --epsilon 1/8` output
+VERIFIED = {
+    "float_cs_source_dust": (
+        "primal_feasible True\ndual_feasible True\ncs_source_worst 1.3098691005304406e-10\n"
+        "cs_sink_worst 5.0008001718427305e-15\ncs_edge_worst 0.0\ncs_flow_worst_excess 0.0\n"
+        "gap 0.011281651274930108\nverdict pass\n"
+    ),
+    "float_dust_cycle": (
+        "primal_feasible True\ndual_feasible True\ncs_source_worst 1.0259605196708983e-14\n"
+        "cs_sink_worst 2.4358805313286393e-15\ncs_edge_worst 0.0\ncs_flow_worst_excess 0.0\n"
+        "gap 0.007636022886572391\nverdict pass\n"
+    ),
+    "float_tiny_price": (
+        "primal_feasible True\ndual_feasible True\ncs_source_worst 0.0\ncs_sink_worst 0.0\n"
+        "cs_edge_worst 0.0\ncs_flow_worst_excess 0.0\ngap 0.0012199445274362986\n"
+        "verdict pass\n"
+    ),
+    "pw-exact-21": (
+        "primal_feasible True\ndual_feasible True\ncs_source_worst 0/1\ncs_sink_worst 0/1\n"
+        "cs_edge_worst 0/1\ncs_flow_worst_excess 0/1\ngap "
+        "10780615432266400019930428882004069369/858182824778636310443520433293497466880\n"
+        "verdict pass\n"
+    ),
+}
+
+
+def verify_case(tmp_path, name):
+    """The instance file and its mode: a float data file, or the split
+    instance of the golden piecewise case 21."""
+    if name.startswith("float_"):
+        return DATA / f"{name}.btp", "float"
+    inst = tmp_path / "pw.bts"
+    inst.write_text(serialize(_piecewise_split(21)))
+    return inst, "exact"
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIED))
+def test_solve_then_verify_prints_the_recorded_certificate(tmp_path, capsys, name):
+    inst, mode = verify_case(tmp_path, name)
+    sol = tmp_path / "out.sol"
+    args = ["solve", str(inst), "--mode", mode, "--epsilon", "1/8", "--max-phases", "20000"]
+    assert run_cli(args + ["-o", str(sol)]) == 0
+    capsys.readouterr()
+    assert run_cli(["verify", str(inst), str(sol)]) == 0
+    assert capsys.readouterr().out == VERIFIED[name]
+
+    # one damaged flow value is bad input: exit 2, one error line citing it
+    lines = sol.read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith("flow "))
+    tokens = lines[k].split()
+    tokens[3] = "1/0"
+    lines[k] = " ".join(tokens)
+    sol.write_text("\n".join(lines) + "\n")
+    assert run_cli(["verify", str(inst), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line {k + 1}: bad rational '1/0'\n"
+    assert captured.out == ""

@@ -70,6 +70,30 @@ def test_validate_lists_every_fault_in_order():
     ]
 
 
+@pytest.mark.parametrize(
+    "kind, supply, budget, edge, fault",
+    [
+        (Kind.BTP, (5, 5), (10, 10), EdgeSpec(2, 1, 3, 2), "edge 2 (3,2): dangling source index"),
+        (Kind.BTP, (5, 5), (10, 10), EdgeSpec(-1, 1, 3, 2), "edge 2 (0,2): dangling source index"),
+        (Kind.BTP, (5, 5), (10, 10), EdgeSpec(1, 2, 3, 2), "edge 2 (2,3): dangling sink index"),
+        (Kind.BTP, (5, 5), (10, 10), EdgeSpec(1, -1, 3, 2), "edge 2 (2,0): dangling sink index"),
+        (Kind.BTP, (5, 5), (10, 10), EdgeSpec(1, 1, 3, 0), "edge 2 (2,2): zero price"),
+        (Kind.BTP, (5, 5), (10, 10), EdgeSpec(1, 1, -3, 2), "edge 2 (2,2): negative profit"),
+        (Kind.BTS, (5, 5), (10, 10), EdgeSpec(1, 1, 3, 2, 0),
+         "edge 2 (2,2): non-positive capacity"),
+        (Kind.BTP, (5, 5), (10, 10), EdgeSpec(1, 1, 3, 2, 4),
+         "edge 2 (2,2): capacity on a btp instance"),
+        (Kind.BTS, (5, 5), (10, 10), EdgeSpec(0, 0, 1, 1), "edge 2 (1,1): duplicate edge"),
+        (Kind.BTP, (5, 0), (10, 10), EdgeSpec(1, 1, 3, 2), "non-positive supply at source 2"),
+        (Kind.BTP, (5, 5), (10, -1), EdgeSpec(1, 1, 3, 2), "non-positive budget at sink 2"),
+    ],
+)
+def test_validate_finds_each_fault_alone(kind, supply, budget, edge, fault):
+    # an instance with one fault, so that no other test sends it to the full listing
+    first = EdgeSpec(0, 0, 3, 2, 4 if kind is Kind.BTS else None)
+    assert violations(lambda: ProblemInstance(kind, supply, budget, (first, edge))) == [fault]
+
+
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
 ONE_PROFILE = "p pw 1 1 1\ns 1 6\nt 1 50\ne 1 1 3 pw 2 5 3\n"
 
