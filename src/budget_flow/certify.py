@@ -117,8 +117,10 @@ def certify(
     flow, alpha, beta : sequences sized |E|, n, m (ints and Fractions; read
         as floats when not rigorous)
     epsilon : approximation parameter the gap is measured against
-    rigorous : stamp for exact-arithmetic runs; float-mode callers pass False
-    tol : comparison slack, 0 in exact mode and below 1 otherwise
+    rigorous : exact comparisons, for exact-arithmetic runs; float-mode
+        callers pass False
+    tol : comparison slack, below 1; a rigorous certificate takes none, and
+        raises ValueError on a nonzero tol
 
     Passes iff both solutions are feasible, the source/sink/edge complementary
     products are zero, every positive-flow edge's dual slack stays within
@@ -127,7 +129,7 @@ def certify(
 
     Only nonzero flows enter the sums and the per-edge primal and slackness
     tests; a zero flow adds nothing to a sum and passes every such test.  In
-    exact mode (rigorous, tol 0) the work is done on integers: the nonzero
+    exact mode (rigorous) the work is done on integers: the nonzero
     flows are read as numerators over their common denominator `lf`, alpha,
     beta and epsilon as numerators over theirs, `ld`, and each sum, product and
     comparison below runs on numerators; Fractions are built only for the
@@ -136,26 +138,18 @@ def certify(
     with `ld`.  Otherwise the values are read as numerators over 1, which
     leaves every float expression and its bits as they were.
     """
+    if rigorous and tol:
+        raise ValueError(f"a rigorous certificate compares exactly; tol must be 0, not {tol}")
     n, m, ne = instance.n, instance.m, len(instance.edges)
     if len(flow) != ne or len(alpha) != n or len(beta) != m:
         raise CertificationError(
             f"solution shape ({len(alpha)},{len(beta)},{len(flow)}) "
             f"does not match instance ({n},{m},{ne})"
         )
-    if rigorous:
-        epsilon, zero = Fraction(epsilon), Fraction(0)
-    else:
-        # a float written by `fmt` reads back as a Fraction that converts
-        # exactly; a zero flow is never read, so only the others are converted
-        given_flow, flow = flow, [0.0] * ne
-        for e in nonzero(given_flow):
-            flow[e] = float(given_flow[e])
-        alpha, beta = ([float(x) for x in v] for v in (alpha, beta))
-        epsilon, zero = float(epsilon), 0.0
     edges = instance.edges
     support = nonzero(flow)
-    exact = rigorous and not tol
-    if exact:
+    if rigorous:
+        epsilon = Fraction(epsilon)
         given_flow, given_alpha, given_beta = flow, alpha, beta
         ratio_a = [a.as_integer_ratio() for a in alpha]
         ratio_b = [b.as_integer_ratio() for b in beta]
@@ -167,6 +161,13 @@ def certify(
         duals, ld = _over_lcm(ratio_a + ratio_b + [epsilon.as_integer_ratio()])
         alpha, beta, eps, zero = duals[:n], duals[n:-1], duals[-1], 0
     else:
+        # a float written by `fmt` reads back as a Fraction that converts
+        # exactly; a zero flow is never read, so only the others are converted
+        given_flow, flow = flow, [0.0] * ne
+        for e in support:
+            flow[e] = float(given_flow[e])
+        alpha, beta = ([float(x) for x in v] for v in (alpha, beta))
+        epsilon, zero = float(epsilon), 0.0
         lf, ld, eps = 1, 1, epsilon
 
     # the gamma rule: an edge its flow fills gets the dual slack c - p*beta -
@@ -218,7 +219,7 @@ def certify(
     for j in range(m):
         if beta[j] < -tol:
             dual_violations.append(f"negative beta at sink {j + 1}")
-    if exact:
+    if rigorous:
         # c - p*beta - alpha > 0 times both denominators; a gamma makes it 0
         for e, spec in enumerate(edges):
             na, da = ratio_a[spec.src]
@@ -258,7 +259,7 @@ def certify(
     identity_ok = lhs == rhs if rigorous else abs(lhs - rhs) <= tol * (1 + abs(lhs))
 
     if primal_value > tol:
-        gap_ratio = Fraction(lhs, ld * primal_value) if exact else lhs / primal_value
+        gap_ratio = Fraction(lhs, ld * primal_value) if rigorous else lhs / primal_value
         gap_status = "ok"
         gap_ok = gap_ratio <= epsilon + tol
     else:
@@ -276,7 +277,7 @@ def certify(
         and identity_ok
         and gap_ok
     )
-    if exact:
+    if rigorous:
         cs_source, cs_sink = Fraction(cs_source, ld * lf), Fraction(cs_sink, ld * lf)
         # each gamma again, from the given values, so its type follows theirs
         gammas = {

@@ -14,7 +14,6 @@ from fractions import Fraction
 from . import oracle, reductions
 from .certify import certify, fmt, nonzero
 from .instance import (
-    EmptySample,
     InstanceFormatError,
     ProblemInstance,
     SolverConfig,
@@ -32,7 +31,13 @@ from .instance import (
 )
 from .solver import Solution, solve
 
-MAX_EMPTY_DRAWS = 1000  # `bench --gen` gives up after this many empty samples in a row
+# the north star's instance ladder, which `bench` runs when it is given no paths
+LADDER = tuple(
+    (f"{kind}-{n}", dict(seed=3, n=n, m=n, density=0.7,
+                         u_range=(1, 8) if kind == "bts" else None))
+    for n in (10, 20, 40, 80)
+    for kind in ("btp", "bts")
+)
 
 
 def _read(path: str) -> str:
@@ -204,7 +209,6 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    u_range = _split_range("--u-range", args.u_range) if args.kind == "bts" else None
     instance = generate(
         seed=args.seed,
         n=args.n,
@@ -214,7 +218,7 @@ def cmd_generate(args) -> int:
         b_range=_split_range("--b-range", args.b_range),
         c_range=_split_range("--c-range", args.c_range),
         p_range=_split_range("--p-range", args.p_range),
-        u_range=u_range,
+        u_range=None if args.u_range is None else _split_range("--u-range", args.u_range),
     )
     _write(args.output, serialize(instance))
     return 0
@@ -254,53 +258,10 @@ def cmd_reduce(args) -> int:
 def cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, not {args.repeat}")
-    instances: list[tuple[str, ProblemInstance]] = []
-    if args.gen:
-        params = {}
-        for part in args.gen.split(","):
-            key, eq, value = part.partition("=")
-            if not eq:
-                raise ValueError(f"--gen part {part!r} is not key=value")
-            params[key] = value
-
-        def number(key, cast, default):
-            value = params.pop(key, default)
-            try:
-                return cast(value)
-            except ValueError:
-                what = "an integer" if cast is int else "a number"
-                raise ValueError(f"--gen {key} must be {what}, not {value!r}") from None
-
-        count = number("count", int, "3")
-        seed0 = number("seed", int, "0")
-        kind = params.pop("kind", "btp")
-        if kind not in ("btp", "bts"):
-            raise ValueError(f"--gen kind must be btp or bts, not {kind!r}")
-        n = number("n", int, "4")
-        m = number("m", int, "4")
-        density = number("density", float, "0.9")
-        if params:
-            raise ValueError(f"unknown --gen keys {sorted(params)}")
-        seed, empty = seed0, 0
-        while len(instances) < count:
-            try:
-                inst = generate(
-                    seed=seed, n=n, m=m, density=density,
-                    u_range=(1, 8) if kind == "bts" else None,
-                )
-            except EmptySample:
-                empty += 1
-                if empty == MAX_EMPTY_DRAWS:
-                    raise ValueError(f"--gen drew {empty} empty samples in a row; raise density")
-            else:
-                instances.append((f"gen:{seed}", inst))
-                empty = 0
-            seed += 1
-    for path in args.paths:
-        instances.append((path, parse(_read(path))))
-    if not instances:
-        print("error: nothing to bench; pass --gen or instance paths", file=sys.stderr)
-        return 2
+    if args.paths:
+        instances = [(path, parse(_read(path))) for path in args.paths]
+    else:
+        instances = [(name, generate(**params)) for name, params in LADDER]
 
     configs = [
         SolverConfig(epsilon=_epsilon_arg("--epsilons", tok), numeric_mode=args.mode)
@@ -377,12 +338,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--n", type=int, required=True)
     p_gen.add_argument("--m", type=int, required=True)
     p_gen.add_argument("--density", type=float, default=1.0)
-    p_gen.add_argument("--kind", choices=["btp", "bts"], default="btp")
     p_gen.add_argument("--a-range", default="1:10")
     p_gen.add_argument("--b-range", default="1:20")
     p_gen.add_argument("--c-range", default="0:9")
     p_gen.add_argument("--p-range", default="1:6")
-    p_gen.add_argument("--u-range", default="1:8")
+    p_gen.add_argument("--u-range", default=None, help="capacities; makes a bts instance")
     p_gen.add_argument("-o", "--output", default=None)
     p_gen.set_defaults(func=cmd_generate)
 
@@ -394,9 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--map-back", default=None, metavar="SOLUTION")
     p_reduce.set_defaults(func=cmd_reduce)
 
-    p_bench = sub.add_parser("bench", help="run instances and report counters")
+    p_bench = sub.add_parser(
+        "bench", help="run instances, or the north-star ladder, and report counters"
+    )
     p_bench.add_argument("paths", nargs="*")
-    p_bench.add_argument("--gen", default=None, help="count=,n=,m=,density=,seed=,kind=")
     p_bench.add_argument("--epsilons", default="1/4")
     p_bench.add_argument("--repeat", type=int, default=1)
     p_bench.add_argument("--mode", choices=["exact", "float"], default="exact")

@@ -27,10 +27,6 @@ class InstanceFormatError(ValueError):
         super().__init__(f"line {line_no}: {reason}")
 
 
-class EmptySample(ValueError):
-    """`generate` drew no edge; another seed may draw some."""
-
-
 class InstanceValidationError(ValueError):
     """Instance data violates a structural invariant."""
 
@@ -424,9 +420,9 @@ def generate(
 
     Each (i, j) pair becomes an edge with probability `density`.  When
     `u_range` is given the result is a BTS instance and each edge gets a
-    finite capacity with probability `u_prob`.  Raises EmptySample if the
-    sampled edge set comes out empty, and ValueError for impossible
-    parameters, which no seed can satisfy.
+    finite capacity with probability `u_prob`.  Raises ValueError for
+    impossible parameters, and for a sampled edge set that comes out empty,
+    which another seed may avoid.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
@@ -455,7 +451,7 @@ def generate(
                 )
             )
     if not edges:
-        raise EmptySample("empty edge set after sampling; raise density or retry seed")
+        raise ValueError("empty edge set after sampling; raise density or retry seed")
     return ProblemInstance(
         kind=kind,
         supply=tuple(rng.randint(*a_range) for _ in range(n)),

@@ -54,6 +54,12 @@ def test_zero_instance_vacuous_pass():
     assert cert.gap_status == "vacuous"
 
 
+@pytest.mark.parametrize("tol", [1e-9, Fraction(1, 10**9)])
+def test_rigorous_certificate_with_a_tolerance_raises(one_by_one, tol):
+    with pytest.raises(ValueError, match="tol must be 0"):
+        certify(one_by_one, [Fraction(0)], [Fraction(0)], [Fraction(0)], EPS4, tol=tol)
+
+
 def test_dimension_mismatch_raises(one_by_one):
     with pytest.raises(CertificationError):
         certify(one_by_one, [Fraction(0), Fraction(0)], [Fraction(0)], [Fraction(0)], EPS4)

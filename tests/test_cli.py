@@ -1,12 +1,12 @@
 import os
+import shlex
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import pytest
 
-from budget_flow.cli import MAX_EMPTY_DRAWS, main
+from budget_flow.cli import main
 from budget_flow.instance import generate, serialize
 from test_golden import _piecewise_split
 
@@ -99,10 +99,50 @@ def test_generate_is_deterministic(tmp_path):
 
 @pytest.mark.parametrize("option, value", [("--a-range", "5"), ("--u-range", "1:x")])
 def test_generate_bad_range_names_the_option(capsys, option, value):
-    args = ["generate", "--seed", "1", "--n", "2", "--m", "2", "--kind", "bts", option, value]
+    args = ["generate", "--seed", "1", "--n", "2", "--m", "2", option, value]
     assert run_cli(args) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: {option} must be <lo>:<hi> integers, not {value!r}\n"
+    assert captured.out == ""
+
+
+def test_generate_u_range_makes_a_bts_instance(capsys):
+    assert run_cli(["generate", "--seed", "7", "--n", "3", "--m", "4", "--u-range", "1:8"]) == 0
+    want = serialize(generate(seed=7, n=3, m=4, density=1.0, u_range=(1, 8)))
+    assert capsys.readouterr().out == want
+
+
+def test_generate_malformed_u_range_exits_2(capsys):
+    assert run_cli(["generate", "--seed", "1", "--n", "2", "--m", "2", "--u-range", "garbage"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --u-range must be <lo>:<hi> integers, not 'garbage'\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "options, reason",
+    [
+        (["--n", "0"], "n and m must be positive"),
+        (["--density", "0"], "density must be in (0, 1]"),
+        (["--density", "2"], "density must be in (0, 1]"),
+        (["--density", "1e-12"], "empty edge set after sampling; raise density or retry seed"),
+    ],
+)
+def test_generate_impossible_or_empty_sample_exits_2(capsys, options, reason):
+    assert run_cli(["generate", "--seed", "0", "--n", "1", "--m", "1", *options]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {reason}\n"
+    assert captured.out == ""
+
+
+def test_generate_kind_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["generate", "--seed", "1", "--n", "2", "--m", "2", "--kind", "bts"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.err.splitlines()[-1] == (
+        "budget-flow: error: unrecognized arguments: --kind bts"
+    )
     assert captured.out == ""
 
 
@@ -367,14 +407,37 @@ def test_solve_certificate_follows_mode(tmp_path, capsys, mode, rigorous):
     assert "cert passed true\n" in text
 
 
+LADDER_ROWS = [  # name, n, m and edge count of each rung of `bench` without paths
+    ("btp-10", 10, 10, 69), ("bts-10", 10, 10, 71),
+    ("btp-20", 20, 20, 283), ("bts-20", 20, 20, 278),
+    ("btp-40", 40, 40, 1115), ("bts-40", 40, 40, 1114),
+    ("btp-80", 80, 80, 4473), ("bts-80", 80, 80, 4439),
+]
+BENCH_HEADER = (
+    "name n m edges eps time_ms phases beta_rises rise_bound ops ops_per_rise_ok gap mode pass"
+)
+
+
+def test_bench_without_paths_runs_the_ladder(capsys):
+    assert run_cli(["bench"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == BENCH_HEADER
+    assert len(rows) == len(LADDER_ROWS)
+    for row, (name, n, m, edges) in zip(rows, LADDER_ROWS):
+        cols = row.split()
+        assert cols[:5] == [name, str(n), str(m), str(edges), "1/4"]
+        assert int(cols[7]) <= int(cols[8])
+        assert cols[12:] == ["exact", "True"]
+
+
 def test_bench_deterministic_counters(tmp_path, capsys):
-    args = [
-        "bench",
-        "--gen",
-        "count=2,n=3,m=3,density=1.0,seed=4,kind=btp",
-        "--epsilons",
-        "1/2,1/4",
-    ]
+    paths = []
+    for seed in ("4", "5"):
+        path = tmp_path / f"gen{seed}.btp"
+        assert run_cli(["generate", "--seed", seed, "--n", "3", "--m", "3",
+                        "--density", "1.0", "-o", str(path)]) == 0
+        paths.append(str(path))
+    args = ["bench", *paths, "--epsilons", "1/2,1/4"]
     assert run_cli(args) == 0
     first = capsys.readouterr().out
     assert run_cli(args) == 0
@@ -394,79 +457,38 @@ def test_bench_deterministic_counters(tmp_path, capsys):
         assert int(cols[7]) <= int(cols[8])
 
 
-@pytest.mark.parametrize(
-    "gen, reason",
-    [
-        ("n=0", "n and m must be positive"),
-        ("density=0", "density must be in (0, 1]"),
-        ("density=2", "density must be in (0, 1]"),
-    ],
-)
-def test_bench_impossible_gen_parameters_exit_2(capsys, gen, reason):
-    # no seed can satisfy these, so retrying on them would never end
-    assert run_cli(["bench", "--gen", gen]) == 2
-    assert capsys.readouterr().err == f"error: {reason}\n"
-
-
-def test_bench_unknown_gen_kind_exit_2(capsys):
-    # a typo must not silently run the btp family
-    assert run_cli(["bench", "--gen", "count=1,kind=xyz"]) == 2
+def test_bench_gen_option_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["bench", "--gen", "x"])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert captured.err == "error: --gen kind must be btp or bts, not 'xyz'\n"
+    # `x` is read as an instance path
+    assert captured.err.splitlines()[-1] == "budget-flow: error: unrecognized arguments: --gen"
     assert captured.out == ""
 
 
 @pytest.mark.parametrize("repeat", ["0", "-1"])
 def test_bench_repeat_below_one_exits_2(capsys, repeat):
-    assert run_cli(["bench", "--gen", "n=2,m=2,count=1", "--repeat", repeat]) == 2
+    assert run_cli(["bench", "--repeat", repeat]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: --repeat must be at least 1, not {repeat}\n"
     assert captured.out == ""
 
 
-def test_bench_gen_part_without_equals_exit_2(capsys):
-    assert run_cli(["bench", "--gen", "n=2,count"]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == "error: --gen part 'count' is not key=value\n"
-    assert captured.out == ""
-
-
 def test_bench_bad_epsilon_exits_before_the_header(capsys):
-    assert run_cli(["bench", "--gen", "n=2,m=2,count=1", "--epsilons", "1/4,0"]) == 2
+    assert run_cli(["bench", "--epsilons", "1/4,0"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --epsilons: 0 is not in (0, 1)\n"
     assert captured.out == ""
 
 
-def test_bench_epsilon_out_of_range_names_the_option(capsys):
-    assert run_cli(["bench", "--gen", "n=2,m=2,count=1", "--epsilons", "2"]) == 2
+def test_bench_epsilon_out_of_range_names_the_option(tmp_path, capsys):
+    path = tmp_path / "one.btp"
+    path.write_text(ONE_BY_ONE)
+    assert run_cli(["bench", str(path), "--epsilons", "2"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: --epsilons: 2 is not in (0, 1)\n"
     assert captured.out == ""
-
-
-@pytest.mark.parametrize(
-    "gen, message",
-    [
-        ("count=x", "--gen count must be an integer, not 'x'"),
-        ("n=2,m=1.5", "--gen m must be an integer, not '1.5'"),
-        ("density=abc", "--gen density must be a number, not 'abc'"),
-    ],
-)
-def test_bench_gen_bad_number_names_the_key(capsys, gen, message):
-    assert run_cli(["bench", "--gen", gen]) == 2
-    captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
-    assert captured.out == ""
-
-
-def test_bench_gives_up_on_empty_samples(capsys):
-    # a legal but tiny density draws empty edge sets seed after seed
-    started = time.perf_counter()
-    assert run_cli(["bench", "--gen", "n=1,m=1,density=1e-12"]) == 2
-    assert time.perf_counter() - started < 10
-    err = capsys.readouterr().err
-    assert err == f"error: --gen drew {MAX_EMPTY_DRAWS} empty samples in a row; raise density\n"
 
 
 def test_solve_float_first_price_below_tolerance_terminates(tmp_path, capsys):
@@ -549,3 +571,20 @@ def test_solve_then_verify_prints_the_recorded_certificate(tmp_path, capsys, nam
     captured = capsys.readouterr()
     assert captured.err == f"error: line {k + 1}: bad rational '1/0'\n"
     assert captured.out == ""
+
+
+def readme_cli_lines():
+    """The `budget-flow` lines of the README's `## CLI` block, comments stripped."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True) for line in block.splitlines()
+            if line.startswith("budget-flow ")]
+
+
+def test_readme_cli_block_runs(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "profile.pw").write_text(PIECEWISE)
+    lines = readme_cli_lines()
+    assert len(lines) >= 8
+    for words in lines:
+        assert run_cli(words[1:]) == 0, " ".join(words)
