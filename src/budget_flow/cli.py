@@ -1,12 +1,14 @@
 """Command-line interface: solve, verify, oracle, generate, reduce, bench.
 
 Exit codes: 0 success / certificate passed, 1 verification failure,
-2 malformed input or usage error.
+2 malformed input or usage error, 141 (128 + SIGPIPE) when the reader of
+stdout has gone.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from fractions import Fraction
@@ -369,7 +371,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a reader that has gone shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader of stdout has gone, as under `| head`: stop without a word,
+        # and let no later flush write to the closed pipe
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, the status of a process SIGPIPE ended
     except (ValueError, OSError) as exc:  # malformed input, bad option or unreadable file
         print(f"error: {exc}", file=sys.stderr)
         return 2

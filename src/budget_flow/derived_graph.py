@@ -10,16 +10,24 @@ During a run the graph is the only writer of flows and sink prices:
 that carry stale flow, is the one record of it: a rise makes every flowing
 in-edge stale, and a promotion, a `revalue` move or clearing the flow makes an
 edge fresh.  A clean source's preferred edge is unsaturated, so a two-cycle
-check can promote it only when it is stale and has a stale sibling; the
-two-cycle sweep visits only dirty sources and those.
+check can promote it only when it is stale and has a stale sibling; the walk
+and the two-cycle sweep call `fix_two_cycle` only there.
+A rise visits none of the sink's in-edges: `_stale[j]` becomes a copy of the
+primal state's `flowing_in[j]`, whose only writers are `PrimalState.add_flow`
+and `clear_flow`, and `_bidders[j]`, the sources whose preferred edge enters
+j, become dirty.  `rebuild_preferred` is the only writer of a source's
+`preferred` edge, its place in `_bidders`, its alpha and `live[i]`, the flag
+that alpha is positive.  The solver's scan, `find_path` and `fix_two_cycle`
+rebuild a source in `_dirty` and then read its flag, not its alpha.
 Heap entries are stamped with their sink's `dual.level`, which `raise_beta`,
 the only price writer, bumps along with beta.  Keys only fall as beta rises,
 so an old stamp is an upper bound, re-keyed when it reaches the top; a rise
 pushes nothing and dirties only sources whose preferred edge enters the sink.
 Each edge has one entry at most (`_queued`).  An entry is
 `(-key, tie, dst, e, level)`, ordered exactly as `(-key, dst, e)` for the key
-c - p*beta; the dual state builds its leading pair (`heap_key`) and tests a
-saturated edge's slack (`has_slack`) in its own representation.
+c - p*beta; the dual state builds its leading pair (`heap_key`), reads a
+source's alpha back from its top entry (`entry_bid`) and tests a saturated
+edge's slack (`has_slack`) in its own representation.
 """
 
 from __future__ import annotations
@@ -84,12 +92,18 @@ class DerivedGraph:
         self.dual = dual
         self.num = dual.num
         self.stats = stats if stats is not None else RunStats()
+        self._counts = self.stats.counts
+        self._src = [spec.src for spec in instance.edges]
+        self._dst = [spec.dst for spec in instance.edges]
         self.preferred: list[int | None] = [None] * instance.n
+        self.live = [False] * instance.n
+        self._bidders: list[set[int]] = [set() for _ in range(instance.m)]
         self._heaps: list[list] = [[] for _ in range(instance.n)]
         self._saturated = [False] * len(instance.edges)
         self._queued = [False] * len(instance.edges)
         self._dirty: set[int] = set(range(instance.n))
         self._stale: list[set[int]] = [set() for _ in range(instance.m)]
+        self._walk_limit = 2 * (instance.n + instance.m) + 1
         for e, spec in enumerate(instance.edges):
             heapq.heappush(self._heaps[spec.src], self._entry(e))
         for i in range(instance.n):
@@ -98,8 +112,8 @@ class DerivedGraph:
     # -- heap bookkeeping ---------------------------------------------------
 
     def _entry(self, e: int) -> tuple:
-        dst = self.instance.edges[e].dst
-        self.stats.bump("heap_updates")
+        dst = self._dst[e]
+        self._counts["heap_updates"] += 1
         self._queued[e] = True
         key, tie = self.dual.heap_key(e)
         return (key, tie, dst, e, self.dual.level[dst])
@@ -117,47 +131,41 @@ class DerivedGraph:
         Flow that lands on zero, or on float dust below it, is cleared; it and
         flow moved with `revalue` are then assigned at the sink's current level.
         """
-        primal, num = self.primal, self.num
+        primal, counts = self.primal, self._counts
         primal.add_flow(e, delta)
-        self.stats.bump("flow_updates")
-        spec = self.instance.edges[e]
-        j = spec.dst
-        zeroed = not num.is_pos(primal.flow[e])
+        counts["flow_updates"] += 1
+        j = self._dst[e]
+        zeroed = not self.num.is_pos(primal.flow[e])
         if zeroed:
-            primal.flow[e] = primal.zero
-            self.stats.bump("back_edge_zeroings")
+            primal.clear_flow(e)
+            counts["back_edge_zeroings"] += 1
         if zeroed or revalue:
             self._stale[j].discard(e)
         now = primal.edge_saturated(e)
         if delta > 0 and now:
-            self.stats.bump("forward_saturations")
+            counts["forward_saturations"] += 1
         if now != self._saturated[e]:
             self._saturated[e] = now
+            i = self._src[e]
             if not now and not self._queued[e]:
-                heapq.heappush(self._heaps[spec.src], self._entry(e))
-            self._dirty.add(spec.src)
+                heapq.heappush(self._heaps[i], self._entry(e))
+            self._dirty.add(i)
         return j
 
     def promote(self, e: int) -> None:
         """Re-assign edge e's flow, if it has any, at its sink's current level."""
-        self._stale[self.instance.edges[e].dst].discard(e)
+        self._stale[self._dst[e]].discard(e)
 
     def raise_beta(self, j: int, value) -> None:
         """Set sink j's price to `value` (its first, or a rise) one level up.
 
         Every in-edge of j carrying flow, which `move_flow` leaves exactly zero
-        or positive, is then stale.
+        or positive, is then stale, and every source that prefers one is dirty.
         """
-        self.stats.bump("beta_rises" if self.dual.level[j] else "beta_inits")
+        self._counts["beta_rises" if self.dual.level[j] else "beta_inits"] += 1
         self.dual.raise_beta(j, value)
-        edges, flow, preferred = self.instance.edges, self.primal.flow, self.preferred
-        stale = self._stale[j] = set()
-        for e in self.instance.edges_of_sink(j):
-            if flow[e]:
-                stale.add(e)
-            i = edges[e].src
-            if preferred[i] == e:
-                self._dirty.add(i)
+        self._stale[j] = self.primal.flowing_in[j].copy()
+        self._dirty.update(self._bidders[j])
 
     # -- graph operations -------------------------------------------------------
 
@@ -168,22 +176,28 @@ class DerivedGraph:
         place.  Ties already break toward the lowest sink index through the
         heap ordering.  Returns None when i has no unsaturated edge.
         """
-        heap = self._heaps[i]
+        heap, dual, saturated = self._heaps[i], self.dual, self._saturated
         best = alpha = None
         while heap:
-            _, _, dst, e, level = heap[0]
-            if self._saturated[e]:
+            neg_key, tie, dst, e, level = heap[0]
+            if saturated[e]:
                 heapq.heappop(heap)
                 self._queued[e] = False
-                self.stats.bump("heap_updates")
-            elif level != self.dual.level[dst]:
+                self._counts["heap_updates"] += 1
+            elif level != dual.level[dst]:
                 heapq.heapreplace(heap, self._entry(e))
             else:
-                best, key = e, self.dual.effective_profit(e)
-                alpha = key if self.num.is_pos(key) else None
+                best, alpha = e, dual.entry_bid(neg_key, tie)
                 break
-        self.preferred[i] = best
-        self.dual.alpha[i] = self.dual.zero if alpha is None else alpha
+        old = self.preferred[i]
+        if old != best:
+            if old is not None:
+                self._bidders[self._dst[old]].discard(i)
+            if best is not None:
+                self._bidders[self._dst[best]].add(i)
+            self.preferred[i] = best
+        self.live[i] = alpha is not None
+        dual.alpha[i] = dual.zero if alpha is None else alpha
         self._dirty.discard(i)
         return best
 
@@ -196,18 +210,23 @@ class DerivedGraph:
         stale = self._stale[j]
         if not stale:
             return []
-        dual, edges, saturated = self.dual, self.instance.edges, self._saturated
+        saturated = self._saturated
+        if len(stale) == 1:
+            (e,) = stale
+            if not saturated[e]:
+                return [e]
+        dual, src, dirty = self.dual, self._src, self._dirty
         result = []
         for e in stale:
             if saturated[e]:
-                src = edges[e].src
-                if src in self._dirty:
-                    self.rebuild_preferred(src)
+                i = src[e]
+                if i in dirty:
+                    self.rebuild_preferred(i)
                 if dual.has_slack(e):
                     continue
             result.append(e)
         if len(result) > 1:
-            result.sort(key=lambda e: (edges[e].src, e))
+            result.sort(key=lambda e: (src[e], e))
         return result
 
     def fix_two_cycle(self, i: int) -> bool:
@@ -218,12 +237,13 @@ class DerivedGraph:
         level removes it while leaving the sink's price unchanged.  The
         lone back edge case is kept, since removing it would enable a price rise.
         """
-        self.ensure_fresh(i)
-        e = self.preferred[i]
-        if e is None or not self.num.is_pos(self.dual.alpha[i]):
+        if i in self._dirty:
+            self.rebuild_preferred(i)
+        if not self.live[i]:
             # only live bidders re-assign at the current price level
             return False
-        j = self.instance.edges[e].dst
+        e = self.preferred[i]
+        j = self._dst[e]
         stale = self._stale[j]
         if e not in stale or len(stale) < 2:
             return False
@@ -234,19 +254,18 @@ class DerivedGraph:
         return False
 
     def remove_two_cycles(self, sources) -> None:
-        """`fix_two_cycle` at each of `sources`, in order, that is dirty or
-        prefers a stale edge with a stale sibling; a clean source that does
-        not returns False."""
-        edges = self.instance.edges
+        """`fix_two_cycle` at each of `sources`, in order, that once fresh is a
+        live bidder preferring a stale edge with a stale sibling; at any other
+        source it would return False."""
+        dst, dirty, live, preferred = self._dst, self._dirty, self.live, self.preferred
         for i in sources:
-            if i not in self._dirty:
-                e = self.preferred[i]
-                if e is None:
-                    continue
-                stale = self._stale[edges[e].dst]
-                if e not in stale or len(stale) < 2:
-                    continue
-            self.fix_two_cycle(i)
+            if i in dirty:
+                self.rebuild_preferred(i)
+            if live[i]:
+                e = preferred[i]
+                stale = self._stale[dst[e]]
+                if e in stale and len(stale) > 1:
+                    self.fix_two_cycle(i)
 
     def find_path(self, start: int) -> Path:
         """Walk preferred and back edges from `start` until a stop condition.
@@ -260,27 +279,31 @@ class DerivedGraph:
         steps: list[int] = []
         src_pos: dict[int, int] = {}
         snk_pos: dict[int, int] = {}
-        limit = 2 * (self.instance.n + self.instance.m) + 1
+        limit = self._walk_limit
+        counts, dirty, live, preferred = self._counts, self._dirty, self.live, self.preferred
+        src, dst, level = self._src, self._dst, self.dual.level
         i = start
         while True:
             if len(steps) > limit:
                 raise RuntimeError("derived-graph walk exceeded its length bound")
-            self.stats.bump("walk_steps")
-            self.ensure_fresh(i)
-            if steps and self.num.is_zero(self.dual.alpha[i]):
+            counts["walk_steps"] += 1
+            if i in dirty:
+                self.rebuild_preferred(i)
+            if steps and not live[i]:
                 return Path(PathKind.TYPE_I, steps)
-            self.fix_two_cycle(i)
-            e = self.preferred[i]
-            assert e is not None, "active source without a preferred edge"
+            e = preferred[i]
+            j = dst[e]
+            stale = self._stale[j]
+            if e in stale and len(stale) > 1:
+                self.fix_two_cycle(i)
             src_pos[i] = len(steps)
             steps.append(e)
-            j = self.instance.edges[e].dst
             if j in snk_pos:
                 if steps[-2] == e:
                     # back over e, then forward over e again: a two-cycle
                     return Path(PathKind.TYPE_II, steps)
                 return Path(PathKind.TYPE_III, steps, cycle_start=snk_pos[j])
-            if not self.dual.level[j]:
+            if not level[j]:
                 return Path(PathKind.TYPE_I, steps)
             snk_pos[j] = len(steps)
             back = self.back_edges(j)
@@ -291,7 +314,7 @@ class DerivedGraph:
                 return Path(PathKind.STALLED, steps)
             b = back[0]
             steps.append(b)
-            nxt = self.instance.edges[b].src
+            nxt = src[b]
             if nxt in src_pos:
                 return Path(PathKind.TYPE_III, steps, cycle_start=src_pos[nxt])
             i = nxt

@@ -158,7 +158,7 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
 
     if not num.is_pos(primal.surplus[start]):
         primal.surplus[start] = primal.zero
-        graph.stats.bump("surplus_clears")
+        graph.stats.counts["surplus_clears"] += 1
     return report
 
 
@@ -243,18 +243,18 @@ def push_flow_cycle(graph: DerivedGraph, cycle: list[int]) -> PushReport:
     forward edge saturated.
     """
     report = PushReport()
-    primal, num, stats = graph.primal, graph.num, graph.stats
+    primal, num, counts = graph.primal, graph.num, graph.stats.counts
     entry = graph.instance.edges[cycle[0]].src
     s = primal.surplus[entry]
     if not num.is_pos(s):
         return report
     geom = cycle_geometry(primal, cycle, primal.value(s))
     apply_cycle_bulk(graph, geom, report)
-    stats.bump("cycle_pushes")
+    counts["cycle_pushes"] += 1
     if not num.is_pos(primal.surplus[entry]):
         # the converged series drained the surplus, or left float dust
         primal.surplus[entry] = primal.zero
-        stats.bump("surplus_clears")
+        counts["surplus_clears"] += 1
         return report
     assert geom.r_min is not None, "converged cycle left surplus"
 
@@ -281,12 +281,12 @@ def beta_update_pass(graph: DerivedGraph, candidates) -> list[int]:
     sweeping two-cycles over the sources with an edge into a risen sink, in
     index order.  Returns the sinks whose price rose.
     """
-    instance = graph.instance
+    instance, primal, dual = graph.instance, graph.primal, graph.dual
     risen = []
-    for j in sorted(candidates):
-        if not graph.primal.sink_saturated(j) or graph.back_edges(j):
+    for j in sorted(candidates) if len(candidates) > 1 else candidates:
+        if not primal.sink_saturated(j) or graph.back_edges(j):
             continue
-        value = graph.dual.next_beta(j)
+        value = dual.next_beta(j)
         if value is not None:
             graph.raise_beta(j, value)
             risen.append(j)
@@ -343,24 +343,28 @@ def solve(
     graph = DerivedGraph(instance, primal, dual, stats)
     terminated = True
     cursor = 0
-    n, surplus, alpha, is_pos = instance.n, primal.surplus, dual.alpha, num.is_pos
+    # a surplus is positive above `num.tol`, an int 0 in exact mode; a clean
+    # source's alpha is positive when its `live` flag is set
+    n, surplus, floor, counts = instance.n, primal.surplus, num.tol, stats.counts
+    dirty, live = graph._dirty, graph.live
     while True:
         picked = None
         for offset in range(n):
             i = (cursor + offset) % n
-            if not is_pos(surplus[i]):
+            if surplus[i] <= floor:
                 continue
-            graph.ensure_fresh(i)
-            if is_pos(alpha[i]):
+            if i in dirty:
+                graph.rebuild_preferred(i)
+            if live[i]:
                 picked = i
                 break
         if picked is None:
             break
-        if config.max_phases is not None and stats.get("phases") >= config.max_phases:
+        if config.max_phases is not None and counts["phases"] >= config.max_phases:
             terminated = False
             break
-        stats.bump("phases")
-        cursor = (picked + 1) % instance.n
+        counts["phases"] += 1
+        cursor = (picked + 1) % n
 
         path = graph.find_path(picked)
         steps = path.steps
@@ -371,18 +375,19 @@ def solve(
         elif path.kind is PathKind.TYPE_I:
             touched = push_flow_path(graph, steps).touched_sinks
             if len(steps) % 2 == 0:  # ends at an alpha=0 source
-                stats.bump("path_pushes_to_source")
-            stats.bump("path_pushes")
+                counts["path_pushes_to_source"] += 1
+            counts["path_pushes"] += 1
         else:
             # two-cycle end or stall: flow moves only up to the final sink
-            touched = push_flow_path(graph, steps[:-1]).touched_sinks
-            touched.add(instance.edges[steps[-1]].dst)
+            touched = {instance.edges[steps[-1]].dst}
+            if len(steps) > 1:
+                touched |= push_flow_path(graph, steps[:-1]).touched_sinks
             if path.kind is PathKind.TYPE_II:
                 # re-assign the loop edge's flow at the current price
                 graph.promote(steps[-1])
-                stats.bump("two_cycle_eliminations")
+                counts["two_cycle_eliminations"] += 1
             else:
-                stats.bump("stalls")
+                counts["stalls"] += 1
 
         beta_update_pass(graph, touched)
         if on_iteration is not None:

@@ -3,12 +3,18 @@
 The one module that knows how a run stores its numbers: the base classes
 hold the float rules, the `Exact` subclasses the exact ones, and
 `make_states` picks a mode's three once.
+
+`PrimalState.flowing_in[j]`, the in-edges of sink j with nonzero flow, is
+written only by `add_flow` and `clear_flow`.  A price rise copies it as the
+sink's stale set, and an exact rescale multiplies only the flows it lists.
+`RunStats.counts` is a `Counter`, so the solver increments it in place.
 """
 
 from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -19,7 +25,7 @@ from .instance import Kind, ProblemInstance, SolverConfig, check_float_range
 class RunStats:
     """Counters witnessing the charging argument; plain ints, exported as a dict."""
 
-    counts: dict[str, int] = field(default_factory=dict)
+    counts: Counter = field(default_factory=Counter)
 
     def bump(self, key: str, amount: int = 1) -> None:
         self.counts[key] = self.counts.get(key, 0) + amount
@@ -75,6 +81,9 @@ class ExactNumerics(Numerics):
     eq = staticmethod(operator.eq)
     le = staticmethod(operator.le)
 
+    def __init__(self):
+        super().__init__(0)  # an int, so `x > tol` on an int numerator stays in ints
+
     @staticmethod
     def is_zero(a) -> bool:
         return a.numerator == 0
@@ -114,7 +123,8 @@ class PrimalState:
     surplus[i]  = a_i - sum of flow out of source i
     residual[j] = b_j - price-weighted flow into sink j
     Both always equal their defining sums, since `add_flow` moves them with
-    the flow.
+    the flow.  flowing_in[j] is the set of sink j's in-edges with nonzero
+    flow; `add_flow` and `clear_flow` are its only writers.
 
     Each quantity is stored as a `number` over one shared denominator,
     `scale`, and the amounts a caller passes and gets back are in the same
@@ -130,7 +140,7 @@ class PrimalState:
         self.num = num
         self.scale = 1
         self.zero = self.number(0)
-        self._flowing: set[int] = set()  # the edges `add_flow` left nonzero
+        self.flowing_in: list[set[int]] = [set() for _ in range(instance.m)]
         self.flow = [self.zero] * len(instance.edges)
         self.surplus = [self.number(a) for a in instance.supply]
         self.residual = [self.number(b) for b in instance.budget]
@@ -139,11 +149,17 @@ class PrimalState:
         spec = self.instance.edges[e]
         f = self.flow[e] = self.flow[e] + delta
         if f:
-            self._flowing.add(e)
+            self.flowing_in[spec.dst].add(e)
         else:
-            self._flowing.discard(e)
+            self.flowing_in[spec.dst].discard(e)
         self.surplus[spec.src] -= delta
         self.residual[spec.dst] -= delta * spec.price
+
+    def clear_flow(self, e: int) -> None:
+        """Set edge e's flow to zero, leaving surplus and residual as they are:
+        the clear of float dust."""
+        self.flow[e] = self.zero
+        self.flowing_in[self.instance.edges[e].dst].discard(e)
 
     def sink_saturated(self, j: int) -> bool:
         return self.num.is_zero(self.residual[j])
@@ -208,8 +224,9 @@ class ExactPrimal(PrimalState):
         changed in place, so their aliases stay current."""
         self.scale *= factor
         flow = self.flow
-        for e in self._flowing:
-            flow[e] *= factor
+        for flowing in self.flowing_in:
+            for e in flowing:
+                flow[e] *= factor
         self.surplus[:] = [x * factor for x in self.surplus]
         self.residual[:] = [x * factor for x in self.residual]
 
@@ -224,8 +241,8 @@ class DualState:
     `DerivedGraph.raise_beta`, which also records the flow it leaves stale.
 
     Each alpha and beta is stored as a `number`; the methods below are the
-    float rules and `ExactDual` holds the exact ones.  `heap_key` and
-    `has_slack` are the derived graph's two tests on prices.
+    float rules and `ExactDual` holds the exact ones.  `heap_key`, `entry_bid`
+    and `has_slack` are what the derived graph asks of prices.
     """
 
     number = float
@@ -276,6 +293,12 @@ class DualState:
         A float key orders alone, so `tie` is None."""
         return -self.effective_profit(e), None
 
+    def entry_bid(self, neg_key, tie):
+        """Source alpha read back from the leading pair `(-key, tie)` of the
+        entry on top of its heap, made at its sink's current level: the key
+        c - p*beta when it is positive, else None."""
+        return -neg_key if -neg_key > self.num.tol else None
+
     def has_slack(self, e: int) -> bool:
         """Whether edge e's price slack c - p*beta - alpha is positive."""
         return self.num.is_pos(
@@ -303,8 +326,10 @@ class ExactDual(DualState):
         return Ratio(b.numerator * r.numerator, b.denominator * r.denominator)
 
     def raise_beta(self, j: int, new_value) -> None:
-        """Any exact rational is stored as a Ratio."""
-        super().raise_beta(j, Ratio(*new_value.as_integer_ratio()))
+        """A Ratio is stored as it is, any other exact rational as a Ratio."""
+        if type(new_value) is not Ratio:
+            new_value = Ratio(*new_value.as_integer_ratio())
+        super().raise_beta(j, new_value)
 
     def effective_profit(self, e: int) -> Ratio:
         spec = self.instance.edges[e]
@@ -321,6 +346,10 @@ class ExactDual(DualState):
         except OverflowError:
             key = math.inf if kn > 0 else -math.inf
         return -key, Ratio(-kn, db)
+
+    @staticmethod
+    def entry_bid(neg_key, tie) -> Ratio | None:
+        return Ratio(-tie.numerator, tie.denominator) if tie.numerator < 0 else None
 
     def has_slack(self, e: int) -> bool:
         spec = self.instance.edges[e]

@@ -501,6 +501,39 @@ def test_solve_float_first_price_below_tolerance_terminates(tmp_path, capsys):
     assert "status terminated\n" in out.read_text()
 
 
+def cli_process(*args):
+    src = Path(__file__).resolve().parent.parent / "src"
+    return subprocess.Popen([sys.executable, "-m", "budget_flow.cli", *args],
+                            env=dict(os.environ, PYTHONPATH=str(src)),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+@pytest.mark.parametrize("command", ["bench", "generate"])
+def test_closed_stdout_stops_silently_with_141(tmp_path, command):
+    # the reader goes before the first write, as `| head -1` does to a command
+    # whose first line is late: bench writes a few lines, which reach the pipe
+    # at the closing flush; generate writes a 200x200 instance of about 500 kB
+    # in one call
+    inst = tmp_path / "inst.btp"
+    inst.write_text(ONE_BY_ONE)
+    args = {"bench": ["bench", str(inst)],
+            "generate": ["generate", "--seed", "1", "--n", "200", "--m", "200",
+                         "--density", "1.0"]}[command]
+    proc = cli_process(*args)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""  # no `error:` line, no traceback, no failed flush at exit
+
+
+def test_unreadable_input_file_still_exits_2(tmp_path, capsys):
+    assert run_cli(["solve", str(tmp_path / "missing.btp")]) == 2
+    assert run_cli(["solve", str(tmp_path)]) == 2  # a directory
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(line.startswith("error: ") for line in err)
+
+
 def test_cli_entry_point_installed():
     src = Path(__file__).resolve().parent.parent / "src"
     result = subprocess.run(

@@ -3,16 +3,17 @@ import heapq
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from budget_flow.derived_graph import DerivedGraph, PathKind
-from budget_flow.instance import SolverConfig, generate
+from budget_flow.instance import SolverConfig, generate, parse
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 import budget_flow.solver as solver_mod
-from budget_flow.state import Ratio, make_states
+from budget_flow.state import PrimalState, Ratio, make_states
 from budget_flow.cli import solution_to_text
 from conftest import btp, bts, move, values
 from reference_sweep import FullSweepGraph, PromotionLog
@@ -443,6 +444,57 @@ def test_stale_index_matches_valuations_after_every_phase(mode):
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
         assert solver_mod.solve(inst, config, on_iteration=check_index).terminated
     assert sum(stale) > 0  # the index held stale edges when it was checked
+
+
+def check_rise_records(graph) -> None:
+    """The records a price rise reads equal scans of what they stand for: each
+    sink's `flowing_in` its in-edges with nonzero flow, each `_bidders` set the
+    sources whose preferred edge enters the sink, and each clean source's
+    `live` flag whether its alpha is positive."""
+    inst, primal, num = graph.instance, graph.primal, graph.num
+    flow, edges = values(primal, "flow"), inst.edges
+    for j in range(inst.m):
+        assert primal.flowing_in[j] == {e for e in inst.edges_of_sink(j) if flow[e] != 0}, j
+        assert graph._bidders[j] == {i for i, e in enumerate(graph.preferred)
+                                     if e is not None and edges[e].dst == j}, j
+    for i in range(inst.n):
+        if i not in graph._dirty:
+            assert graph.live[i] == num.is_pos(graph.dual.alpha[i]), i
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_rise_records_match_scans_after_every_phase(mode):
+    def check(graph):
+        check_rise_records(graph)
+        seen["flowing"] += sum(map(len, graph.primal.flowing_in))
+        seen["retired"] += sum(not graph.live[i] for i in range(graph.instance.n)
+                               if i not in graph._dirty)
+
+    seen = {"flowing": 0, "retired": 0}
+    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+    for seed in range(6):
+        for inst in (generate(seed=seed, n=5, m=5, density=0.8,
+                              u_range=(1, 6) if seed % 2 else None),
+                     small_instance("pw", seed, 4, 4)):
+            assert solver_mod.solve(inst, config, on_iteration=check).terminated
+    # the records held flow, and some clean source had retired, when checked
+    assert seen["flowing"] > 0 and seen["retired"] > 0
+
+
+def test_rise_records_match_scans_where_float_dust_is_cleared(monkeypatch):
+    # a flow left as float dust is cleared, and leaves its sink's record
+    dust = []
+    clear_flow = PrimalState.clear_flow
+
+    def logged(self, e):
+        dust.append(self.flow[e])
+        clear_flow(self, e)
+
+    monkeypatch.setattr(PrimalState, "clear_flow", logged)
+    text = (Path(__file__).parent / "data" / "float_dust_cycle.btp").read_text()
+    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float", max_phases=20000)
+    assert solver_mod.solve(parse(text), config, on_iteration=check_rise_records).terminated
+    assert any(dust)  # a nonzero flow was cleared
 
 
 def check_walk_shape(graph, start, path) -> None:
