@@ -140,13 +140,14 @@ def certify(
     """
     if rigorous and tol:
         raise ValueError(f"a rigorous certificate compares exactly; tol must be 0, not {tol}")
-    n, m, ne = instance.n, instance.m, len(instance.edges)
+    n, m, ne = instance.n, instance.m, len(instance.src)
     if len(flow) != ne or len(alpha) != n or len(beta) != m:
         raise CertificationError(
             f"solution shape ({len(alpha)},{len(beta)},{len(flow)}) "
             f"does not match instance ({n},{m},{ne})"
         )
-    edges = instance.edges
+    src, dst, profit, price, capacity = (
+        instance.src, instance.dst, instance.profit, instance.price, instance.capacity)
     support = nonzero(flow)
     if rigorous:
         epsilon = Fraction(epsilon)
@@ -175,9 +176,8 @@ def certify(
     # capacity is at least 1 and tol is below 1
     gammas = {}
     for e in support:
-        spec = edges[e]
-        if spec.capacity is not None and abs(flow[e] - spec.capacity * lf) <= tol:
-            slack = spec.profit * ld - spec.price * beta[spec.dst] - alpha[spec.src]
+        if capacity[e] is not None and abs(flow[e] - capacity[e] * lf) <= tol:
+            slack = profit[e] * ld - price[e] * beta[dst[e]] - alpha[src[e]]
             if slack > tol:
                 gammas[e] = slack
 
@@ -187,22 +187,17 @@ def certify(
     cs_flow_excess = zero
     flow_slack_sum = zero
     for e in support:
-        spec, f = edges[e], flow[e]
+        f, i, j, c, p, u = flow[e], src[e], dst[e], profit[e], price[e], capacity[e]
         if f < -tol:
             primal_violations.append(f"negative flow on edge {e}")
-        if spec.capacity is not None and f - spec.capacity * lf > tol:
+        if u is not None and f - u * lf > tol:
             primal_violations.append(f"capacity exceeded on edge {e}")
-        out_of[spec.src] += f
-        into[spec.dst] += spec.price * f
+        out_of[i] += f
+        into[j] += p * f
         if f > tol:
-            slack = (
-                spec.profit * ld
-                - alpha[spec.src]
-                - spec.price * beta[spec.dst]
-                - gammas.get(e, zero)
-            )
+            slack = c * ld - alpha[i] - p * beta[j] - gammas.get(e, zero)
             flow_slack_sum += f * slack
-            excess = abs(slack) - eps * spec.profit
+            excess = abs(slack) - eps * c
             if excess > cs_flow_excess:
                 cs_flow_excess = excess
     for i in range(n):
@@ -221,32 +216,31 @@ def certify(
             dual_violations.append(f"negative beta at sink {j + 1}")
     if rigorous:
         # c - p*beta - alpha > 0 times both denominators; a gamma makes it 0
-        for e, spec in enumerate(edges):
-            na, da = ratio_a[spec.src]
-            nb, db = ratio_b[spec.dst]
-            if (spec.profit * db - spec.price * nb) * da > na * db and e not in gammas:
+        for e, i, j, c, p in zip(range(ne), src, dst, profit, price):
+            na, da = ratio_a[i]
+            nb, db = ratio_b[j]
+            if (c * db - p * nb) * da > na * db and e not in gammas:
                 dual_violations.append(f"dual constraint violated on edge {e}")
     else:
-        for e, spec in enumerate(edges):
-            bound = spec.profit - spec.price * beta[spec.dst] - gammas.get(e, zero)
-            if bound - alpha[spec.src] > tol:
+        for e, i, j, c, p in zip(range(ne), src, dst, profit, price):
+            if c - p * beta[j] - gammas.get(e, zero) - alpha[i] > tol:
                 dual_violations.append(f"dual constraint violated on edge {e}")
 
     # each complementary product once, over ld*lf: its worst for slackness,
     # its sum for the identity
     source_terms = [alpha[i] * (instance.supply[i] * lf - out_of[i]) for i in range(n)]
     sink_terms = [beta[j] * (instance.budget[j] * lf - into[j]) for j in range(m)]
-    cap_terms = [g * (edges[e].capacity * lf - flow[e]) for e, g in gammas.items()]
+    cap_terms = [g * (capacity[e] * lf - flow[e]) for e, g in gammas.items()]
     cs_source = max(map(abs, source_terms), default=zero)
     cs_sink = max(map(abs, sink_terms), default=zero)
     cs_edge = max(map(abs, cap_terms), default=zero)
 
-    primal_value = sum((edges[e].profit * flow[e] for e in support), start=zero)
+    primal_value = sum((profit[e] * flow[e] for e in support), start=zero)
     dual_value = sum(
         (instance.supply[i] * alpha[i] for i in range(n)), start=zero
     ) + sum(instance.budget[j] * beta[j] for j in range(m))
     for e, g in gammas.items():
-        dual_value += edges[e].capacity * g
+        dual_value += capacity[e] * g
 
     # gap identity, recomputed both ways
     lhs = dual_value * lf - primal_value * ld
@@ -281,14 +275,12 @@ def certify(
         cs_source, cs_sink = Fraction(cs_source, ld * lf), Fraction(cs_sink, ld * lf)
         # each gamma again, from the given values, so its type follows theirs
         gammas = {
-            e: edges[e].profit - edges[e].price * given_beta[edges[e].dst]
-            - given_alpha[edges[e].src]
-            for e in gammas
+            e: profit[e] - price[e] * given_beta[dst[e]] - given_alpha[src[e]] for e in gammas
         }
         # a gamma needs a full edge, so every capacity term is 0 and the worst
         # is the first
         cs_edge = next(
-            (abs(g * (edges[e].capacity - given_flow[e])) for e, g in gammas.items()),
+            (abs(g * (capacity[e] - given_flow[e])) for e, g in gammas.items()),
             Fraction(0),
         )
         cs_flow_excess = Fraction(cs_flow_excess, ld)

@@ -93,26 +93,24 @@ class DerivedGraph:
         self.num = dual.num
         self.stats = stats if stats is not None else RunStats()
         self._counts = self.stats.counts
-        self._src = [spec.src for spec in instance.edges]
-        self._dst = [spec.dst for spec in instance.edges]
         self.preferred: list[int | None] = [None] * instance.n
         self.live = [False] * instance.n
         self._bidders: list[set[int]] = [set() for _ in range(instance.m)]
         self._heaps: list[list] = [[] for _ in range(instance.n)]
-        self._saturated = [False] * len(instance.edges)
-        self._queued = [False] * len(instance.edges)
+        self._saturated = [False] * len(instance.src)
+        self._queued = [False] * len(instance.src)
         self._dirty: set[int] = set(range(instance.n))
         self._stale: list[set[int]] = [set() for _ in range(instance.m)]
         self._walk_limit = 2 * (instance.n + instance.m) + 1
-        for e, spec in enumerate(instance.edges):
-            heapq.heappush(self._heaps[spec.src], self._entry(e))
+        for e, i in enumerate(instance.src):
+            heapq.heappush(self._heaps[i], self._entry(e))
         for i in range(instance.n):
             self.ensure_fresh(i)
 
     # -- heap bookkeeping ---------------------------------------------------
 
     def _entry(self, e: int) -> tuple:
-        dst = self._dst[e]
+        dst = self.instance.dst[e]
         self._counts["heap_updates"] += 1
         self._queued[e] = True
         key, tie = self.dual.heap_key(e)
@@ -134,7 +132,7 @@ class DerivedGraph:
         primal, counts = self.primal, self._counts
         primal.add_flow(e, delta)
         counts["flow_updates"] += 1
-        j = self._dst[e]
+        j = self.instance.dst[e]
         zeroed = not self.num.is_pos(primal.flow[e])
         if zeroed:
             primal.clear_flow(e)
@@ -146,7 +144,7 @@ class DerivedGraph:
             counts["forward_saturations"] += 1
         if now != self._saturated[e]:
             self._saturated[e] = now
-            i = self._src[e]
+            i = self.instance.src[e]
             if not now and not self._queued[e]:
                 heapq.heappush(self._heaps[i], self._entry(e))
             self._dirty.add(i)
@@ -154,7 +152,7 @@ class DerivedGraph:
 
     def promote(self, e: int) -> None:
         """Re-assign edge e's flow, if it has any, at its sink's current level."""
-        self._stale[self._dst[e]].discard(e)
+        self._stale[self.instance.dst[e]].discard(e)
 
     def raise_beta(self, j: int, value) -> None:
         """Set sink j's price to `value` (its first, or a rise) one level up.
@@ -192,9 +190,9 @@ class DerivedGraph:
         old = self.preferred[i]
         if old != best:
             if old is not None:
-                self._bidders[self._dst[old]].discard(i)
+                self._bidders[self.instance.dst[old]].discard(i)
             if best is not None:
-                self._bidders[self._dst[best]].add(i)
+                self._bidders[self.instance.dst[best]].add(i)
             self.preferred[i] = best
         self.live[i] = alpha is not None
         dual.alpha[i] = dual.zero if alpha is None else alpha
@@ -215,7 +213,7 @@ class DerivedGraph:
             (e,) = stale
             if not saturated[e]:
                 return [e]
-        dual, src, dirty = self.dual, self._src, self._dirty
+        dual, src, dirty = self.dual, self.instance.src, self._dirty
         result = []
         for e in stale:
             if saturated[e]:
@@ -243,21 +241,27 @@ class DerivedGraph:
             # only live bidders re-assign at the current price level
             return False
         e = self.preferred[i]
-        j = self._dst[e]
-        stale = self._stale[j]
+        stale = self._stale[self.instance.dst[e]]
         if e not in stale or len(stale) < 2:
             return False
-        # e is unsaturated, so a stale e is one of j's back edges
-        if len(self.back_edges(j)) > 1:
+        # e is unsaturated, so a stale e is a back edge; count the others as
+        # `back_edges` lists them, with the same rebuilds of dirty sources
+        dual, src, dirty, saturated = self.dual, self.instance.src, self._dirty, self._saturated
+        back = len(stale)
+        for f in stale:
+            if saturated[f]:
+                if src[f] in dirty:
+                    self.rebuild_preferred(src[f])
+                back -= dual.has_slack(f)
+        if back > 1:
             self.promote(e)
-            return True
-        return False
+        return back > 1
 
     def remove_two_cycles(self, sources) -> None:
         """`fix_two_cycle` at each of `sources`, in order, that once fresh is a
         live bidder preferring a stale edge with a stale sibling; at any other
         source it would return False."""
-        dst, dirty, live, preferred = self._dst, self._dirty, self.live, self.preferred
+        dst, dirty, live, preferred = self.instance.dst, self._dirty, self.live, self.preferred
         for i in sources:
             if i in dirty:
                 self.rebuild_preferred(i)
@@ -281,7 +285,7 @@ class DerivedGraph:
         snk_pos: dict[int, int] = {}
         limit = self._walk_limit
         counts, dirty, live, preferred = self._counts, self._dirty, self.live, self.preferred
-        src, dst, level = self._src, self._dst, self.dual.level
+        src, dst, level = self.instance.src, self.instance.dst, self.dual.level
         i = start
         while True:
             if len(steps) > limit:

@@ -1,4 +1,10 @@
-"""Problem data model: instances, validation, file format, generation, diagnostics."""
+"""Problem data model: instances, validation, file format, generation, diagnostics.
+
+A `ProblemInstance` holds its edges as columns, one tuple per `EdgeSpec` field
+(`src`, `dst`, `profit`, `price`, `capacity`, `segment`) indexed by edge; the
+readers, the generator and the solver use only these.  `edges` is a view of
+them as `EdgeSpec` rows, built on first use for callers that want records.
+"""
 
 from __future__ import annotations
 
@@ -8,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 
 class Kind(Enum):
@@ -35,8 +41,18 @@ class InstanceValidationError(ValueError):
         super().__init__("; ".join(violations))
 
 
-@dataclass(frozen=True, slots=True)
-class EdgeSpec:
+class stored_property(cached_property):
+    """A `cached_property` that keeps attribute reads fast: it does not write `__dict__`."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = self.func(instance)
+        object.__setattr__(instance, self.attrname, value)
+        return value
+
+
+class EdgeSpec(NamedTuple):
     """One source->sink edge: integer profit, positive integer price, optional capacity.
 
     `segment` is set only on instances produced by splitting piecewise-linear
@@ -53,7 +69,7 @@ class EdgeSpec:
 
 @dataclass(frozen=True)
 class ProblemInstance:
-    """Immutable bipartite instance: supplies, budgets, priced/profit edges.
+    """Immutable bipartite instance: supplies, budgets and edge columns.
 
     Sources and sinks are 0-based internally; the file format is 1-based.
     Construction validates, so an instance that exists is valid; instances
@@ -63,10 +79,25 @@ class ProblemInstance:
     kind: Kind
     supply: tuple[int, ...]
     budget: tuple[int, ...]
-    edges: tuple[EdgeSpec, ...]
+    src: tuple[int, ...]
+    dst: tuple[int, ...]
+    profit: tuple[int, ...]
+    price: tuple[int, ...]
+    capacity: tuple[int | None, ...]
+    segment: tuple[int | None, ...]
 
     def __post_init__(self):
         validate(self)  # looked up at call time, so a wrapped `validate` sees every check
+
+    @classmethod
+    def from_edges(cls, kind: Kind, supply, budget, edges) -> ProblemInstance:
+        """From one `EdgeSpec`, or a plain tuple of its six fields, per edge."""
+        return cls(kind, tuple(supply), tuple(budget), *(tuple(zip(*edges)) or ((),) * 6))
+
+    @stored_property
+    def edges(self) -> tuple[EdgeSpec, ...]:
+        return tuple(map(EdgeSpec, self.src, self.dst, self.profit, self.price,
+                         self.capacity, self.segment))
 
     @property
     def n(self) -> int:
@@ -76,15 +107,15 @@ class ProblemInstance:
     def m(self) -> int:
         return len(self.budget)
 
-    @cached_property
+    @stored_property
     def _adjacency(self) -> tuple[tuple[tuple[int, ...], ...], ...]:
         """Edge indices per source and per sink, in edge order, and the distinct
         sources of each sink, in index order; built once."""
         out_edges, in_edges = [[] for _ in range(self.n)], [[] for _ in range(self.m)]
-        for e, spec in enumerate(self.edges):
-            out_edges[spec.src].append(e)
-            in_edges[spec.dst].append(e)
-        sources = (tuple(sorted({self.edges[e].src for e in in_j})) for in_j in in_edges)
+        for e, (i, j) in enumerate(zip(self.src, self.dst)):
+            out_edges[i].append(e)
+            in_edges[j].append(e)
+        sources = (tuple(sorted({self.src[e] for e in in_j})) for in_j in in_edges)
         return tuple(map(tuple, out_edges)), tuple(map(tuple, in_edges)), tuple(sources)
 
     def edges_of_source(self, i: int) -> tuple[int, ...]:
@@ -146,50 +177,50 @@ def validate(instance: ProblemInstance) -> None:
     built; only an instance that fails it is walked again, to list each fault
     in order.
     """
-    n, m, edges = instance.n, instance.m, instance.edges
+    n, m, supply, budget = instance.n, instance.m, instance.supply, instance.budget
+    columns = (instance.src, instance.dst, instance.profit, instance.price, instance.capacity,
+               instance.segment)
     capacitated = instance.kind is Kind.BTS
-    if n >= 1 and m >= 1 and min(instance.supply) >= 1 and min(instance.budget) >= 1:
-        keys = {
-            (spec.src, spec.dst, spec.segment)
-            for spec in edges
-            if 0 <= spec.src < n and 0 <= spec.dst < m and spec.price >= 1 and spec.profit >= 0
-            and (spec.capacity is None or (capacitated and spec.capacity >= 1))
+    if n >= 1 and m >= 1 and min(supply) >= 1 and min(budget) >= 1:
+        keys = {  # a strict zip raises ValueError on columns of unequal length
+            (i, j, k) for i, j, c, p, u, k in zip(*columns, strict=True)
+            if 0 <= i < n and 0 <= j < m and p >= 1 and c >= 0
+            and (u is None or (capacitated and u >= 1))
         }
-        if len(keys) == len(edges):  # every edge passed, and no key repeats
+        if len(keys) == len(instance.src):  # every edge passed, and no key repeats
             return
     issues: list[str] = []
     if n < 1:
         issues.append("no sources")
     if m < 1:
         issues.append("no sinks")
-    for i, a in enumerate(instance.supply):
+    for i, a in enumerate(supply):
         if a < 1:
             issues.append(f"non-positive supply at source {i + 1}")
-    for j, b in enumerate(instance.budget):
+    for j, b in enumerate(budget):
         if b < 1:
             issues.append(f"non-positive budget at sink {j + 1}")
     seen: set[tuple[int, int, int | None]] = set()
-    for e, spec in enumerate(edges):
+    for e, (i, j, c, p, u, k) in enumerate(zip(*columns, strict=True)):
         faults = []
-        if not (0 <= spec.src < n):
+        if not (0 <= i < n):
             faults.append("dangling source index")
-        if not (0 <= spec.dst < m):
+        if not (0 <= j < m):
             faults.append("dangling sink index")
-        if spec.price < 1:
+        if p < 1:
             faults.append("zero price")
-        if spec.profit < 0:
+        if c < 0:
             faults.append("negative profit")
-        if spec.capacity is not None:
-            if spec.capacity < 1:
+        if u is not None:
+            if u < 1:
                 faults.append("non-positive capacity")
             if not capacitated:
                 faults.append("capacity on a btp instance")
-        key = (spec.src, spec.dst, spec.segment)
-        if key in seen:
+        if (i, j, k) in seen:
             faults.append("duplicate edge")
-        seen.add(key)
+        seen.add((i, j, k))
         if faults:  # the prefix is built only for an edge with a fault
-            tag = f"edge {e + 1} ({spec.src + 1},{spec.dst + 1})"
+            tag = f"edge {e + 1} ({i + 1},{j + 1})"
             issues.extend(f"{tag}: {fault}" for fault in faults)
     if issues:
         raise InstanceValidationError(issues)
@@ -198,7 +229,7 @@ def validate(instance: ProblemInstance) -> None:
 def check_float_range(instance: ProblemInstance, flow=(), alpha=(), beta=()) -> None:
     """Raise ValueError naming the first record, of the instance or of a solution's
     flow, alpha and beta, whose number a float cannot hold; float mode converts each."""
-    edge_max = [max(spec.profit, spec.price, spec.capacity or 0) for spec in instance.edges]
+    edge_max = map(max, instance.profit, instance.price, (u or 0 for u in instance.capacity))
     for name, values in (("source", instance.supply), ("sink", instance.budget),
                          ("edge", edge_max), ("flow on edge", flow), ("alpha", alpha),
                          ("beta", beta)):
@@ -356,51 +387,53 @@ def transport_records(lines, header_line: int, n: int, m: int, num_edges: int, e
 
 
 def parse(text: str) -> ProblemInstance:
-    """Parse the line-oriented instance format; raises InstanceFormatError."""
+    """Parse the line-oriented instance format; raises InstanceFormatError.
+
+    Edge records that all have the same fields are read column by column;
+    otherwise, or on any fault, the file is read again record by record."""
     header_line, (kind, n, m, num_edges), lines = read_header(text, "p <btp|bts> <n> <m> <E>")
     kind = Kind(kind)
     widths = (5, 6) if kind is Kind.BTS else (5,)
 
-    def edge(line_no: int, tokens: list[str]) -> EdgeSpec:
+    def edge(line_no: int, tokens: list[str]) -> tuple:
         segment = pop_segment(line_no, tokens)
         if len(tokens) in widths:
-            try:
-                return EdgeSpec(
-                    int(tokens[1]) - 1,
-                    int(tokens[2]) - 1,
-                    int(tokens[3]),
-                    int(tokens[4]),
-                    int(tokens[5]) if len(tokens) == 6 else None,
-                    segment,
-                )
-            except ValueError:
-                for token in tokens[1:]:
-                    integer(line_no, token)  # cites the first field that is no integer
-                raise
+            i, j, c, p, *u = (integer(line_no, token) for token in tokens[1:])
+            return i - 1, j - 1, c, p, u[0] if u else None, segment
         if len(tokens) == 6:
             raise InstanceFormatError(line_no, "capacity field not allowed on btp instances")
         raise InstanceFormatError(line_no, "edge needs: e <i> <j> <c> <p> [<u>]")
 
-    supply, budget, edges = transport_records(lines, header_line, n, m, num_edges, edge)
-    return ProblemInstance(kind, supply, budget, edges)
+    try:
+        supply, budget, records = transport_records(
+            lines, header_line, n, m, num_edges, lambda line_no, tokens: tokens)
+        columns = list(zip(*records)) if len(set(map(len, records))) == 1 else []
+        segment = unset = (None,) * len(records)
+        if columns and all(k.startswith("seg=") for k in columns[-1]):
+            segment = tuple(int(k[4:]) for k in columns.pop())
+        if len(columns) not in widths:
+            raise ValueError("edge records of differing or wrong widths")
+        src, dst, profit, price, *capacity = (tuple(map(int, c)) for c in columns[1:])
+        columns = (tuple(i - 1 for i in src), tuple(j - 1 for j in dst), profit, price,
+                   capacity[0] if capacity else unset, segment)
+    except ValueError:
+        supply, budget, rows = transport_records(lines, header_line, n, m, num_edges, edge)
+        columns = tuple(zip(*rows)) or ((),) * 6
+    return ProblemInstance(kind, supply, budget, *columns)
 
 
 def serialize(instance: ProblemInstance) -> str:
     """Emit the canonical form: sorted records, no comments; parse round-trips it."""
-    lines = [f"p {instance.kind.value} {instance.n} {instance.m} {len(instance.edges)}"]
+    lines = [f"p {instance.kind.value} {instance.n} {instance.m} {len(instance.src)}"]
     for i, a in enumerate(instance.supply):
         lines.append(f"s {i + 1} {a}")
     for j, b in enumerate(instance.budget):
         lines.append(f"t {j + 1} {b}")
-    ordered = sorted(instance.edges, key=lambda spec: (
-        spec.src, spec.dst, -1 if spec.segment is None else spec.segment))
-    for spec in ordered:
-        parts = [f"e {spec.src + 1} {spec.dst + 1} {spec.profit} {spec.price}"]
-        if spec.capacity is not None:
-            parts.append(str(spec.capacity))
-        if spec.segment is not None:
-            parts.append(f"seg={spec.segment}")
-        lines.append(" ".join(parts))
+    rows = zip(instance.src, instance.dst, instance.profit, instance.price, instance.capacity,
+               instance.segment)
+    for i, j, c, p, u, k in sorted(rows, key=lambda r: (r[0], r[1], -1 if r[5] is None else r[5])):
+        lines.append(f"e {i + 1} {j + 1} {c} {p}" + ("" if u is None else f" {u}")
+                     + ("" if k is None else f" seg={k}"))
     return "\n".join(lines) + "\n"
 
 
@@ -441,31 +474,21 @@ def generate(
             capacity = None
             if u_range is not None and rng.random() < u_prob:
                 capacity = rng.randint(*u_range)
-            edges.append(
-                EdgeSpec(
-                    src=i,
-                    dst=j,
-                    profit=rng.randint(*c_range),
-                    price=rng.randint(*p_range),
-                    capacity=capacity,
-                )
-            )
+            edges.append((i, j, rng.randint(*c_range), rng.randint(*p_range), capacity, None))
     if not edges:
         raise ValueError("empty edge set after sampling; raise density or retry seed")
-    return ProblemInstance(
-        kind=kind,
-        supply=tuple(rng.randint(*a_range) for _ in range(n)),
-        budget=tuple(rng.randint(*b_range) for _ in range(m)),
-        edges=tuple(edges),
+    return ProblemInstance.from_edges(
+        kind,
+        supply=[rng.randint(*a_range) for _ in range(n)],
+        budget=[rng.randint(*b_range) for _ in range(m)],
+        edges=edges,
     )
 
 
 def diagnostics(instance: ProblemInstance, epsilon: Fraction) -> InstanceDiagnostics:
     """Compute the spread U and the rise and per-rise bounds; needs one profitable edge."""
     epsilon = Fraction(epsilon)
-    rates = [
-        Fraction(spec.profit, spec.price) for spec in instance.edges if spec.profit > 0
-    ]
+    rates = [Fraction(c, p) for c, p in zip(instance.profit, instance.price) if c > 0]
     if not rates:
         raise ValueError("U undefined: every edge has zero profit")
     u_value = max(rates) / (epsilon * min(rates))

@@ -20,29 +20,16 @@ class OracleSizeError(ValueError):
 
 
 def _lp_rows(instance: ProblemInstance) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Inequality rows (source, sink, capacity) of the instance LP."""
-    ne = len(instance.edges)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(instance.n):
-        row = [Fraction(0)] * ne
-        for e in instance.edges_of_source(i):
-            row[e] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(instance.supply[i]))
-    for j in range(instance.m):
-        row = [Fraction(0)] * ne
-        for e in instance.edges_of_sink(j):
-            row[e] = Fraction(instance.edges[e].price)
-        rows.append(row)
-        rhs.append(Fraction(instance.budget[j]))
-    for e, spec in enumerate(instance.edges):
-        if spec.capacity is not None:
-            row = [Fraction(0)] * ne
-            row[e] = Fraction(1)
-            rows.append(row)
-            rhs.append(Fraction(spec.capacity))
-    return rows, rhs
+    """Inequality rows (source, sink, capacity) of the instance LP, each with
+    one coefficient per edge, and their right-hand sides."""
+    zero, one = Fraction(0), Fraction(1)
+    capped = [e for e, u in enumerate(instance.capacity) if u is not None]
+    rows = [[one if s == i else zero for s in instance.src] for i in range(instance.n)]
+    rows += [[Fraction(p) if d == j else zero for d, p in zip(instance.dst, instance.price)]
+             for j in range(instance.m)]
+    rows += [[one if f == e else zero for f in range(len(instance.src))] for e in capped]
+    rhs = [Fraction(x) for x in instance.supply + instance.budget]
+    return rows, rhs + [Fraction(instance.capacity[e]) for e in capped]
 
 
 def _identity_tableau(rows: list[list[Fraction]], rhs: list[Fraction]) -> list[list[Fraction]]:
@@ -121,10 +108,10 @@ def exact_opt(instance: ProblemInstance) -> tuple[Fraction, list[Fraction]]:
     Guarded at ORACLE_EDGE_LIMIT edges, where one solve takes up to a few
     seconds; beyond that this oracle is not meant to run.
     """
-    if len(instance.edges) > ORACLE_EDGE_LIMIT:
+    if len(instance.src) > ORACLE_EDGE_LIMIT:
         raise OracleSizeError("instance too large for oracle")
     rows, rhs = _lp_rows(instance)
-    costs = [Fraction(spec.profit) for spec in instance.edges]
+    costs = list(map(Fraction, instance.profit))
     value, x = simplex_max(rows, rhs, costs)
     assert all(v >= 0 for v in x)
     for row, cap in zip(rows, rhs):

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .instance import (
-    EdgeSpec,
     InstanceFormatError,
     InstanceValidationError,
     Kind,
@@ -68,12 +67,19 @@ class EdgeMap:
 
 
 def validate_piecewise(pw: PiecewiseInstance) -> None:
-    """Raise InstanceValidationError listing every fault, as `validate` does."""
+    """Raise InstanceValidationError listing every fault; as in `validate`, only
+    an instance that fails one combined test is walked to list them."""
+    n, m, edges = pw.n, pw.m, pw.edges
+    if pw.segment_length >= 1 and len({(e.src, e.dst) for e in edges}) == len(edges) and all(
+        e.slopes and list(e.slopes) == sorted(e.slopes, reverse=True) and e.slopes[-1] >= 0
+        and e.price >= 1 and 0 <= e.src < n and 0 <= e.dst < m for e in edges
+    ):
+        return
     issues = []
     if pw.segment_length < 1:
         issues.append("segment length must be at least 1")
     seen: set[tuple[int, int]] = set()
-    for o, edge in enumerate(pw.edges):
+    for o, edge in enumerate(edges):
         faults = []
         if (edge.src, edge.dst) in seen:
             faults.append("duplicate pair (one profile per source-sink pair)")
@@ -86,7 +92,7 @@ def validate_piecewise(pw: PiecewiseInstance) -> None:
             faults.append("negative slope unsupported")
         if edge.price < 1:
             faults.append("zero price")
-        if not (0 <= edge.src < pw.n and 0 <= edge.dst < pw.m):
+        if not (0 <= edge.src < n and 0 <= edge.dst < m):
             faults.append("dangling source or sink index")
         if faults:
             tag = f"edge {o + 1} ({edge.src + 1},{edge.dst + 1})"
@@ -101,24 +107,14 @@ def split_piecewise(pw: PiecewiseInstance) -> tuple[ProblemInstance, EdgeMap]:
     Segment k gets capacity `segment_length`, profit slopes[k] and the
     original price; the duplicate-edge rule keys on (src, dst, segment).
     """
-    edges = []
+    rows = []
     groups = []
     for edge in pw.edges:
-        group = []
-        for k, slope in enumerate(edge.slopes, start=1):
-            group.append(len(edges))
-            edges.append(
-                EdgeSpec(
-                    src=edge.src,
-                    dst=edge.dst,
-                    profit=slope,
-                    price=edge.price,
-                    capacity=pw.segment_length,
-                    segment=k,
-                )
-            )
-        groups.append(tuple(group))
-    split = ProblemInstance(kind=Kind.BTS, supply=pw.supply, budget=pw.budget, edges=tuple(edges))
+        start = len(rows)
+        rows += [(edge.src, edge.dst, slope, edge.price, pw.segment_length, k)
+                 for k, slope in enumerate(edge.slopes, start=1)]
+        groups.append(tuple(range(start, len(rows))))
+    split = ProblemInstance.from_edges(Kind.BTS, pw.supply, pw.budget, rows)
     return split, EdgeMap(pw.segment_length, tuple(groups))
 
 
@@ -190,9 +186,13 @@ def parse_piecewise(text: str) -> PiecewiseInstance:
             raise InstanceFormatError(
                 line_no, "piecewise edge needs: e <i> <j> <p> pw <l> <c1> ..."
             )
-        src, dst, price, length, *slopes = (
-            integer(line_no, token) for token in tokens[1:4] + tokens[5:]
-        )
+        numbers = tokens[1:4] + tokens[5:]
+        try:
+            src, dst, price, length, *slopes = map(int, numbers)
+        except ValueError:
+            for token in numbers:
+                integer(line_no, token)  # cites the first field that is no integer
+            raise
         if seg_len is None:
             seg_len = length
         elif seg_len != length:

@@ -119,9 +119,9 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
     report = PushReport()
     if not steps:
         return report
-    primal, num, instance = graph.primal, graph.num, graph.instance
+    primal, num, instance, price = graph.primal, graph.num, graph.instance, graph.instance.price
     touched = report.touched_sinks
-    start = instance.edges[steps[0]].src
+    start = instance.src[steps[0]]
     phi = primal.surplus[start]
     if not num.is_pos(phi):
         return report
@@ -129,32 +129,30 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
     k = 0
     while k + 1 < len(steps):
         fwd, back = steps[k], steps[k + 1]
-        fwd_spec = instance.edges[fwd]
-        back_spec = instance.edges[back]
         residual = primal.forward_residual(fwd)
         if residual is not None and residual < phi:
             phi = residual
-        phi = primal.clamp(phi, primal.flow[back] * back_spec.price, fwd_spec.price)
+        phi = primal.clamp(phi, primal.flow[back] * price[back], price[fwd])
         if not num.is_pos(phi):
             phi = primal.zero
             break
         touched.add(graph.move_flow(fwd, phi, revalue=True))
-        phi = primal.divide(phi * fwd_spec.price, back_spec.price)
+        phi = primal.divide(phi * price[fwd], price[back])
         touched.add(graph.move_flow(back, -phi, revalue=False))
         k += 2
 
     if k < len(steps) and num.is_pos(phi):
         # path ends at a sink: one forward push bounded by capacity and budget
         e = steps[k]
-        spec = instance.edges[e]
+        j = instance.dst[e]
         residual = primal.forward_residual(e)
         if residual is not None and residual < phi:
             phi = residual
-        phi = primal.clamp(phi, primal.residual[spec.dst], spec.price)
+        phi = primal.clamp(phi, primal.residual[j], price[e])
         if num.is_pos(phi):
             touched.add(graph.move_flow(e, phi, revalue=True))
-            if primal.sink_saturated(spec.dst):
-                primal.residual[spec.dst] = primal.zero
+            if primal.sink_saturated(j):
+                primal.residual[j] = primal.zero
 
     if not num.is_pos(primal.surplus[start]):
         primal.surplus[start] = primal.zero
@@ -169,14 +167,14 @@ def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> Cycl
     `primal.value` reads it, and so are the capacities it reads.
     """
     num = primal.num
-    edges = primal.instance.edges
+    src, dst, price = primal.instance.src, primal.instance.dst, primal.instance.price
     fwds, backs = cycle[::2], cycle[1::2]
-    sources = [edges[f].src for f in fwds]
-    sinks = [edges[f].dst for f in fwds]
+    sources = [src[f] for f in fwds]
+    sinks = [dst[f] for f in fwds]
     if len(set(sources)) != len(sources) or len(set(sinks)) != len(sinks):
         raise ValueError("cycle must be simple")
     if len(backs) != len(fwds) or any(
-        edges[back].dst != sinks[z] or edges[back].src != sources[(z + 1) % len(sources)]
+        dst[back] != sinks[z] or src[back] != sources[(z + 1) % len(sources)]
         for z, back in enumerate(backs)
     ):
         raise ValueError("edges do not form an alternating cycle")
@@ -186,7 +184,7 @@ def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> Cycl
     cum_before, cum_through = [], []
     acc = num.value(1)
     for fwd, back in zip(fwds, backs):
-        rho = num.value(edges[fwd].price) / edges[back].price
+        rho = num.value(price[fwd]) / price[back]
         cum_before.append(acc)
         acc = acc * rho
         cum_through.append(acc)
@@ -244,7 +242,7 @@ def push_flow_cycle(graph: DerivedGraph, cycle: list[int]) -> PushReport:
     """
     report = PushReport()
     primal, num, counts = graph.primal, graph.num, graph.stats.counts
-    entry = graph.instance.edges[cycle[0]].src
+    entry = graph.instance.src[cycle[0]]
     s = primal.surplus[entry]
     if not num.is_pos(s):
         return report
@@ -379,7 +377,7 @@ def solve(
             counts["path_pushes"] += 1
         else:
             # two-cycle end or stall: flow moves only up to the final sink
-            touched = {instance.edges[steps[-1]].dst}
+            touched = {instance.dst[steps[-1]]}
             if len(steps) > 1:
                 touched |= push_flow_path(graph, steps[:-1]).touched_sinks
             if path.kind is PathKind.TYPE_II:

@@ -141,36 +141,37 @@ class PrimalState:
         self.scale = 1
         self.zero = self.number(0)
         self.flowing_in: list[set[int]] = [set() for _ in range(instance.m)]
-        self.flow = [self.zero] * len(instance.edges)
+        self.flow = [self.zero] * len(instance.src)
         self.surplus = [self.number(a) for a in instance.supply]
         self.residual = [self.number(b) for b in instance.budget]
 
     def add_flow(self, e: int, delta) -> None:
-        spec = self.instance.edges[e]
+        instance = self.instance
+        j = instance.dst[e]
         f = self.flow[e] = self.flow[e] + delta
         if f:
-            self.flowing_in[spec.dst].add(e)
+            self.flowing_in[j].add(e)
         else:
-            self.flowing_in[spec.dst].discard(e)
-        self.surplus[spec.src] -= delta
-        self.residual[spec.dst] -= delta * spec.price
+            self.flowing_in[j].discard(e)
+        self.surplus[instance.src[e]] -= delta
+        self.residual[j] -= delta * instance.price[e]
 
     def clear_flow(self, e: int) -> None:
         """Set edge e's flow to zero, leaving surplus and residual as they are:
         the clear of float dust."""
         self.flow[e] = self.zero
-        self.flowing_in[self.instance.edges[e].dst].discard(e)
+        self.flowing_in[self.instance.dst[e]].discard(e)
 
     def sink_saturated(self, j: int) -> bool:
         return self.num.is_zero(self.residual[j])
 
     def edge_saturated(self, e: int) -> bool:
-        cap = self.instance.edges[e].capacity
+        cap = self.instance.capacity[e]
         return cap is not None and self.num.eq(self.flow[e], cap * self.scale)
 
     def forward_residual(self, e: int):
         """Remaining edge capacity; None means unbounded."""
-        cap = self.instance.edges[e].capacity
+        cap = self.instance.capacity[e]
         return None if cap is None else cap * self.scale - self.flow[e]
 
     def divide(self, n, d: int):
@@ -253,7 +254,7 @@ class DualState:
         self.epsilon = num.value(config.epsilon)
         self.rise_factor = 1 + self.epsilon
         best = [
-            max((instance.edges[e].profit for e in out), default=0)
+            max(map(instance.profit.__getitem__, out), default=0)
             for out in map(instance.edges_of_source, range(instance.n))
         ]
         self.level = [0] * instance.m
@@ -269,12 +270,8 @@ class DualState:
         """
         if self.level[j]:
             return self._risen(self.beta[j])
-        edges = self.instance.edges
-        rates = [
-            Fraction(edges[e].profit, edges[e].price)
-            for e in self.instance.edges_of_sink(j)
-            if edges[e].profit > 0
-        ]
+        profit, price = self.instance.profit, self.instance.price
+        rates = [Fraction(profit[e], price[e]) for e in self.instance.edges_of_sink(j) if profit[e]]
         return self.epsilon * self.num.value(min(rates)) if rates else None
 
     def _risen(self, b):
@@ -285,8 +282,8 @@ class DualState:
         self.level[j] += 1
 
     def effective_profit(self, e: int):
-        spec = self.instance.edges[e]
-        return spec.profit - spec.price * self.beta[spec.dst]
+        instance = self.instance
+        return instance.profit[e] - instance.price[e] * self.beta[instance.dst[e]]
 
     def heap_key(self, e: int) -> tuple:
         """The leading pair `(-key, tie)` of edge e's heap entry, key = c - p*beta.
@@ -301,8 +298,7 @@ class DualState:
 
     def has_slack(self, e: int) -> bool:
         """Whether edge e's price slack c - p*beta - alpha is positive."""
-        return self.num.is_pos(
-            self.effective_profit(e) - self.alpha[self.instance.edges[e].src])
+        return self.num.is_pos(self.effective_profit(e) - self.alpha[self.instance.src[e]])
 
     def value(self, x):
         """A stored dual as a number: the accessor monitors and tests read."""
@@ -332,15 +328,16 @@ class ExactDual(DualState):
         super().raise_beta(j, new_value)
 
     def effective_profit(self, e: int) -> Ratio:
-        spec = self.instance.edges[e]
-        b = self.beta[spec.dst]
-        return Ratio(spec.profit * b.denominator - spec.price * b.numerator, b.denominator)
+        instance = self.instance
+        b = self.beta[instance.dst[e]]
+        return Ratio(instance.profit[e] * b.denominator - instance.price[e] * b.numerator,
+                     b.denominator)
 
     def heap_key(self, e: int) -> tuple:
-        spec = self.instance.edges[e]
-        b = self.beta[spec.dst]
+        instance = self.instance
+        b = self.beta[instance.dst[e]]
         db = b.denominator
-        kn = spec.profit * db - spec.price * b.numerator
+        kn = instance.profit[e] * db - instance.price[e] * b.numerator
         try:
             key = kn / db
         except OverflowError:
@@ -352,10 +349,10 @@ class ExactDual(DualState):
         return Ratio(-tie.numerator, tie.denominator) if tie.numerator < 0 else None
 
     def has_slack(self, e: int) -> bool:
-        spec = self.instance.edges[e]
-        b, a = self.beta[spec.dst], self.alpha[spec.src]
-        return ((spec.profit * b.denominator - spec.price * b.numerator) * a.denominator
-                > a.numerator * b.denominator)
+        instance = self.instance
+        b, a = self.beta[instance.dst[e]], self.alpha[instance.src[e]]
+        return ((instance.profit[e] * b.denominator - instance.price[e] * b.numerator)
+                * a.denominator > a.numerator * b.denominator)
 
     @staticmethod
     def value(x) -> Fraction:
@@ -372,8 +369,8 @@ def dual_bound(instance: ProblemInstance, epsilon) -> float:
     with positive slack; either way c_e - p_e*beta_j > 0, so beta_j < (1+eps)
     * max c/p after the rise.  The floor of 1 covers c = 0.
     """
-    top_rate = max((spec.profit / spec.price for spec in instance.edges), default=0.0)
-    top_profit = max((spec.profit for spec in instance.edges), default=0)
+    top_rate = max(map(operator.truediv, instance.profit, instance.price), default=0.0)
+    top_profit = max(instance.profit, default=0)
     return max(1.0, top_profit, (1 + float(epsilon)) * top_rate)
 
 

@@ -40,7 +40,7 @@ def pytest_configure(config):
 
 
 def btp(supply, budget, edges) -> ProblemInstance:
-    return ProblemInstance(
+    return ProblemInstance.from_edges(
         kind=Kind.BTP,
         supply=tuple(supply),
         budget=tuple(budget),
@@ -49,7 +49,7 @@ def btp(supply, budget, edges) -> ProblemInstance:
 
 
 def bts(supply, budget, edges) -> ProblemInstance:
-    return ProblemInstance(
+    return ProblemInstance.from_edges(
         kind=Kind.BTS,
         supply=tuple(supply),
         budget=tuple(budget),
@@ -106,7 +106,7 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
         back_idx = len(edges)
         edges.append(EdgeSpec((z + 1) % k, z, 10**6, prices_back[z], capacity=None))
         cycle += [fwd_idx, back_idx]
-    instance = ProblemInstance(
+    instance = ProblemInstance.from_edges(
         kind=Kind.BTS,
         supply=tuple([10**9] * k),
         budget=tuple([10**9] * k),

@@ -2,10 +2,12 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from budget_flow import cli
 from budget_flow.cli import main
 from budget_flow.instance import generate, serialize
 from test_golden import _piecewise_split
@@ -451,7 +453,7 @@ def test_bench_deterministic_counters(tmp_path, capsys):
         return rows
 
     assert strip_time(first) == strip_time(second)
-    # the rise bound column is never exceeded (hard assert inside bench)
+    # the rise bound column is never exceeded (bench exits 3 on a breach)
     for line in first.splitlines()[1:]:
         cols = line.split()
         assert int(cols[7]) <= int(cols[8])
@@ -489,6 +491,22 @@ def test_bench_epsilon_out_of_range_names_the_option(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: --epsilons: 2 is not in (0, 1)\n"
     assert captured.out == ""
+
+
+def test_bench_rise_bound_breach_exits_3_after_its_row(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "gen.btp"
+    path.write_text(serialize(generate(seed=4, n=3, m=3, density=1.0)))
+    proven = cli.diagnostics
+    monkeypatch.setattr(cli, "diagnostics",
+                        lambda inst, eps: replace(proven(inst, eps), beta_rise_bound=1))
+    # the second path is never run: the first breach ends the run
+    assert run_cli(["bench", str(path), str(path)]) == 3
+    captured = capsys.readouterr()
+    header, row = captured.out.splitlines()
+    assert header.split()[7:9] == ["beta_rises", "rise_bound"]
+    rises, bound = map(int, row.split()[7:9])
+    assert rises > bound == 1
+    assert captured.err == f"error: {path}: beta rises {rises} exceed bound 1\n"
 
 
 def test_solve_float_first_price_below_tolerance_terminates(tmp_path, capsys):

@@ -56,7 +56,7 @@ def instances(draw) -> ProblemInstance:
     )
     supply = tuple(draw(positive) for _ in range(n))
     budget = tuple(draw(positive) for _ in range(m))
-    return ProblemInstance(kind, supply, budget, edges)
+    return ProblemInstance.from_edges(kind, supply, budget, edges)
 
 
 @st.composite

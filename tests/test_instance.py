@@ -39,7 +39,7 @@ def test_validate_duplicate_edge():
 
 
 def test_validate_dangling_and_nonpositive():
-    assert violations(lambda: ProblemInstance(
+    assert violations(lambda: ProblemInstance.from_edges(
         kind=Kind.BTP,
         supply=(0,),
         budget=(10,),
@@ -48,7 +48,7 @@ def test_validate_dangling_and_nonpositive():
 
 
 def test_validate_lists_every_fault_in_order():
-    assert violations(lambda: ProblemInstance(
+    assert violations(lambda: ProblemInstance.from_edges(
         kind=Kind.BTP,
         supply=(5, 0),
         budget=(10,),
@@ -91,7 +91,7 @@ def test_validate_lists_every_fault_in_order():
 def test_validate_finds_each_fault_alone(kind, supply, budget, edge, fault):
     # an instance with one fault, so that no other test sends it to the full listing
     first = EdgeSpec(0, 0, 3, 2, 4 if kind is Kind.BTS else None)
-    assert violations(lambda: ProblemInstance(kind, supply, budget, (first, edge))) == [fault]
+    assert violations(lambda: ProblemInstance.from_edges(kind, supply, budget, (first, edge))) == [fault]
 
 
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
