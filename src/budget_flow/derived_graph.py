@@ -3,7 +3,11 @@
 Forward arcs are each source's preferred edge (best effective profit among
 unsaturated edges); reverse arcs are back edges: stale edges, whose flow was
 assigned below the sink's current price level, that may give flow back.
-Paths and cycles for the production solver are walked here.
+`find_path` walks them from a source and names the walk's end, which is all
+the solver dispatches on: an unpriced sink or an alpha-0 source (`PATH`), a
+repeated source or sink (`CYCLE`), a preferred edge that is also a back edge
+(`TWO_CYCLE`), or a saturated sink with no back edge, whose price must rise
+(`STALLED`).
 
 During a run the graph is the only writer of flows and sink prices:
 `move_flow`, `promote` and `raise_beta`.  `_stale[j]`, the in-edges of sink j
@@ -21,9 +25,8 @@ that alpha is positive.  The solver's scan, `find_path` and `fix_two_cycle`
 rebuild a source in `_dirty` and then read its flag, not its alpha.
 Heap entries are stamped with their sink's `dual.level`, which `raise_beta`,
 the only price writer, bumps along with beta.  Keys only fall as beta rises,
-so an old stamp is an upper bound, re-keyed when it reaches the top; a rise
-pushes nothing and dirties only sources whose preferred edge enters the sink.
-Each edge has one entry at most (`_queued`).  An entry is
+so an old stamp is an upper bound, re-keyed when it reaches the top, and a
+rise pushes nothing.  Each edge has one entry at most (`_queued`).  An entry is
 `(-key, tie, dst, e, level)`, ordered exactly as `(-key, dst, e)` for the key
 c - p*beta; the dual state builds its leading pair (`heap_key`), reads a
 source's alpha back from its top entry (`entry_bid`) and tests a saturated
@@ -33,47 +36,13 @@ edge's slack (`has_slack`) in its own representation.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from enum import Enum
 
 from .instance import ProblemInstance
 from .state import DualState, PrimalState, RunStats
 
 
-class PathKind(Enum):
-    TYPE_I = "path"          # ends at an alpha=0 source or an unsaturated sink
-    TYPE_II = "two-cycle"    # ends on a preferred edge that is also a back edge
-    TYPE_III = "cycle"       # a source or sink repeated
-    STALLED = "stalled"      # saturated sink with no back edge: price must rise
-
-
-@dataclass
-class Path:
-    """Alternating walk of edge indices: forward edges at even positions, back
-    edges at odd ones.
-
-    Step q leaves walk vertex q, which is a source when q is even and a sink
-    when q is odd.  A walk of even length ends at a source; an odd one ends at
-    the sink of `steps[-1]`, which for TYPE_II is the two-cycle edge and for
-    STALLED the edge into the stalled sink.
-    """
-
-    kind: PathKind
-    steps: list[int]
-    cycle_start: int | None = None
-
-    def split_cycle(self) -> tuple[list[int], list[int]]:
-        """Decompose a TYPE_III walk into the prefix and the cycle.
-
-        The prefix ends at the cycle's entry source; if the repeated vertex is
-        a sink the cycle is rotated so it starts at the following source.
-        """
-        if self.kind is not PathKind.TYPE_III:
-            raise ValueError("split_cycle applies to cycle walks only")
-        q = self.cycle_start
-        if q % 2 == 0:
-            return self.steps[:q], self.steps[q:]
-        return self.steps[: q + 1], self.steps[q + 1 :] + [self.steps[q]]
+# How a walk ends: `find_path` returns one of these first.
+PATH, TWO_CYCLE, CYCLE, STALLED = "path", "two-cycle", "cycle", "stalled"
 
 
 class DerivedGraph:
@@ -104,8 +73,8 @@ class DerivedGraph:
         self._walk_limit = 2 * (instance.n + instance.m) + 1
         for e, i in enumerate(instance.src):
             heapq.heappush(self._heaps[i], self._entry(e))
-        for i in range(instance.n):
-            self.ensure_fresh(i)
+        for i in range(instance.n):  # every source starts dirty
+            self.rebuild_preferred(i)
 
     # -- heap bookkeeping ---------------------------------------------------
 
@@ -115,10 +84,6 @@ class DerivedGraph:
         self._queued[e] = True
         key, tie = self.dual.heap_key(e)
         return (key, tie, dst, e, self.dual.level[dst])
-
-    def ensure_fresh(self, i: int) -> None:
-        if i in self._dirty:
-            self.rebuild_preferred(i)
 
     # -- writers ----------------------------------------------------------------
 
@@ -215,7 +180,7 @@ class DerivedGraph:
                 return [e]
         dual, src, dirty = self.dual, self.instance.src, self._dirty
         result = []
-        for e in stale:
+        for e in stale:  # inline, as in `fix_two_cycle`: a shared predicate ran slower (ROADMAP)
             if saturated[e]:
                 i = src[e]
                 if i in dirty:
@@ -244,8 +209,8 @@ class DerivedGraph:
         stale = self._stale[self.instance.dst[e]]
         if e not in stale or len(stale) < 2:
             return False
-        # e is unsaturated, so a stale e is a back edge; count the others as
-        # `back_edges` lists them, with the same rebuilds of dirty sources
+        # e is unsaturated, so a stale e is a back edge; count the others as `back_edges`
+        # lists them, with the same rebuilds, inline: a shared predicate ran slower (ROADMAP)
         dual, src, dirty, saturated = self.dual, self.instance.src, self._dirty, self._saturated
         back = len(stale)
         for f in stale:
@@ -268,16 +233,20 @@ class DerivedGraph:
             if live[i]:
                 e = preferred[i]
                 stale = self._stale[dst[e]]
-                if e in stale and len(stale) > 1:
+                if e in stale and len(stale) > 1:  # filtered: unfiltered calls ran slower (ROADMAP)
                     self.fix_two_cycle(i)
 
-    def find_path(self, start: int) -> Path:
-        """Walk preferred and back edges from `start` until a stop condition.
+    def find_path(self, start: int) -> tuple[str, list[int], list[int] | None]:
+        """Walk preferred and back edges from `start`; return `(end, steps, cycle)`.
 
-        Stops at: a source with alpha 0, a sink at level 0, a repeated vertex
-        (cycle), a two-cycle (the preferred edge is the sink's sole back edge,
-        or the back edge the walk just arrived by), or a saturated sink with no
-        back edge at all (price rise pending).  The walk revisits within n+m
+        Step q leaves walk vertex q, a source when q is even and a sink when q
+        is odd, so forward edges sit at even positions and back edges at odd
+        ones.  An even `PATH` ends at an alpha-0 source and an odd walk at the
+        sink of `steps[-1]`, which is the loop edge for `TWO_CYCLE` and the
+        edge into the stalled sink for `STALLED`.  A `CYCLE` walk comes split:
+        `steps` is the prefix up to the cycle's entry source and `cycle` the
+        cycle from it, rotated to start at the source after a repeated sink;
+        `cycle` is None for the other ends.  The walk revisits within n+m
         steps, so its length never exceeds 2(n+m)+1.
         """
         steps: list[int] = []
@@ -294,31 +263,33 @@ class DerivedGraph:
             if i in dirty:
                 self.rebuild_preferred(i)
             if steps and not live[i]:
-                return Path(PathKind.TYPE_I, steps)
+                return PATH, steps, None
             e = preferred[i]
             j = dst[e]
             stale = self._stale[j]
-            if e in stale and len(stale) > 1:
+            if e in stale and len(stale) > 1:  # filtered: unfiltered calls ran slower (ROADMAP)
                 self.fix_two_cycle(i)
             src_pos[i] = len(steps)
             steps.append(e)
             if j in snk_pos:
                 if steps[-2] == e:
                     # back over e, then forward over e again: a two-cycle
-                    return Path(PathKind.TYPE_II, steps)
-                return Path(PathKind.TYPE_III, steps, cycle_start=snk_pos[j])
+                    return TWO_CYCLE, steps, None
+                q = snk_pos[j]
+                return CYCLE, steps[: q + 1], steps[q + 1 :] + [steps[q]]
             if not level[j]:
-                return Path(PathKind.TYPE_I, steps)
+                return PATH, steps, None
             snk_pos[j] = len(steps)
             back = self.back_edges(j)
             if e in back:
                 # after two-cycle preprocessing this is the sink's sole back edge
-                return Path(PathKind.TYPE_II, steps)
+                return TWO_CYCLE, steps, None
             if not back:
-                return Path(PathKind.STALLED, steps)
+                return STALLED, steps, None
             b = back[0]
             steps.append(b)
             nxt = src[b]
             if nxt in src_pos:
-                return Path(PathKind.TYPE_III, steps, cycle_start=src_pos[nxt])
+                q = src_pos[nxt]
+                return CYCLE, steps[:q], steps[q:]
             i = nxt

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certify import Certificate, certify
-from .derived_graph import DerivedGraph, PathKind
+from .derived_graph import PATH, TWO_CYCLE, DerivedGraph
 from .instance import ProblemInstance, SolverConfig
 from .state import Numerics, PrimalState, RunStats, make_states
 
@@ -281,6 +281,7 @@ def beta_update_pass(graph: DerivedGraph, candidates) -> list[int]:
     """
     instance, primal, dual = graph.instance, graph.primal, graph.dual
     risen = []
+    # the one-sink forks here and below: merged, they ran slower (ROADMAP)
     for j in sorted(candidates) if len(candidates) > 1 else candidates:
         if not primal.sink_saturated(j) or graph.back_edges(j):
             continue
@@ -313,6 +314,13 @@ def solve(
     on_iteration=None,
 ) -> Solution:
     """Run the path/cycle auction until no source has both surplus and alpha > 0.
+
+    Each phase walks the derived graph from the next live source with surplus
+    and acts on the walk's end: a `PATH` moves flow along the walk, a `CYCLE`
+    along the prefix and then around the cycle in closed form, and a
+    `TWO_CYCLE` or `STALLED` walk up to its last sink, where a two-cycle's
+    edge is then promoted.  `beta_update_pass` over the sinks it touched
+    closes the phase and raises a stalled sink's price.
 
     Parameters
     ----------
@@ -364,13 +372,11 @@ def solve(
         counts["phases"] += 1
         cursor = (picked + 1) % n
 
-        path = graph.find_path(picked)
-        steps = path.steps
-        if path.kind is PathKind.TYPE_III:
-            prefix, cycle = path.split_cycle()
-            touched = push_flow_path(graph, prefix).touched_sinks
+        end, steps, cycle = graph.find_path(picked)
+        if cycle is not None:
+            touched = push_flow_path(graph, steps).touched_sinks
             touched |= push_flow_cycle(graph, cycle).touched_sinks
-        elif path.kind is PathKind.TYPE_I:
+        elif end == PATH:
             touched = push_flow_path(graph, steps).touched_sinks
             if len(steps) % 2 == 0:  # ends at an alpha=0 source
                 counts["path_pushes_to_source"] += 1
@@ -380,7 +386,7 @@ def solve(
             touched = {instance.dst[steps[-1]]}
             if len(steps) > 1:
                 touched |= push_flow_path(graph, steps[:-1]).touched_sinks
-            if path.kind is PathKind.TYPE_II:
+            if end == TWO_CYCLE:
                 # re-assign the loop edge's flow at the current price
                 graph.promote(steps[-1])
                 counts["two_cycle_eliminations"] += 1

@@ -27,9 +27,6 @@ class RunStats:
 
     counts: Counter = field(default_factory=Counter)
 
-    def bump(self, key: str, amount: int = 1) -> None:
-        self.counts[key] = self.counts.get(key, 0) + amount
-
     def get(self, key: str, default: int = 0) -> int:
         return self.counts.get(key, default)
 

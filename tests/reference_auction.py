@@ -132,7 +132,7 @@ def update_beta(
         return "none"
     dual.raise_beta(j, value)
     if stats is not None:
-        stats.bump("beta_rises" if rising else "beta_inits")
+        stats.counts["beta_rises" if rising else "beta_inits"] += 1
     return "rise" if rising else "init"
 
 
@@ -163,7 +163,7 @@ def _demote(i: int, primal: ReferencePrimal, dual: ReferenceDual) -> None:
 def _retire(i: int, primal: ReferencePrimal, dual: ReferenceDual, stats: RunStats) -> StepOutcome:
     dual.alpha[i] = dual.num.value(0)
     _demote(i, primal, dual)
-    stats.bump("retirements")
+    stats.counts["retirements"] += 1
     return StepOutcome(kind="retire")
 
 
@@ -177,7 +177,7 @@ def auction_step(
     recomputed and the source retires (valuations demoted) if it reaches 0.
     """
     stats = stats if stats is not None else RunStats()
-    stats.bump("steps")
+    stats.counts["steps"] += 1
     num = dual.num
     instance = primal.instance
     best_e, best_key = _best_sink(i, primal, dual)
@@ -208,18 +208,18 @@ def auction_step(
                 primal.flow[displaced_e] = num.value(0)
                 dual.valuation.pop(displaced_e, None)
             outcome = StepOutcome(kind="replace", sink=j, displaced=i_prime, amount=x)
-            stats.bump("replacements")
+            stats.counts["replacements"] += 1
         else:
             dual.valuation[best_e] = dual.level[j]
             outcome = StepOutcome(kind="promote", sink=j)
-            stats.bump("self_promotes")
+            stats.counts["self_promotes"] += 1
         update_beta(j, primal, dual, stats)
     else:
         x = min(primal.surplus[i], primal.residual[j] / spec.price)
         primal.add_flow(best_e, x)
         dual.valuation[best_e] = dual.level[j]
         outcome = StepOutcome(kind="push", sink=j, amount=x)
-        stats.bump("pushes")
+        stats.counts["pushes"] += 1
         if primal.sink_saturated(j):
             primal.residual[j] = num.value(0)
             update_beta(j, primal, dual, stats)

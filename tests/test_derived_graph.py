@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from budget_flow.derived_graph import DerivedGraph, PathKind
+from budget_flow.derived_graph import CYCLE, PATH, STALLED, TWO_CYCLE, DerivedGraph
 from budget_flow.instance import SolverConfig, generate, parse
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 import budget_flow.solver as solver_mod
 from budget_flow.state import PrimalState, Ratio, make_states
 from budget_flow.cli import solution_to_text
-from conftest import btp, bts, move, values
+from conftest import PHASE_CAP, btp, bts, move, values
 from reference_sweep import FullSweepGraph, PromotionLog
 
 EPS4 = SolverConfig(epsilon=Fraction(1, 4))
@@ -24,6 +24,12 @@ EPS4 = SolverConfig(epsilon=Fraction(1, 4))
 def fresh_graph(instance, config=EPS4):
     primal, dual, _ = make_states(instance, config)
     return primal, dual, DerivedGraph(instance, primal, dual)
+
+
+def refresh(graph, i):
+    """Rebuild source i's preferred edge if it is dirty, as walks and sweeps do."""
+    if i in graph._dirty:
+        graph.rebuild_preferred(i)
 
 
 def test_rebuild_preferred_picks_best_key():
@@ -50,7 +56,7 @@ def test_rebuild_preferred_exact_key_breaks_float_ties():
     graph.raise_beta(1, Fraction(1, 10**20))
     keys = [dual.value(dual.effective_profit(e)) for e in range(2)]
     assert keys[1] > keys[0] and float(keys[1]) == float(keys[0])
-    graph.ensure_fresh(0)
+    refresh(graph, 0)
     # the float tie must not fall through to the sink index, which favours sink 0
     assert graph.preferred[0] == 1
     assert dual.value(dual.alpha[0]) == keys[1]
@@ -152,7 +158,7 @@ def test_remove_two_cycles_promotes_with_sibling():
     move(graph, 0, 2)
     move(graph, 3, 2)
     graph.raise_beta(0, Fraction(2))  # the flow was assigned before sink 0 had a price
-    graph.ensure_fresh(0)
+    refresh(graph, 0)
     assert graph.preferred[0] == 0
     assert set(graph.back_edges(0)) == {0, 3}
     graph.remove_two_cycles(range(inst.n))
@@ -199,7 +205,7 @@ def test_sweep_visits_a_cleared_record_when_the_memo_was_dropped():
     move(graph, 0, 2)
     move(graph, 3, 2)
     graph.raise_beta(0, Fraction(2))
-    graph.ensure_fresh(0)
+    refresh(graph, 0)
     assert graph.preferred[0] == 0
     assert 0 not in graph._dirty and 0 in graph._stale[0]
     graph.remove_two_cycles([0])
@@ -212,8 +218,8 @@ def test_sweep_skips_an_edge_that_is_not_stale():
     primal, dual, graph = fresh_graph(inst)
     graph.raise_beta(0, Fraction(2))
     move(graph, 0, 2)  # valued at the sink's level
-    graph.ensure_fresh(0)
-    graph.ensure_fresh(1)
+    refresh(graph, 0)
+    refresh(graph, 1)
     assert not graph.fix_two_cycle(0)
     assert not graph._stale[0]  # answered without a back-set scan
     visits = []
@@ -230,7 +236,7 @@ def saturated_edge_graph(profit, price, beta, level, alpha):
     move(graph, 0, 1)
     for k in range(level - 1, -1, -1):  # up the eps-1/8 ladder to `beta`
         graph.raise_beta(0, beta / Fraction(9, 8) ** k)
-    graph.ensure_fresh(0)
+    refresh(graph, 0)
     dual.alpha[0] = Ratio(*alpha.as_integer_ratio())
     return graph
 
@@ -257,9 +263,7 @@ def test_tiny_positive_slack_keeps_a_saturated_edge_out_of_the_back_set():
 
 def test_find_path_immediate_unsaturated_sink(one_by_one):
     primal, dual, graph = fresh_graph(one_by_one)
-    path = graph.find_path(0)
-    assert path.kind is PathKind.TYPE_I
-    assert path.steps == [0]  # odd length: ends at the sink of edge 0
+    assert graph.find_path(0) == (PATH, [0], None)  # odd length: ends at the sink of edge 0
 
 
 def test_find_path_stops_at_retired_source():
@@ -269,9 +273,7 @@ def test_find_path_stops_at_retired_source():
     move(graph, 1, 10)
     graph.raise_beta(0, Fraction(3))
     graph.raise_beta(1, Fraction(3))
-    path = graph.find_path(0)
-    assert path.kind is PathKind.TYPE_I
-    assert path.steps == [0, 1]  # even length: ends at the source of edge 1
+    assert graph.find_path(0) == (PATH, [0, 1], None)  # even length: ends at the source of edge 1
 
 
 def test_find_path_detects_cycle():
@@ -286,11 +288,25 @@ def test_find_path_detects_cycle():
     move(graph, 3, 10)
     graph.raise_beta(0, Fraction(1))
     graph.raise_beta(1, Fraction(1))
-    path = graph.find_path(0)
-    assert path.kind is PathKind.TYPE_III
-    prefix, cycle = path.split_cycle()
-    assert prefix == []
-    assert cycle == [0, 1, 2, 3]
+    # source 0 repeats: no prefix, and the cycle starts where the walk did
+    assert graph.find_path(0) == (CYCLE, [], [0, 1, 2, 3])
+
+
+def test_find_path_splits_a_cycle_at_a_repeated_sink():
+    # walk: 0 -e0-> sink0 <-e1- 1 -e2-> sink1 <-e3- 2 -e4-> sink0, which repeats
+    inst = btp(
+        [5, 5, 5],
+        [10, 10],
+        [(0, 0, 9, 1), (1, 0, 7, 1), (1, 1, 9, 1), (2, 1, 7, 1), (2, 0, 9, 1)],
+    )
+    primal, dual, graph = fresh_graph(inst)
+    move(graph, 1, 10)
+    move(graph, 3, 10)
+    graph.raise_beta(0, Fraction(1))
+    graph.raise_beta(1, Fraction(1))
+    # the prefix keeps the back edge out of sink 0, and the cycle is rotated
+    # to start at source 1, where that edge arrives, and to end with it
+    assert graph.find_path(0) == (CYCLE, [0, 1], [2, 3, 4, 1])
 
 
 def test_find_path_two_cycle_end():
@@ -298,9 +314,7 @@ def test_find_path_two_cycle_end():
     primal, dual, graph = fresh_graph(inst)
     move(graph, 0, 10)
     graph.raise_beta(0, Fraction(1))
-    path = graph.find_path(0)
-    assert path.kind is PathKind.TYPE_II
-    assert path.steps == [0]  # the two-cycle edge is the last one
+    assert graph.find_path(0) == (TWO_CYCLE, [0], None)  # the two-cycle edge is the last one
 
 
 def test_find_path_stalled_sink():
@@ -309,9 +323,7 @@ def test_find_path_stalled_sink():
     primal, dual, graph = fresh_graph(inst)
     graph.raise_beta(0, Fraction(1))
     move(graph, 1, 10)  # assigned at the current level
-    path = graph.find_path(0)
-    assert path.kind is PathKind.STALLED
-    assert path.steps == [0]  # the stalled sink is edge 0's
+    assert graph.find_path(0) == (STALLED, [0], None)  # the stalled sink is edge 0's
 
 
 def test_walk_length_bound():
@@ -323,9 +335,9 @@ def test_walk_length_bound():
             continue
         limit = 2 * (inst.n + inst.m) + 1
         primal, dual, graph = fresh_graph(inst)
-        path = graph.find_path(0) if dual.value(dual.alpha[0]) > 0 else None
-        if path is not None:
-            assert len(path.steps) + 1 <= limit
+        if dual.value(dual.alpha[0]) > 0:
+            _, steps, cycle = graph.find_path(0)
+            assert len(steps) + len(cycle or []) <= limit
 
 
 def test_heap_keys_match_recomputation():
@@ -441,7 +453,7 @@ def test_stale_index_matches_valuations_after_every_phase(mode):
                             u_range=(1, 6) if seed % 2 else None)
         except ValueError:
             continue
-        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
         assert solver_mod.solve(inst, config, on_iteration=check_index).terminated
     assert sum(stale) > 0  # the index held stale edges when it was checked
 
@@ -471,7 +483,7 @@ def test_rise_records_match_scans_after_every_phase(mode):
                                if i not in graph._dirty)
 
     seen = {"flowing": 0, "retired": 0}
-    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
     for seed in range(6):
         for inst in (generate(seed=seed, n=5, m=5, density=0.8,
                               u_range=(1, 6) if seed % 2 else None),
@@ -497,28 +509,42 @@ def test_rise_records_match_scans_where_float_dust_is_cleared(monkeypatch):
     assert any(dust)  # a nonzero flow was cleared
 
 
-def check_walk_shape(graph, start, path) -> None:
+def check_walk_shape(graph, start, end, steps, cycle) -> None:
     """The walk leaves `start`, forward edges (even positions) and back edges
-    (odd) alternate, and the walk's end is the one its kind names."""
-    edges, dual, steps = graph.instance.edges, graph.dual, path.steps
-    assert edges[steps[0]].src == start, steps
-    for q in range(1, len(steps)):
-        prev, e = edges[steps[q - 1]], edges[steps[q]]
+    (odd) alternate, and the walk's end is the one `end` names.  At a cycle
+    end the prefix ends at the cycle's entry source, and the cycle closes
+    there and repeats no source or sink.  Prefix and cycle together keep to
+    the walk's length bound."""
+    src, dst, dual = graph.instance.src, graph.instance.dst, graph.dual
+    walk = steps + (cycle or [])
+    assert src[walk[0]] == start, walk
+    assert len(walk) <= 2 * (graph.instance.n + graph.instance.m) + 1, walk
+    for q in range(1, len(walk)):
+        prev, e = walk[q - 1], walk[q]
         if q % 2:
-            assert e.dst == prev.dst, steps  # back into the sink just reached
+            assert dst[e] == dst[prev], walk  # back into the sink just reached
         else:
-            assert e.src == prev.src, steps  # forward out of the source just reached
-    last = edges[steps[-1]]
-    if path.kind is PathKind.TYPE_I:
+            assert src[e] == src[prev], walk  # forward out of the source just reached
+    if cycle is not None:
+        assert end == CYCLE and len(steps) % 2 == 0 and len(cycle) % 2 == 0, (steps, cycle)
+        if steps:
+            assert src[steps[-1]] == src[cycle[0]], (steps, cycle)
+        assert src[cycle[-1]] == src[cycle[0]], cycle
+        fwds, backs = cycle[::2], cycle[1::2]
+        assert len({src[f] for f in fwds}) == len({dst[f] for f in fwds}) == len(fwds), cycle
+        assert all(f != b for f, b in zip(fwds, backs)), cycle
+        return
+    last = steps[-1]
+    if end == PATH:
         if len(steps) % 2:
-            assert dual.level[last.dst] == 0, steps
+            assert dual.level[dst[last]] == 0, steps
         else:
-            assert dual.value(dual.alpha[last.src]) == 0, steps
-    elif path.kind is PathKind.STALLED:
-        assert graph.back_edges(last.dst) == [], steps
-    elif path.kind is PathKind.TYPE_II:
-        assert len(steps) % 2, steps
-        assert steps[-1] in graph.back_edges(last.dst) or steps[-2] == steps[-1], steps
+            assert dual.value(dual.alpha[src[last]]) == 0, steps
+    elif end == STALLED:
+        assert graph.back_edges(dst[last]) == [], steps
+    else:
+        assert end == TWO_CYCLE and len(steps) % 2, (end, steps)
+        assert last in graph.back_edges(dst[last]) or steps[-2] == last, steps
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -526,19 +552,17 @@ def test_two_cycle_ends_are_type_ii(monkeypatch, mode):
     # a walk that goes back over an edge and then forward over it again ends
     # as a two-cycle; it never reaches solve() as a one-pair cycle (e, e)
     ends: list[bool] = []
-    kinds: set[PathKind] = set()
+    kinds: set[str] = set()
 
     class WalkGraph(DerivedGraph):
         def find_path(self, start):
-            path = super().find_path(start)
-            check_walk_shape(self, start, path)
-            kinds.add(path.kind)
-            if path.kind is PathKind.TYPE_III:
-                _, cycle = path.split_cycle()
-                assert all(f != b for f, b in zip(cycle[::2], cycle[1::2])), path.steps
-            elif path.kind is PathKind.TYPE_II:
-                ends.append(len(path.steps) > 1 and path.steps[-2] == path.steps[-1])
-            return path
+            walk = super().find_path(start)
+            end, steps, cycle = walk
+            check_walk_shape(self, start, end, steps, cycle)
+            kinds.add(end)
+            if end == TWO_CYCLE:
+                ends.append(len(steps) > 1 and steps[-2] == steps[-1])
+            return walk
 
     monkeypatch.setattr(solver_mod, "DerivedGraph", WalkGraph)
     for seed in range(8):
@@ -547,11 +571,11 @@ def test_two_cycle_ends_are_type_ii(monkeypatch, mode):
                             u_range=(1, 6) if seed % 2 else None)
         except ValueError:
             continue
-        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode)
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
         assert solver_mod.solve(inst, config).terminated
     assert ends, "no two-cycle end was seen"
     assert any(ends), "no walk went back and forth over one edge"
-    assert len(kinds) == len(PathKind), kinds  # every end was checked
+    assert kinds == {PATH, TWO_CYCLE, CYCLE, STALLED}, kinds  # every end was checked
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -580,7 +604,7 @@ def check_lazy_heaps(graph) -> None:
     graph = copy.deepcopy(graph)  # leave the original's dirty sources and stale entries be
     beta = values(dual, "beta")
     for i in range(inst.n):
-        graph.ensure_fresh(i)
+        refresh(graph, i)
         alpha = graph.dual.value(graph.dual.alpha[i])
         keyed = [
             (-(spec.profit - spec.price * beta[spec.dst]), spec.dst, e)
@@ -646,7 +670,7 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
         elif op == "fresh":
             # as walks and sweeps do between writes: one source, or all of them
             for i in range(inst.n) if flag else [index % inst.n]:
-                graph.ensure_fresh(i)
+                refresh(graph, i)
         else:
             full = num.value(cap if cap is not None else 3)
             target = {"fill": full, "half": full / 2, "drain": num.value(0)}[op]
@@ -693,8 +717,9 @@ def solve_logged(graph_cls, inst, config):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver_mod, "DerivedGraph", Logged)
-        text = solution_to_text(solver_mod.solve(inst, config))
-    return text, graphs[0]
+        solution = solver_mod.solve(inst, config)
+    assert solution.terminated
+    return solution_to_text(solution), graphs[0]
 
 
 def check_sweeps_agree(inst, config):
@@ -712,7 +737,7 @@ def check_sweeps_agree(inst, config):
        eps=st.sampled_from([Fraction(1, 4), Fraction(1, 8)]))
 def test_filtered_sweep_matches_full_sweep(kind, mode, seed, n, m, eps):
     inst = small_instance(kind, seed, n, m)
-    check_sweeps_agree(inst, SolverConfig(epsilon=eps, numeric_mode=mode))
+    check_sweeps_agree(inst, SolverConfig(epsilon=eps, numeric_mode=mode, max_phases=PHASE_CAP))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -724,7 +749,8 @@ def test_filtered_sweep_matches_full_sweep_on_larger_instances(mode):
         for inst in (generate(seed=seed, n=8, m=8, density=0.7,
                               u_range=(1, 8) if seed % 2 else None),
                      small_instance("pw", seed, 6, 6)):
-            got = check_sweeps_agree(inst, SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode))
+            config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
+            got = check_sweeps_agree(inst, config)
             promotions += got[0]
             saved += got[1]
     assert promotions > 0 and saved > 0  # both sweeps promoted, and the filter skipped calls

@@ -1,0 +1,46 @@
+"""Every name a module of the package imports is used in it."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "budget_flow"
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by an import that the module never reads; a name listed in
+    `__all__` counts as read, and `from __future__` imports bind nothing."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [name for name in imported if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text()) == []
+
+
+def test_the_check_sees_an_unused_import():
+    source = (
+        "from __future__ import annotations\n"
+        "import heapq, os.path\n"
+        "from enum import Enum\n"
+        "from .state import RunStats as Stats\n"
+        "__all__ = ['Stats']\n"
+        "heapq.heappush\n"
+    )
+    assert unused_imports(source) == ["os", "Enum"]
