@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .certify import Certificate, certify
-from .derived_graph import PATH, TWO_CYCLE, DerivedGraph
+from .derived_graph import CYCLE, PATH, TWO_CYCLE, DerivedGraph
 from .instance import ProblemInstance, SolverConfig
 from .state import Numerics, PrimalState, RunStats, make_states
 
@@ -373,7 +373,7 @@ def solve(
         cursor = (picked + 1) % n
 
         end, steps, cycle = graph.find_path(picked)
-        if cycle is not None:
+        if end == CYCLE:
             touched = push_flow_path(graph, steps).touched_sinks
             touched |= push_flow_cycle(graph, cycle).touched_sinks
         elif end == PATH:

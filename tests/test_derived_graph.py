@@ -337,7 +337,7 @@ def test_walk_length_bound():
         primal, dual, graph = fresh_graph(inst)
         if dual.value(dual.alpha[0]) > 0:
             _, steps, cycle = graph.find_path(0)
-            assert len(steps) + len(cycle or []) <= limit
+            assert len(steps) + len(cycle or []) + 1 <= limit
 
 
 def test_heap_keys_match_recomputation():
@@ -553,6 +553,7 @@ def test_two_cycle_ends_are_type_ii(monkeypatch, mode):
     # as a two-cycle; it never reaches solve() as a one-pair cycle (e, e)
     ends: list[bool] = []
     kinds: set[str] = set()
+    repeats: set[str] = set()  # which vertex a cycle end revisited
 
     class WalkGraph(DerivedGraph):
         def find_path(self, start):
@@ -562,20 +563,28 @@ def test_two_cycle_ends_are_type_ii(monkeypatch, mode):
             kinds.add(end)
             if end == TWO_CYCLE:
                 ends.append(len(steps) > 1 and steps[-2] == steps[-1])
+            if end == CYCLE:
+                # a repeated sink's rotation closes the cycle with the prefix's last edge
+                repeats.add("sink" if steps and steps[-1] == cycle[-1] else "source")
             return walk
 
     monkeypatch.setattr(solver_mod, "DerivedGraph", WalkGraph)
+    instances = []
     for seed in range(8):
         try:
-            inst = generate(seed=seed, n=3 + seed % 4, m=3 + seed % 3, density=0.8,
-                            u_range=(1, 6) if seed % 2 else None)
+            instances.append(generate(seed=seed, n=3 + seed % 4, m=3 + seed % 3, density=0.8,
+                                      u_range=(1, 6) if seed % 2 else None))
         except ValueError:
             continue
+    # its walks end in cycles that repeat a sink as well as ones that repeat a source
+    instances.append(generate(seed=4, n=12, m=12, density=0.7))
+    for inst in instances:
         config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
         assert solver_mod.solve(inst, config).terminated
     assert ends, "no two-cycle end was seen"
     assert any(ends), "no walk went back and forth over one edge"
     assert kinds == {PATH, TWO_CYCLE, CYCLE, STALLED}, kinds  # every end was checked
+    assert repeats == {"sink", "source"}, repeats
 
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
