@@ -42,7 +42,10 @@ class CycleGeometry:
     by p_fwd/p_back; cum_before[z] / cum_through[z] is the product of these
     ratios up to (exclusive / inclusive) pair z, rho_cycle their full product.
     r_min is the largest whole number of revolutions every capacity admits
-    (None = unlimited).
+    (None = unlimited).  In r+1 revolutions an entry surplus s moves
+    s*cum*G(r) over an edge, G(r) = sum_{t<=r} rho_cycle^t, with cum its
+    pair's cum_before (forward) or cum_through (back); so a capacity c admits
+    r exactly when s*G(r) <= c/cum, its *room*, and the least room decides.
     """
 
     cycle: tuple[int, ...]
@@ -161,10 +164,13 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
 
 
 def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> CycleGeometry:
-    """One O(|C|) traversal computing every ratio and revolution limit.
+    """One O(|C|) traversal computing every ratio and the revolution limit.
 
-    Works on numbers, not the state's units: `entry_surplus` is a value, as
-    `primal.value` reads it, and so are the capacities it reads.
+    Each capacity's room is its value over the ratio that reaches it: a
+    forward edge's residual (when it has a capacity) over cum_before, a back
+    edge's flow over cum_through.  `geometric_limit` runs once, on the least
+    room.  Works on numbers, not the state's units: `entry_surplus` is a
+    value, as `primal.value` reads it, and so are the capacities it reads.
     """
     num = primal.num
     src, dst, price = primal.instance.src, primal.instance.dst, primal.instance.price
@@ -181,33 +187,24 @@ def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> Cycl
     if not num.is_pos(entry_surplus):
         raise ValueError("cycle entry needs positive surplus")
 
-    cum_before, cum_through = [], []
+    cum_before, cum_through, rooms = [], [], []
     acc = num.value(1)
     for fwd, back in zip(fwds, backs):
-        rho = num.value(price[fwd]) / price[back]
+        residual = primal.forward_residual(fwd)
+        if residual is not None:
+            rooms.append(primal.value(residual) / acc)
         cum_before.append(acc)
-        acc = acc * rho
+        acc = acc * (num.value(price[fwd]) / price[back])
         cum_through.append(acc)
+        rooms.append(primal.value(primal.flow[back]) / acc)
     rho_cycle = acc
-
-    r_min: int | None = None
-    for z, (fwd, back) in enumerate(zip(fwds, backs)):
-        for cum, cap in ((cum_before, primal.forward_residual(fwd)),
-                         (cum_through, primal.flow[back])):
-            if cap is None:
-                continue
-            lim = geometric_limit(entry_surplus * cum[z], rho_cycle, primal.value(cap), num)
-            if lim is not None and (r_min is None or lim < r_min):
-                r_min = lim
-    if rho_cycle >= 1 and r_min is None:
-        raise RuntimeError("non-shrinking cycle must have a finite revolution limit")
     return CycleGeometry(
         cycle=tuple(cycle),
         entry_surplus=entry_surplus,
         cum_before=tuple(cum_before),
         cum_through=tuple(cum_through),
         rho_cycle=rho_cycle,
-        r_min=r_min,
+        r_min=geometric_limit(entry_surplus, rho_cycle, min(rooms), num),
     )
 
 

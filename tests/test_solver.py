@@ -10,6 +10,7 @@ from budget_flow.certify import certify
 from budget_flow.derived_graph import DerivedGraph
 from budget_flow.instance import SolverConfig, generate, parse
 from budget_flow.oracle import exact_opt
+import budget_flow.solver as solver_mod
 from budget_flow.solver import (
     RunStats,
     apply_cycle_bulk,
@@ -368,6 +369,73 @@ def test_cycle_geometry_rejects_nonsimple():
     )
     with pytest.raises(ValueError):
         cycle_geometry(primal, cycle + cycle, entry_surplus(primal))
+
+
+def capacity_pairs(primal, cycle):
+    """(cum, cap) of each capacity on the cycle, as numbers: the ratio that
+    reaches it and its value; and the cycle ratio."""
+    num, price = primal.num, primal.instance.price
+    acc, pairs = num.value(1), []
+    for fwd, back in zip(cycle[::2], cycle[1::2]):
+        residual = primal.forward_residual(fwd)
+        if residual is not None:
+            pairs.append((acc, primal.value(residual)))
+        acc = acc * (num.value(price[fwd]) / price[back])
+        pairs.append((acc, primal.value(primal.flow[back])))
+    return pairs, acc
+
+
+def per_capacity_r_min(primal, cycle, s):
+    """Reference revolution limit: one `geometric_limit` per capacity, with the
+    per-revolution amount s*cum reaching it, and the least of the finite
+    answers (None when every answer is None)."""
+    pairs, rho = capacity_pairs(primal, cycle)
+    limits = [geometric_limit(s * cum, rho, cap, primal.num) for cum, cap in pairs]
+    return min((lim for lim in limits if lim is not None), default=None)
+
+
+def meets_least_room(primal, cycle, s) -> bool:
+    """Whether the entry surplus times the revolution sum equals the least room
+    exactly at the exact limit: there a float run may round to either side."""
+    pairs, rho = capacity_pairs(primal, cycle)
+    room = min(cap / cum for cum, cap in pairs)
+    r = per_capacity_r_min(primal, cycle, s)
+    if r is None:
+        return s / (1 - rho) == room
+    return s * sum(rho**t for t in range(r + 1)) == room
+
+
+def float_twin(primal):
+    """A float-mode primal state holding the same flows and surpluses."""
+    twin = make_states(primal.instance, SolverConfig(numeric_mode="float"))[0]
+    twin.flow = [float(x) for x in values(primal, "flow")]
+    twin.surplus = [float(x) for x in values(primal, "surplus")]
+    return twin
+
+
+def test_cycle_geometry_limit_is_the_least_per_capacity_limit(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return geometric_limit(*args)
+
+    monkeypatch.setattr(solver_mod, "geometric_limit", counting)
+    rng = random.Random(28)
+    seen = {"exact": set(), "float": set()}
+    for _ in range(600):
+        _, primal, *_, cycle = random_simple_cycle(rng)
+        for mode, state in (("exact", primal), ("float", float_twin(primal))):
+            s = entry_surplus(state)
+            calls.clear()
+            r_min = cycle_geometry(state, cycle, s).r_min
+            assert len(calls) == 1
+            # float rounding of s*cum against cap and of s against cap/cum may
+            # part only where the exact values meet
+            assert r_min == per_capacity_r_min(state, cycle, s) or (
+                mode == "float" and meets_least_room(primal, cycle, entry_surplus(primal)))
+            seen[mode].add(r_min if r_min is None or r_min < 1 else "positive")
+    assert seen == {mode: {-1, 0, "positive", None} for mode in seen}
 
 
 # -- push_flow_cycle ---------------------------------------------------------
