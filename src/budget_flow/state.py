@@ -324,12 +324,6 @@ class ExactDual(DualState):
             new_value = Ratio(*new_value.as_integer_ratio())
         super().raise_beta(j, new_value)
 
-    def effective_profit(self, e: int) -> Ratio:
-        instance = self.instance
-        b = self.beta[instance.dst[e]]
-        return Ratio(instance.profit[e] * b.denominator - instance.price[e] * b.numerator,
-                     b.denominator)
-
     def heap_key(self, e: int) -> tuple:
         instance = self.instance
         b = self.beta[instance.dst[e]]

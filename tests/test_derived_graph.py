@@ -26,6 +26,12 @@ def fresh_graph(instance, config=EPS4):
     return primal, dual, DerivedGraph(instance, primal, dual)
 
 
+def key(dual, e):
+    """Edge e's heap key c - p*beta, recomputed from the dual's beta value."""
+    inst = dual.instance
+    return inst.profit[e] - inst.price[e] * dual.value(dual.beta[inst.dst[e]])
+
+
 def refresh(graph, i):
     """Rebuild source i's preferred edge if it is dirty, as walks and sweeps do."""
     if i in graph._dirty:
@@ -54,7 +60,7 @@ def test_rebuild_preferred_exact_key_breaks_float_ties():
     inst = btp([5], [100, 100], [(0, 0, 1, 1), (0, 1, 2, 10**20 - 1)])
     primal, dual, graph = fresh_graph(inst)
     graph.raise_beta(1, Fraction(1, 10**20))
-    keys = [dual.value(dual.effective_profit(e)) for e in range(2)]
+    keys = [key(dual, e) for e in range(2)]
     assert keys[1] > keys[0] and float(keys[1]) == float(keys[0])
     refresh(graph, 0)
     # the float tie must not fall through to the sink index, which favours sink 0
@@ -108,7 +114,7 @@ def test_float_tie_winner_below_the_root_rises_to_the_top():
                               (0, 4, 1, 1)])
     betas = {1: Fraction(1, 2), 2: Fraction(3, 4), 3: tiny, 4: Fraction(1, 8)}
     primal, dual, graph = priced_graph(inst, betas)
-    keys = [dual.value(dual.effective_profit(e)) for e in range(5)]
+    keys = [key(dual, e) for e in range(5)]
     assert float(keys[3]) == float(keys[0]) and keys[3] > keys[0]
     assert graph.preferred[0] == 3
     assert dual.value(dual.alpha[0]) == keys[3]
@@ -244,7 +250,7 @@ def saturated_edge_graph(profit, price, beta, level, alpha):
 def slack(graph):
     """Edge 0's price slack c - p*beta - alpha, read through the accessor."""
     dual = graph.dual
-    return dual.value(dual.effective_profit(0)) - dual.value(dual.alpha[0])
+    return key(dual, 0) - dual.value(dual.alpha[0])
 
 
 def test_zero_slack_saturated_edge_is_a_back_edge():
@@ -350,14 +356,14 @@ def test_heap_keys_match_recomputation():
         for i in range(inst.n):
             top = graph.rebuild_preferred(i)
             keys = [
-                dual.value(dual.effective_profit(e))
+                key(dual, e)
                 for e in inst.edges_of_source(i)
                 if not primal.edge_saturated(e)
             ]
             if top is None:
                 assert not keys
             else:
-                assert dual.value(dual.effective_profit(top)) == max(keys)
+                assert key(dual, top) == max(keys)
 
 
 def test_back_edge_reenters_only_after_price_rise(monkeypatch):
