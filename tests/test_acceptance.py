@@ -28,7 +28,7 @@ from budget_flow.solver import (
     cycle_geometry,
     solve,
 )
-from conftest import build_cycle_state, move, simulate_revolutions, values
+from conftest import PHASE_CAP, build_cycle_state, move, simulate_revolutions, values
 
 EPSILONS = [Fraction(1, 2), Fraction(1, 4), Fraction(1, 10)]
 
@@ -89,7 +89,7 @@ def test_criterion_1_at_ten_by_ten():
         capacitated = seed >= 4
         inst = generate(seed=seed, n=10, m=10, density=0.6,
                         u_range=(1, 6) if capacitated else None)
-        sol = solve(inst, SolverConfig(epsilon=eps))
+        sol = solve(inst, SolverConfig(epsilon=eps, max_phases=PHASE_CAP))
         assert sol.terminated
         opt, _ = exact_opt(inst)
         assert sol.certificate.primal_value >= (1 - eps) * opt, (

@@ -192,7 +192,7 @@ def assert_same(x, y, what):
 def test_certify_matches_reference(kind, mode, eps, seed, n, m, hurt, pick):
     # every field, the gammas too, equal in value and in type, float bits included
     inst = small_instance(kind, seed, n, m)
-    config = SolverConfig(epsilon=eps, numeric_mode=mode)
+    config = SolverConfig(epsilon=eps, numeric_mode=mode, max_phases=PHASE_CAP)
     sol = solve(inst, config)
     exact = mode == "exact"
     if hurt == "reparsed":
@@ -217,7 +217,8 @@ def test_reread_float_certificate_equals_the_solve_certificate(kind):
     # recomputes the solve's own certificate, float bits included
     for seed in range(6):
         inst = small_instance(kind, seed, 5, 5)
-        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float")
+        config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="float",
+                              max_phases=PHASE_CAP)
         sol = solve(inst, config)
         flow, alpha, beta, eps, mode = parse_solution(solution_to_text(sol), inst)
         assert mode == "float"

@@ -20,6 +20,7 @@ import pytest
 from budget_flow import cli, instance, reductions, solver
 from budget_flow.instance import EdgeSpec, Kind, ProblemInstance, generate, parse, serialize
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, serialize_piecewise
+from conftest import PHASE_CAP
 from test_golden_bench_shape import piecewise_split
 
 certify = importlib.import_module("budget_flow.certify")
@@ -92,7 +93,8 @@ def test_the_benchmark_pipeline_builds_no_edge_records(monkeypatch, stages, mode
         split, _ = reductions.split_piecewise(reductions.parse_piecewise(text))
         text = instance.serialize(split)
     inst = instance.parse(text)
-    sol = solver.solve(inst, instance.SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode))
+    config = instance.SolverConfig(epsilon=Fraction(1, 8), numeric_mode=mode, max_phases=PHASE_CAP)
+    sol = solver.solve(inst, config)
     v_inst = instance.parse(text)
     flow, alpha, beta, eps, v_mode = cli.parse_solution(cli.solution_to_text(sol), v_inst)
     exact = v_mode == "exact"

@@ -35,6 +35,7 @@ from budget_flow.reductions import (
     serialize_piecewise,
 )
 from budget_flow.solver import solve
+from conftest import PHASE_CAP
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=40)
 
@@ -137,7 +138,7 @@ def test_damaged_input_raises_only_format_or_validation_errors(name, data):
 
 def _solved(seed: int, kind_bts: bool):
     inst = generate(seed=seed, n=3, m=3, density=0.8, u_range=(1, 5) if kind_bts else None)
-    return inst, solution_to_text(solve(inst, SolverConfig(epsilon=Fraction(1, 4))))
+    return inst, solution_to_text(solve(inst, SolverConfig(epsilon=Fraction(1, 4), max_phases=PHASE_CAP)))
 
 
 SOLVED = [_solved(seed, seed % 2 == 1) for seed in range(4)]

@@ -27,6 +27,7 @@ from budget_flow.cli import solution_to_text
 from budget_flow.instance import SolverConfig, generate
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 from budget_flow.solver import solve
+from conftest import PHASE_CAP
 
 EPS = Fraction(1, 8)
 
@@ -79,7 +80,8 @@ STAT_FREE = {
 
 def solution_text(name: str) -> str:
     inst, mode = _case(name)
-    return solution_to_text(solve(inst, SolverConfig(epsilon=EPS, numeric_mode=mode)))
+    return solution_to_text(solve(inst, SolverConfig(epsilon=EPS, numeric_mode=mode,
+                                                      max_phases=PHASE_CAP)))
 
 
 def sha256(text: str) -> str:
@@ -136,5 +138,5 @@ def test_solution_record_adds_up(name):
 def test_float_record_with_a_gamma_within_float_tol_adds_up():
     # a flow within float_tol of its capacity, short of it, still gets its gamma line
     inst = generate(seed=0, n=8, m=8, density=0.7, u_range=(1, 8))
-    sol = solve(inst, SolverConfig(epsilon=EPS, numeric_mode="float"))
+    sol = solve(inst, SolverConfig(epsilon=EPS, numeric_mode="float", max_phases=PHASE_CAP))
     assert_record_adds_up(inst, solution_to_text(sol), "float")

@@ -20,6 +20,7 @@ from budget_flow.cli import solution_to_text
 from budget_flow.instance import SolverConfig, generate
 from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 from budget_flow.solver import solve
+from conftest import PHASE_CAP
 
 EPS = Fraction(1, 8)
 
@@ -59,7 +60,8 @@ def piecewise_split(seed: int):
 
 
 def digest(inst, mode: str) -> str:
-    text = solution_to_text(solve(inst, SolverConfig(epsilon=EPS, numeric_mode=mode)))
+    config = SolverConfig(epsilon=EPS, numeric_mode=mode, max_phases=PHASE_CAP)
+    text = solution_to_text(solve(inst, config))
     return hashlib.sha256(text.encode()).hexdigest()
 
 

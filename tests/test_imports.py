@@ -1,4 +1,4 @@
-"""Every name a module of the package imports is used in it."""
+"""Every name a module of the package, a test module or a demo imports is used in it."""
 
 from __future__ import annotations
 
@@ -7,7 +7,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "budget_flow"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "budget_flow"
+MODULES = sorted(PACKAGE.glob("*.py")) + sorted(
+    [*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -29,7 +32,9 @@ def unused_imports(source: str) -> list[str]:
     return [name for name in imported if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES,
+    ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 

@@ -21,7 +21,7 @@ from budget_flow.instance import (
 )
 from budget_flow.reductions import parse_piecewise, split_piecewise
 from budget_flow.solver import solve
-from conftest import btp, violations
+from conftest import PHASE_CAP, btp, violations
 
 
 def test_validate_minimal_ok(one_by_one):
@@ -115,7 +115,7 @@ def counted(monkeypatch, module, name: str) -> list:
 @pytest.mark.parametrize(
     "build, instance_checks, piecewise_checks",
     [
-        (lambda valid: solve(parse(ONE_BY_ONE)), 1, 0),
+        (lambda valid: solve(parse(ONE_BY_ONE), SolverConfig(max_phases=PHASE_CAP)), 1, 0),
         (lambda valid: generate(seed=0, n=2, m=2, density=1.0), 1, 0),
         (lambda valid: split_piecewise(parse_piecewise(ONE_PROFILE)), 1, 1),
         (lambda valid: violations(lambda: replace(valid, supply=(0,))), 1, 0),
