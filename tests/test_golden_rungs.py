@@ -18,11 +18,10 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import PHASE_CAP
-
 from budget_flow.cli import solution_to_text
 from budget_flow.instance import SolverConfig, generate
 from budget_flow.solver import solve
+from conftest import PHASE_CAP
 
 RUNGS = {
     "btp-40": "a04f493d06ee29ae4839261940b10d1a3dfd7e2a9584d27a83af16854d9c88f6",
