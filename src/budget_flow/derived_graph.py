@@ -65,14 +65,15 @@ class DerivedGraph:
         self.preferred: list[int | None] = [None] * instance.n
         self.live = [False] * instance.n
         self._bidders: list[set[int]] = [set() for _ in range(instance.m)]
-        self._heaps: list[list] = [[] for _ in range(instance.n)]
         self._saturated = [False] * len(instance.src)
         self._queued = [False] * len(instance.src)
         self._dirty: set[int] = set(range(instance.n))
         self._stale: list[set[int]] = [set() for _ in range(instance.m)]
         self._walk_limit = 2 * (instance.n + instance.m) + 1
-        for e, i in enumerate(instance.src):
-            heapq.heappush(self._heaps[i], self._entry(e))
+        self._heaps = [list(map(self._entry, instance.edges_of_source(i)))
+                       for i in range(instance.n)]
+        for heap in self._heaps:  # entries are distinct, so the pop order is fixed
+            heapq.heapify(heap)
         for i in range(instance.n):  # every source starts dirty
             self.rebuild_preferred(i)
 
@@ -136,19 +137,21 @@ class DerivedGraph:
         """Re-pick source i's preferred edge from the heap top and refresh alpha.
 
         A saturated top is dropped and one stamped at an old level re-keyed in
-        place.  Ties already break toward the lowest sink index through the
-        heap ordering.  Returns None when i has no unsaturated edge.
+        place, inline.  Ties already break toward the lowest sink index through
+        the heap ordering.  Returns None when i has no unsaturated edge.
         """
         heap, dual, saturated = self._heaps[i], self.dual, self._saturated
+        levels, counts = dual.level, self._counts
         best = alpha = None
         while heap:
             neg_key, tie, dst, e, level = heap[0]
             if saturated[e]:
                 heapq.heappop(heap)
                 self._queued[e] = False
-                self._counts["heap_updates"] += 1
-            elif level != dual.level[dst]:
-                heapq.heapreplace(heap, self._entry(e))
+                counts["heap_updates"] += 1
+            elif level != levels[dst]:
+                heapq.heapreplace(heap, dual.heap_key(e) + (dst, e, levels[dst]))
+                counts["heap_updates"] += 1
             else:
                 best, alpha = e, dual.entry_bid(neg_key, tie)
                 break
@@ -219,7 +222,7 @@ class DerivedGraph:
                     self.rebuild_preferred(src[f])
                 back -= dual.has_slack(f)
         if back > 1:
-            self.promote(e)
+            stale.discard(e)  # `promote(e)` without its call
         return back > 1
 
     def remove_two_cycles(self, sources) -> None:
@@ -227,12 +230,13 @@ class DerivedGraph:
         live bidder preferring a stale edge with a stale sibling; at any other
         source it would return False."""
         dst, dirty, live, preferred = self.instance.dst, self._dirty, self.live, self.preferred
+        stale_of = self._stale
         for i in sources:
             if i in dirty:
                 self.rebuild_preferred(i)
             if live[i]:
                 e = preferred[i]
-                stale = self._stale[dst[e]]
+                stale = stale_of[dst[e]]
                 if e in stale and len(stale) > 1:  # filtered: unfiltered calls ran slower (ROADMAP)
                     self.fix_two_cycle(i)
 
@@ -252,7 +256,7 @@ class DerivedGraph:
         steps: list[int] = []
         src_pos: dict[int, int] = {}
         snk_pos: dict[int, int] = {}
-        limit = self._walk_limit
+        limit, stale_of = self._walk_limit, self._stale
         counts, dirty, live, preferred = self._counts, self._dirty, self.live, self.preferred
         src, dst, level = self.instance.src, self.instance.dst, self.dual.level
         i = start
@@ -266,7 +270,7 @@ class DerivedGraph:
                 return PATH, steps, None
             e = preferred[i]
             j = dst[e]
-            stale = self._stale[j]
+            stale = stale_of[j]
             if e in stale and len(stale) > 1:  # filtered: unfiltered calls ran slower (ROADMAP)
                 self.fix_two_cycle(i)
             src_pos[i] = len(steps)

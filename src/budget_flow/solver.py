@@ -276,11 +276,12 @@ def beta_update_pass(graph: DerivedGraph, candidates) -> list[int]:
     sweeping two-cycles over the sources with an edge into a risen sink, in
     index order.  Returns the sinks whose price rose.
     """
-    instance, primal, dual = graph.instance, graph.primal, graph.dual
+    instance, dual = graph.instance, graph.dual
+    residual, is_zero = graph.primal.residual, graph.num.is_zero
     risen = []
     # the one-sink forks here and below: merged, they ran slower (ROADMAP)
     for j in sorted(candidates) if len(candidates) > 1 else candidates:
-        if not primal.sink_saturated(j) or graph.back_edges(j):
+        if not is_zero(residual[j]) or graph.back_edges(j):  # `sink_saturated`, inline
             continue
         value = dual.next_beta(j)
         if value is not None:
@@ -349,11 +350,11 @@ def solve(
     # a surplus is positive above `num.tol`, an int 0 in exact mode; a clean
     # source's alpha is positive when its `live` flag is set
     n, surplus, floor, counts = instance.n, primal.surplus, num.tol, stats.counts
-    dirty, live = graph._dirty, graph.live
+    dirty, live, max_phases = graph._dirty, graph.live, config.max_phases
+    ring = list(range(n)) * 2  # ring[cursor:cursor + n] is the scan from the cursor
     while True:
         picked = None
-        for offset in range(n):
-            i = (cursor + offset) % n
+        for i in ring[cursor : cursor + n]:
             if surplus[i] <= floor:
                 continue
             if i in dirty:
@@ -363,7 +364,7 @@ def solve(
                 break
         if picked is None:
             break
-        if config.max_phases is not None and counts["phases"] >= config.max_phases:
+        if max_phases is not None and counts.get("phases", 0) >= max_phases:
             terminated = False
             break
         counts["phases"] += 1

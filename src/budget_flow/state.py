@@ -7,14 +7,15 @@ hold the float rules, the `Exact` subclasses the exact ones, and
 `PrimalState.flowing_in[j]`, the in-edges of sink j with nonzero flow, is
 written only by `add_flow` and `clear_flow`.  A price rise copies it as the
 sink's stale set, and an exact rescale multiplies only the flows it lists.
-`RunStats.counts` is a `Counter`, so the solver increments it in place.
+`RunStats.counts` is a `defaultdict(int)`, cheaper to increment in place than
+a `Counter`; a read that must not add a key uses `get`.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -23,9 +24,10 @@ from .instance import Kind, ProblemInstance, SolverConfig, check_float_range
 
 @dataclass
 class RunStats:
-    """Counters witnessing the charging argument; plain ints, exported as a dict."""
+    """Counters witnessing the charging argument; plain ints, exported as a dict.
+    Only a bumped counter is a key of `counts`: read it with `get`."""
 
-    counts: Counter = field(default_factory=Counter)
+    counts: defaultdict = field(default_factory=lambda: defaultdict(int))
 
     def get(self, key: str, default: int = 0) -> int:
         return self.counts.get(key, default)
@@ -268,8 +270,11 @@ class DualState:
         if self.level[j]:
             return self._risen(self.beta[j])
         profit, price = self.instance.profit, self.instance.price
-        rates = [Fraction(profit[e], price[e]) for e in self.instance.edges_of_sink(j) if profit[e]]
-        return self.epsilon * self.num.value(min(rates)) if rates else None
+        c = p = None  # the least c/p so far, compared by cross-multiplication
+        for e in self.instance.edges_of_sink(j):
+            if profit[e] and (c is None or profit[e] * p < c * price[e]):
+                c, p = profit[e], price[e]
+        return None if c is None else self.epsilon * self.num.value(Fraction(c, p))
 
     def _risen(self, b):
         return b * self.rise_factor
@@ -314,6 +319,10 @@ class ExactDual(DualState):
 
     number = Ratio
 
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rise_factor = Ratio(*self.rise_factor.as_integer_ratio())  # `_risen` reads slots
+
     def _risen(self, b) -> Ratio:
         r = self.rise_factor
         return Ratio(b.numerator * r.numerator, b.denominator * r.denominator)
@@ -322,7 +331,8 @@ class ExactDual(DualState):
         """A Ratio is stored as it is, any other exact rational as a Ratio."""
         if type(new_value) is not Ratio:
             new_value = Ratio(*new_value.as_integer_ratio())
-        super().raise_beta(j, new_value)
+        self.beta[j] = new_value  # stored here, not through super(): a rise is hot
+        self.level[j] += 1
 
     def heap_key(self, e: int) -> tuple:
         instance = self.instance

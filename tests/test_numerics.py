@@ -5,19 +5,20 @@ sign tests; these properties pin that to the operators they replace, on
 Fractions, ints and the unreduced `Ratio` pairs of exact duals alike,
 negative, zero and large.  The capacity rules of `PrimalState` are one body
 for both modes; in float mode they must keep the bits of the float
-expressions.  Hypothesis runs derandomized with no example database, so the
+expressions.  The first price of a sink is pinned to its Fraction
+definition.  Hypothesis runs derandomized with no example database, so the
 suite stays deterministic.
 """
 
 import math
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from budget_flow.instance import SolverConfig
 from budget_flow.state import ExactNumerics, Numerics, PrimalState, Ratio, make_states
-from conftest import bts
+from conftest import btp, bts
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
 BIG = 10**40
@@ -91,3 +92,31 @@ def test_float_capacity_rules_keep_the_float_bits(cap, data, tol):
     residual = primal.forward_residual(0)
     assert type(residual) is float and residual.hex() == (float(cap) - flow).hex()
     assert primal.edge_saturated(0) is num.eq(flow, float(cap))
+
+
+# (profit, price) of each in-edge of sink 0, one source each; small ranges make
+# zero profits and equal ratios common
+in_edges = st.lists(
+    st.tuples(st.integers(0, 6) | st.integers(0, BIG), st.integers(1, 7) | st.integers(1, BIG)),
+    min_size=1, max_size=8,
+)
+
+
+@PROPERTY
+@given(in_edges, st.sampled_from(["exact", "float"]),
+       st.sampled_from([Fraction(1, 4), Fraction(1, 8), Fraction(3, 7)]))
+@example([(0, 3), (0, 5)], "exact", Fraction(1, 8))  # no profitable in-edge
+@example([(0, 3), (0, 5)], "float", Fraction(1, 8))
+@example([(2, 4), (0, 1), (1, 2), (3, 6)], "exact", Fraction(1, 8))  # equal ratios, a zero
+@example([(2, 4), (0, 1), (1, 2), (3, 6)], "float", Fraction(1, 8))
+def test_first_price_is_epsilon_times_the_least_rate(edges, mode, eps):
+    """At level 0, `next_beta` is eps * min c/p over the in-edges with c > 0,
+    as the mode's number, and None when there is none; a sink with no in-edge
+    has none either."""
+    inst = btp([1] * len(edges), [1, 1], [(i, 0, c, p) for i, (c, p) in enumerate(edges)])
+    _, dual, num = make_states(inst, SolverConfig(epsilon=eps, numeric_mode=mode))
+    rates = [Fraction(c, p) for c, p in edges if c]
+    expected = num.value(eps) * num.value(min(rates)) if rates else None
+    got = dual.next_beta(0)
+    assert got == expected and type(got) is type(expected)
+    assert dual.next_beta(1) is None

@@ -7,6 +7,7 @@ import pytest
 import reference_auction as basic_auction
 import reference_certify as reference
 from budget_flow.certify import certify
+from budget_flow.cli import solution_to_text
 from budget_flow.derived_graph import DerivedGraph
 from budget_flow.instance import SolverConfig, generate, parse
 from budget_flow.oracle import exact_opt
@@ -35,6 +36,25 @@ def path_state(instance, config=EPS4):
     stats = RunStats()
     graph = DerivedGraph(instance, primal, dual, stats)
     return primal, dual, graph, stats
+
+
+def test_run_stats_list_only_bumped_counters():
+    """`counts` adds a key on its first bump; `get` on a missing key adds none."""
+    stats = RunStats()
+    stats.counts["walk_steps"] += 2
+    assert stats.get("phases") == 0 and stats.get("phases", 5) == 5
+    assert stats.to_dict() == {"walk_steps": 2, "operations": 2}
+    assert dict(stats.counts) == {"walk_steps": 2}
+
+
+def test_aborted_run_prints_only_the_counters_it_bumped():
+    """A run stopped before its first phase has counted only its heap build:
+    the `max_phases` guard reads `phases` without adding a `stat phases 0`."""
+    sol = solve(generate(seed=3, n=6, m=6, density=0.7),
+                SolverConfig(epsilon=Fraction(1, 8), max_phases=0))
+    assert not sol.terminated
+    stat_lines = [line for line in solution_to_text(sol).splitlines() if line.startswith("stat ")]
+    assert stat_lines == ["stat heap_updates 24", "stat operations 24"]
 
 
 # -- push_flow_path ----------------------------------------------------------
