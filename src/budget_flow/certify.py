@@ -127,16 +127,18 @@ def certify(
     epsilon*c, the gap identity checks out, and dual/primal - 1 <= epsilon
     (vacuously when both values are zero).
 
-    Only nonzero flows enter the sums and the per-edge primal and slackness
-    tests; a zero flow adds nothing to a sum and passes every such test.  In
-    exact mode (rigorous) the work is done on integers: the nonzero
-    flows are read as numerators over their common denominator `lf`, alpha,
-    beta and epsilon as numerators over theirs, `ld`, and each sum, product and
-    comparison below runs on numerators; Fractions are built only for the
-    returned fields.  The dual constraint, the one test every edge needs, runs
-    on each node's own numerator and denominator, so its cost does not grow
-    with `ld`.  Otherwise the values are read as numerators over 1, which
-    leaves every float expression and its bits as they were.
+    One pass over the nonzero flows runs the per-edge primal and slackness
+    tests and the gamma rule, and adds up the node sums and the primal value;
+    a zero flow adds nothing to a sum and passes every such test.  One loop
+    per source and one per sink then test the node constraints.  In exact
+    mode (rigorous) the work is done on integers: the nonzero flows are read
+    as numerators over their common denominator `lf`, alpha, beta and epsilon
+    as numerators over theirs, `ld`, and each sum, product and comparison
+    below runs on numerators; Fractions are built only for the returned
+    fields.  The dual constraint, the one test every edge needs, runs on each
+    node's own numerator and denominator, so its cost does not grow with
+    `ld`.  Otherwise the values are read as numerators over 1, which leaves
+    every float expression and its bits as they were.
     """
     if rigorous and tol:
         raise ValueError(f"a rigorous certificate compares exactly; tol must be 0, not {tol}")
@@ -151,51 +153,43 @@ def certify(
     support = nonzero(flow)
     if rigorous:
         epsilon = Fraction(epsilon)
-        given_flow, given_alpha, given_beta = flow, alpha, beta
+        given_alpha, given_beta = alpha, beta
         ratio_a = [a.as_integer_ratio() for a in alpha]
         ratio_b = [b.as_integer_ratio() for b in beta]
         nums, lf = _over_lcm([flow[e].as_integer_ratio() for e in support])
-        flow = [0] * ne
-        for e, x in zip(support, nums):
-            flow[e] = x
         # epsilon too, since it scales the dual slacks it is compared with
         duals, ld = _over_lcm(ratio_a + ratio_b + [epsilon.as_integer_ratio()])
         alpha, beta, eps, zero = duals[:n], duals[n:-1], duals[-1], 0
     else:
         # a float written by `fmt` reads back as a Fraction that converts
         # exactly; a zero flow is never read, so only the others are converted
-        given_flow, flow = flow, [0.0] * ne
-        for e in support:
-            flow[e] = float(given_flow[e])
+        nums = [float(flow[e]) for e in support]
         alpha, beta = ([float(x) for x in v] for v in (alpha, beta))
         epsilon, zero = float(epsilon), 0.0
         lf, ld, eps = 1, 1, epsilon
+    flows = dict(zip(support, nums))
 
-    # the gamma rule: an edge its flow fills gets the dual slack c - p*beta -
-    # alpha when that is positive; a zero flow fills no edge, since every
-    # capacity is at least 1 and tol is below 1
-    gammas = {}
-    for e in support:
-        if capacity[e] is not None and abs(flow[e] - capacity[e] * lf) <= tol:
-            slack = profit[e] * ld - price[e] * beta[dst[e]] - alpha[src[e]]
-            if slack > tol:
-                gammas[e] = slack
-
-    primal_violations = []
-    out_of = [zero] * n
-    into = [zero] * m
-    cs_flow_excess = zero
-    flow_slack_sum = zero
-    for e in support:
-        f, i, j, c, p, u = flow[e], src[e], dst[e], profit[e], price[e], capacity[e]
+    # the gamma rule, in the capacity branch: an edge its flow fills gets
+    # c - p*beta - alpha when that is positive; a zero flow fills no edge,
+    # since every capacity is at least 1 and tol is below 1
+    gammas, primal_violations, dual_violations, value_terms = {}, [], [], []
+    out_of, into = [zero] * n, [zero] * m
+    cs_flow_excess = flow_slack_sum = zero
+    for e, f in flows.items():
+        i, j, c, p, u = src[e], dst[e], profit[e], price[e], capacity[e]
         if f < -tol:
             primal_violations.append(f"negative flow on edge {e}")
-        if u is not None and f - u * lf > tol:
-            primal_violations.append(f"capacity exceeded on edge {e}")
+        gamma = zero
+        if u is not None:
+            if f - u * lf > tol:
+                primal_violations.append(f"capacity exceeded on edge {e}")
+            elif abs(f - u * lf) <= tol and (slack := c * ld - p * beta[j] - alpha[i]) > tol:
+                gammas[e] = gamma = slack
         out_of[i] += f
         into[j] += p * f
+        value_terms.append(c * f)
         if f > tol:
-            slack = c * ld - alpha[i] - p * beta[j] - gammas.get(e, zero)
+            slack = c * ld - alpha[i] - p * beta[j] - gamma
             flow_slack_sum += f * slack
             excess = abs(slack) - eps * c
             if excess > cs_flow_excess:
@@ -203,15 +197,11 @@ def certify(
     for i in range(n):
         if out_of[i] - instance.supply[i] * lf > tol:
             primal_violations.append(f"supply exceeded at source {i + 1}")
-    for j in range(m):
-        if into[j] - instance.budget[j] * lf > tol:
-            primal_violations.append(f"budget exceeded at sink {j + 1}")
-
-    dual_violations = []
-    for i in range(n):
         if alpha[i] < -tol:
             dual_violations.append(f"negative alpha at source {i + 1}")
     for j in range(m):
+        if into[j] - instance.budget[j] * lf > tol:
+            primal_violations.append(f"budget exceeded at sink {j + 1}")
         if beta[j] < -tol:
             dual_violations.append(f"negative beta at sink {j + 1}")
     if rigorous:
@@ -230,12 +220,12 @@ def certify(
     # its sum for the identity
     source_terms = [alpha[i] * (instance.supply[i] * lf - out_of[i]) for i in range(n)]
     sink_terms = [beta[j] * (instance.budget[j] * lf - into[j]) for j in range(m)]
-    cap_terms = [g * (capacity[e] * lf - flow[e]) for e, g in gammas.items()]
+    cap_terms = [g * (capacity[e] * lf - flows[e]) for e, g in gammas.items()]
     cs_source = max(map(abs, source_terms), default=zero)
     cs_sink = max(map(abs, sink_terms), default=zero)
     cs_edge = max(map(abs, cap_terms), default=zero)
 
-    primal_value = sum((profit[e] * flow[e] for e in support), start=zero)
+    primal_value = sum(value_terms, start=zero)
     dual_value = sum(
         (instance.supply[i] * alpha[i] for i in range(n)), start=zero
     ) + sum(instance.budget[j] * beta[j] for j in range(m))
@@ -280,7 +270,7 @@ def certify(
         # a gamma needs a full edge, so every capacity term is 0 and the worst
         # is the first
         cs_edge = next(
-            (abs(g * (capacity[e] - given_flow[e])) for e, g in gammas.items()),
+            (abs(g * (capacity[e] - flow[e])) for e, g in gammas.items()),
             Fraction(0),
         )
         cs_flow_excess = Fraction(cs_flow_excess, ld)

@@ -277,19 +277,19 @@ def cmd_bench(args) -> int:
     for name, inst in instances:
         for config in configs:
             eps = config.epsilon
+            try:
+                diag = diagnostics(inst, eps)
+            except ValueError:  # no profitable edge: no price rises, nothing to charge
+                bound, allowance = 0, float("inf")
+            else:
+                bound, allowance = diag.beta_rise_bound, diag.ops_per_rise_allowance
             for _ in range(args.repeat):
                 started = time.perf_counter()
                 solution = solve(inst, config)
                 elapsed_ms = (time.perf_counter() - started) * 1000.0
                 rises = solution.stats.get("beta_rises")
                 ops = solution.stats.operations()
-                try:
-                    diag = diagnostics(inst, eps)
-                except ValueError:  # no profitable edge: no price rises, nothing to charge
-                    bound, per_rise_ok = 0, True
-                else:
-                    bound = diag.beta_rise_bound
-                    per_rise_ok = ops <= diag.ops_per_rise_allowance * max(1, rises)
+                per_rise_ok = ops <= allowance * max(1, rises)
                 gap = solution.certificate.gap_ratio
                 ok = solution.certificate.passed
                 failures += 0 if ok else 1

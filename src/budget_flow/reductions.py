@@ -120,13 +120,10 @@ def split_piecewise(pw: PiecewiseInstance) -> tuple[ProblemInstance, EdgeMap]:
 
 def fill_order_holds(flows, edge_map: EdgeMap) -> bool:
     """No segment carries flow while an earlier segment of its edge has room."""
+    # a flowless segment after one with room has room too: check each pair in turn
     cap = edge_map.segment_length
-    for group in edge_map.groups:
-        for z1 in range(len(group)):
-            if flows[group[z1]] < cap:
-                if any(flows[group[z2]] > 0 for z2 in range(z1 + 1, len(group))):
-                    return False
-    return True
+    return not any(flows[a] < cap and flows[b] > 0
+                   for group in edge_map.groups for a, b in zip(group, group[1:]))
 
 
 def normalize_split_solution(flows, edge_map: EdgeMap):

@@ -95,16 +95,13 @@ class ExactNumerics(Numerics):
 class Ratio:
     """An exact value numerator/denominator, denominator > 0, kept unreduced:
     an exact dual, or the tie of an exact heap entry.  Like a Fraction it
-    exposes `numerator`, which carries the sign, and `as_integer_ratio`, and
-    it compares by cross-multiplication, as the value it stands for."""
+    exposes `numerator`, which carries the sign, and it compares by
+    cross-multiplication, as the value it stands for."""
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: int, denominator: int = 1):
         self.numerator, self.denominator = numerator, denominator
-
-    def as_integer_ratio(self) -> tuple[int, int]:
-        return self.numerator, self.denominator
 
     def __eq__(self, other) -> bool:
         return self.numerator * other.denominator == other.numerator * self.denominator

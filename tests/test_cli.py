@@ -8,8 +8,10 @@ from pathlib import Path
 import pytest
 
 from budget_flow import cli
-from budget_flow.cli import main
-from budget_flow.instance import generate, serialize
+from budget_flow.cli import main, solution_to_text
+from budget_flow.instance import SolverConfig, generate, serialize
+from budget_flow.solver import solve
+from conftest import PHASE_CAP
 from test_golden import _piecewise_split
 
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
@@ -276,6 +278,38 @@ def solved(tmp_path):
     return inst, sol
 
 
+@pytest.mark.parametrize("seed_stats", [True, False])
+def test_solve_seed_stats_keeps_the_stat_lines(tmp_path, seed_stats):
+    instance = generate(seed=3, n=4, m=4, density=0.7)
+    inst, out = tmp_path / "inst.btp", tmp_path / "out.sol"
+    inst.write_text(serialize(instance))
+    flags = ["--seed-stats"] if seed_stats else []
+    assert run_cli(["solve", str(inst), "--max-phases", str(PHASE_CAP),
+                    *flags, "-o", str(out)]) == 0
+    text = solution_to_text(solve(instance, SolverConfig(max_phases=PHASE_CAP)))
+    stats = [line for line in text.splitlines() if line.startswith("stat ")]
+    assert "stat phases" in " ".join(stats)
+    if seed_stats:
+        assert out.read_text() == text
+    else:
+        assert out.read_text().splitlines() == [
+            line for line in text.splitlines() if line not in stats]
+
+
+def test_verify_without_any_epsilon_exits_2(tmp_path, capsys):
+    inst, sol = solved(tmp_path)
+    lines = sol.read_text().splitlines()
+    lines.remove("epsilon 1/4")
+    sol.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run_cli(["verify", str(inst), str(sol)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: epsilon not in solution file; pass --epsilon\n"
+    assert captured.out == ""
+    assert run_cli(["verify", str(inst), str(sol), "--epsilon", "1/4"]) == 0
+    assert "verdict pass" in capsys.readouterr().out.splitlines()
+
+
 @pytest.mark.parametrize("command", ["solve", "verify"])
 def test_bad_epsilon_option_exits_2(tmp_path, capsys, command):
     inst, sol = solved(tmp_path)
@@ -507,6 +541,19 @@ def test_bench_rise_bound_breach_exits_3_after_its_row(tmp_path, capsys, monkeyp
     rises, bound = map(int, row.split()[7:9])
     assert rises > bound == 1
     assert captured.err == f"error: {path}: beta rises {rises} exceed bound 1\n"
+
+
+def test_bench_instance_without_a_profitable_edge(tmp_path, capsys):
+    # no profitable edge: no price rises, so no bound to charge them against
+    path = tmp_path / "zero.btp"
+    path.write_text("p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 0 2\n")
+    assert run_cli(["bench", str(path)]) == 0
+    header, row = capsys.readouterr().out.splitlines()
+    cols = dict(zip(header.split(), row.split()))
+    assert cols["rise_bound"] == "0"
+    assert cols["ops_per_rise_ok"] == "True"
+    assert cols["gap"] == "vacuous"
+    assert cols["pass"] == "True"
 
 
 def test_solve_float_first_price_below_tolerance_terminates(tmp_path, capsys):

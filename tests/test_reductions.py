@@ -115,6 +115,18 @@ def test_reassemble_requires_fill_order():
         reassemble([Fraction(1), Fraction(1)], edge_map)
 
 
+def test_fill_order_is_checked_past_an_empty_middle_segment():
+    # the first segment has room and the third carries flow; the middle one,
+    # empty, has room and passes the check against the third
+    l = 2
+    _, edge_map = split_piecewise(pw_instance([(5, 3, 1)], l=l))
+    flows = [Fraction(l) - Fraction(1, 2), Fraction(0), Fraction(1)]
+    assert not fill_order_holds(flows, edge_map)
+    with pytest.raises(ValueError, match="fill order violated"):
+        reassemble(flows, edge_map)
+    assert fill_order_holds(normalize_split_solution(flows, edge_map), edge_map)
+
+
 def test_reassembled_profit_equals_piecewise_objective():
     rng = random.Random(9)
     for _ in range(100):
