@@ -178,8 +178,7 @@ def cmd_verify(args) -> int:
     if args.epsilon is not None:
         epsilon = _epsilon_arg("--epsilon", args.epsilon)
     if epsilon is None:
-        print("error: epsilon not in solution file; pass --epsilon", file=sys.stderr)
-        return 2
+        raise ValueError("epsilon not in solution file; pass --epsilon")
     if mode == "float":
         check_float_range(instance, flow, alpha, beta)
     tol = SolverConfig.float_tol if mode == "float" else 0

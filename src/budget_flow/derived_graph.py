@@ -46,21 +46,15 @@ PATH, TWO_CYCLE, CYCLE, STALLED = "path", "two-cycle", "cycle", "stalled"
 
 
 class DerivedGraph:
-    """Owns the heaps, preferred edges and lazy alpha refresh for one run,
-    from the zero flow that `make_states` gives."""
+    """Owns the heaps, preferred edges, lazy alpha refresh and run counters
+    (`stats`) for one run, from the zero flow that `make_states` gives."""
 
-    def __init__(
-        self,
-        instance: ProblemInstance,
-        primal: PrimalState,
-        dual: DualState,
-        stats: RunStats | None = None,
-    ):
+    def __init__(self, instance: ProblemInstance, primal: PrimalState, dual: DualState):
         self.instance = instance
         self.primal = primal
         self.dual = dual
         self.num = dual.num
-        self.stats = stats if stats is not None else RunStats()
+        self.stats = RunStats()
         self._counts = self.stats.counts
         self.preferred: list[int | None] = [None] * instance.n
         self.live = [False] * instance.n
@@ -222,7 +216,7 @@ class DerivedGraph:
                     self.rebuild_preferred(src[f])
                 back -= dual.has_slack(f)
         if back > 1:
-            stale.discard(e)  # `promote(e)` without its call
+            self.promote(e)
         return back > 1
 
     def remove_two_cycles(self, sources) -> None:

@@ -59,8 +59,9 @@ class CycleGeometry:
 def geometric_limit(first, rho_cycle, cap, num: Numerics) -> int | None:
     """Largest r with sum_{t=0..r} first*rho_cycle^t <= cap; None if every r fits.
 
-    Closed forms only: g(r) = first*(r+1) when the cycle ratio is 1, otherwise
-    first*(1-q^(r+1))/(1-q).  r = -1 means not even one revolution fits.
+    Each test compares first * `_geometric_sum` with cap, so a ratio that
+    `num` reads as 1 sums to r+1 and never converges.  A doubling and
+    bisection search over r; r = -1 means not even one revolution fits.
     Integer comparisons on exact rationals; no logarithms.  Any positive
     `first` is valid, also one below the float comparison tolerance.
     """
@@ -68,18 +69,12 @@ def geometric_limit(first, rho_cycle, cap, num: Numerics) -> int | None:
         raise ValueError("per-revolution amount must be positive")
     if num.is_pos(first - cap):
         return -1
-    q = rho_cycle
-    if num.eq(q, num.value(1)):
-        # g(r) = first*(r+1) <= cap
-        r = int(cap / first) - 1
-        while num.le(first * (r + 2), cap):
-            r += 1
-        return r
-    if q < 1 and num.le(first / (1 - q), cap):
-        return None
 
-    def fits(r: int) -> bool:
-        return num.le(first * (1 - q ** (r + 1)) / (1 - q), cap)
+    def fits(r: int | None) -> bool:
+        return num.le(first * _geometric_sum(rho_cycle, r, num), cap)
+
+    if num.is_pos(1 - rho_cycle) and fits(None):
+        return None
 
     hi = 1
     while fits(hi):
@@ -95,15 +90,15 @@ def geometric_limit(first, rho_cycle, cap, num: Numerics) -> int | None:
 
 
 def _geometric_sum(q, r: int | None, num: Numerics):
-    """sum_{t=0..r} q^t, with r=None meaning the converged infinite series."""
-    one = num.value(1)
+    """sum_{t=0..r} q^t, with r=None meaning the converged infinite series.
+    Int constants keep the mode's bits when mixed with q; at ratio 1 the sum is the int r+1."""
     if r is None:
-        return one / (one - q)
+        return 1 / (1 - q)
     if r < 0:
-        return num.value(0)
-    if num.eq(q, one):
-        return num.value(r + 1)
-    return (one - q ** (r + 1)) / (one - q)
+        return 0
+    if num.eq(q, 1):
+        return r + 1
+    return (1 - q ** (r + 1)) / (1 - q)
 
 
 def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
@@ -129,33 +124,28 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
     if not num.is_pos(phi):
         return report
 
-    k = 0
-    while k + 1 < len(steps):
-        fwd, back = steps[k], steps[k + 1]
+    last = len(steps) - 1
+    for k in range(0, len(steps), 2):
+        fwd = steps[k]
         residual = primal.forward_residual(fwd)
         if residual is not None and residual < phi:
             phi = residual
-        phi = primal.clamp(phi, primal.flow[back] * price[back], price[fwd])
+        if k == last:  # the walk ends at a sink, whose budget bounds the push
+            j = instance.dst[fwd]
+            limit = primal.residual[j]
+        else:
+            back = steps[k + 1]
+            limit = primal.flow[back] * price[back]
+        phi = primal.clamp(phi, limit, price[fwd])
         if not num.is_pos(phi):
-            phi = primal.zero
             break
         touched.add(graph.move_flow(fwd, phi, revalue=True))
-        phi = primal.divide(phi * price[fwd], price[back])
-        touched.add(graph.move_flow(back, -phi, revalue=False))
-        k += 2
-
-    if k < len(steps) and num.is_pos(phi):
-        # path ends at a sink: one forward push bounded by capacity and budget
-        e = steps[k]
-        j = instance.dst[e]
-        residual = primal.forward_residual(e)
-        if residual is not None and residual < phi:
-            phi = residual
-        phi = primal.clamp(phi, primal.residual[j], price[e])
-        if num.is_pos(phi):
-            touched.add(graph.move_flow(e, phi, revalue=True))
+        if k == last:
             if primal.sink_saturated(j):
                 primal.residual[j] = primal.zero
+        else:
+            phi = primal.divide(phi * price[fwd], price[back])
+            touched.add(graph.move_flow(back, -phi, revalue=False))
 
     if not num.is_pos(primal.surplus[start]):
         primal.surplus[start] = primal.zero
@@ -343,13 +333,12 @@ def solve(
     """
     config = config or SolverConfig()
     primal, dual, num = make_states(instance, config)
-    stats = RunStats()
-    graph = DerivedGraph(instance, primal, dual, stats)
+    graph = DerivedGraph(instance, primal, dual)
     terminated = True
     cursor = 0
     # a surplus is positive above `num.tol`, an int 0 in exact mode; a clean
     # source's alpha is positive when its `live` flag is set
-    n, surplus, floor, counts = instance.n, primal.surplus, num.tol, stats.counts
+    n, surplus, floor, counts = instance.n, primal.surplus, num.tol, graph.stats.counts
     dirty, live, max_phases = graph._dirty, graph.live, config.max_phases
     ring = list(range(n)) * 2  # ring[cursor:cursor + n] is the scan from the cursor
     while True:
@@ -401,4 +390,4 @@ def solve(
         instance, flow, alpha, beta, config.epsilon,
         rigorous=exact, tol=0 if exact else config.float_tol,
     )
-    return Solution(instance, config, flow, alpha, beta, certificate, stats, terminated)
+    return Solution(instance, config, flow, alpha, beta, certificate, graph.stats, terminated)

@@ -17,7 +17,6 @@ from budget_flow.instance import (
     ProblemInstance,
     SolverConfig,
 )
-from budget_flow.solver import RunStats
 from budget_flow.state import ExactNumerics, PrimalState, make_states
 
 # A phase cap for test solves: the runs here take at most a few hundred phases
@@ -115,15 +114,14 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
     primal, dual, num = make_states(instance, SolverConfig(epsilon=Fraction(1, 4)))
     if fractions:
         primal = FractionPrimal(instance)
-    stats = RunStats()
-    graph = DerivedGraph(instance, primal, dual, stats)
+    graph = DerivedGraph(instance, primal, dual)
     for z in range(k):
         # assigned before sink z had a price, so the rise leaves it stale
         move(graph, cycle[2 * z + 1], back_flows[z])
         graph.raise_beta(z, Fraction(1))
     # the entry source's surplus is set to the requested value
     primal.surplus[0] = primal.units(Fraction(surplus))
-    return instance, primal, dual, graph, stats, cycle
+    return instance, primal, dual, graph, graph.stats, cycle
 
 
 def move(graph, e: int, amount, revalue: bool = True) -> int:

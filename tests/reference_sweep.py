@@ -17,7 +17,9 @@ def full_sweep(graph: DerivedGraph, sources) -> None:
 
 
 class PromotionLog(DerivedGraph):
-    """The package graph; logs every promoted edge and counts `fix_two_cycle` calls."""
+    """The package graph; logs every promoted edge, the sweeps' and the
+    two-cycle ends' alike, since both promote through `promote`, and counts
+    `fix_two_cycle` calls."""
 
     def __init__(self, *args, **kwargs):
         self.promoted: list[int] = []

@@ -38,6 +38,37 @@ def test_budget_violation_is_reported():
     assert not cert.passed
 
 
+def test_a_gap_of_exactly_epsilon_passes():
+    # primal 8, dual 9: dual/primal - 1 is exactly 1/8, and the edge's slack 1 is eps*c
+    inst = btp([1], [100], [(0, 0, 8, 1)])
+    cert = certify(inst, [Fraction(1)], [Fraction(9)], [Fraction(0)], Fraction(1, 8))
+    assert cert.gap_ratio == Fraction(1, 8)
+    assert cert.passed
+
+
+@pytest.mark.parametrize("alpha, beta, violation", [
+    ((8, -1), (0, 0), "negative alpha at source 2"),
+    ((8, 8), (0, -1), "negative beta at sink 2"),
+])
+def test_a_negative_dual_is_named_by_its_node(alpha, beta, violation):
+    inst = btp([1, 1], [10, 10], [(0, 0, 8, 1), (1, 1, 1, 1)])
+    cert = certify(inst, [Fraction(0)] * 2, list(map(Fraction, alpha)),
+                   list(map(Fraction, beta)), EPS4)
+    assert violation in cert.dual_violations
+    assert not cert.dual_feasible and not cert.passed
+
+
+def test_each_violation_gets_its_own_line():
+    # over budget at sink 1 and a negative alpha: one primal, one dual violation
+    inst = btp([5], [10], [(0, 0, 3, 2)])
+    cert = certify(inst, [Fraction(6)], [Fraction(-1)], [Fraction(0)], EPS4)
+    found = cert.primal_violations + cert.dual_violations
+    assert cert.primal_violations and cert.dual_violations
+    lines = cert.to_lines()
+    assert lines[-len(found):] == [f"cert violation {v}" for v in found]
+    assert sum(line.startswith("cert violation ") for line in lines) == len(found)
+
+
 def test_initial_state_is_vacuous():
     inst = btp([5], [10], [(0, 0, 3, 2)])
     cert = certify(inst, [Fraction(0)], [Fraction(3)], [Fraction(0)], EPS4)

@@ -130,6 +130,7 @@ def test_generate_malformed_u_range_exits_2(capsys):
         (["--density", "0"], "density must be in (0, 1]"),
         (["--density", "2"], "density must be in (0, 1]"),
         (["--density", "1e-12"], "empty edge set after sampling; raise density or retry seed"),
+        (["--c-range", "5:1"], "ranges must be non-negative and ordered"),
     ],
 )
 def test_generate_impossible_or_empty_sample_exits_2(capsys, options, reason):

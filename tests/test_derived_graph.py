@@ -738,12 +738,14 @@ def solve_logged(graph_cls, inst, config):
 
 
 def check_sweeps_agree(inst, config):
-    """Filtered and full sweeps: same promotions in order, same text with stat lines."""
+    """Filtered and full sweeps: same promotions in order, same text with stat lines.
+    Returns the promotions, the `fix_two_cycle` calls the filter saved and the
+    run's two-cycle ends, each of which is one more promotion."""
     text, graph = solve_logged(PromotionLog, inst, config)
     ref_text, ref = solve_logged(FullSweepGraph, inst, config)
     assert graph.promoted == ref.promoted
     assert text == ref_text
-    return len(ref.promoted), ref.visits - graph.visits
+    return len(ref.promoted), ref.visits - graph.visits, graph.stats.get("two_cycle_eliminations")
 
 
 @PROPERTY
@@ -759,7 +761,7 @@ def test_filtered_sweep_matches_full_sweep(kind, mode, seed, n, m, eps):
 def test_filtered_sweep_matches_full_sweep_on_larger_instances(mode):
     # 6x6 split-piecewise instances give a sink several stale edges, so one
     # source's promotion changes what a later source's check reads
-    promotions = saved = 0
+    promotions = saved = ends = 0
     for seed in range(4):
         for inst in (generate(seed=seed, n=8, m=8, density=0.7,
                               u_range=(1, 8) if seed % 2 else None),
@@ -768,4 +770,7 @@ def test_filtered_sweep_matches_full_sweep_on_larger_instances(mode):
             got = check_sweeps_agree(inst, config)
             promotions += got[0]
             saved += got[1]
-    assert promotions > 0 and saved > 0  # both sweeps promoted, and the filter skipped calls
+            ends += got[2]
+    assert saved > 0  # the filter skipped calls
+    # the log sees the sweeps' promotions as well as the two-cycle ends'
+    assert promotions > ends > 0

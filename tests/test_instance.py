@@ -94,6 +94,12 @@ def test_validate_finds_each_fault_alone(kind, supply, budget, edge, fault):
     assert violations(lambda: ProblemInstance.from_edges(kind, supply, budget, (first, edge))) == [fault]
 
 
+@pytest.mark.parametrize("supply, budget, fault", [((), (5,), "no sources"),
+                                                    ((5,), (), "no sinks")])
+def test_validate_needs_a_source_and_a_sink(supply, budget, fault):
+    assert violations(lambda: ProblemInstance.from_edges(Kind.BTP, supply, budget, ())) == [fault]
+
+
 ONE_BY_ONE = "p btp 1 1 1\ns 1 5\nt 1 10\ne 1 1 3 2\n"
 ONE_PROFILE = "p pw 1 1 1\ns 1 6\nt 1 50\ne 1 1 3 pw 2 5 3\n"
 
@@ -237,6 +243,16 @@ def test_solver_config_epsilon_is_always_a_fraction():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="epsilon must be in"):
             SolverConfig(epsilon=bad)
+
+
+def test_solver_config_rejects_an_unknown_numeric_mode():
+    with pytest.raises(ValueError, match="numeric_mode must be 'exact' or 'float'"):
+        SolverConfig(numeric_mode="fast")
+
+
+def test_ceil_log_needs_a_base_above_1():
+    with pytest.raises(ValueError, match="base must exceed 1"):
+        ceil_log(2, 1)
 
 
 def test_solver_config_rejects_a_negative_phase_cap():

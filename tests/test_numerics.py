@@ -54,6 +54,15 @@ def test_exact_comparisons_match_the_operators(a, b):
     assert EXACT.eq(a, a) and EXACT.le(a, a)
 
 
+def test_float_comparisons_include_the_tolerance():
+    # each test is inclusive at exactly tol, and strict past it
+    num = Numerics(0.5)
+    assert num.le(1.5, 1.0) and not num.le(1.75, 1.0)
+    assert num.eq(1.0, 1.5) and num.eq(1.5, 1.0) and not num.eq(1.0, 1.75)
+    assert num.is_zero(-0.5) and not num.is_zero(0.75)
+    assert not num.is_pos(0.5) and num.is_pos(0.75)
+
+
 @PROPERTY
 @given(
     st.integers(1, 10**6),

@@ -291,6 +291,12 @@ def test_count_mismatch_cites_the_header_line(parse, text):
     assert info.value.line_no == 2
 
 
+def test_segment_length_must_be_uniform():
+    with pytest.raises(InstanceFormatError) as info:
+        parse_piecewise(PW_TEXT.replace("pw 2 4 1", "pw 3 4 1"))
+    assert str(info.value) == "line 6: segment length must be uniform"
+
+
 def test_rationals_take_fraction_syntax():
     # read through the solution file's flow/alpha/beta records
     inst = parse("p btp 1 2 2\ns 1 6\nt 1 1\nt 2 1\ne 1 1 4 1\ne 1 2 8 1\n")

@@ -33,9 +33,8 @@ EXACT = ExactNumerics()
 
 def path_state(instance, config=EPS4):
     primal, dual, num = make_states(instance, config)
-    stats = RunStats()
-    graph = DerivedGraph(instance, primal, dual, stats)
-    return primal, dual, graph, stats
+    graph = DerivedGraph(instance, primal, dual)
+    return primal, dual, graph, graph.stats
 
 
 def test_run_stats_list_only_bumped_counters():
@@ -137,7 +136,7 @@ def twin_graphs(instance):
         primal, dual, _ = make_states(instance, EPS4)
         if fractions:
             primal = FractionPrimal(instance)
-        graphs.append(DerivedGraph(instance, primal, dual, RunStats()))
+        graphs.append(DerivedGraph(instance, primal, dual))
     return graphs
 
 
@@ -235,6 +234,14 @@ def test_float_states_refuse_duals_beyond_the_float_range():
     with pytest.raises(ValueError, match="dual bound beyond the float range"):
         make_states(inst, SolverConfig(epsilon=Fraction(1, 2), numeric_mode="float"))
     make_states(inst, SolverConfig(epsilon=Fraction(1, 2)))  # exact mode has no such limit
+
+
+def test_float_states_refuse_a_dual_value_bound_beyond_the_float_range():
+    # the supply term 10**308 and the budget term D = 5/4 * 10**308 each fit
+    # in a float; only their sum does not
+    inst = btp([1], [1], [(0, 0, 10**308, 1)])
+    with pytest.raises(ValueError, match="dual value bound beyond the float range"):
+        make_states(inst, SolverConfig(epsilon=Fraction(1, 4), numeric_mode="float"))
 
 
 # -- cycle geometry ----------------------------------------------------------
@@ -389,6 +396,17 @@ def test_cycle_geometry_rejects_nonsimple():
     )
     with pytest.raises(ValueError):
         cycle_geometry(primal, cycle + cycle, entry_surplus(primal))
+
+
+def test_cycle_geometry_rejects_a_cycle_it_cannot_push():
+    inst, primal, dual, graph, stats, cycle = build_cycle_state(
+        prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[100, 100], surplus=4
+    )
+    f0, b0, f1, b1 = cycle
+    with pytest.raises(ValueError, match="edges do not form an alternating cycle"):
+        cycle_geometry(primal, [f0, b1, f1, b0], entry_surplus(primal))
+    with pytest.raises(ValueError, match="cycle entry needs positive surplus"):
+        cycle_geometry(primal, cycle, Fraction(0))
 
 
 def capacity_pairs(primal, cycle):
