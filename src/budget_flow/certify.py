@@ -178,11 +178,11 @@ def certify(
     for e, f in flows.items():
         i, j, c, p, u = src[e], dst[e], profit[e], price[e], capacity[e]
         if f < -tol:
-            primal_violations.append(f"negative flow on edge {e}")
+            primal_violations.append(f"negative flow on edge {e + 1} ({i + 1},{j + 1})")
         gamma = zero
         if u is not None:
             if f - u * lf > tol:
-                primal_violations.append(f"capacity exceeded on edge {e}")
+                primal_violations.append(f"capacity exceeded on edge {e + 1} ({i + 1},{j + 1})")
             elif abs(f - u * lf) <= tol and (slack := c * ld - p * beta[j] - alpha[i]) > tol:
                 gammas[e] = gamma = slack
         out_of[i] += f
@@ -210,11 +210,13 @@ def certify(
             na, da = ratio_a[i]
             nb, db = ratio_b[j]
             if (c * db - p * nb) * da > na * db and e not in gammas:
-                dual_violations.append(f"dual constraint violated on edge {e}")
+                dual_violations.append(
+                    f"dual constraint violated on edge {e + 1} ({i + 1},{j + 1})")
     else:
         for e, i, j, c, p in zip(range(ne), src, dst, profit, price):
             if c - p * beta[j] - gammas.get(e, zero) - alpha[i] > tol:
-                dual_violations.append(f"dual constraint violated on edge {e}")
+                dual_violations.append(
+                    f"dual constraint violated on edge {e + 1} ({i + 1},{j + 1})")
 
     # each complementary product once, over ld*lf: its worst for slackness,
     # its sum for the identity

@@ -162,10 +162,11 @@ class DerivedGraph:
         return best
 
     def back_edges(self, j: int) -> list[int]:
-        """Stale in-edges of j that may give flow back, ordered by (source, edge).
+        """Stale in-edges of j that may give flow back, in the stale set's order.
 
         A saturated edge qualifies only once its price slack c - p*beta - alpha
         has dropped to zero or below; until then its implicit edge dual covers it.
+        `find_path` picks from the list; `beta_update_pass` and `fix_two_cycle` count it.
         """
         stale = self._stale[j]
         if not stale:
@@ -177,7 +178,7 @@ class DerivedGraph:
                 return [e]
         dual, src, dirty = self.dual, self.instance.src, self._dirty
         result = []
-        for e in stale:  # inline, as in `fix_two_cycle`: a shared predicate ran slower (ROADMAP)
+        for e in stale:  # the slack test inline: a shared predicate ran slower (ROADMAP)
             if saturated[e]:
                 i = src[e]
                 if i in dirty:
@@ -185,14 +186,12 @@ class DerivedGraph:
                 if dual.has_slack(e):
                     continue
             result.append(e)
-        if len(result) > 1:
-            result.sort(key=lambda e: (src[e], e))
         return result
 
     def fix_two_cycle(self, i: int) -> bool:
         """Promote the preferred edge out of the back set when siblings remain.
 
-        With several back edges at the sink, a preferred edge that is also a
+        With several `back_edges` at the sink, a preferred edge that is also a
         back edge would form a two-step loop; promoting its flow to the sink's
         level removes it while leaving the sink's price unchanged.  The
         lone back edge case is kept, since removing it would enable a price rise.
@@ -203,21 +202,13 @@ class DerivedGraph:
             # only live bidders re-assign at the current price level
             return False
         e = self.preferred[i]
-        stale = self._stale[self.instance.dst[e]]
-        if e not in stale or len(stale) < 2:
+        j = self.instance.dst[e]
+        stale = self._stale[j]
+        # e is unsaturated, so a stale e is a back edge
+        if e not in stale or len(stale) < 2 or len(self.back_edges(j)) < 2:
             return False
-        # e is unsaturated, so a stale e is a back edge; count the others as `back_edges`
-        # lists them, with the same rebuilds, inline: a shared predicate ran slower (ROADMAP)
-        dual, src, dirty, saturated = self.dual, self.instance.src, self._dirty, self._saturated
-        back = len(stale)
-        for f in stale:
-            if saturated[f]:
-                if src[f] in dirty:
-                    self.rebuild_preferred(src[f])
-                back -= dual.has_slack(f)
-        if back > 1:
-            self.promote(e)
-        return back > 1
+        self.promote(e)
+        return True
 
     def remove_two_cycles(self, sources) -> None:
         """`fix_two_cycle` at each of `sources`, in order, that once fresh is a
@@ -284,7 +275,7 @@ class DerivedGraph:
                 return TWO_CYCLE, steps, None
             if not back:
                 return STALLED, steps, None
-            b = back[0]
+            b = back[0] if len(back) == 1 else min(back, key=lambda f: (src[f], f))
             steps.append(b)
             nxt = src[b]
             if nxt in src_pos:

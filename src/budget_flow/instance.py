@@ -454,16 +454,18 @@ def generate(
     Each (i, j) pair becomes an edge with probability `density`.  When
     `u_range` is given the result is a BTS instance and each edge gets a
     finite capacity with probability `u_prob`.  Raises ValueError for
-    impossible parameters, and for a sampled edge set that comes out empty,
-    which another seed may avoid.
+    impossible parameters, such as a range other than `c_range` starting at 0,
+    and for a sampled edge set that comes out empty, which another seed may avoid.
     """
     if n < 1 or m < 1:
         raise ValueError("n and m must be positive")
     if not (0 < density <= 1):
         raise ValueError("density must be in (0, 1]")
-    for lo, hi in (a_range, b_range, c_range, p_range) + ((u_range,) if u_range else ()):
+    for name, (lo, hi) in zip("abcpu", (a_range, b_range, c_range, p_range, u_range or (1, 1))):
         if lo > hi or lo < 0:
             raise ValueError("ranges must be non-negative and ordered")
+        if lo < 1 and name != "c":  # a supply, budget, price or capacity below 1 fails `validate`
+            raise ValueError(f"{name}_range must start at 1 or above")
     rng = random.Random(seed)
     kind = Kind.BTS if u_range is not None else Kind.BTP
     edges = []

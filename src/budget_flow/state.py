@@ -233,9 +233,10 @@ class DualState:
 
     level[j] counts sink j's prices: 0 while it has none, then beta_j =
     beta0_j * (1 + epsilon)^(level[j] - 1).  It alone records price levels and
-    whether a sink has a price.  `raise_beta`, the only price writer, sets
+    whether a sink has a price.  `raise_beta`, the only writer of beta, sets
     beta_j and bumps level[j] together; a solve calls it through
     `DerivedGraph.raise_beta`, which also records the flow it leaves stale.
+    Alpha starts at zero, and `DerivedGraph.rebuild_preferred` is its writer.
 
     Each alpha and beta is stored as a `number`; the methods below are the
     float rules and `ExactDual` holds the exact ones.  `heap_key`, `entry_bid`
@@ -249,13 +250,9 @@ class DualState:
         self.num = num
         self.epsilon = num.value(config.epsilon)
         self.rise_factor = 1 + self.epsilon
-        best = [
-            max(map(instance.profit.__getitem__, out), default=0)
-            for out in map(instance.edges_of_source, range(instance.n))
-        ]
         self.level = [0] * instance.m
         self.zero = self.number(0)
-        self.alpha = [self.number(c) for c in best]
+        self.alpha = [self.zero] * instance.n
         self.beta = [self.zero] * instance.m
 
     def next_beta(self, j: int):
@@ -360,8 +357,8 @@ class ExactDual(DualState):
 def dual_bound(instance: ProblemInstance, epsilon) -> float:
     """D = max(1, max c, (1+eps) * max c/p), a bound on every dual of a run.
 
-    alpha_i starts at the best profit out of i and never exceeds it, since
-    beta >= 0; gamma_e <= c_e.  A first price is eps * min c/p.  A price rises
+    alpha_i is 0 or a key c - p*beta out of i, so at most max c, since beta
+    >= 0; gamma_e <= c_e.  A first price is eps * min c/p.  A price rises
     only at a saturated sink with no back edge, so each in-edge e carrying
     flow was assigned at the current price with a positive key or is saturated
     with positive slack; either way c_e - p_e*beta_j > 0, so beta_j < (1+eps)
@@ -375,7 +372,8 @@ def dual_bound(instance: ProblemInstance, epsilon) -> float:
 def make_states(
     instance: ProblemInstance, config: SolverConfig
 ) -> tuple[PrimalState, DualState, Numerics]:
-    """Zero flow, zero sink prices, alpha_i = best profit out of i: both feasible.
+    """Zero flow and zero prices; building a `DerivedGraph` on them sets alpha_i
+    to the best profit out of i, or 0, and only then are both feasible.
 
     A float run compares within `float_tol / D`, D = `dual_bound`.  `certify`
     bounds each complementary product, alpha_i*surplus_i, beta_j*residual_j
@@ -395,13 +393,12 @@ def make_states(
     if not math.isfinite(bound):
         raise ValueError("dual bound beyond the float range")
     num = Numerics(tol=config.float_tol / bound)
-    dual = DualState(instance, config, num)
     terms = 1 + (instance.kind is Kind.BTS)
-    try:  # max(alpha) is max c
-        value_bound = (terms * sum(instance.supply) * max(dual.alpha)
+    try:
+        value_bound = (terms * sum(instance.supply) * float(max(instance.profit, default=0))
                        + sum(instance.budget) * bound)
     except OverflowError:  # a sum beyond the float range
         value_bound = math.inf
     if not math.isfinite(value_bound):
         raise ValueError("dual value bound beyond the float range")
-    return PrimalState(instance, num), dual, num
+    return PrimalState(instance, num), DualState(instance, config, num), num

@@ -15,6 +15,11 @@ from fractions import Fraction
 from budget_flow.certify import Certificate, CertificationError
 
 
+def tag(e, spec) -> str:
+    """An edge as the files number it: `index (source,sink)`, counting from 1."""
+    return f"{e + 1} ({spec.src + 1},{spec.dst + 1})"
+
+
 def reconstruct_gamma(instance, flow, alpha, beta, tol=0) -> dict[int, Fraction | float]:
     """Edge duals from scratch: max(0, c - p*beta - alpha) where flow fills capacity."""
     gammas = {}
@@ -66,9 +71,9 @@ def certify(
     primal_violations = []
     for e, spec in enumerate(instance.edges):
         if flow[e] < -tol:
-            primal_violations.append(f"negative flow on edge {e}")
+            primal_violations.append(f"negative flow on edge {tag(e, spec)}")
         if spec.capacity is not None and flow[e] - spec.capacity > tol:
-            primal_violations.append(f"capacity exceeded on edge {e}")
+            primal_violations.append(f"capacity exceeded on edge {tag(e, spec)}")
     out_of = [zero] * n
     into = [zero] * m
     for e, spec in enumerate(instance.edges):
@@ -91,7 +96,7 @@ def certify(
     for e, spec in enumerate(instance.edges):
         bound = spec.profit - spec.price * beta[spec.dst] - gammas.get(e, zero)
         if bound - alpha[spec.src] > tol:
-            dual_violations.append(f"dual constraint violated on edge {e}")
+            dual_violations.append(f"dual constraint violated on edge {tag(e, spec)}")
 
     cs_source = max(
         (abs(alpha[i] * (instance.supply[i] - out_of[i])) for i in range(n)),

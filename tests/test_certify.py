@@ -58,6 +58,19 @@ def test_a_negative_dual_is_named_by_its_node(alpha, beta, violation):
     assert not cert.dual_feasible and not cert.passed
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_edge_violations_name_the_edge_as_the_files_do(mode):
+    # edge 2 (1,2) carries a negative flow, edge 3 (2,2) more than its
+    # capacity, and edge 1 (1,1) has c - p*beta - alpha = 3 > 0
+    inst = bts([9, 9], [100, 100], [(0, 0, 3, 1, None), (0, 1, 0, 1, None), (1, 1, 1, 1, 2)])
+    number = Fraction if mode == "exact" else float
+    cert = certify(inst, list(map(number, (0, -1, 3))), [number(0), number(1)],
+                   [number(0), number(0)], EPS4, rigorous=mode == "exact")
+    assert list(cert.primal_violations) == [
+        "negative flow on edge 2 (1,2)", "capacity exceeded on edge 3 (2,2)"]
+    assert list(cert.dual_violations) == ["dual constraint violated on edge 1 (1,1)"]
+
+
 def test_each_violation_gets_its_own_line():
     # over budget at sink 1 and a negative alpha: one primal, one dual violation
     inst = btp([5], [10], [(0, 0, 3, 2)])

@@ -59,6 +59,18 @@ def test_verify_rejects_tampered_flow(tmp_path, capsys):
     assert "violation" in printed
 
 
+def test_verify_names_a_violating_edge_as_the_files_do(tmp_path, capsys):
+    # the file's second edge carries 3 over its capacity 2
+    inst = tmp_path / "inst.bts"
+    inst.write_text("p bts 1 2 2\ns 1 9\nt 1 100\nt 2 100\ne 1 1 3 1 2\ne 1 2 5 1 2\n")
+    sol = tmp_path / "out.sol"
+    sol.write_text("epsilon 1/4\nflow 1 2 3\nalpha 1 5\n")
+    assert run_cli(["verify", str(inst), str(sol)]) == 1
+    printed = capsys.readouterr().out.splitlines()
+    assert [line for line in printed if "violation" in line] == [
+        "violation capacity exceeded on edge 2 (1,2)"]
+
+
 def test_verify_wrong_instance_pairing_is_malformed(tmp_path, capsys):
     inst = tmp_path / "inst.btp"
     inst.write_text(ONE_BY_ONE)
@@ -131,6 +143,10 @@ def test_generate_malformed_u_range_exits_2(capsys):
         (["--density", "2"], "density must be in (0, 1]"),
         (["--density", "1e-12"], "empty edge set after sampling; raise density or retry seed"),
         (["--c-range", "5:1"], "ranges must be non-negative and ordered"),
+        (["--p-range", "0:0"], "p_range must start at 1 or above"),
+        (["--a-range", "0:5"], "a_range must start at 1 or above"),
+        (["--b-range", "0:0"], "b_range must start at 1 or above"),
+        (["--u-range", "0:3"], "u_range must start at 1 or above"),
     ],
 )
 def test_generate_impossible_or_empty_sample_exits_2(capsys, options, reason):

@@ -332,6 +332,33 @@ def test_find_path_stalled_sink():
     assert graph.find_path(0) == (STALLED, [0], None)  # the stalled sink is edge 0's
 
 
+def test_find_path_leaves_a_sink_over_the_back_edge_of_the_least_source():
+    # the file's sources 4, 3 and 2 hold stale flow into sink 1 on edge indices
+    # 0, 1 and 2, so the stale set lists source 4's first; source 1 walks in
+    # over edge index 3
+    inst = parse((Path(__file__).parent / "data" / "back_edge_order.btp").read_text())
+    primal, dual, graph = fresh_graph(inst)
+    for e in range(3):
+        move(graph, e, 2)
+    graph.raise_beta(0, Fraction(2))  # keys: 9 - 2 = 7 on edge 3, -1 on the others
+    stale = list(graph._stale[0])
+    assert sorted(graph.back_edges(0)) == [0, 1, 2]
+    assert stale[0] != min(stale, key=lambda e: (inst.src[e], e))  # the order matters here
+    # source 2's alpha is 0, so the walk ends there
+    assert graph.find_path(0) == (PATH, [3, 2], None)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_only_the_graph_sets_alpha(mode):
+    # source 2's only edge has no profit, so its alpha stays 0
+    inst = btp([5, 5, 5], [50, 50], [(0, 0, 3, 1), (0, 1, 7, 2), (1, 0, 0, 1), (2, 1, 4, 3)])
+    config = SolverConfig(epsilon=Fraction(1, 4), numeric_mode=mode)
+    primal, dual, _ = make_states(inst, config)
+    assert values(dual, "alpha") == [0, 0, 0]
+    DerivedGraph(inst, primal, dual)
+    assert values(dual, "alpha") == [7, 0, 4]
+
+
 def test_walk_length_bound():
     for seed in (2, 5, 11, 19):
         try:

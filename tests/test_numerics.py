@@ -54,6 +54,10 @@ def test_exact_comparisons_match_the_operators(a, b):
     assert EXACT.eq(a, a) and EXACT.le(a, a)
 
 
+def test_a_ratio_shows_its_unreduced_pair():
+    assert repr(Ratio(3, 4)) == "Ratio(3, 4)" and repr(Ratio(6, 8)) == "Ratio(6, 8)"
+
+
 def test_float_comparisons_include_the_tolerance():
     # each test is inclusive at exactly tol, and strict past it
     num = Numerics(0.5)

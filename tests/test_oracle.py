@@ -169,6 +169,12 @@ def test_simplex_handles_degenerate_rows():
     assert x == [Fraction(2), Fraction(2)]
 
 
+def test_simplex_raises_on_an_unbounded_lp():
+    # -x <= 1 holds for every x >= 0, so x grows without bound
+    with pytest.raises(ArithmeticError, match="unbounded"):
+        simplex_max([[Fraction(-1)]], [Fraction(1)], [Fraction(1)])
+
+
 def test_equality_lp_support_enumeration():
     # x1 + x2 = 3, x2 = 1 -> unique solution (2, 1)
     rows = [[Fraction(1), Fraction(1)], [Fraction(0), Fraction(1)]]

@@ -105,6 +105,14 @@ def test_push_path_budget_clamp_on_final_sink():
     assert primal.sink_saturated(0)
 
 
+def test_push_path_from_a_source_without_surplus_moves_nothing():
+    inst = btp([4], [6], [(0, 0, 5, 1)])
+    primal, dual, graph, stats = path_state(inst)
+    primal.surplus[0] = primal.zero
+    assert not push_flow_path(graph, [0]).moved
+    assert values(primal, "flow") == [0] and stats.get("flow_updates") == 0
+
+
 def test_push_path_keeps_intermediate_sinks_tight():
     rng = random.Random(5)
     for _ in range(30):
@@ -488,6 +496,15 @@ def test_cycle_push_drains_surplus_when_nothing_binds():
     assert entry_surplus(primal) == 0
     assert values(primal, "flow")[cycle[0]] == 8  # 4 / (1 - 1/2)
     assert sink_payments(primal) == before  # budgets unchanged at every sink on the cycle
+
+
+def test_cycle_push_without_entry_surplus_moves_nothing():
+    inst, primal, dual, graph, stats, cycle = build_cycle_state(
+        prices_fwd=[1, 1], prices_back=[2, 1], back_flows=[3, 5], surplus=0
+    )
+    before = values(primal, "flow")
+    assert not push_flow_cycle(graph, cycle).moved
+    assert values(primal, "flow") == before and stats.get("cycle_pushes") == 0
 
 
 def test_cycle_push_zeroes_limiting_back_edge():
