@@ -8,7 +8,9 @@ and the graph's writers move the flow and set the prices, keeping its index
 and heaps in step.  Amounts are in the primal state's units: floats in float
 mode, and in exact mode integer numerators over the state's shared `scale`.
 One body serves both modes; `PrimalState` holds the mode's rules, and its
-`clamp` and `divide` are the only divisions of an amount.
+`clamp` and `divide` are the only divisions of an amount.  A cycle push's
+closed form computes in the mode's rationals, `PrimalState.rational` and
+`price_ratio`: floats, or unreduced `Ratio`s of the exact state's integers.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from fractions import Fraction
 from .certify import Certificate, certify
 from .derived_graph import CYCLE, PATH, TWO_CYCLE, DerivedGraph
 from .instance import ProblemInstance, SolverConfig
-from .state import Numerics, PrimalState, RunStats, make_states
+from .state import Numerics, PrimalState, Ratio, RunStats, make_states
 
 
 @dataclass
@@ -33,7 +35,7 @@ class PushReport:
         return bool(self.touched_sinks)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class CycleGeometry:
     """Transfer ratios and the revolution limit of one alternating cycle.
 
@@ -46,13 +48,14 @@ class CycleGeometry:
     s*cum*G(r) over an edge, G(r) = sum_{t<=r} rho_cycle^t, with cum its
     pair's cum_before (forward) or cum_through (back); so a capacity c admits
     r exactly when s*G(r) <= c/cum, its *room*, and the least room decides.
+    Its numbers are the mode's rationals (`PrimalState.rational`); cum_before[0] is 1.
     """
 
     cycle: tuple[int, ...]
-    entry_surplus: Fraction | float
+    entry_surplus: Ratio | Fraction | float
     cum_before: tuple
     cum_through: tuple
-    rho_cycle: Fraction | float
+    rho_cycle: Ratio | Fraction | float
     r_min: int | None
 
 
@@ -62,7 +65,8 @@ def geometric_limit(first, rho_cycle, cap, num: Numerics) -> int | None:
     Each test compares first * `_geometric_sum` with cap, so a ratio that
     `num` reads as 1 sums to r+1 and never converges.  A doubling and
     bisection search over r; r = -1 means not even one revolution fits.
-    Integer comparisons on exact rationals; no logarithms.  Any positive
+    On exact `Ratio`s every comparison is one of integers, by
+    cross-multiplication; no logarithms.  Any positive
     `first` is valid, also one below the float comparison tolerance.
     """
     if not first > 0:
@@ -159,43 +163,36 @@ def cycle_geometry(primal: PrimalState, cycle: list[int], entry_surplus) -> Cycl
     Each capacity's room is its value over the ratio that reaches it: a
     forward edge's residual (when it has a capacity) over cum_before, a back
     edge's flow over cum_through.  `geometric_limit` runs once, on the least
-    room.  Works on numbers, not the state's units: `entry_surplus` is a
-    value, as `primal.value` reads it, and so are the capacities it reads.
+    room.  Works on the mode's rationals, not the state's units:
+    `entry_surplus` is a value, as `primal.rational` reads it, and so are the
+    capacities it reads; in exact mode each is an unreduced `Ratio`.
     """
     num = primal.num
-    src, dst, price = primal.instance.src, primal.instance.dst, primal.instance.price
+    src, dst = primal.instance.src, primal.instance.dst
     fwds, backs = cycle[::2], cycle[1::2]
-    sources = [src[f] for f in fwds]
-    sinks = [dst[f] for f in fwds]
-    if len(set(sources)) != len(sources) or len(set(sinks)) != len(sinks):
+    k = len(fwds)
+    if len({src[f] for f in fwds}) != k or len({dst[f] for f in fwds}) != k:
         raise ValueError("cycle must be simple")
-    if len(backs) != len(fwds) or any(
-        dst[back] != sinks[z] or src[back] != sources[(z + 1) % len(sources)]
-        for z, back in enumerate(backs)
-    ):
+    if len(backs) != k:
         raise ValueError("edges do not form an alternating cycle")
     if not num.is_pos(entry_surplus):
         raise ValueError("cycle entry needs positive surplus")
 
     cum_before, cum_through, rooms = [], [], []
-    acc = num.value(1)
-    for fwd, back in zip(fwds, backs):
+    acc = 1  # an int, as in `_geometric_sum`
+    for fwd, back, after in zip(fwds, backs, fwds[1:] + fwds[:1]):
+        if dst[back] != dst[fwd] or src[back] != src[after]:
+            raise ValueError("edges do not form an alternating cycle")
         residual = primal.forward_residual(fwd)
         if residual is not None:
-            rooms.append(primal.value(residual) / acc)
+            rooms.append(primal.rational(residual) / acc)
         cum_before.append(acc)
-        acc = acc * (num.value(price[fwd]) / price[back])
+        acc = acc * primal.price_ratio(fwd, back)
         cum_through.append(acc)
-        rooms.append(primal.value(primal.flow[back]) / acc)
-    rho_cycle = acc
-    return CycleGeometry(
-        cycle=tuple(cycle),
-        entry_surplus=entry_surplus,
-        cum_before=tuple(cum_before),
-        cum_through=tuple(cum_through),
-        rho_cycle=rho_cycle,
-        r_min=geometric_limit(entry_surplus, rho_cycle, min(rooms), num),
-    )
+        rooms.append(primal.rational(primal.flow[back]) / acc)
+    r_min = geometric_limit(entry_surplus, acc, min(rooms), num)
+    return CycleGeometry(tuple(cycle), entry_surplus, tuple(cum_before), tuple(cum_through),
+                         acc, r_min)
 
 
 def apply_cycle_bulk(graph: DerivedGraph, geom: CycleGeometry, report: PushReport) -> None:
@@ -233,7 +230,7 @@ def push_flow_cycle(graph: DerivedGraph, cycle: list[int]) -> PushReport:
     s = primal.surplus[entry]
     if not num.is_pos(s):
         return report
-    geom = cycle_geometry(primal, cycle, primal.value(s))
+    geom = cycle_geometry(primal, cycle, primal.rational(s))
     apply_cycle_bulk(graph, geom, report)
     counts["cycle_pushes"] += 1
     if not num.is_pos(primal.surplus[entry]):

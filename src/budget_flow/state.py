@@ -94,14 +94,45 @@ class ExactNumerics(Numerics):
 
 class Ratio:
     """An exact value numerator/denominator, denominator > 0, kept unreduced:
-    an exact dual, or the tie of an exact heap entry.  Like a Fraction it
-    exposes `numerator`, which carries the sign, and it compares by
-    cross-multiplication, as the value it stands for."""
+    an exact dual, the tie of an exact heap entry, or a number of an exact
+    cycle push.  `numerator` carries the sign.  Its arithmetic and its
+    comparisons, by cross-multiplication, read the other operand's `numerator`
+    and `denominator`, so it mixes with int and Fraction; they take no gcd and
+    give a Ratio with a positive denominator.  It is not a registered
+    `numbers.Rational`, since `Fraction.__eq__` would then compare the fields."""
 
     __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: int, denominator: int = 1):
         self.numerator, self.denominator = numerator, denominator
+
+    def __add__(self, other) -> Ratio:
+        d = other.denominator
+        return Ratio(self.numerator * d + other.numerator * self.denominator, self.denominator * d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> Ratio:
+        d = other.denominator
+        return Ratio(self.numerator * d - other.numerator * self.denominator, self.denominator * d)
+
+    def __rsub__(self, other) -> Ratio:
+        d = other.denominator
+        return Ratio(other.numerator * self.denominator - self.numerator * d, self.denominator * d)
+
+    def __mul__(self, other) -> Ratio:
+        return Ratio(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other) -> Ratio:
+        return _quotient(self.numerator * other.denominator, self.denominator * other.numerator)
+
+    def __rtruediv__(self, other) -> Ratio:
+        return _quotient(other.numerator * self.denominator, other.denominator * self.numerator)
+
+    def __pow__(self, k: int) -> Ratio:  # k >= 0
+        return Ratio(self.numerator ** k, self.denominator ** k)
 
     def __eq__(self, other) -> bool:
         return self.numerator * other.denominator == other.numerator * self.denominator
@@ -109,8 +140,24 @@ class Ratio:
     def __lt__(self, other) -> bool:
         return self.numerator * other.denominator < other.numerator * self.denominator
 
+    def __le__(self, other) -> bool:
+        return self.numerator * other.denominator <= other.numerator * self.denominator
+
+    def __gt__(self, other) -> bool:
+        return self.numerator * other.denominator > other.numerator * self.denominator
+
+    def __ge__(self, other) -> bool:
+        return self.numerator * other.denominator >= other.numerator * self.denominator
+
     def __repr__(self) -> str:
         return f"Ratio({self.numerator}, {self.denominator})"
+
+
+def _quotient(n: int, d: int) -> Ratio:
+    """n/d as a Ratio, the sign moved to the numerator."""
+    if not d:
+        raise ZeroDivisionError("Ratio division by zero")
+    return Ratio(n, d) if d > 0 else Ratio(-n, -d)
 
 
 class PrimalState:
@@ -125,8 +172,9 @@ class PrimalState:
     Each quantity is stored as a `number` over one shared denominator,
     `scale`, and the amounts a caller passes and gets back are in the same
     units.  `value` reads a stored quantity as a number and `units` converts
-    a number back.  `divide` is the one division.  The methods below are the
-    float rules, where `scale` stays 1; `ExactPrimal` holds the exact ones.
+    a number back; a cycle push computes in the mode's rationals, `rational`
+    and `price_ratio`.  `divide` is the one division.  The methods below are
+    the float rules, where `scale` stays 1; `ExactPrimal` holds the exact ones.
     """
 
     number = float
@@ -187,12 +235,21 @@ class PrimalState:
         """A stored quantity as a number: the accessor monitors and tests read."""
         return x
 
+    def rational(self, x):
+        """A stored quantity as the mode's rational: the quantity itself."""
+        return x
+
+    def price_ratio(self, fwd: int, back: int):
+        """p_fwd/p_back, the rescale across a back edge, as the mode's rational."""
+        return self.number(self.instance.price[fwd]) / self.instance.price[back]
+
 
 class ExactPrimal(PrimalState):
     """Exact rules: each quantity is an int numerator over `scale`.  When a
     quotient is not whole, `divide` multiplies `scale`, and every stored
     numerator, by the least factor that makes it whole, so a numerator a
-    caller holds across it is stale."""
+    caller holds across it is stale.  `rational` and `price_ratio` give
+    unreduced `Ratio`s of the ints; only `value` builds a Fraction."""
 
     number = int
     _zero_value = Fraction(0)
@@ -214,6 +271,12 @@ class ExactPrimal(PrimalState):
     def value(self, x: int) -> Fraction:
         """Zero reads as one shared Fraction, so zero flows build none."""
         return Fraction(x, self.scale) if x else self._zero_value
+
+    def rational(self, x: int) -> Ratio:
+        return Ratio(x, self.scale)
+
+    def price_ratio(self, fwd: int, back: int) -> Ratio:
+        return Ratio(self.instance.price[fwd], self.instance.price[back])
 
     def _rescale(self, factor: int) -> None:
         """Multiply `scale` and every stored numerator by `factor`; zero flows

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 import shutil
+import signal
 import tempfile
 from fractions import Fraction
 
@@ -36,6 +38,31 @@ def pytest_configure(config):
     home = tempfile.mkdtemp(prefix="hypothesis-")
     config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
     set_hypothesis_home_dir(home)
+
+
+@pytest.fixture
+def time_limit():
+    """`with time_limit(seconds):` fails the test when its body runs longer.
+
+    `PHASE_CAP` bounds a solve, not a loop inside one kernel call; this ends
+    any loop that never ends, through `SIGALRM` from `signal.setitimer`, so
+    it runs only in the main thread.
+    """
+
+    @contextlib.contextmanager
+    def limit(seconds: float):
+        def expire(signum, frame):
+            pytest.fail(f"time limit of {seconds} s exceeded")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        try:
+            yield
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+
+    return limit
 
 
 def btp(supply, budget, edges) -> ProblemInstance:
@@ -125,8 +152,10 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
 
 
 def move(graph, e: int, amount, revalue: bool = True) -> int:
-    """`graph.move_flow` of a number, converted to the primal state's units."""
-    return graph.move_flow(e, graph.primal.units(Fraction(amount)), revalue=revalue)
+    """`graph.move_flow` of an exact number, an int, Fraction or `Ratio`,
+    converted to the primal state's units."""
+    amount = Fraction(amount.numerator, amount.denominator)
+    return graph.move_flow(e, graph.primal.units(amount), revalue=revalue)
 
 
 def values(state, name: str) -> list:
@@ -168,8 +197,8 @@ def simulate_revolutions(instance, flows, cycle, surplus, revolutions):
     return out, carry
 
 
-def random_simple_cycle(rng: random.Random, fractions: bool = False):
-    """Random synthetic cycle state with 2..4 (forward, back) edge pairs."""
+def random_cycle_args(rng: random.Random) -> tuple:
+    """Random `build_cycle_state` arguments with 2..4 (forward, back) edge pairs."""
     k = rng.randint(2, 4)
     prices_fwd = [rng.randint(1, 6) for _ in range(k)]
     prices_back = [rng.randint(1, 6) for _ in range(k)]
@@ -178,4 +207,9 @@ def random_simple_cycle(rng: random.Random, fractions: bool = False):
     caps_fwd = [
         rng.randint(1, 60) if rng.random() < 0.5 else None for _ in range(k)
     ]
-    return build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd, fractions)
+    return prices_fwd, prices_back, back_flows, surplus, caps_fwd
+
+
+def random_simple_cycle(rng: random.Random, fractions: bool = False):
+    """Random synthetic cycle state with 2..4 (forward, back) edge pairs."""
+    return build_cycle_state(*random_cycle_args(rng), fractions=fractions)

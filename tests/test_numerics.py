@@ -11,8 +11,10 @@ suite stays deterministic.
 """
 
 import math
+import numbers
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -56,6 +58,65 @@ def test_exact_comparisons_match_the_operators(a, b):
 
 def test_a_ratio_shows_its_unreduced_pair():
     assert repr(Ratio(3, 4)) == "Ratio(3, 4)" and repr(Ratio(6, 8)) == "Ratio(6, 8)"
+
+
+ratios = st.builds(Ratio, ints, st.integers(1, BIG)) | st.builds(Ratio, st.integers(-9, 9),
+                                                                   st.integers(1, 9))
+operands = values | ratios
+
+
+def as_fraction(x) -> Fraction:
+    return Fraction(x.numerator, x.denominator)
+
+
+def check_ratio(result, expected: Fraction) -> None:
+    assert type(result) is Ratio and result.denominator > 0
+    assert as_fraction(result) == expected
+
+
+@PROPERTY
+@given(ratios, operands)
+def test_ratio_arithmetic_matches_fractions(a, b):
+    # a Ratio on either side of an int, a Fraction or a Ratio
+    fa, fb = as_fraction(a), as_fraction(b)
+    check_ratio(a + b, fa + fb)
+    check_ratio(b + a, fb + fa)
+    check_ratio(a - b, fa - fb)
+    check_ratio(b - a, fb - fa)
+    check_ratio(a * b, fa * fb)
+    check_ratio(b * a, fb * fa)
+    for x, y, fx, fy in ((a, b, fa, fb), (b, a, fb, fa)):
+        if fy:
+            check_ratio(x / y, fx / fy)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+
+
+@PROPERTY
+@given(ratios, st.integers(0, 5))
+@example(Ratio(-3, 2), 3)
+@example(Ratio(3, 2), 0)
+def test_ratio_powers_match_fractions(a, k):
+    check_ratio(a**k, as_fraction(a) ** k)
+
+
+@PROPERTY
+@given(ratios, operands)
+def test_ratio_comparisons_match_fractions_both_ways(a, b):
+    fa, fb = as_fraction(a), as_fraction(b)
+    assert [a == b, a != b, a < b, a <= b, a > b, a >= b] == [
+        fa == fb, fa != fb, fa < fb, fa <= fb, fa > fb, fa >= fb]
+    assert [b == a, b != a, b < a, b <= a, b > a, b >= a] == [
+        fb == fa, fb != fa, fb < fa, fb <= fa, fb > fa, fb >= fa]
+
+
+def test_a_ratio_is_no_registered_rational():
+    # registered, it would meet Fraction's own comparisons, which read the
+    # unreduced fields: Fraction(1, 2) == Ratio(2, 4) would be False
+    assert not isinstance(Ratio(2, 4), numbers.Rational)
+    assert Fraction(1, 2) == Ratio(2, 4) and Ratio(2, 4) == Fraction(1, 2)
+    assert 1 - Ratio(3, 2) == Fraction(-1, 2)  # a ratio above 1 makes 1 - q negative
 
 
 def test_float_comparisons_include_the_tolerance():

@@ -1,4 +1,6 @@
+import fractions
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -23,8 +25,8 @@ from budget_flow.solver import (
 )
 from budget_flow.state import ExactNumerics, Numerics, dual_bound, make_states
 from conftest import (
-    PHASE_CAP, FractionPrimal, btp, bts, build_cycle_state, move, random_simple_cycle,
-    recompute_check, simulate_revolutions, values,
+    PHASE_CAP, FractionPrimal, btp, bts, build_cycle_state, move, random_cycle_args,
+    random_simple_cycle, recompute_check, simulate_revolutions, values,
 )
 
 EPS4 = SolverConfig(epsilon=Fraction(1, 4), max_phases=PHASE_CAP)
@@ -572,6 +574,118 @@ def test_cycle_push_postcondition():
             cap = inst.edges[f].capacity
             if cap is not None:
                 assert flow[f] <= cap
+
+
+# -- the exact cycle push against plain Fractions ----------------------------
+
+
+def record_moves(primal) -> list:
+    """From now on, each flow move on `primal` as (edge, amount as a number)."""
+    moves, add_flow = [], primal.add_flow
+
+    def recording(e, delta):
+        add_flow(e, delta)
+        moves.append((e, primal.value(delta)))
+
+    primal.add_flow = recording
+    return moves
+
+
+def scale_after(scale, moves):
+    """The shared denominator after `moves`: each amount, converted to the
+    state's units, needs the least factor that makes it whole."""
+    for _, amount in moves:
+        scale *= (amount * scale).denominator
+    return scale
+
+
+def test_time_limit_fails_a_loop_that_never_ends(time_limit):
+    with pytest.raises(pytest.fail.Exception, match="time limit of 0.05 s exceeded"):
+        with time_limit(0.05):
+            while True:
+                pass
+
+
+def exact_push_against_fractions(*args):
+    """One cycle push on the exact state and on a `FractionPrimal`, both built
+    by `build_cycle_state(*args)`.  Their geometry, every moved amount and the
+    final values agree, and the exact `scale` is the one those moves need.
+    Returns the exact geometry."""
+    _, exact, _, graph, _, cycle = build_cycle_state(*args)
+    _, ref, _, ref_graph, _, _ = build_cycle_state(*args, fractions=True)
+    geom = cycle_geometry(exact, cycle, exact.rational(exact.surplus[0]))
+    ref_geom = cycle_geometry(ref, cycle, ref.rational(ref.surplus[0]))
+    assert geom.r_min == ref_geom.r_min and geom.rho_cycle == ref_geom.rho_cycle
+    assert geom.cum_before == ref_geom.cum_before and geom.cum_through == ref_geom.cum_through
+    scale, moved, ref_moved = exact.scale, record_moves(exact), record_moves(ref)
+    push_flow_cycle(graph, cycle)
+    push_flow_cycle(ref_graph, cycle)
+    assert moved and moved == ref_moved
+    assert exact.scale == scale_after(scale, ref_moved)
+    assert state_values(graph) == state_values(ref_graph)
+    return geom
+
+
+CYCLE_REGIMES = {
+    # name: (build_cycle_state arguments, rho_cycle, r_min)
+    "shrinks and converges": (([1, 1], [2, 1], [100, 100], 4), Fraction(1, 2), None),
+    "shrinks to a limit": (([1, 1], [2, 1], [Fraction(13, 4), 100], 4), Fraction(1, 2), 1),
+    "unit ratio": (([2, 3], [3, 2], [100, Fraction(5, 2)], 1), 1, 1),
+    "grows to a limit": (([3, 2], [1, 2], [1000, 40], 1), 3, 2),
+    "grows, no revolution fits": (([3, 2], [1, 2], [6, 1000], 5), 3, -1),
+    # a room equal to s * G(r_min): the bulk update alone pins the edge
+    "capacity equals the room": (([1, 1], [2, 1], [100, 100], 4, [6, None]), Fraction(1, 2), 1),
+    "back flow equals the room": (([1, 1], [2, 1], [Fraction(7, 2), 100], 4), Fraction(1, 2), 2),
+    "grows, back flow equals the room": (([3, 2], [1, 2], [1000, 39], 1), 3, 2),
+}
+
+
+@pytest.mark.parametrize("regime", sorted(CYCLE_REGIMES))
+def test_exact_cycle_push_matches_fractions_in_every_regime(regime, time_limit):
+    args, rho, r_min = CYCLE_REGIMES[regime]
+    with time_limit(5):
+        geom = exact_push_against_fractions(*args)
+    assert geom.rho_cycle == rho and geom.r_min == r_min
+
+
+def test_exact_cycle_push_matches_fractions_on_random_cycles(time_limit):
+    rng = random.Random(33)
+    seen = set()
+    with time_limit(10):
+        for _ in range(400):
+            geom = exact_push_against_fractions(*random_cycle_args(rng))
+            rho = geom.rho_cycle
+            finite = "none" if geom.r_min is None else "-1" if geom.r_min < 0 else "fits"
+            seen.add(("<" if rho < 1 else "=" if rho == 1 else ">", finite))
+    assert seen >= {("<", "none"), ("<", "fits"), ("<", "-1"), ("=", "fits"),
+                    (">", "fits"), (">", "-1")}
+
+
+def test_exact_cycle_push_runs_no_fraction_code(time_limit):
+    """An exact cycle push computes on the state's ints and `Ratio`s: no
+    function of the `fractions` module runs, construction included."""
+    calls, rescaled = [], 0
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == fractions.__file__:
+            calls.append(frame.f_code.co_name)
+
+    rng = random.Random(12)
+    with time_limit(10):
+        states = [random_simple_cycle(rng) for _ in range(150)]  # built with Fractions
+        r_mins = {cycle_geometry(s[1], s[-1], s[1].value(s[1].surplus[0])).r_min for s in states}
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for _, primal, _, graph, _, cycle in states:
+                scale = primal.scale
+                push_flow_cycle(graph, cycle)
+                rescaled += primal.scale != scale
+        finally:
+            sys.setprofile(previous)
+    assert calls == []
+    assert {None, -1, 0} <= r_mins and max(r for r in r_mins if r is not None) > 0
+    assert rescaled > 20
 
 
 # -- solve -------------------------------------------------------------------
