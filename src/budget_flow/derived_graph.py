@@ -12,10 +12,10 @@ repeated source or sink (`CYCLE`), a preferred edge that is also a back edge
 During a run the graph is the only writer of flows and sink prices:
 `move_flow`, `promote` and `raise_beta`.  `_stale[j]`, the in-edges of sink j
 that carry stale flow, is the one record of it: a rise makes every flowing
-in-edge stale, and a promotion, a `revalue` move or clearing the flow makes an
-edge fresh.  A clean source's preferred edge is unsaturated, so a two-cycle
-check can promote it only when it is stale and has a stale sibling; the walk
-and the two-cycle sweep call `fix_two_cycle` only there.
+in-edge stale, and a promotion, a move that adds flow or clearing the flow
+makes an edge fresh.  A clean source's preferred edge is unsaturated, so a
+two-cycle check can promote it only when it is stale and has a stale
+sibling; the walk and the two-cycle sweep call `fix_two_cycle` only there.
 A rise visits none of the sink's in-edges: `_stale[j]` becomes a copy of the
 primal state's `flowing_in[j]`, whose only writers are `PrimalState.add_flow`
 and `clear_flow`, and `_bidders[j]`, the sources whose preferred edge enters
@@ -82,14 +82,15 @@ class DerivedGraph:
 
     # -- writers ----------------------------------------------------------------
 
-    def move_flow(self, e: int, delta, revalue: bool) -> int:
+    def move_flow(self, e: int, delta) -> int:
         """Add `delta`, in the primal state's units, to edge e's flow; returns
         the edge's sink.
 
         Flow that lands on zero, or on float dust below it, is cleared; it and
-        flow moved with `revalue` are then assigned at the sink's current level.
+        flow that a positive `delta` adds to are then assigned at the sink's
+        current level.
         """
-        primal, counts = self.primal, self._counts
+        primal, counts, added = self.primal, self._counts, delta > 0
         primal.add_flow(e, delta)
         counts["flow_updates"] += 1
         j = self.instance.dst[e]
@@ -97,10 +98,10 @@ class DerivedGraph:
         if zeroed:
             primal.clear_flow(e)
             counts["back_edge_zeroings"] += 1
-        if zeroed or revalue:
+        if zeroed or added:
             self._stale[j].discard(e)
         now = primal.edge_saturated(e)
-        if delta > 0 and now:
+        if added and now:
             counts["forward_saturations"] += 1
         if now != self._saturated[e]:
             self._saturated[e] = now

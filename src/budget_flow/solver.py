@@ -143,13 +143,13 @@ def push_flow_path(graph: DerivedGraph, steps: list[int]) -> PushReport:
         phi = primal.clamp(phi, limit, price[fwd])
         if not num.is_pos(phi):
             break
-        touched.add(graph.move_flow(fwd, phi, revalue=True))
+        touched.add(graph.move_flow(fwd, phi))
         if k == last:
             if primal.sink_saturated(j):
                 primal.residual[j] = primal.zero
         else:
             phi = primal.divide(phi * price[fwd], price[back])
-            touched.add(graph.move_flow(back, -phi, revalue=False))
+            touched.add(graph.move_flow(back, -phi))
 
     if not num.is_pos(primal.surplus[start]):
         primal.surplus[start] = primal.zero
@@ -210,8 +210,8 @@ def apply_cycle_bulk(graph: DerivedGraph, geom: CycleGeometry, report: PushRepor
     touched = report.touched_sinks
     cycle = geom.cycle
     for z, (fwd, back) in enumerate(zip(cycle[::2], cycle[1::2])):
-        touched.add(graph.move_flow(fwd, units(s * geom.cum_before[z] * factor), revalue=True))
-        touched.add(graph.move_flow(back, -units(s * geom.cum_through[z] * factor), revalue=False))
+        touched.add(graph.move_flow(fwd, units(s * geom.cum_before[z] * factor)))
+        touched.add(graph.move_flow(back, -units(s * geom.cum_through[z] * factor)))
 
 
 def push_flow_cycle(graph: DerivedGraph, cycle: list[int]) -> PushReport:

@@ -46,11 +46,14 @@ class RunStats:
 class Numerics:
     """Comparison policy of a float run: float64 within the tolerance `tol`.
 
-    `value` converts a number of the instance to the mode's type, `number`.
-    `ExactNumerics` holds the exact rules.
+    `value` converts a number of the instance to the mode's type, `number`,
+    and `ratio(a, b)` gives a/b of two ints as the mode's rational, the type
+    of the dual state's numbers: here a correctly rounded int division, equal
+    to float() of the Fraction.  `ExactNumerics` holds the exact rules.
     """
 
     number = float
+    ratio = staticmethod(operator.truediv)
 
     def __init__(self, tol: float = 0.0):
         self.tol = tol
@@ -82,6 +85,10 @@ class ExactNumerics(Numerics):
 
     def __init__(self):
         super().__init__(0)  # an int, so `x > tol` on an int numerator stays in ints
+
+    @staticmethod
+    def ratio(a: int, b: int) -> Ratio:
+        return Ratio(a, b)
 
     @staticmethod
     def is_zero(a) -> bool:
@@ -301,9 +308,12 @@ class DualState:
     `DerivedGraph.raise_beta`, which also records the flow it leaves stale.
     Alpha starts at zero, and `DerivedGraph.rebuild_preferred` is its writer.
 
-    Each alpha and beta is stored as a `number`; the methods below are the
-    float rules and `ExactDual` holds the exact ones.  `heap_key`, `entry_bid`
-    and `has_slack` are what the derived graph asks of prices.
+    Each alpha and beta is stored as a `number`, the type of `num.ratio`.
+    The price ladder is written once, here, for both modes: `next_beta` builds
+    every price in that type, and `raise_beta` stores it as given.  The
+    methods below it are the float rules and `ExactDual` holds the exact ones:
+    `heap_key`, `entry_bid` and `has_slack`, what the derived graph asks of
+    prices, and `value`.
     """
 
     number = float
@@ -311,7 +321,7 @@ class DualState:
     def __init__(self, instance: ProblemInstance, config: SolverConfig, num: Numerics):
         self.instance = instance
         self.num = num
-        self.epsilon = num.value(config.epsilon)
+        self.epsilon = num.ratio(*config.epsilon.as_integer_ratio())
         self.rise_factor = 1 + self.epsilon
         self.level = [0] * instance.m
         self.zero = self.number(0)
@@ -325,16 +335,13 @@ class DualState:
         in-edges; a priced one rises by the factor (1 + epsilon).
         """
         if self.level[j]:
-            return self._risen(self.beta[j])
+            return self.beta[j] * self.rise_factor
         profit, price = self.instance.profit, self.instance.price
         c = p = None  # the least c/p so far, compared by cross-multiplication
         for e in self.instance.edges_of_sink(j):
             if profit[e] and (c is None or profit[e] * p < c * price[e]):
                 c, p = profit[e], price[e]
-        return None if c is None else self.epsilon * self.num.value(Fraction(c, p))
-
-    def _risen(self, b):
-        return b * self.rise_factor
+        return None if c is None else self.epsilon * self.num.ratio(c, p)
 
     def raise_beta(self, j: int, new_value) -> None:
         self.beta[j] = new_value
@@ -366,6 +373,8 @@ class DualState:
 
 class ExactDual(DualState):
     """Exact rules: each alpha and beta is a `Ratio`, read as a reduced Fraction.
+    Its rules read only a price's `numerator` and `denominator`, so the price
+    ladder is `DualState`'s, and `raise_beta` stores any exact price as given.
 
     With beta = Nb/Db, a heap key c - p*beta is kn/Db, kn = c*Db - p*Nb.  Its
     entry leads with the correctly rounded int division `kn / Db`, as float()
@@ -375,21 +384,6 @@ class ExactDual(DualState):
     """
 
     number = Ratio
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.rise_factor = Ratio(*self.rise_factor.as_integer_ratio())  # `_risen` reads slots
-
-    def _risen(self, b) -> Ratio:
-        r = self.rise_factor
-        return Ratio(b.numerator * r.numerator, b.denominator * r.denominator)
-
-    def raise_beta(self, j: int, new_value) -> None:
-        """A Ratio is stored as it is, any other exact rational as a Ratio."""
-        if type(new_value) is not Ratio:
-            new_value = Ratio(*new_value.as_integer_ratio())
-        self.beta[j] = new_value  # stored here, not through super(): a rise is hot
-        self.level[j] += 1
 
     def heap_key(self, e: int) -> tuple:
         instance = self.instance

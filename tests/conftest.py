@@ -7,6 +7,7 @@ import random
 import shutil
 import signal
 import tempfile
+import time
 from fractions import Fraction
 
 import pytest
@@ -40,29 +41,53 @@ def pytest_configure(config):
     set_hypothesis_home_dir(home)
 
 
+# Every test runs under this limit (`_test_time_limit`); the slowest takes a
+# few seconds, so a test that reaches it fails instead of hanging the suite.
+TEST_TIME_LIMIT = 60
+
+
+@contextlib.contextmanager
+def _time_limit(seconds: float):
+    """Fail the test when the body runs longer than `seconds`, through
+    `SIGALRM` from `signal.setitimer`, so only in the main thread.  Inside
+    another limit it restores the outer timer's remaining time on exit, and
+    an outer limit that ends first stays in force with its own message.  It
+    ends a loop between bytecodes, not one long operation on huge ints."""
+    outer = signal.getitimer(signal.ITIMER_REAL)[0]
+    if outer and outer <= seconds:
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"time limit of {seconds} s exceeded")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    started = time.monotonic()
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+        if outer:  # an expired outer limit fires at once
+            signal.setitimer(signal.ITIMER_REAL,
+                             max(outer - (time.monotonic() - started), 1e-6))
+
+
+@pytest.fixture(autouse=True)
+def _test_time_limit():
+    with _time_limit(TEST_TIME_LIMIT):
+        yield
+
+
 @pytest.fixture
 def time_limit():
     """`with time_limit(seconds):` fails the test when its body runs longer.
 
     `PHASE_CAP` bounds a solve, not a loop inside one kernel call; this ends
-    any loop that never ends, through `SIGALRM` from `signal.setitimer`, so
-    it runs only in the main thread.
+    any loop that never ends, within the test's own `TEST_TIME_LIMIT`.
     """
-
-    @contextlib.contextmanager
-    def limit(seconds: float):
-        def expire(signum, frame):
-            pytest.fail(f"time limit of {seconds} s exceeded")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.setitimer(signal.ITIMER_REAL, seconds)
-        try:
-            yield
-        finally:
-            signal.setitimer(signal.ITIMER_REAL, 0)
-            signal.signal(signal.SIGALRM, previous)
-
-    return limit
+    return _time_limit
 
 
 def btp(supply, budget, edges) -> ProblemInstance:
@@ -151,11 +176,11 @@ def build_cycle_state(prices_fwd, prices_back, back_flows, surplus, caps_fwd=Non
     return instance, primal, dual, graph, graph.stats, cycle
 
 
-def move(graph, e: int, amount, revalue: bool = True) -> int:
+def move(graph, e: int, amount) -> int:
     """`graph.move_flow` of an exact number, an int, Fraction or `Ratio`,
     converted to the primal state's units."""
     amount = Fraction(amount.numerator, amount.denominator)
-    return graph.move_flow(e, graph.primal.units(amount), revalue=revalue)
+    return graph.move_flow(e, graph.primal.units(amount))
 
 
 def values(state, name: str) -> list:

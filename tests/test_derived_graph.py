@@ -422,8 +422,8 @@ def test_back_edge_reenters_only_after_price_rise(monkeypatch):
             self.events.append(("rise", None, j))
             self.record(j)
 
-        def move_flow(self, e, delta, revalue):
-            j = super().move_flow(e, delta, revalue)
+        def move_flow(self, e, delta):
+            j = super().move_flow(e, delta)
             self.record(j)
             return j
 
@@ -689,8 +689,8 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
     primal, dual, num = make_states(inst, config)
     graph = DerivedGraph(inst, primal, dual)
     # the test's own record of stale edges, kept by the writers' rules: a rise
-    # makes every flowing in-edge stale; a promotion, a revalued move or a
-    # drain makes the edge fresh
+    # makes every flowing in-edge stale; a promotion, an increase or a drain
+    # makes the edge fresh
     stale: set[int] = set()
     check_lazy_heaps(graph)
     check_stale_model(graph, stale)
@@ -718,8 +718,8 @@ def test_lazy_heaps_match_brute_force(kind, mode, seed, n, m, ops):
             target = {"fill": full, "half": full / 2, "drain": num.value(0)}[op]
             current = primal.value(primal.flow[e])
             if target != current:
-                graph.move_flow(e, primal.units(target - current), revalue=flag)
-                if flag or op == "drain":
+                graph.move_flow(e, primal.units(target - current))
+                if target > current or op == "drain":
                     stale.discard(e)
         check_lazy_heaps(graph)
         check_stale_model(graph, stale)

@@ -185,12 +185,15 @@ in_edges = st.lists(
 @example([(2, 4), (0, 1), (1, 2), (3, 6)], "float", Fraction(1, 8))
 def test_first_price_is_epsilon_times_the_least_rate(edges, mode, eps):
     """At level 0, `next_beta` is eps * min c/p over the in-edges with c > 0,
-    as the mode's number, and None when there is none; a sink with no in-edge
-    has none either."""
+    as the dual state's number (a `Ratio` in exact mode, with the bits of the
+    float product in float mode), and None when there is none; a sink with no
+    in-edge has none either."""
     inst = btp([1] * len(edges), [1, 1], [(i, 0, c, p) for i, (c, p) in enumerate(edges)])
     _, dual, num = make_states(inst, SolverConfig(epsilon=eps, numeric_mode=mode))
     rates = [Fraction(c, p) for c, p in edges if c]
-    expected = num.value(eps) * num.value(min(rates)) if rates else None
     got = dual.next_beta(0)
-    assert got == expected and type(got) is type(expected)
+    if rates:
+        assert got == num.value(eps) * num.value(min(rates)) and type(got) is dual.number
+    else:
+        assert got is None
     assert dual.next_beta(1) is None

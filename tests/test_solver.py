@@ -13,6 +13,7 @@ from budget_flow.cli import solution_to_text
 from budget_flow.derived_graph import DerivedGraph
 from budget_flow.instance import SolverConfig, generate, parse
 from budget_flow.oracle import exact_opt
+from budget_flow.reductions import PiecewiseEdge, PiecewiseInstance, split_piecewise
 import budget_flow.solver as solver_mod
 from budget_flow.solver import (
     RunStats,
@@ -689,6 +690,47 @@ def test_exact_cycle_push_runs_no_fraction_code(time_limit):
 
 
 # -- solve -------------------------------------------------------------------
+
+
+def piecewise_split(seed: int):
+    """The split of an 8x8 concave profile of 1-4 segments of length 2 per edge."""
+    rng = random.Random(seed)
+    edges = tuple(
+        PiecewiseEdge(i, j, rng.randint(1, 6),
+                      tuple(sorted((rng.randint(0, 9) for _ in range(rng.randint(1, 4))),
+                                   reverse=True)))
+        for i in range(8) for j in range(8) if rng.random() < 0.7
+    )
+    return split_piecewise(PiecewiseInstance(
+        tuple(rng.randint(1, 10) for _ in range(8)), tuple(rng.randint(1, 20) for _ in range(8)),
+        2, edges))[0]
+
+
+@pytest.mark.parametrize("shape", ["dense", "piecewise"])
+def test_an_exact_run_builds_no_fraction_before_its_output(shape, monkeypatch):
+    """From the start of an exact `solve` to its last `on_iteration` call no
+    `Fraction` is built: prices, flows and cycle pushes stay on ints and
+    `Ratio`s, and only the returned solution converts to Fractions."""
+    if shape == "dense":
+        inst = generate(seed=1, n=10, m=10, density=0.7, u_range=(1, 8))
+    else:
+        inst = piecewise_split(5)
+    config = SolverConfig(epsilon=Fraction(1, 8), numeric_mode="exact", max_phases=PHASE_CAP)
+    built, at_iteration = [0], []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    sol = solve(inst, config, on_iteration=lambda graph: at_iteration.append(built[0]))
+    monkeypatch.undo()
+    assert sol.terminated and sol.certificate.passed
+    assert sol.stats.get("beta_rises") > 0
+    assert shape == "dense" or sol.stats.get("cycle_pushes") > 0
+    assert len(at_iteration) > 10 and at_iteration[-1] == 0
+    assert built[0] > 0  # the counter sees the output's Fractions
 
 
 def test_solve_bts_capacity_binds():
